@@ -14,11 +14,10 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Any
 
 from .complexes import suspend
 from .config_io import ConfigBundle, encode_json_value, parse_config, serialize_bundle
-from .errors import SnckitError
+from .errors import SnckitError, ValidationError
 from .fixtures import fermat_cover_config, generate_example, trivial_pi1
 from .galois import extension_complex, norm_map
 from .groups import FgAbelianGroup, cokernel
@@ -47,11 +46,24 @@ def _coeff_name(modulus: int | None) -> str:
     return "Z" if modulus is None else f"Z/{modulus}"
 
 
-def _prime(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        n = _integer(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {n}")
+        return n
+    return parse
+
+
+def _prime(text: str) -> int:
+    n = _integer(text)
     from .groups import is_prime
 
     if not is_prime(n):
@@ -83,7 +95,11 @@ def _complex_payload(cx) -> dict:
 
 def _load(args) -> tuple[ConfigBundle, str]:
     raw = Path(args.config).read_bytes()
-    return parse_config(raw.decode("utf-8")), _digest(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError([f"input is not UTF-8: {exc}"]) from exc
+    return parse_config(text), _digest(raw)
 
 
 # -- handlers: each returns (digest, results payload, human lines) ---------
@@ -364,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("dual-complex", _cmd_dual_complex, help="build the dual complex")
 
     p = add("homology", _cmd_homology, help="homology of the dual complex")
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--degree", type=_at_least(0), default=1)
     p.add_argument("--coeff", type=_coeff, default=None,
                    help="'z' (default) or 'z/N'")
 
@@ -373,11 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apex1", default="inf")
 
     p = add("extend", _cmd_extend, help="quotient complex over a scalar extension")
-    p.add_argument("--f", type=int, required=True, help="extension degree")
+    p.add_argument("--f", type=_at_least(1), required=True, help="extension degree")
 
     p = add("norm", _cmd_norm, help="norm map on homology down to the base")
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--f", type=_at_least(1), required=True)
+    p.add_argument("--degree", type=_at_least(0), default=1)
     p.add_argument("--coeff", type=_coeff, default=None)
 
     p = add("theta", _cmd_theta, help="the module theta at given primes")
@@ -388,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kernel", _cmd_kernel, help="kernel prediction of the reciprocity map")
     p.add_argument("--ell", type=_prime, action="append", required=True)
-    p.add_argument("--f", type=int, default=1, help="extension degree (default 1)")
-    p.add_argument("--sweep", type=int, default=None, metavar="F_MAX",
+    p.add_argument("--f", type=_at_least(1), default=1, help="extension degree (default 1)")
+    p.add_argument("--sweep", type=_at_least(1), default=None, metavar="F_MAX",
                    help="report every extension degree 1..F_MAX")
 
     p = add("example", _cmd_example, needs_config=False,
             help="emit a bundled example document")
     p.add_argument("kind", choices=["rulings", "fermat"])
-    p.add_argument("--n", type=int, default=None, help="cover degree for fermat")
+    p.add_argument("--n", type=_at_least(2), default=None, help="cover degree for fermat")
     p.add_argument("--cover", action="store_true",
                    help="emit the fermat cover configuration instead")
 
@@ -403,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="compare the pipeline against the elimination oracle")
     p.add_argument("--count", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=6)
+    p.add_argument("--max-vertices", type=_at_least(1), default=6)
 
     return parser
 

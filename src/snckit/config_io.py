@@ -82,7 +82,11 @@ class _Reader:
         if isinstance(value, str):
             body = value[1:] if value.startswith("-") else value
             if body.isdigit():
-                return int(value)
+                try:
+                    return int(value)
+                except ValueError:  # past the interpreter's digit limit
+                    self.fail(where, f"decimal integer of {len(body)} digits is too long")
+                    return None
             self.fail(where, f"not a decimal integer: {value!r}")
             return None
         self.fail(where, f"expected an integer, got {type(value).__name__}")
@@ -187,7 +191,7 @@ def parse_config(text: str) -> ConfigBundle:
     reader = _Reader()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise ValidationError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ValidationError(["top level: expected an object"])

@@ -74,6 +74,11 @@ def _orbits(ids: Sequence[str], step: Callable[[str], str]) -> list[tuple[str, .
     return out
 
 
+def _representatives(orbits: Sequence[tuple[str, ...]]) -> dict[str, str]:
+    """Each orbit member mapped to the representative naming its orbit."""
+    return {member: orbit[0] for orbit in orbits for member in orbit}
+
+
 @dataclass(frozen=True)
 class Extension:
     """The degree-f scalar extension: quotient complex, the collapse
@@ -96,15 +101,18 @@ class Extension:
 def check_admissible(cfg: SncConfiguration, f: int) -> None:
     """Raise unless the degree-f quotient is again simple normal
     crossing (no stratum has two components in one orbit)."""
+    _admissible_component_orbits(cfg, f)
+
+
+def _admissible_component_orbits(cfg: SncConfiguration, f: int) -> list[tuple[str, ...]]:
+    """The component orbits over the degree-f extension, raising as
+    ``check_admissible`` does."""
     ensure_valid(cfg)
     if f < 1:
         raise ValueError("extension degree must be positive")
     action = _action(cfg)
-    step = lambda c: action.component_image(c, f)
-    rep: dict[str, str] = {}
-    for orbit in _orbits([c.id for c in cfg.components], step):
-        for member in orbit:
-            rep[member] = orbit[0]
+    orbits = _orbits(cfg.component_ids(), lambda c: action.component_image(c, f))
+    rep = _representatives(orbits)
     for s in cfg.strata:
         images = [rep[c] for c in s.on]
         if len(set(images)) != len(images):
@@ -115,22 +123,16 @@ def check_admissible(cfg: SncConfiguration, f: int) -> None:
                 f"{pair[0]!r} and {pair[1]!r}, which fall into one Frobenius orbit "
                 f"over the degree-{f} extension"
             )
+    return orbits
 
 
 def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     """Quotient complex over the degree-f extension plus the collapse
     map from the geometric complex.  Raises ExtensionError when the
     quotient would not be simple normal crossing."""
-    check_admissible(cfg, f)
+    comp_orbits = _admissible_component_orbits(cfg, f)
     action = _action(cfg)
-    comp_step = lambda c: action.component_image(c, f)
     strat_step = lambda s: action.stratum_image(s, f)
-
-    comp_orbits = _orbits([c.id for c in cfg.components], comp_step)
-    rep: dict[str, str] = {}
-    for orbit in comp_orbits:
-        for member in orbit:
-            rep[member] = orbit[0]
     quotient_pos = {orbit[0]: i for i, orbit in enumerate(comp_orbits)}
 
     base_facets = resolved_facets(cfg)
@@ -141,31 +143,25 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
         strat_orbits.extend(
             _orbits([s.id for s in cfg.strata_of_depth(r)], strat_step)
         )
-    for orbit in strat_orbits:
-        for member in orbit:
-            rep[member] = orbit[0]
+    rep = _representatives(comp_orbits + strat_orbits)
 
     simplices = [Simplex.vertex(orbit[0]) for orbit in comp_orbits]
     assignment: dict[str, tuple[str, int]] = {
         c.id: (rep[c.id], 1) for c in cfg.components
     }
     for orbit in strat_orbits:
-        s = cfg.stratum(orbit[0])
-        base_sorted = tuple(sorted(s.on, key=base_order.__getitem__))
-        image_seq = [quotient_pos[rep[v]] for v in base_sorted]
-        perm = sorted(range(len(image_seq)), key=image_seq.__getitem__)
-        verts = tuple(orbit_vertex for _, orbit_vertex in
-                      sorted(zip(image_seq, (rep[v] for v in base_sorted))))
-        facets = tuple(rep[base_facets[s.id][perm[j]]] for j in range(len(perm)))
-        simplices.append(Simplex(s.id, verts, facets))
-    quotient = DeltaComplex(simplices)
-
-    for orbit in strat_orbits:
         for member in orbit:
             s = cfg.stratum(member)
             base_sorted = tuple(sorted(s.on, key=base_order.__getitem__))
-            sign = sort_parity([quotient_pos[rep[v]] for v in base_sorted])
-            assignment[member] = (orbit[0], sign)
+            image_seq = [quotient_pos[rep[v]] for v in base_sorted]
+            assignment[member] = (orbit[0], sort_parity(image_seq))
+            if member == orbit[0]:
+                perm = sorted(range(len(image_seq)), key=image_seq.__getitem__)
+                verts = tuple(orbit_vertex for _, orbit_vertex in
+                              sorted(zip(image_seq, (rep[v] for v in base_sorted))))
+                facets = tuple(rep[base_facets[s.id][perm[j]]] for j in range(len(perm)))
+                simplices.append(Simplex(s.id, verts, facets))
+    quotient = DeltaComplex(simplices)
 
     base_complex = build_dual_complex(cfg)
     sigma = ChainMap(base_complex, quotient, assignment)
@@ -184,10 +180,7 @@ def connecting_map(cfg: SncConfiguration, f_fine: int, f_coarse: int,
         fine = extension_complex(cfg, f_fine)
     if coarse is None:
         coarse = extension_complex(cfg, f_coarse)
-    rep: dict[str, str] = {}
-    for orbit in coarse.component_orbits + coarse.stratum_orbits:
-        for member in orbit:
-            rep[member] = orbit[0]
+    rep = _representatives(coarse.component_orbits + coarse.stratum_orbits)
     coarse_pos = {orbit[0]: i for i, orbit in enumerate(coarse.component_orbits)}
 
     assignment: dict[str, tuple[str, int]] = {}
@@ -231,7 +224,6 @@ def norm_map(cfg: SncConfiguration, f: int, a: int,
 def frobenius_chain_map(cfg: SncConfiguration) -> ChainMap:
     """The automorphism of the geometric complex induced by one
     application of Frobenius."""
-    ensure_valid(cfg)
     action = _action(cfg)
     cx = build_dual_complex(cfg)
     pos = cx.vertex_position

@@ -25,7 +25,7 @@ from .errors import WellDefinednessError
 from .matrices import (
     IntMatrix,
     SnfDecomposition,
-    in_column_span,
+    _smith_coordinates,
     preimage_generators,
     snf,
 )
@@ -174,17 +174,7 @@ class FgAbelianGroup:
 
     def in_relation_lattice(self, vec: Sequence[int]) -> bool:
         """Whether ``vec`` represents zero, i.e. lies in the relation lattice."""
-        s = self.relation_snf()
-        c = s.u.apply(vec)
-        diag = s.diagonal()
-        for i in range(self.generator_count):
-            di = diag[i] if i < len(diag) else 0
-            if di != 0:
-                if c[i] % di != 0:
-                    return False
-            elif c[i] != 0:
-                return False
-        return True
+        return _smith_coordinates(self.relation_snf(), vec) is not None
 
     def smith(self) -> "SmithForm":
         if self._smith is None:
@@ -405,13 +395,6 @@ class GaloisModule:
         self.group = group
         self.frobenius = frobenius
         self.order = order
-
-    @classmethod
-    def trivial_action(cls, group: FgAbelianGroup) -> "GaloisModule":
-        return cls(group, IntMatrix.identity(group.generator_count), 1, check=False)
-
-    def endomorphism(self) -> ModuleMap:
-        return ModuleMap(self.group, self.group, self.frobenius, check=False)
 
     def power(self, f: int) -> "GaloisModule":
         """The same group acted on by the f-th power of Frobenius

@@ -127,9 +127,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
-
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self._entries[i * self.cols + i] for i in range(min(self.rows, self.cols)))
 
@@ -149,11 +146,6 @@ class IntMatrix:
             entries.extend(self.row(i))
             entries.extend(other.row(i))
         return IntMatrix(self.rows, self.cols + other.cols, entries)
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("vstack needs equal column counts")
-        return IntMatrix(self.rows + other.rows, self.cols, self._entries + other._entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -417,6 +409,23 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     )
 
 
+def _smith_coordinates(s: SnfDecomposition, b: Sequence[int]) -> list[int] | None:
+    """The z with ``d @ z == u @ b``, free coordinates zero, or None
+    when there is none; then ``v @ z`` solves ``a @ x == b``."""
+    c = s.u.apply(b)
+    diag = s.diagonal()
+    z = [0] * s.d.cols
+    for i, ci in enumerate(c):
+        di = diag[i] if i < len(diag) else 0
+        if di != 0:
+            if ci % di != 0:
+                return None
+            z[i] = ci // di
+        elif ci != 0:
+            return None
+    return z
+
+
 def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution of ``a @ x == b``, or None.
 
@@ -424,18 +433,8 @@ def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     to zero, which makes the returned vector deterministic.
     """
     s = snf(a)
-    c = s.u.apply(b)
-    diag = s.diagonal()
-    z = [0] * a.cols
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di != 0:
-            if c[i] % di != 0:
-                return None
-            z[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return s.v.apply(z)
+    z = _smith_coordinates(s, b)
+    return None if z is None else s.v.apply(z)
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
@@ -443,26 +442,10 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     if a.rows != b.rows:
         raise ValueError("row counts differ")
     s = snf(a)
-    diag = s.diagonal()
-    sols = []
-    for j in range(b.cols):
-        c = s.u.apply(b.col(j))
-        z = [0] * a.cols
-        ok = True
-        for i in range(a.rows):
-            di = diag[i] if i < len(diag) else 0
-            if di != 0:
-                if c[i] % di != 0:
-                    ok = False
-                    break
-                z[i] = c[i] // di
-            elif c[i] != 0:
-                ok = False
-                break
-        if not ok:
-            return None
-        sols.append(s.v.apply(z))
-    return IntMatrix.from_columns(sols, rows=a.cols)
+    coords = [_smith_coordinates(s, b.col(j)) for j in range(b.cols)]
+    if any(z is None for z in coords):
+        return None
+    return IntMatrix.from_columns([s.v.apply(z) for z in coords], rows=a.cols)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -35,9 +35,8 @@ from .groups import (
     ModuleMap,
     coinvariants,
     image_subgroup,
-    is_prime,
 )
-from .homology import HomologyResult, homology_group, induced_map
+from .homology import HomologyResult, homology_group
 from .matrices import IntMatrix
 from .snc import SncConfiguration, build_dual_complex, has_rational_point
 
@@ -174,8 +173,6 @@ def compute_theta(pi1: Pi1Input, ell: int) -> GaloisModule:
     """theta at ell: y0 modulo the images of the component maps, then
     prime-to-ell torsion discarded.  Presented on the generators of
     y0."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
     quotient = FgAbelianGroup(pi1.y0.group.generator_count, _combined_relations(pi1))
     module = GaloisModule(quotient, pi1.y0.frobenius, pi1.y0.order)
     localized, _ = module.localized(ell)
@@ -201,7 +198,7 @@ class AlphaResult:
 
 
 def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-              ell: int, theta: GaloisModule | None = None) -> AlphaResult:
+              ell: int) -> AlphaResult:
     """Evaluate the labels on homology generators.  Raises LabelError
     when the labels are not equivariant or do not descend."""
     pi1_problems = validate_pi1(cfg, pi1)
@@ -210,8 +207,7 @@ def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
     label_problems = validate_labels(cfg, pi1, labels)
     if label_problems:
         raise LabelError("; ".join(label_problems))
-    if theta is None:
-        theta = compute_theta(pi1, ell)
+    theta = compute_theta(pi1, ell)
 
     cx = build_dual_complex(cfg)
     full, _ = _full_labels(cx, pi1, labels)
@@ -300,44 +296,56 @@ class KernelReport:
     primes: dict[int, PrimeReport]
 
 
+def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
+                    ells: Sequence[int], degrees: Sequence[int]) -> tuple[KernelReport, ...]:
+    """One KernelReport per extension degree.  Alpha, theta and the
+    torsion of theta are geometric: each is computed once per prime
+    and shared by every degree."""
+    geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
+    reports = []
+    for f in degrees:
+        ext = extension_complex(cfg, f)
+        flags = rational_point_flags(cfg, f, ext=ext)
+        assumption_i = all(flags.values())
+        h1_quotient = homology_group(ext.complex, 1)
+
+        primes: dict[int, PrimeReport] = {}
+        for ell in ells:
+            if ell not in geometric:
+                alpha = alpha_map(cfg, pi1, labels, ell)
+                geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
+            alpha, torsion_module, torsion_incl = geometric[ell]
+            assumption_ii = torsion_module.power(f).acts_trivially()
+
+            warnings = list(alpha.warnings)
+            _, proj = coinvariants(alpha.theta.power(f))
+            if not proj.compose(torsion_incl).is_injective():
+                warnings.append(
+                    f"ell={ell}, f={f}: torsion of theta does not inject into the "
+                    f"coinvariants (expected only for non-geometric inputs)"
+                )
+
+            exact = assumption_i and assumption_ii
+            primes[ell] = PrimeReport(
+                ell=ell,
+                theta=alpha.theta,
+                theta_torsion=torsion_module.group,
+                frobenius_trivial_on_torsion=assumption_ii,
+                alpha=alpha,
+                verdict="exact" if exact else "bound",
+                predicted_kernel=alpha.image_group if exact else None,
+                kernel_bound=torsion_module.group,
+                warnings=tuple(warnings),
+            )
+        reports.append(KernelReport(f, flags, assumption_i, h1_quotient, primes))
+    return tuple(reports)
+
+
 def predict_kernel(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
                    ells: Sequence[int], f: int = 1) -> KernelReport:
     """The kernel prediction over the degree-f extension, at each
     requested prime."""
-    ext = extension_complex(cfg, f)
-    flags = rational_point_flags(cfg, f, ext=ext)
-    assumption_i = all(flags.values())
-    h1_quotient = homology_group(ext.complex, 1)
-
-    primes: dict[int, PrimeReport] = {}
-    for ell in ells:
-        theta = compute_theta(pi1, ell)
-        alpha = alpha_map(cfg, pi1, labels, ell, theta=theta)
-        torsion_module, torsion_incl = theta.torsion_submodule()
-        assumption_ii = torsion_module.power(f).acts_trivially()
-
-        warnings = list(alpha.warnings)
-        coinv, proj = coinvariants(theta.power(f))
-        composite = proj.compose(torsion_incl)
-        if not composite.is_injective():
-            warnings.append(
-                f"ell={ell}, f={f}: torsion of theta does not inject into the "
-                f"coinvariants (expected only for non-geometric inputs)"
-            )
-
-        exact = assumption_i and assumption_ii
-        primes[ell] = PrimeReport(
-            ell=ell,
-            theta=theta,
-            theta_torsion=torsion_module.group,
-            frobenius_trivial_on_torsion=assumption_ii,
-            alpha=alpha,
-            verdict="exact" if exact else "bound",
-            predicted_kernel=alpha.image_group if exact else None,
-            kernel_bound=torsion_module.group,
-            warnings=tuple(warnings),
-        )
-    return KernelReport(f, flags, assumption_i, h1_quotient, primes)
+    return _kernel_reports(cfg, pi1, labels, ells, (f,))[0]
 
 
 @dataclass(frozen=True)
@@ -366,9 +374,7 @@ def sweep_extensions(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCoch
     prediction is available)."""
     if f_max < 1:
         raise ValueError("f_max must be positive")
-    reports = tuple(
-        predict_kernel(cfg, pi1, labels, ells, f) for f in range(1, f_max + 1)
-    )
+    reports = _kernel_reports(cfg, pi1, labels, ells, range(1, f_max + 1))
     trends: dict[int, str] = {}
     for ell in ells:
         types = []

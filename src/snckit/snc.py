@@ -19,6 +19,7 @@ business of the extension machinery, not of validation here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import DeltaComplex, Simplex
@@ -87,10 +88,32 @@ class FrobeniusAction:
 
 @dataclass(frozen=True)
 class SncConfiguration:
+    """Frozen, so its validation problems, resolved facets and dual
+    complex are derived once, on first use, and kept on the object."""
+
     name: str
     components: tuple[Component, ...]
     strata: tuple[Stratum, ...] = ()
     frobenius: FrobeniusAction | None = None
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_find_problems(self))
+
+    @cached_property
+    def _facets(self) -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:
+        return _resolve_facets(self)
+
+    @cached_property
+    def _dual_complex(self) -> DeltaComplex:
+        order = {c.id: i for i, c in enumerate(self.components)}
+        facets = self._facets[0]
+        simplices = [Simplex.vertex(c.id) for c in self.components]
+        for r in self.depths():
+            for s in self.strata_of_depth(r):
+                verts = tuple(sorted(s.on, key=order.__getitem__))
+                simplices.append(Simplex(s.id, verts, facets[s.id]))
+        return DeltaComplex(simplices)
 
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
@@ -112,12 +135,6 @@ class SncConfiguration:
 
     def strata_of_depth(self, r: int) -> tuple[Stratum, ...]:
         return tuple(s for s in self.strata if s.depth == r)
-
-    def component_position(self, cid: str) -> int:
-        for i, c in enumerate(self.components):
-            if c.id == cid:
-                return i
-        raise KeyError(cid)
 
 
 def has_rational_point(point_degrees: Iterable[int], f: int) -> bool:
@@ -156,12 +173,15 @@ def _perm_problems(label: str, perm: Mapping[str, str], domain: Sequence[str],
 
 def validate_config(cfg: SncConfiguration) -> list[str]:
     """All violated invariants, empty when the configuration is OK."""
+    return list(cfg._problems)
+
+
+def _find_problems(cfg: SncConfiguration) -> list[str]:
     problems: list[str] = []
     if not cfg.components:
         problems.append("at least one component required")
         return problems
 
-    comp_ids = [c.id for c in cfg.components]
     seen: set[str] = set()
     for c in cfg.components:
         if not c.id:
@@ -170,7 +190,7 @@ def validate_config(cfg: SncConfiguration) -> list[str]:
             problems.append(f"duplicate component id {c.id!r}")
         seen.add(c.id)
         _check_degrees(problems, f"component {c.id!r}", c.point_degrees)
-    comp_set = set(comp_ids)
+    comp_set = set(cfg.component_ids())
 
     strata_by_id: dict[str, Stratum] = {}
     for s in cfg.strata:
@@ -190,10 +210,7 @@ def validate_config(cfg: SncConfiguration) -> list[str]:
             problems.append(f"stratum {s.id!r} lies on unknown components {unknown}")
 
     if not problems:
-        try:
-            resolved_facets(cfg)
-        except ValidationError as exc:
-            problems.extend(exc.problems)
+        problems.extend(cfg._facets[1])
 
     if cfg.frobenius is not None and not problems:
         problems.extend(_frobenius_problems(cfg))
@@ -243,7 +260,7 @@ def _frobenius_problems(cfg: SncConfiguration) -> list[str]:
     if problems:
         return problems
 
-    facets = resolved_facets(cfg)
+    facets = cfg._facets[0]
     for s in cfg.strata:
         if s.depth < 3:
             continue
@@ -269,6 +286,13 @@ def resolved_facets(cfg: SncConfiguration) -> dict[str, tuple[str, ...]]:
     tuple omits vertex i of its sorted vertex tuple.  Depth-2 strata
     get component ids.  Raises when inference is ambiguous or a facet
     is missing."""
+    facets, problems = cfg._facets
+    if problems:
+        raise ValidationError(list(problems))
+    return dict(facets)
+
+
+def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:
     problems: list[str] = []
     order = {c.id: i for i, c in enumerate(cfg.components)}
     by_on: dict[frozenset, list[str]] = {}
@@ -279,7 +303,6 @@ def resolved_facets(cfg: SncConfiguration) -> dict[str, tuple[str, ...]]:
     for s in cfg.strata:
         verts = tuple(sorted(s.on, key=order.__getitem__))
         if s.depth == 2:
-            expected = {verts[1]: 0, verts[0]: 1}
             if s.facets is not None:
                 given = set(s.facets)
                 if given != set(verts):
@@ -350,9 +373,7 @@ def resolved_facets(cfg: SncConfiguration) -> dict[str, tuple[str, ...]]:
         if ok:
             out[s.id] = tuple(positional)  # type: ignore[arg-type]
 
-    if problems:
-        raise ValidationError(problems)
-    return out
+    return out, tuple(problems)
 
 
 def build_dual_complex(cfg: SncConfiguration) -> DeltaComplex:
@@ -360,11 +381,4 @@ def build_dual_complex(cfg: SncConfiguration) -> DeltaComplex:
     depth-r stratum one (r-1)-simplex.  Listing order per dimension is
     the stratum listing order."""
     ensure_valid(cfg)
-    order = {c.id: i for i, c in enumerate(cfg.components)}
-    facets = resolved_facets(cfg)
-    simplices = [Simplex.vertex(c.id) for c in cfg.components]
-    for r in cfg.depths():
-        for s in cfg.strata_of_depth(r):
-            verts = tuple(sorted(s.on, key=order.__getitem__))
-            simplices.append(Simplex(s.id, verts, facets[s.id]))
-    return DeltaComplex(simplices)
+    return cfg._dual_complex

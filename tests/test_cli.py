@@ -38,6 +38,14 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 2
         assert main(["extend", rulings_path]) == 2  # --f is required
         assert main(["theta", rulings_path, "--ell", "4"]) == 2  # not prime
+        # out-of-range values are usage errors too, not tracebacks
+        assert main(["extend", rulings_path, "--f", "0"]) == 2
+        assert main(["norm", rulings_path, "--f", "0"]) == 2
+        assert main(["kernel", rulings_path, "--ell", "2", "--f", "-2"]) == 2
+        assert main(["kernel", rulings_path, "--ell", "2", "--sweep", "0"]) == 2
+        assert main(["homology", rulings_path, "--degree", "-1"]) == 2
+        assert main(["example", "fermat", "--n", "1"]) == 2
+        assert main(["oracle-check", "--max-vertices", "0"]) == 2
         capsys.readouterr()
 
     def test_validation_errors_exit_one(self, capsys, tmp_path):
@@ -45,6 +53,28 @@ class TestExitCodes:
         bad.write_text('{"components": []}')
         assert main(["validate", str(bad)]) == 1
         assert "at least one component required" in capsys.readouterr().err
+
+    def test_non_utf8_input_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"name": "caf\xe9", "components": [{"id": "A"}]}')
+        assert main(["validate", str(bad)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_overlong_decimal_string_names_its_path(self, capsys, tmp_path):
+        doc = {"components": [{"id": "A"}],
+               "pi1_y0": {"generators": 1, "relations": [["9" * 5000]]}}
+        path = tmp_path / "long-string.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pi1_y0.relations[0][0]: ")
+        assert "digits" in err
+
+    def test_overlong_json_number_is_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "long-number.json"
+        path.write_text('{"components": [{"id": "A"}], "name": ' + "9" * 5000 + "}")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
@@ -229,3 +259,35 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "rulings"
+
+
+def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
+    """One sweep builds the geometric complex once plus one quotient per
+    degree, evaluates alpha once per prime, and keeps SNF work bounded."""
+    from snckit import complexes, matrices, reciprocity
+
+    counts = {"complex": 0, "alpha": 0, "snf": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    init = complexes.DeltaComplex.__init__
+    monkeypatch.setattr(complexes.DeltaComplex, "__init__", counting("complex", init))
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "snckit" or name.startswith("snckit."))]
+    for key, original in (("alpha", reciprocity.alpha_map), ("snf", matrices.snf)):
+        wrapper = counting(key, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+    argv = ["kernel", fermat_path, "--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"]
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert counts["complex"] == 11
+    assert counts["alpha"] == 3
+    assert counts["snf"] <= 112
