@@ -44,7 +44,7 @@ class Simplex:
 class DeltaComplex:
     """An immutable Δ-complex; construction validates everything."""
 
-    __slots__ = ("_by_dim", "_by_id", "_vertex_pos", "_index_in_dim")
+    __slots__ = ("_by_dim", "_by_id", "_vertex_pos", "_index_in_dim", "_boundaries")
 
     def __init__(self, simplices: Iterable[Simplex]):
         by_dim: list[list[Simplex]] = []
@@ -115,6 +115,7 @@ class DeltaComplex:
         self._index_in_dim = {
             s.id: j for layer in self._by_dim for j, s in enumerate(layer)
         }
+        self._boundaries: dict[int, IntMatrix] = {}
 
         # facet data alone guarantees d(d(s)) has matching supports;
         # the sign bookkeeping is what this checks
@@ -169,16 +170,18 @@ class DeltaComplex:
         """The boundary C_a -> C_{a-1}; rows follow the (a-1)-simplex
         order, columns the a-simplex order.  For a == 0 this is the
         zero map to the zero module, for a > dimension the zero map
-        from it."""
-        lower = self.simplices(a - 1) if a >= 1 else ()
-        upper = self.simplices(a)
-        cols = []
-        for s in upper:
-            col = [0] * len(lower)
-            for i, fid in enumerate(s.facets):
-                col[self._index_in_dim[fid]] += (-1) ** i
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows=len(lower))
+        from it.  Built once per complex and shared by every caller."""
+        m = self._boundaries.get(a)
+        if m is None:
+            rows = len(self.simplices(a - 1)) if a >= 1 else 0
+            upper = self.simplices(a)
+            cols = len(upper)
+            entries = [0] * (rows * cols)
+            for j, s in enumerate(upper):
+                for i, fid in enumerate(s.facets):
+                    entries[self._index_in_dim[fid] * cols + j] += -1 if i % 2 else 1
+            m = self._boundaries[a] = IntMatrix._of(rows, cols, entries)
+        return m
 
     def augmentation_matrix(self) -> IntMatrix:
         """The map C_0 -> Z sending every vertex to 1 (for reduced

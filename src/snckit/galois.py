@@ -212,10 +212,11 @@ class NormMapResult:
 def norm_map(cfg: SncConfiguration, f: int, a: int,
              modulus: int | None = None) -> NormMapResult:
     fine = extension_complex(cfg, f)
-    coarse = extension_complex(cfg, 1)
+    # at f == 1 the two levels coincide, so build and compute them once
+    coarse = fine if f == 1 else extension_complex(cfg, 1)
     chain = connecting_map(cfg, f, 1, fine=fine, coarse=coarse)
     source = homology_group(fine.complex, a, modulus)
-    target = homology_group(coarse.complex, a, modulus)
+    target = source if coarse is fine else homology_group(coarse.complex, a, modulus)
     m = induced_map(chain, a, modulus, source=source, target=target)
     image, inclusion = image_subgroup(m)
     return NormMapResult(f, a, modulus, m, image, inclusion, source, target)

@@ -7,17 +7,22 @@ everywhere and stand for zero objects, so degenerate inputs flow
 through every routine without special casing by the caller.
 
 The Smith normal form here is the engine behind all homology and
-group computations: ``snf(a)`` returns unimodular ``u``, ``v`` (and
-their inverses, tracked during elimination) with ``u @ a @ v`` equal
-to a nonnegative diagonal matrix whose entries form a divisibility
-chain.  Pivoting always picks the entry of smallest nonzero absolute
-value, breaking ties by (row, col), which keeps every run bit-for-bit
-reproducible.
+group computations: ``snf(a)`` returns unimodular ``u``, ``v`` and
+their inverses with ``u @ a @ v`` equal to a nonnegative diagonal
+matrix whose entries form a divisibility chain.  Elimination reduces
+only a working copy of ``a``, which becomes ``d``, and logs its row and
+column operations; each transform is replayed from that log the first
+time it is read, and equals, entry for entry, the one that tracking it
+during elimination would give.  Pivoting always picks the entry of
+smallest nonzero absolute value, breaking ties by (row, col), which
+keeps every run bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 from operator import index as _as_int
 from typing import Iterable, Sequence
 
@@ -33,16 +38,21 @@ __all__ = [
 ]
 
 
+def _shape(rows: int, cols: int) -> tuple[int, int]:
+    rows = _as_int(rows)
+    cols = _as_int(cols)
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix shape must be nonnegative")
+    return rows, cols
+
+
 class IntMatrix:
     """An immutable ``rows x cols`` matrix of Python ints."""
 
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows = _as_int(rows)
-        cols = _as_int(cols)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix shape must be nonnegative")
+        rows, cols = _shape(rows, cols)
         data = tuple(_as_int(x) for x in entries)
         if len(data) != rows * cols:
             raise ValueError(
@@ -51,6 +61,17 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self._entries = data
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: Iterable[int]) -> "IntMatrix":
+        """A matrix from entries the package computed itself, which are
+        ints already; skips the checks that ``__init__`` makes on
+        caller data."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._entries = tuple(entries)
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -86,11 +107,13 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        rows, cols = _shape(rows, cols)
+        return cls._of(rows, cols, [0] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        n, _ = _shape(n, n)
+        return cls._of(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -133,7 +156,7 @@ class IntMatrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
+        return IntMatrix._of(
             self.cols, self.rows,
             [self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
@@ -145,7 +168,7 @@ class IntMatrix:
         for i in range(self.rows):
             entries.extend(self.row(i))
             entries.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, entries)
+        return IntMatrix._of(self.rows, self.cols + other.cols, entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -163,7 +186,7 @@ class IntMatrix:
                 tbase = i * other.cols
                 for j in range(other.cols):
                     out[tbase + j] += a * other._entries[obase + j]
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -180,17 +203,17 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)])
+        return IntMatrix._of(self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)])
+        return IntMatrix._of(self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)])
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self._entries])
+        return IntMatrix._of(self.rows, self.cols, [-a for a in self._entries])
 
     def scaled(self, k: int) -> "IntMatrix":
         k = _as_int(k)
@@ -262,21 +285,84 @@ class IntMatrix:
         return f"<IntMatrix {self.rows}x{self.cols}>"
 
 
+# An elimination log is a list of row operations, each a tuple:
+# ``(i, j)`` swaps rows i and j, ``(i, j, q)`` adds q times row j to
+# row i, and ``(i,)`` negates row i.  Column operations are logged in
+# the same form, read on columns.
+
+
+def _replay(n: int, log: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """The rows of the n x n identity after the logged row operations."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    for op in log:
+        if len(op) == 3:
+            i, j, q = op
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif len(op) == 2:
+            i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            i = op[0]
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def _inverse_transposed(log: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Row operations that build the transpose of the inverse of what
+    ``log`` builds: swaps and negations are their own inverse-transpose,
+    and adding q times row j to row i becomes subtracting q times row i
+    from row j."""
+    return [(op[1], op[0], -op[2]) if len(op) == 3 else op for op in log]
+
+
+def _flat(rows: list[list[int]]) -> list[int]:
+    return [x for row in rows for x in row]
+
+
+def _flat_transposed(rows: list[list[int]]) -> list[int]:
+    return [x for col in zip(*rows) for x in col]
+
+
 @dataclass(frozen=True)
 class SnfDecomposition:
     """Smith normal form ``u @ a @ v == d`` with unimodular u, v.
 
-    ``u_inv`` and ``v_inv`` are the exact inverses, maintained during
-    elimination so that no separate inversion step is ever needed.
     ``d`` is diagonal with nonnegative entries forming a divisibility
-    chain d_0 | d_1 | ...; zero entries trail.
+    chain d_0 | d_1 | ...; zero entries trail.  Elimination computed
+    only ``d`` and logged its operations: ``row_log`` holds the row
+    operations, which ``u`` records, and ``col_log`` the column
+    operations, which ``v`` records.  ``u``, ``v`` and their exact
+    inverses ``u_inv``, ``v_inv`` are replayed from the logs the first
+    time each is read, so no inversion step is ever needed and no
+    caller pays for a transform it does not read.
     """
 
-    u: IntMatrix
     d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    row_log: tuple[tuple[int, ...], ...]
+    col_log: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        m = self.d.rows
+        return IntMatrix._of(m, m, _flat(_replay(m, self.row_log)))
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        m = self.d.rows
+        return IntMatrix._of(m, m, _flat_transposed(_replay(m, _inverse_transposed(self.row_log))))
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        # a column operation on v is the same row operation on its transpose
+        n = self.d.cols
+        return IntMatrix._of(n, n, _flat_transposed(_replay(n, self.col_log)))
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        n = self.d.cols
+        return IntMatrix._of(n, n, _flat(_replay(n, _inverse_transposed(self.col_log))))
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -286,81 +372,80 @@ class SnfDecomposition:
         return sum(1 for x in self.diagonal() if x != 0)
 
 
+def _unit_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first 1 or -1 of the working block (rows and columns t and
+    after) in row-major order, or None."""
+    # columns before t are zero in rows t and below, so a membership
+    # test on the whole row answers for the working block
+    for i in range(t, len(d)):
+        row = d[i]
+        hits = [row.index(unit, t) for unit in (1, -1) if unit in row]
+        if hits:
+            return i, min(hits)
+    return None
+
+
+def _least_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry of least nonzero |value| of the working block in
+    row-major order, or None when the block is zero."""
+    least, best = 0, None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x != 0:
+                ax = -x if x < 0 else x
+                if best is None or ax < least:
+                    least, best = ax, (i, j)
+    return best
+
+
 def snf(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with smallest-absolute-value pivoting.
 
-    The pivot search scans the working block row-major and keeps the
-    first entry of minimal |value|, i.e. ties break by (row, col).
+    The pivot is the first entry of minimal |value| in a row-major scan
+    of the working block, i.e. ties break by (row, col).  A 1 or -1 is
+    minimal, so the first of those, when there is one, is taken without
+    the full scan.
     """
     m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    uinv = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-    vinv = IntMatrix.identity(n).to_rows()
+    d = [list(a._entries[i * n:(i + 1) * n]) for i in range(m)]
+    row_log: list[tuple[int, ...]] = []
+    col_log: list[tuple[int, ...]] = []
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        row_log.append((i, j))
 
     def add_row(i, j, q):
-        # row_i += q * row_j on d and u; uinv gets the inverse column op
-        di, dj = d[i], d[j]
-        for k in range(n):
-            di[k] += q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] += q * uj[k]
-        for r in uinv:
-            r[j] -= q * r[i]
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        row_log.append((i, j, q))
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_col(j, i, q):
-        # col_j += q * col_i on d and v; vinv gets the inverse row op
-        for r in d:
-            r[j] += q * r[i]
-        for r in v:
-            r[j] += q * r[i]
-        vi, vj = vinv[i], vinv[j]
-        for k in range(n):
-            vi[k] -= q * vj[k]
+    # Column operations only ever act on columns t and after, and every
+    # column at or after t is zero in the rows above t.  So a column
+    # swap only touches rows t and below.
+    def swap_cols(t, j):
+        for r in d[t:]:
+            r[t], r[j] = r[j], r[t]
+        col_log.append((t, j))
 
     t = 0
     bound = min(m, n)
     while t < bound:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
+        best = _unit_pivot(d, t) or _least_pivot(d, t)
         if best is None:
             break
-        _, bi, bj = best
+        bi, bj = best
         if bi != t:
             swap_rows(t, bi)
         if bj != t:
             swap_cols(t, bj)
         while True:
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
+            pivot_row = d[t]
+            if pivot_row[t] < 0:
+                d[t] = pivot_row = [-x for x in pivot_row]
+                row_log.append((t,))
+            p = pivot_row[t]
             disturbed = False
             for i in range(t + 1, m):
                 x = d[i][t]
@@ -374,39 +459,34 @@ def snf(a: IntMatrix) -> SnfDecomposition:
                     break
             if disturbed:
                 continue
+            # Column t is now zero below the pivot (and above it), so
+            # adding a multiple of column t to column j changes only
+            # row t of d.
             for j in range(t + 1, n):
-                x = d[t][j]
+                x = pivot_row[j]
                 if x == 0:
                     continue
-                add_col(j, t, -(x // p))
-                if d[t][j] != 0:
+                q = -(x // p)
+                pivot_row[j] = x + q * p
+                col_log.append((j, t, q))
+                if pivot_row[j] != 0:
                     swap_cols(t, j)
                     disturbed = True
                     break
             if disturbed:
                 continue
-            offender = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if p == 1:
+                # a pivot of 1 divides every entry
+                break
+            # a row's entries are all multiples of p iff their gcd is
+            offender = next((i for i in range(t + 1, m) if gcd(*d[i][t + 1:]) % p), None)
             if offender is None:
                 break
             # pull a non-multiple into the pivot row and reduce again
             add_row(t, offender, 1)
         t += 1
 
-    return SnfDecomposition(
-        u=IntMatrix.from_rows(u, cols=m),
-        d=IntMatrix.from_rows(d, cols=n),
-        v=IntMatrix.from_rows(v, cols=n),
-        u_inv=IntMatrix.from_rows(uinv, cols=m),
-        v_inv=IntMatrix.from_rows(vinv, cols=n),
-    )
+    return SnfDecomposition(IntMatrix._of(m, n, _flat(d)), tuple(row_log), tuple(col_log))
 
 
 def _smith_coordinates(s: SnfDecomposition, b: Sequence[int]) -> list[int] | None:
@@ -456,8 +536,9 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     the full ambient lattice Z^cols.
     """
     s = snf(a)
-    r = s.rank
-    return IntMatrix.from_columns([s.v.col(j) for j in range(r, a.cols)], rows=a.cols)
+    r, n = s.rank, a.cols
+    v = s.v._entries
+    return IntMatrix._of(n, n - r, [x for i in range(n) for x in v[i * n + r:(i + 1) * n]])
 
 
 def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:

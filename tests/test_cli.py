@@ -3,6 +3,7 @@ determinism, and the failure modes that must name their objects."""
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -261,29 +262,33 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["name"] == "rulings"
 
 
+def _rebind(monkeypatch, original, wrapper):
+    """Replace ``original`` by ``wrapper`` at every snckit binding site."""
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "snckit" or name.startswith("snckit."))]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
+def _counting(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     """One sweep builds the geometric complex once plus one quotient per
     degree, evaluates alpha once per prime, and keeps SNF work bounded."""
     from snckit import complexes, matrices, reciprocity
 
     counts = {"complex": 0, "alpha": 0, "snf": 0}
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     init = complexes.DeltaComplex.__init__
-    monkeypatch.setattr(complexes.DeltaComplex, "__init__", counting("complex", init))
-    modules = [m for name, m in sys.modules.items()
-               if m is not None and (name == "snckit" or name.startswith("snckit."))]
+    monkeypatch.setattr(complexes.DeltaComplex, "__init__", _counting(counts, "complex", init))
     for key, original in (("alpha", reciprocity.alpha_map), ("snf", matrices.snf)):
-        wrapper = counting(key, original)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
+        _rebind(monkeypatch, original, _counting(counts, key, original))
 
     argv = ["kernel", fermat_path, "--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"]
     assert main(argv + ["--json"]) == 0
@@ -291,3 +296,86 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     assert counts["complex"] == 11
     assert counts["alpha"] == 3
     assert counts["snf"] <= 112
+
+
+def _cover_path(capsys, tmp_path, n: int) -> str:
+    """The ``example fermat --n N --cover`` document, written to a file."""
+    assert main(["example", "fermat", "--n", str(n), "--cover"]) == 0
+    path = tmp_path / f"cover-{n}.json"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+def test_norm_at_base_degree_builds_one_extension(capsys, monkeypatch, tmp_path):
+    """At f = 1 the source and target levels of the norm coincide."""
+    from snckit import galois
+
+    path = _cover_path(capsys, tmp_path, 4)
+    counts = {"extension": 0}
+    original = galois.extension_complex
+    _rebind(monkeypatch, original, _counting(counts, "extension", original))
+    assert main(["norm", path, "--f", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert counts["extension"] == 1
+
+
+def _dense_relation_document(g: int, seed: int) -> dict:
+    """Two components crossing twice; y0 is Z^g modulo a seeded dense
+    nonsingular g x g relation matrix with entries in [-9, 9], and edge
+    P1 carries a seeded label."""
+    from snckit.matrices import IntMatrix
+
+    rng = random.Random(seed)
+    while True:
+        rel = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(g)]
+        if IntMatrix.from_rows(rel).det() != 0:
+            break
+    return {
+        "name": f"dense-{g}",
+        "components": [{"id": "C1"}, {"id": "C2"}],
+        "strata": {"2": [{"id": "P1", "on": ["C1", "C2"]},
+                         {"id": "P2", "on": ["C1", "C2"]}]},
+        "pi1_y0": {"generators": g, "relations": rel},
+        "edge_labels": {"P1": [rng.randint(-9, 9) for _ in range(g)]},
+    }
+
+
+# (command and flags, SNF calls, largest input (rows, cols), peak entry
+# bit length over u, d, v, u_inv and v_inv of every SNF), as the eager
+# SNF that tracked every transform during elimination counted them.  A
+# change may lower these counts and pin the lower values; none may rise.
+SNF_WORK = {
+    "cover-50": (["homology"], 4, (100, 100), 1),
+    "dense-12": (["kernel", "--ell", "3"], 13, (12, 25), 410),
+}
+
+
+@pytest.mark.parametrize("doc", sorted(SNF_WORK))
+def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
+    """Deterministic SNF work of one command: calls, shapes, entry size."""
+    from snckit import matrices
+
+    argv, calls, shape, bits = SNF_WORK[doc]
+    if doc == "cover-50":
+        path = _cover_path(capsys, tmp_path, 50)
+    else:
+        path = tmp_path / f"{doc}.json"
+        path.write_text(json.dumps(_dense_relation_document(12, seed=12)))
+
+    seen = {"calls": 0, "shape": (0, 0), "bits": 0}
+    original = matrices.snf
+
+    def measuring(a):
+        s = original(a)
+        seen["calls"] += 1
+        if a.rows * a.cols > seen["shape"][0] * seen["shape"][1]:
+            seen["shape"] = (a.rows, a.cols)
+        for m in (s.u, s.d, s.v, s.u_inv, s.v_inv):
+            for x in m._entries:
+                seen["bits"] = max(seen["bits"], x.bit_length())
+        return s
+
+    _rebind(monkeypatch, original, measuring)
+    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    capsys.readouterr()
+    assert (seen["calls"], seen["shape"], seen["bits"]) == (calls, shape, bits)

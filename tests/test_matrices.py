@@ -1,9 +1,13 @@
 """Exact matrix layer: arithmetic, Smith normal form contract, and the
 lattice helpers built on it."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snf_reference import snf as reference_snf
+from snckit.homology import random_complex
 from snckit.matrices import (
     IntMatrix,
     in_column_span,
@@ -14,14 +18,19 @@ from snckit.matrices import (
     solve_matrix,
 )
 
-matrices = st.integers(0, 5).flatmap(
-    lambda r: st.integers(0, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-9, 9), min_size=c, max_size=c),
-            min_size=r, max_size=r,
-        ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+
+def matrices_of(entries, max_side: int = 5):
+    return st.integers(0, max_side).flatmap(
+        lambda r: st.integers(0, max_side).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c),
+                min_size=r, max_size=r,
+            ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+        )
     )
-)
+
+
+matrices = matrices_of(st.integers(-9, 9))
 
 
 class TestIntMatrix:
@@ -36,6 +45,12 @@ class TestIntMatrix:
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[1.5]])
+
+    def test_negative_shapes_are_rejected(self):
+        for make in (lambda: IntMatrix(-1, 0, []), lambda: IntMatrix.zeros(2, -1),
+                     lambda: IntMatrix.identity(-1)):
+            with pytest.raises(ValueError):
+                make()
 
     def test_empty_shapes_are_legal(self):
         z = IntMatrix.zeros(3, 0)
@@ -121,6 +136,48 @@ class TestSnf:
         first = snf(m)
         second = snf(IntMatrix.from_rows(m.to_rows()))
         assert first.u == second.u and first.v == second.v
+
+
+class TestSnfMatchesReference:
+    """The SNF that reduces only ``d`` and replays its transforms from a
+    log returns, entry for entry, the five matrices of the eager SNF
+    kept in ``snf_reference``."""
+
+    @staticmethod
+    def assert_same(m: IntMatrix):
+        ours, ref = snf(m), reference_snf(m)
+        for name in ("u", "d", "v", "u_inv", "v_inv"):
+            a, b = getattr(ours, name), getattr(ref, name)
+            assert (a.rows, a.cols, a._entries) == (b.rows, b.cols, b._entries), name
+
+    @given(matrices_of(st.integers(-9, 9), max_side=7))
+    @settings(max_examples=150, deadline=None)
+    def test_dense(self, m):
+        self.assert_same(m)
+
+    # no entry is a unit, so the general pivot scan and the divisibility
+    # sweep run
+    @given(matrices_of(st.builds(lambda p, k: p * k, st.sampled_from([2, 3]),
+                                 st.integers(-5, 5)), max_side=7))
+    @settings(max_examples=150, deadline=None)
+    def test_without_units(self, m):
+        self.assert_same(m)
+
+    @given(matrices_of(st.sampled_from([0, 0, 0, 1, -1]), max_side=8))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_signs(self, m):
+        self.assert_same(m)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_matrices(self, seed):
+        cx = random_complex(random.Random(seed), max_vertices=9)
+        for a in range(cx.dimension + 2):
+            self.assert_same(cx.boundary_matrix(a))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        self.assert_same(IntMatrix.zeros(*shape))
 
 
 class TestSolvers:
