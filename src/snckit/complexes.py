@@ -19,7 +19,19 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ValidationError
 from .matrices import IntMatrix
 
-__all__ = ["Simplex", "DeltaComplex", "ChainMap", "suspend"]
+__all__ = ["Simplex", "DeltaComplex", "ChainMap", "suspend", "sort_parity"]
+
+
+def sort_parity(seq: Sequence[int]) -> int:
+    """+1 or -1: the sign of the permutation sorting ``seq`` (entries
+    distinct)."""
+    inversions = sum(
+        1
+        for i in range(len(seq))
+        for j in range(i + 1, len(seq))
+        if seq[i] > seq[j]
+    )
+    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)

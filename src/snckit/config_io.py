@@ -18,9 +18,10 @@ Schema (top-level keys):
 * ``edge_labels``: optional object: edge (depth-2 stratum) id -> vector
   of y0 generator coefficients.
 
-Integers anywhere may be JSON numbers or decimal strings; values that
-do not fit in 64 bits are emitted as decimal strings so that every
-JSON reader round-trips them exactly.
+Integers anywhere may be JSON numbers or decimal strings of the ASCII
+digits 0-9 with an optional leading ``-``; values that do not fit in
+64 bits are emitted as decimal strings so that every JSON reader
+round-trips them exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .snc import Component, FrobeniusAction, SncConfiguration, Stratum, validate
 __all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "encode_json_value"]
 
 _I64 = 2 ** 63
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is a nonempty run of the ASCII digits 0-9;
+    ``str.isdigit`` alone also accepts digits such as ``²`` and ``١``."""
+    return text.isascii() and text.isdigit()
 
 
 def encode_json_value(value: Any) -> Any:
@@ -81,7 +88,7 @@ class _Reader:
             return value
         if isinstance(value, str):
             body = value[1:] if value.startswith("-") else value
-            if body.isdigit():
+            if _is_decimal(body):
                 try:
                     return int(value)
                 except ValueError:  # past the interpreter's digit limit
@@ -234,10 +241,12 @@ def parse_config(text: str) -> ConfigBundle:
         strata_doc = {}
     for depth_key in sorted(strata_doc, key=lambda k: (len(k), k)):
         where = f"strata[{depth_key!r}]"
-        if not depth_key.isdigit() or int(depth_key) < 2:
+        depth = reader.int_value(depth_key, where) if _is_decimal(depth_key) else 0
+        if depth is None:  # past the digit limit; int_value named the problem
+            continue
+        if depth < 2:
             reader.fail(where, "depth key must be an integer of at least 2")
             continue
-        depth = int(depth_key)
         items = strata_doc[depth_key]
         if not isinstance(items, list):
             reader.fail(where, "expected a list")
@@ -303,8 +312,7 @@ def parse_config(text: str) -> ConfigBundle:
     if "pi1_y0" in doc:
         y0 = reader.group(doc["pi1_y0"], "pi1_y0")
     if y0 is None:
-        y0 = GaloisModule(FgAbelianGroup.trivial(), IntMatrix.identity(0), 1,
-                          check=False)
+        y0 = GaloisModule(FgAbelianGroup.trivial(), IntMatrix.identity(0), 1)
 
     component_maps: dict[str, ComponentPi1] = {}
     cm_doc = doc.get("component_maps", {})

@@ -25,7 +25,7 @@ __all__ = ["trivial_pi1", "rulings_bundle", "fermat_bundle", "fermat_cover_confi
 
 
 def trivial_pi1() -> Pi1Input:
-    y0 = GaloisModule(FgAbelianGroup.trivial(), IntMatrix.identity(0), 1, check=False)
+    y0 = GaloisModule(FgAbelianGroup.trivial(), IntMatrix.identity(0), 1)
     return Pi1Input(y0, {})
 
 
@@ -50,7 +50,7 @@ def fermat_bundle(n: int) -> ConfigBundle:
         (Component("C1"), Component("C2")),
         (Stratum("P1", ("C1", "C2")), Stratum("P2", ("C1", "C2"))),
     )
-    y0 = GaloisModule(FgAbelianGroup.cyclic(n), IntMatrix.identity(1), 1, check=False)
+    y0 = GaloisModule(FgAbelianGroup.cyclic(n), IntMatrix.identity(1), 1)
     labels = {"P1": (1,), "P2": (0,)}
     return ConfigBundle(f"fermat-{n}", cfg, Pi1Input(y0, {}), labels)
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .complexes import ChainMap, DeltaComplex, Simplex
+from .complexes import ChainMap, DeltaComplex, Simplex, sort_parity
 from .errors import ExtensionError
 from .groups import FgAbelianGroup, GaloisModule, ModuleMap, image_subgroup
 from .homology import HomologyResult, homology_group, induced_map
-from .snc import FrobeniusAction, SncConfiguration, build_dual_complex, ensure_valid, resolved_facets
+from .snc import SncConfiguration, _action, build_dual_complex, ensure_valid, resolved_facets
 
 __all__ = [
     "Extension",
@@ -34,25 +34,6 @@ __all__ = [
     "check_admissible",
     "sort_parity",
 ]
-
-_TRIVIAL = FrobeniusAction(order=1)
-
-
-def _action(cfg: SncConfiguration) -> FrobeniusAction:
-    return cfg.frobenius if cfg.frobenius is not None else _TRIVIAL
-
-
-def sort_parity(seq: Sequence[int]) -> int:
-    """+1 or -1: the sign of the permutation sorting ``seq`` (entries
-    distinct)."""
-    inversions = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return -1 if inversions % 2 else 1
-
 
 def _orbits(ids: Sequence[str], step: Callable[[str], str]) -> list[tuple[str, ...]]:
     """Orbits of the permutation ``step`` scanning ``ids`` in order, so
@@ -90,12 +71,6 @@ class Extension:
     sigma: ChainMap
     component_orbits: tuple[tuple[str, ...], ...]
     stratum_orbits: tuple[tuple[str, ...], ...]
-
-    def component_rep(self, cid: str) -> str:
-        for orbit in self.component_orbits:
-            if cid in orbit:
-                return orbit[0]
-        raise KeyError(cid)
 
 
 def check_admissible(cfg: SncConfiguration, f: int) -> None:
@@ -224,19 +199,9 @@ def norm_map(cfg: SncConfiguration, f: int, a: int,
 
 def frobenius_chain_map(cfg: SncConfiguration) -> ChainMap:
     """The automorphism of the geometric complex induced by one
-    application of Frobenius."""
-    action = _action(cfg)
-    cx = build_dual_complex(cfg)
-    pos = cx.vertex_position
-    assignment: dict[str, tuple[str, int]] = {}
-    for s in cx.all_simplices():
-        if s.dim == 0:
-            assignment[s.id] = (action.component_image(s.id), 1)
-        else:
-            image = action.stratum_image(s.id)
-            sign = sort_parity([pos(action.component_image(v)) for v in s.vertices])
-            assignment[s.id] = (image, sign)
-    return ChainMap(cx, cx, assignment)
+    application of Frobenius, built once per configuration."""
+    build_dual_complex(cfg)  # raises unless the configuration is valid
+    return cfg._frobenius_chain
 
 
 def frobenius_on_homology(cfg: SncConfiguration, a: int,

@@ -12,14 +12,19 @@ Smith normal form, never by floating point or randomness).
 Frobenius of a ground field acting on an invariant of the geometric
 object; ``coinvariants``, torsion restriction and localization at a
 prime all live here because they are pure group theory.
+
+The ``ModuleMap`` and ``GaloisModule`` constructors always check
+well-definedness (and, for a module, the declared order), so every
+object a caller builds is sound.  Objects the package derives from
+checked ones are built with the private ``_of`` instead, which skips
+that check; each such site states why its invariant already holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import WellDefinednessError
 from .matrices import (
@@ -174,6 +179,9 @@ class FgAbelianGroup:
 
     def in_relation_lattice(self, vec: Sequence[int]) -> bool:
         """Whether ``vec`` represents zero, i.e. lies in the relation lattice."""
+        # zero always does, and this spares reading the SNF
+        if len(vec) == self.generator_count and not any(vec):
+            return True
         return _smith_coordinates(self.relation_snf(), vec) is not None
 
     def smith(self) -> "SmithForm":
@@ -192,14 +200,6 @@ class FgAbelianGroup:
             k = d // gcd(d, y[i] % d)
             n = n * k // gcd(n, k)
         return n
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """Canonical representatives of all elements of a finite group."""
-        if self.order() is None:
-            raise ValueError("group is infinite")
-        sm = self.smith()
-        for combo in _iterproduct(*[range(d) for d in sm.torsion_orders]):
-            yield sm.from_smith.matrix.apply(combo)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FgAbelianGroup):
@@ -247,8 +247,10 @@ class SmithForm:
         smith_group = FgAbelianGroup.from_invariants(orders, len(free_idx))
         to_mat = IntMatrix.from_rows([list(s.u.row(i)) for i in kept], cols=g.generator_count)
         from_mat = IntMatrix.from_columns([s.u_inv.col(i) for i in kept], rows=g.generator_count)
-        to_smith = ModuleMap(g, smith_group, to_mat, check=False)
-        from_smith = ModuleMap(smith_group, g, from_mat, check=False)
+        # u carries the relation lattice onto the diagonal one and u_inv
+        # carries it back, so both maps are well defined
+        to_smith = ModuleMap._of(g, smith_group, to_mat)
+        from_smith = ModuleMap._of(smith_group, g, from_mat)
         return cls(smith_group, to_smith, from_smith, orders, len(free_idx))
 
 
@@ -259,32 +261,36 @@ class ModuleMap:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup,
-                 matrix: IntMatrix, check: bool = True):
+                 matrix: IntMatrix):
         if matrix.rows != target.generator_count or matrix.cols != source.generator_count:
             raise ValueError(
                 f"matrix is {matrix.rows}x{matrix.cols}, expected "
                 f"{target.generator_count}x{source.generator_count}"
             )
-        if check:
-            for j in range(source.relations.cols):
-                image = matrix.apply(source.relations.col(j))
-                if not target.in_relation_lattice(image):
-                    raise WellDefinednessError(
-                        f"source relation #{j} is not sent into the target relation lattice"
-                    )
+        for j in range(source.relations.cols):
+            image = matrix.apply(source.relations.col(j))
+            if not target.in_relation_lattice(image):
+                raise WellDefinednessError(
+                    f"source relation #{j} is not sent into the target relation lattice"
+                )
         self.source = source
         self.target = target
         self.matrix = matrix
 
     @classmethod
-    def identity(cls, g: FgAbelianGroup) -> "ModuleMap":
-        return cls(g, g, IntMatrix.identity(g.generator_count), check=False)
+    def _of(cls, source: FgAbelianGroup, target: FgAbelianGroup,
+            matrix: IntMatrix) -> "ModuleMap":
+        """A map the package derived from well-defined ones; skips the
+        check that ``__init__`` makes on caller data."""
+        m = object.__new__(cls)
+        m.source = source
+        m.target = target
+        m.matrix = matrix
+        return m
 
     @classmethod
-    def zero(cls, source: FgAbelianGroup, target: FgAbelianGroup) -> "ModuleMap":
-        return cls(source, target,
-                   IntMatrix.zeros(target.generator_count, source.generator_count),
-                   check=False)
+    def identity(cls, g: FgAbelianGroup) -> "ModuleMap":
+        return cls._of(g, g, IntMatrix.identity(g.generator_count))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return self.matrix.apply(vec)
@@ -293,7 +299,8 @@ class ModuleMap:
         """self after other."""
         if other.target.generator_count != self.source.generator_count:
             raise ValueError("maps are not composable")
-        return ModuleMap(other.source, self.target, self.matrix @ other.matrix, check=False)
+        # a composite of well-defined maps is well defined
+        return ModuleMap._of(other.source, self.target, self.matrix @ other.matrix)
 
     def equals_mod_relations(self, other: "ModuleMap") -> bool:
         """Whether the two maps agree as homomorphisms (columns may
@@ -331,7 +338,8 @@ def cokernel(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
         f.target.generator_count,
         f.target.relations.hstack(f.matrix),
     )
-    proj = ModuleMap(f.target, g, IntMatrix.identity(g.generator_count), check=False)
+    # g only adds relations to the target, so the identity descends
+    proj = ModuleMap._of(f.target, g, IntMatrix.identity(g.generator_count))
     return g, proj
 
 
@@ -344,7 +352,8 @@ def image_subgroup(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
     """
     rel = preimage_generators(f.matrix, f.target.relations)
     g = FgAbelianGroup(f.source.generator_count, rel)
-    incl = ModuleMap(g, f.target, f.matrix, check=False)
+    # g's relations are the preimage of the target lattice under f
+    incl = ModuleMap._of(g, f.target, f.matrix)
     return g, incl
 
 
@@ -377,24 +386,33 @@ class GaloisModule:
 
     __slots__ = ("group", "frobenius", "order")
 
-    def __init__(self, group: FgAbelianGroup, frobenius: IntMatrix, order: int,
-                 check: bool = True):
+    def __init__(self, group: FgAbelianGroup, frobenius: IntMatrix, order: int):
         if order < 1:
             raise ValueError("order must be positive")
         n = group.generator_count
         if frobenius.rows != n or frobenius.cols != n:
             raise ValueError(f"frobenius must be {n}x{n}")
-        if check:
-            ModuleMap(group, group, frobenius)  # raises if ill-defined
-            power = frobenius.power(order) - IntMatrix.identity(n)
-            for j in range(n):
-                if not group.in_relation_lattice(power.col(j)):
-                    raise WellDefinednessError(
-                        f"frobenius is not an automorphism whose order divides {order}"
-                    )
+        ModuleMap(group, group, frobenius)  # raises if ill-defined
+        power = frobenius.power(order) - IntMatrix.identity(n)
+        for j in range(n):
+            if not group.in_relation_lattice(power.col(j)):
+                raise WellDefinednessError(
+                    f"frobenius is not an automorphism whose order divides {order}"
+                )
         self.group = group
         self.frobenius = frobenius
         self.order = order
+
+    @classmethod
+    def _of(cls, group: FgAbelianGroup, frobenius: IntMatrix,
+            order: int) -> "GaloisModule":
+        """A module the package derived from checked ones; skips the
+        checks that ``__init__`` makes on caller data."""
+        m = object.__new__(cls)
+        m.group = group
+        m.frobenius = frobenius
+        m.order = order
+        return m
 
     def power(self, f: int) -> "GaloisModule":
         """The same group acted on by the f-th power of Frobenius
@@ -402,7 +420,9 @@ class GaloisModule:
         if f < 1:
             raise ValueError("extension degree must be positive")
         mat = self.frobenius.power(f % self.order if self.order > 1 else 0)
-        return GaloisModule(self.group, mat, self.order // gcd(self.order, f), check=False)
+        # a power of an automorphism of order dividing n has order
+        # dividing n / gcd(n, f)
+        return GaloisModule._of(self.group, mat, self.order // gcd(self.order, f))
 
     def acts_trivially(self) -> bool:
         delta = self.frobenius - IntMatrix.identity(self.group.generator_count)
@@ -435,8 +455,10 @@ class GaloisModule:
             [sm.from_smith.matrix.col(i) for i in range(t)],
             rows=self.group.generator_count,
         )
-        incl = ModuleMap(tors_group, self.group, incl_mat, check=False)
-        return GaloisModule(tors_group, block, self.order, check=False), incl
+        # torsion is characteristic (checked above), so the restricted
+        # action keeps the order bound and the inclusion is well defined
+        incl = ModuleMap._of(tors_group, self.group, incl_mat)
+        return GaloisModule._of(tors_group, block, self.order), incl
 
     def localized(self, ell: int) -> tuple["GaloisModule", ModuleMap]:
         """Quotient by the prime-to-ell torsion: the ell-primary
@@ -460,9 +482,11 @@ class GaloisModule:
         else:
             rel = self.group.relations
         quotient = FgAbelianGroup(self.group.generator_count, rel)
-        proj = ModuleMap(self.group, quotient,
-                         IntMatrix.identity(self.group.generator_count), check=False)
-        return GaloisModule(quotient, self.frobenius, self.order), proj
+        proj = ModuleMap._of(self.group, quotient,
+                             IntMatrix.identity(self.group.generator_count))
+        # the prime-to-ell torsion is characteristic, so Frobenius and its
+        # order bound descend to the quotient of this checked module
+        return GaloisModule._of(quotient, self.frobenius, self.order), proj
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaloisModule):
@@ -481,4 +505,5 @@ def coinvariants(m: GaloisModule) -> tuple[FgAbelianGroup, ModuleMap]:
     """Coinvariants of the action: the group modulo (frobenius - id),
     with the projection."""
     delta = m.frobenius - IntMatrix.identity(m.group.generator_count)
-    return cokernel(ModuleMap(m.group, m.group, delta, check=False))
+    # frobenius - id is a difference of endomorphisms of a checked module
+    return cokernel(ModuleMap._of(m.group, m.group, delta))

@@ -215,10 +215,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of(self.rows, self.cols, [-a for a in self._entries])
 
-    def scaled(self, k: int) -> "IntMatrix":
-        k = _as_int(k)
-        return IntMatrix(self.rows, self.cols, [k * a for a in self._entries])
-
     def power(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
             raise ValueError("power needs a square matrix")

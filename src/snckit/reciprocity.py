@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .complexes import DeltaComplex
-from .errors import LabelError, ValidationError
+from .errors import LabelError, ValidationError, WellDefinednessError
 from .galois import Extension, extension_complex, frobenius_chain_map
 from .groups import (
     FgAbelianGroup,
@@ -172,10 +172,19 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
 def compute_theta(pi1: Pi1Input, ell: int) -> GaloisModule:
     """theta at ell: y0 modulo the images of the component maps, then
     prime-to-ell torsion discarded.  Presented on the generators of
-    y0."""
-    quotient = FgAbelianGroup(pi1.y0.group.generator_count, _combined_relations(pi1))
-    module = GaloisModule(quotient, pi1.y0.frobenius, pi1.y0.order)
-    localized, _ = module.localized(ell)
+    y0.  Raises WellDefinednessError when Frobenius does not preserve
+    the images of the component maps."""
+    y0 = pi1.y0
+    rel = _combined_relations(pi1)
+    quotient = FgAbelianGroup(y0.group.generator_count, rel)
+    # y0 is checked, so Frobenius already keeps its own relations and its
+    # order bound; only the component-map columns remain to be tested
+    for j in range(y0.group.relations.cols, rel.cols):
+        if not quotient.in_relation_lattice(y0.frobenius.apply(rel.col(j))):
+            raise WellDefinednessError(
+                f"source relation #{j} is not sent into the target relation lattice"
+            )
+    localized, _ = GaloisModule._of(quotient, y0.frobenius, y0.order).localized(ell)
     return localized
 
 
@@ -225,7 +234,9 @@ def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
                     total[k] += c * x
         cols.append(total)
     matrix = IntMatrix.from_columns(cols, rows=gc)
-    amap = ModuleMap(h1.group, theta.group, matrix)
+    # validate_labels checked descent over every 2-simplex, which is
+    # exactly this map's well-definedness
+    amap = ModuleMap._of(h1.group, theta.group, matrix)
     image, inclusion = image_subgroup(amap)
 
     warnings: list[str] = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import DeltaComplex, Simplex
+from .complexes import ChainMap, DeltaComplex, Simplex, sort_parity
 from .errors import ValidationError
 
 __all__ = [
@@ -86,10 +86,18 @@ class FrobeniusAction:
         return sid
 
 
+_TRIVIAL = FrobeniusAction(order=1)
+
+
+def _action(cfg: "SncConfiguration") -> FrobeniusAction:
+    return cfg.frobenius if cfg.frobenius is not None else _TRIVIAL
+
+
 @dataclass(frozen=True)
 class SncConfiguration:
-    """Frozen, so its validation problems, resolved facets and dual
-    complex are derived once, on first use, and kept on the object."""
+    """Frozen, so its validation problems, resolved facets, dual
+    complex and Frobenius chain map are derived once, on first use, and
+    kept on the object."""
 
     name: str
     components: tuple[Component, ...]
@@ -114,6 +122,21 @@ class SncConfiguration:
                 verts = tuple(sorted(s.on, key=order.__getitem__))
                 simplices.append(Simplex(s.id, verts, facets[s.id]))
         return DeltaComplex(simplices)
+
+    @cached_property
+    def _frobenius_chain(self) -> ChainMap:
+        action = _action(self)
+        cx = self._dual_complex
+        pos = cx.vertex_position
+        assignment: dict[str, tuple[str, int]] = {}
+        for s in cx.all_simplices():
+            if s.dim == 0:
+                assignment[s.id] = (action.component_image(s.id), 1)
+            else:
+                image = action.stratum_image(s.id)
+                sign = sort_parity([pos(action.component_image(v)) for v in s.vertices])
+                assignment[s.id] = (image, sign)
+        return ChainMap(cx, cx, assignment)
 
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)

@@ -71,6 +71,23 @@ class TestExitCodes:
         assert err.startswith("error: pi1_y0.relations[0][0]: ")
         assert "digits" in err
 
+    @pytest.mark.parametrize("doc, where, message", [
+        ({"strata": {"²": []}},
+         "strata['²']", "depth key must be an integer of at least 2"),
+        ({"strata": {"9" * 5000: []}},
+         f"strata[{'9' * 5000!r}]", "decimal integer of 5000 digits is too long"),
+        ({"pi1_y0": {"generators": "²"}},
+         "pi1_y0.generators", "not a decimal integer: '²'"),
+        ({"pi1_y0": {"generators": "١٢"}},
+         "pi1_y0.generators", "not a decimal integer: '١٢'"),
+    ], ids=["superscript-depth", "overlong-depth", "superscript-string", "arabic-indic-string"])
+    def test_digits_outside_ascii_or_the_limit_exit_one(self, capsys, tmp_path,
+                                                        doc, where, message):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"components": [{"id": "A"}], **doc}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
     def test_overlong_json_number_is_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "long-number.json"
         path.write_text('{"components": [{"id": "A"}], "name": ' + "9" * 5000 + "}")
@@ -345,7 +362,7 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 # SNF that tracked every transform during elimination counted them.  A
 # change may lower these counts and pin the lower values; none may rise.
 SNF_WORK = {
-    "cover-50": (["homology"], 4, (100, 100), 1),
+    "cover-50": (["homology"], 3, (100, 100), 1),
     "dense-12": (["kernel", "--ell", "3"], 13, (12, 25), 410),
 }
 
@@ -379,3 +396,20 @@ def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
     assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
     capsys.readouterr()
     assert (seen["calls"], seen["shape"], seen["bits"]) == (calls, shape, bits)
+
+
+def test_kernel_checks_only_input_modules(capsys, monkeypatch, tmp_path):
+    """Modules and maps are checked where the document enters, once each;
+    theta, its localization and alpha are derived from checked objects
+    and are not checked again."""
+    from snckit import groups
+
+    path = tmp_path / "dense-12.json"
+    path.write_text(json.dumps(_dense_relation_document(12, seed=12)))
+    counts = {"module": 0, "map": 0}
+    for key, cls in (("module", groups.GaloisModule), ("map", groups.ModuleMap)):
+        monkeypatch.setattr(cls, "__init__", _counting(counts, key, cls.__init__))
+    argv = ["kernel", str(path), "--ell", "2", "--ell", "3", "--ell", "5", "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"module": 1, "map": 1}

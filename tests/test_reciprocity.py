@@ -2,7 +2,7 @@
 
 import pytest
 
-from snckit.errors import LabelError, ValidationError
+from snckit.errors import LabelError, ValidationError, WellDefinednessError
 from snckit.fixtures import fermat_bundle, rulings_bundle, trivial_pi1
 from snckit.groups import FgAbelianGroup, GaloisModule, ModuleMap
 from snckit.matrices import IntMatrix
@@ -63,6 +63,14 @@ class TestComputeTheta:
     def test_requires_prime(self):
         with pytest.raises(ValueError, match="not prime"):
             compute_theta(trivial_pi1(), 4)
+
+    def test_rejects_image_not_frobenius_stable(self):
+        # Frobenius swaps the generators of Z^2, so the image of the
+        # first one is not stable and theta has no Frobenius
+        y0 = _module(FgAbelianGroup.free(2), IntMatrix.from_rows([[0, 1], [1, 0]]), 2)
+        comp = _map(_module(FgAbelianGroup.free(1)), y0, [[1], [0]])
+        with pytest.raises(WellDefinednessError, match="source relation #0"):
+            compute_theta(Pi1Input(y0, {"C1": comp}), 2)
 
 
 class TestValidatePi1:
@@ -173,7 +181,8 @@ class TestAlphaMap:
         res1 = alpha_map(bundle.config, bundle.pi1, bundle.labels, 3)
         doubled = {e: tuple(2 * x for x in v) for e, v in bundle.labels.items()}
         res2 = alpha_map(bundle.config, bundle.pi1, doubled, 3)
-        assert res2.map.matrix == res1.map.matrix.scaled(2)
+        assert res2.map.matrix.to_rows() == [[2 * x for x in row]
+                                             for row in res1.map.matrix.to_rows()]
 
     def test_rejects_bad_labels(self):
         cfg = triangle_config(with_face=True)
