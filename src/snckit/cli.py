@@ -239,7 +239,7 @@ def _cmd_alpha(args):
     lines = []
     for ell in args.ell:
         res = alpha_map(bundle.config, bundle.pi1, bundle.labels, ell)
-        surjective = res.is_surjective()
+        surjective = res.surjective
         per_ell[str(ell)] = {
             "source_h1": _group_payload(res.h1.group),
             "theta": _group_payload(res.theta.group),
@@ -266,7 +266,7 @@ def _kernel_report_payload(report: KernelReport) -> dict:
             "theta_torsion": _group_payload(pr.theta_torsion),
             "frobenius_trivial_on_torsion": pr.frobenius_trivial_on_torsion,
             "alpha_image": _group_payload(pr.alpha.image_group),
-            "alpha_surjective": pr.alpha.is_surjective(),
+            "alpha_surjective": pr.alpha.surjective,
             "verdict": pr.verdict,
             "predicted_kernel": (
                 _group_payload(pr.predicted_kernel)

@@ -320,6 +320,19 @@ class ChainMap:
     def identity(cls, cx: DeltaComplex) -> "ChainMap":
         return cls(cx, cx, {s.id: (s.id, 1) for s in cx.all_simplices()})
 
+    @classmethod
+    def induced(cls, source: DeltaComplex, target: DeltaComplex,
+                image: Mapping[str, str]) -> "ChainMap":
+        """The chain map sending each simplex of ``source`` to the
+        target simplex ``image[id]``, signed by the parity of its image
+        vertices' positions in the target vertex order.  Every signed
+        simplicial map in the package is built here."""
+        pos = target.vertex_position
+        return cls(source, target, {
+            s.id: (image[s.id], sort_parity([pos(image[v]) for v in s.vertices]))
+            for s in source.all_simplices()
+        })
+
     def __repr__(self) -> str:
         return f"<ChainMap {self.source!r} -> {self.target!r}>"
 

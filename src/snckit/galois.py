@@ -3,9 +3,12 @@
 Over the degree-f extension the components and strata are the orbits
 of the f-th power of Frobenius.  The quotient complex uses orbit
 representatives as ids.  Vertex order is induced from the base order:
-orbits are listed by their earliest member.  The collapse map from the
-geometric complex carries a sign per simplex, the parity of the image
-vertex sequence against the target's sorted order.
+orbits are listed by their earliest member.  A representative stratum
+keeps its positional facets from the validated dual complex, reordered
+with its vertices.  The collapse maps, from the geometric complex and
+between extension levels, send each simplex to its orbit
+representative; ``ChainMap.induced`` signs them by the parity of the
+image vertices in the quotient's vertex order.
 
 A configuration stops being simple normal crossing over F when an
 orbit identifies two components of one stratum; that is detected here
@@ -15,13 +18,13 @@ and reported, never silently quotiented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .complexes import ChainMap, DeltaComplex, Simplex, sort_parity
+from .complexes import ChainMap, DeltaComplex, Simplex
 from .errors import ExtensionError
 from .groups import FgAbelianGroup, GaloisModule, ModuleMap, image_subgroup
 from .homology import HomologyResult, homology_group, induced_map
-from .snc import SncConfiguration, _action, build_dual_complex, ensure_valid, resolved_facets
+from .snc import SncConfiguration, _action, _orbits, build_dual_complex, ensure_valid
 
 __all__ = [
     "Extension",
@@ -32,27 +35,7 @@ __all__ = [
     "frobenius_chain_map",
     "frobenius_on_homology",
     "check_admissible",
-    "sort_parity",
 ]
-
-def _orbits(ids: Sequence[str], step: Callable[[str], str]) -> list[tuple[str, ...]]:
-    """Orbits of the permutation ``step`` scanning ``ids`` in order, so
-    each orbit starts at its earliest member and orbits are listed by
-    that member."""
-    seen: set[str] = set()
-    out: list[tuple[str, ...]] = []
-    for x in ids:
-        if x in seen:
-            continue
-        orbit = [x]
-        seen.add(x)
-        y = step(x)
-        while y != x:
-            orbit.append(y)
-            seen.add(y)
-            y = step(y)
-        out.append(tuple(orbit))
-    return out
 
 
 def _representatives(orbits: Sequence[tuple[str, ...]]) -> dict[str, str]:
@@ -106,40 +89,25 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     map from the geometric complex.  Raises ExtensionError when the
     quotient would not be simple normal crossing."""
     comp_orbits = _admissible_component_orbits(cfg, f)
+    base = build_dual_complex(cfg)
     action = _action(cfg)
-    strat_step = lambda s: action.stratum_image(s, f)
-    quotient_pos = {orbit[0]: i for i, orbit in enumerate(comp_orbits)}
-
-    base_facets = resolved_facets(cfg)
-    base_order = {c.id: i for i, c in enumerate(cfg.components)}
-
     strat_orbits: list[tuple[str, ...]] = []
-    for r in cfg.depths():
-        strat_orbits.extend(
-            _orbits([s.id for s in cfg.strata_of_depth(r)], strat_step)
-        )
+    for a in range(1, base.dimension + 1):
+        strat_orbits.extend(_orbits([s.id for s in base.simplices(a)],
+                                    lambda s: action.stratum_image(s, f)))
     rep = _representatives(comp_orbits + strat_orbits)
 
+    # a representative keeps its base facets, reordered along with its
+    # vertices into the quotient vertex order
+    quotient_pos = {orbit[0]: i for i, orbit in enumerate(comp_orbits)}
     simplices = [Simplex.vertex(orbit[0]) for orbit in comp_orbits]
-    assignment: dict[str, tuple[str, int]] = {
-        c.id: (rep[c.id], 1) for c in cfg.components
-    }
     for orbit in strat_orbits:
-        for member in orbit:
-            s = cfg.stratum(member)
-            base_sorted = tuple(sorted(s.on, key=base_order.__getitem__))
-            image_seq = [quotient_pos[rep[v]] for v in base_sorted]
-            assignment[member] = (orbit[0], sort_parity(image_seq))
-            if member == orbit[0]:
-                perm = sorted(range(len(image_seq)), key=image_seq.__getitem__)
-                verts = tuple(orbit_vertex for _, orbit_vertex in
-                              sorted(zip(image_seq, (rep[v] for v in base_sorted))))
-                facets = tuple(rep[base_facets[s.id][perm[j]]] for j in range(len(perm)))
-                simplices.append(Simplex(s.id, verts, facets))
+        s = base.simplex(orbit[0])
+        perm = sorted(range(len(s.vertices)), key=lambda i: quotient_pos[rep[s.vertices[i]]])
+        simplices.append(Simplex(s.id, tuple(rep[s.vertices[i]] for i in perm),
+                                 tuple(rep[s.facets[i]] for i in perm)))
     quotient = DeltaComplex(simplices)
-
-    base_complex = build_dual_complex(cfg)
-    sigma = ChainMap(base_complex, quotient, assignment)
+    sigma = ChainMap.induced(base, quotient, rep)
     return Extension(f, quotient, sigma, tuple(comp_orbits), tuple(strat_orbits))
 
 
@@ -156,16 +124,7 @@ def connecting_map(cfg: SncConfiguration, f_fine: int, f_coarse: int,
     if coarse is None:
         coarse = extension_complex(cfg, f_coarse)
     rep = _representatives(coarse.component_orbits + coarse.stratum_orbits)
-    coarse_pos = {orbit[0]: i for i, orbit in enumerate(coarse.component_orbits)}
-
-    assignment: dict[str, tuple[str, int]] = {}
-    for s in fine.complex.all_simplices():
-        if s.dim == 0:
-            assignment[s.id] = (rep[s.id], 1)
-        else:
-            sign = sort_parity([coarse_pos[rep[v]] for v in s.vertices])
-            assignment[s.id] = (rep[s.id], sign)
-    return ChainMap(fine.complex, coarse.complex, assignment)
+    return ChainMap.induced(fine.complex, coarse.complex, rep)
 
 
 @dataclass(frozen=True)

@@ -118,12 +118,9 @@ def induced_map(f: ChainMap, a: int, modulus: int | None = None,
         source = homology_group(f.source, a, modulus, reduced)
     if target is None:
         target = homology_group(f.target, a, modulus, reduced)
-    m = f.matrix(a)
-    cols = []
-    for j in range(source.group.generator_count):
-        image = m.apply(source.representative(j))
-        cols.append(list(target.class_of(image)))
-    matrix = IntMatrix.from_columns(cols, rows=target.group.generator_count)
+    matrix = solve_matrix(target.cycle_matrix, f.matrix(a) @ source.cycle_matrix)
+    if matrix is None:
+        raise ValueError("chain is not a cycle for these coefficients")
     return ModuleMap(source.group, target.group, matrix)
 
 

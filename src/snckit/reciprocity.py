@@ -4,12 +4,16 @@ normal crossing surface built from a doubled configuration.
 The inputs are combinatorial: the configuration of the divisor D with
 its Frobenius action, fundamental-group data (a module y0 for the
 ambient piece, one module-with-map per component of D), and a label in
-y0 on every edge of the dual complex.  From these the pipeline forms
+y0 on every edge of the dual complex.  The labels are checked as one
+matrix L: Frobenius-equivariance on the columns of L·F₁ − Y·L (F₁ the
+Frobenius chain map on edges, Y its action on y0) and descent on the
+columns of L·∂₂.  From these the pipeline forms
 
 * theta: the cokernel of the component maps into y0, localized at a
   prime ell (prime-to-ell torsion discarded, free part kept);
 * alpha: the map sending a 1-cycle of the dual complex to the class of
-  the signed sum of its edge labels in theta;
+  the signed sum of its edge labels in theta, computed as the label
+  matrix L (one column per edge) times the cycle matrix of H₁;
 * a verdict per prime: when every relevant stratum sees a rational
   point and Frobenius fixes the torsion of theta, the kernel of the
   reciprocity map is exactly the image of alpha ("exact"); otherwise
@@ -111,16 +115,17 @@ def _combined_relations(pi1: Pi1Input) -> IntMatrix:
     return rel
 
 
-def _full_labels(cx: DeltaComplex, pi1: Pi1Input,
-                 labels: EdgeLabelCochain) -> tuple[dict[str, tuple[int, ...]], list[str]]:
-    """Normalize to a total assignment (missing edges are zero) and
-    collect structural problems."""
+def _label_matrix(cx: DeltaComplex, pi1: Pi1Input,
+                  labels: EdgeLabelCochain) -> tuple[IntMatrix, list[str]]:
+    """The labels as a matrix with one column per edge, in the edge
+    order of ``cx`` (missing edges are zero), plus structural
+    problems."""
     problems: list[str] = []
     gc = pi1.y0.group.generator_count
-    edges = {s.id for s in cx.simplices(1)}
-    out = {eid: (0,) * gc for eid in edges}
+    edges = cx.simplices(1)
+    columns = {e.id: (0,) * gc for e in edges}
     for eid, vec in labels.items():
-        if eid not in edges:
+        if eid not in columns:
             problems.append(f"label on unknown edge id {eid!r}")
             continue
         if len(vec) != gc:
@@ -129,8 +134,8 @@ def _full_labels(cx: DeltaComplex, pi1: Pi1Input,
                 f"got {len(vec)}, y0 has {gc} generators"
             )
             continue
-        out[eid] = tuple(int(x) for x in vec)
-    return out, problems
+        columns[eid] = tuple(int(x) for x in vec)
+    return IntMatrix.from_columns([columns[e.id] for e in edges], rows=gc), problems
 
 
 def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
@@ -138,30 +143,24 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
     """Equivariance and descent checks; empty list when the labels
     define a map on homology."""
     cx = build_dual_complex(cfg)
-    full, problems = _full_labels(cx, pi1, labels)
+    label, problems = _label_matrix(cx, pi1, labels)
     if problems:
         return problems
 
-    frob = frobenius_chain_map(cfg)
     y0 = pi1.y0
-    for e in cx.simplices(1):
-        image_id, sign = frob.assignment[e.id]
-        lhs = [sign * x for x in full[image_id]]
-        rhs = y0.frobenius.apply(full[e.id])
-        diff = [a - b for a, b in zip(lhs, rhs)]
-        if not y0.group.in_relation_lattice(diff):
+    # column e is the label of Frobenius(e), signed, minus Frobenius of e's label
+    skew = label @ frobenius_chain_map(cfg).matrix(1) - y0.frobenius @ label
+    for j, e in enumerate(cx.simplices(1)):
+        if not y0.group.in_relation_lattice(skew.col(j)):
             problems.append(f"label on edge {e.id!r} is not Frobenius-equivariant")
     if problems:
         return problems
 
     vanishing = FgAbelianGroup(y0.group.generator_count, _combined_relations(pi1))
-    for t in cx.simplices(2):
-        total = [0] * y0.group.generator_count
-        for i, fid in enumerate(t.facets):
-            s = -1 if i % 2 else 1
-            for k, x in enumerate(full[fid]):
-                total[k] += s * x
-        if not vanishing.in_relation_lattice(total):
+    # column t is the label of the boundary of the 2-simplex t
+    boundary = label @ cx.boundary_matrix(2)
+    for j, t in enumerate(cx.simplices(2)):
+        if not vanishing.in_relation_lattice(boundary.col(j)):
             problems.append(
                 f"labels do not descend to H₁: boundary of 2-simplex {t.id!r} "
                 f"pairs to a nonzero class"
@@ -197,13 +196,11 @@ class AlphaResult:
     map: ModuleMap
     image_group: FgAbelianGroup
     image_inclusion: ModuleMap
+    surjective: bool
     torsion_contained: bool
     h1: HomologyResult
     theta: GaloisModule
     warnings: tuple[str, ...]
-
-    def is_surjective(self) -> bool:
-        return self.map.is_surjective()
 
 
 def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
@@ -219,25 +216,13 @@ def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
     theta = compute_theta(pi1, ell)
 
     cx = build_dual_complex(cfg)
-    full, _ = _full_labels(cx, pi1, labels)
     h1 = homology_group(cx, 1)
-    edges = cx.simplices(1)
-    gc = pi1.y0.group.generator_count
-    cols = []
-    for j in range(h1.group.generator_count):
-        cycle = h1.representative(j)
-        total = [0] * gc
-        for e_idx, e in enumerate(edges):
-            c = cycle[e_idx]
-            if c:
-                for k, x in enumerate(full[e.id]):
-                    total[k] += c * x
-        cols.append(total)
-    matrix = IntMatrix.from_columns(cols, rows=gc)
+    matrix = _label_matrix(cx, pi1, labels)[0] @ h1.cycle_matrix
     # validate_labels checked descent over every 2-simplex, which is
     # exactly this map's well-definedness
     amap = ModuleMap._of(h1.group, theta.group, matrix)
     image, inclusion = image_subgroup(amap)
+    surjective = amap.is_surjective()
 
     warnings: list[str] = []
     contained = all(
@@ -249,7 +234,7 @@ def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
             f"image of alpha at ell={ell} is not contained in the torsion of theta "
             f"(expected only for non-geometric inputs)"
         )
-    return AlphaResult(ell, amap, image, inclusion, contained, h1, theta,
+    return AlphaResult(ell, amap, image, inclusion, surjective, contained, h1, theta,
                        tuple(warnings))
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import ChainMap, DeltaComplex, Simplex, sort_parity
+from .complexes import ChainMap, DeltaComplex, Simplex
 from .errors import ValidationError
 
 __all__ = [
@@ -93,6 +93,26 @@ def _action(cfg: "SncConfiguration") -> FrobeniusAction:
     return cfg.frobenius if cfg.frobenius is not None else _TRIVIAL
 
 
+def _orbits(ids: Sequence[str], step: Callable[[str], str]) -> list[tuple[str, ...]]:
+    """Orbits of the permutation ``step`` scanning ``ids`` in order, so
+    each orbit starts at its earliest member and orbits are listed by
+    that member."""
+    seen: set[str] = set()
+    out: list[tuple[str, ...]] = []
+    for x in ids:
+        if x in seen:
+            continue
+        orbit = [x]
+        seen.add(x)
+        y = step(x)
+        while y != x:
+            orbit.append(y)
+            seen.add(y)
+            y = step(y)
+        out.append(tuple(orbit))
+    return out
+
+
 @dataclass(frozen=True)
 class SncConfiguration:
     """Frozen, so its validation problems, resolved facets, dual
@@ -126,17 +146,9 @@ class SncConfiguration:
     @cached_property
     def _frobenius_chain(self) -> ChainMap:
         action = _action(self)
-        cx = self._dual_complex
-        pos = cx.vertex_position
-        assignment: dict[str, tuple[str, int]] = {}
-        for s in cx.all_simplices():
-            if s.dim == 0:
-                assignment[s.id] = (action.component_image(s.id), 1)
-            else:
-                image = action.stratum_image(s.id)
-                sign = sort_parity([pos(action.component_image(v)) for v in s.vertices])
-                assignment[s.id] = (image, sign)
-        return ChainMap(cx, cx, assignment)
+        image = {c.id: action.component_image(c.id) for c in self.components}
+        image.update((s.id, action.stratum_image(s.id)) for s in self.strata)
+        return ChainMap.induced(self._dual_complex, self._dual_complex, image)
 
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
@@ -271,15 +283,11 @@ def _frobenius_problems(cfg: SncConfiguration) -> list[str]:
     if problems:
         return problems
 
-    def iterate(perm: dict[str, str], x: str) -> str:
-        for _ in range(fr.order):
-            x = perm.get(x, x)
-        return x
-
-    if any(iterate(fr.component_perm, c) != c for c in comp_ids):
-        problems.append(f"frobenius: component permutation order does not divide {fr.order}")
-    if any(iterate(fr.stratum_perm, s) != s for s in strat_ids):
-        problems.append(f"frobenius: stratum permutation order does not divide {fr.order}")
+    # a permutation's order divides ``order`` exactly when each orbit's length does
+    for label, perm, ids in (("component", fr.component_perm, comp_ids),
+                             ("stratum", fr.stratum_perm, strat_ids)):
+        if any(fr.order % len(o) for o in _orbits(ids, lambda x: perm.get(x, x))):
+            problems.append(f"frobenius: {label} permutation order does not divide {fr.order}")
     if problems:
         return problems
 

@@ -298,12 +298,16 @@ def _counting(counts, key, fn):
 
 def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     """One sweep builds the geometric complex once plus one quotient per
-    degree, evaluates alpha once per prime, and keeps SNF work bounded."""
-    from snckit import complexes, matrices, reciprocity
+    degree, evaluates alpha and its surjectivity once per prime, and
+    keeps SNF work bounded."""
+    from snckit import complexes, groups, matrices, reciprocity
 
-    counts = {"complex": 0, "alpha": 0, "snf": 0}
+    counts = {"complex": 0, "alpha": 0, "surjective": 0, "snf": 0}
     init = complexes.DeltaComplex.__init__
     monkeypatch.setattr(complexes.DeltaComplex, "__init__", _counting(counts, "complex", init))
+    surjective = groups.ModuleMap.is_surjective
+    monkeypatch.setattr(groups.ModuleMap, "is_surjective",
+                        _counting(counts, "surjective", surjective))
     for key, original in (("alpha", reciprocity.alpha_map), ("snf", matrices.snf)):
         _rebind(monkeypatch, original, _counting(counts, key, original))
 
@@ -312,7 +316,8 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     capsys.readouterr()
     assert counts["complex"] == 11
     assert counts["alpha"] == 3
-    assert counts["snf"] <= 112
+    assert counts["surjective"] == 3
+    assert counts["snf"] <= 85
 
 
 def _cover_path(capsys, tmp_path, n: int) -> str:

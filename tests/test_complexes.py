@@ -138,6 +138,24 @@ class TestChainMap:
         assert f2.assignment["e1"] == ("e3", -1)
         assert f2.assignment["e2"] == ("e0", 1)
 
+    def test_induced_signs_follow_image_vertex_order(self):
+        cx = cycle_complex(4)
+        # reflection v_i -> v_{-i}; e1 = (v1, v2) lands on (v3, v2), out of order
+        image = {f"v{i}": f"v{-i % 4}" for i in range(4)}
+        image.update({f"e{i}": f"e{(-i - 1) % 4}" for i in range(4)})
+        f = ChainMap.induced(cx, cx, image)
+        assert f.assignment == {
+            "v0": ("v0", 1), "v1": ("v3", 1), "v2": ("v2", 1), "v3": ("v1", 1),
+            "e0": ("e3", 1), "e1": ("e2", -1), "e2": ("e1", -1), "e3": ("e0", 1),
+        }
+
+    def test_induced_must_commute_with_boundary(self):
+        cx = cycle_complex(3)
+        image = {s.id: s.id for s in cx.all_simplices()}
+        image["e0"] = "e1"
+        with pytest.raises(ValidationError, match="commute"):
+            ChainMap.induced(cx, cx, image)
+
 
 class TestSuspend:
     def test_point(self):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from snckit.complexes import sort_parity
 from snckit.errors import ExtensionError
 from snckit.fixtures import fermat_cover_config, rulings_bundle
 from snckit.galois import (
@@ -15,7 +16,6 @@ from snckit.galois import (
     frobenius_chain_map,
     frobenius_on_homology,
     norm_map,
-    sort_parity,
 )
 from snckit.groups import coinvariants, cokernel
 from snckit.homology import homology_group, induced_map

@@ -120,6 +120,22 @@ class TestInducedMap:
         rhs = induced_map(f, 1).compose(induced_map(f, 1))
         assert lhs.equals_mod_relations(rhs)
 
+    def test_one_snf_per_map(self, monkeypatch):
+        from snckit import groups, matrices
+
+        cx = DeltaComplex.graph(["a", "b"], [(f"e{i}", "a", "b") for i in range(3)])
+        h = homology_group(cx, 1)
+        assert h.group.describe() == "Z^2"
+        swap = {s.id: (s.id, 1) for s in cx.all_simplices()}
+        swap["e0"], swap["e1"] = ("e1", 1), ("e0", 1)
+        calls = []
+        original = matrices.snf
+        for module in (matrices, groups):
+            monkeypatch.setattr(module, "snf", lambda a: calls.append(a) or original(a))
+        m = induced_map(ChainMap(cx, cx, swap), 1, source=h, target=h)
+        assert len(calls) == 1
+        assert m.matrix.det() == -1
+
     def test_mod_n_induced(self):
         cx = cycle_complex(4)
         m = induced_map(ChainMap.identity(cx), 1, modulus=3)

@@ -153,7 +153,7 @@ class TestAlphaMap:
         bundle = fermat_bundle(5)
         res = alpha_map(bundle.config, bundle.pi1, bundle.labels, 5)
         assert res.theta.group.invariant_factors == (5,)
-        assert res.is_surjective()
+        assert res.surjective
         assert res.image_group.isomorphic_to(FgAbelianGroup.cyclic(5))
         assert res.torsion_contained
         assert res.warnings == ()

@@ -13,7 +13,13 @@ from snckit.snc import (
     validate_config,
 )
 
-from conftest import cycle_config, multigraph_config, triangle_config
+from conftest import (
+    cycle_config,
+    multigraph_config,
+    reflection_action,
+    rotation_action,
+    triangle_config,
+)
 
 
 class TestValidateConfig:
@@ -103,6 +109,19 @@ class TestValidateConfig:
             ),
         )
         assert any("order does not divide" in p for p in validate_config(cfg))
+
+    def test_frobenius_order_is_checked_by_orbit_length(self):
+        # orders this large are only checkable from orbit lengths
+        order = 10**18
+        reflection = reflection_action(4)
+        cfg = cycle_config(4, frobenius=FrobeniusAction(
+            order, reflection.component_perm, reflection.stratum_perm))
+        assert validate_config(cfg) == []
+        rotation = rotation_action(3, 1, order)
+        assert validate_config(cycle_config(3, frobenius=rotation)) == [
+            f"frobenius: component permutation order does not divide {order}",
+            f"frobenius: stratum permutation order does not divide {order}",
+        ]
 
 
 class TestBuildDualComplex:
