@@ -68,8 +68,8 @@ def _admissible_component_orbits(cfg: SncConfiguration, f: int) -> list[tuple[st
     ensure_valid(cfg)
     if f < 1:
         raise ValueError("extension degree must be positive")
-    action = _action(cfg)
-    orbits = _orbits(cfg.component_ids(), lambda c: action.component_image(c, f))
+    perm = _action(cfg).component_perm
+    orbits = _orbits(cfg.component_ids(), lambda c: perm.get(c, c), f)
     rep = _representatives(orbits)
     for s in cfg.strata:
         images = [rep[c] for c in s.on]
@@ -90,11 +90,11 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     quotient would not be simple normal crossing."""
     comp_orbits = _admissible_component_orbits(cfg, f)
     base = build_dual_complex(cfg)
-    action = _action(cfg)
+    perm = _action(cfg).stratum_perm
     strat_orbits: list[tuple[str, ...]] = []
     for a in range(1, base.dimension + 1):
         strat_orbits.extend(_orbits([s.id for s in base.simplices(a)],
-                                    lambda s: action.stratum_image(s, f)))
+                                    lambda s: perm.get(s, s), f))
     rep = _representatives(comp_orbits + strat_orbits)
 
     # a representative keeps its base facets, reordered along with its

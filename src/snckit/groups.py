@@ -182,7 +182,11 @@ class FgAbelianGroup:
         # zero always does, and this spares reading the SNF
         if len(vec) == self.generator_count and not any(vec):
             return True
-        return _smith_coordinates(self.relation_snf(), vec) is not None
+        # one SNF answers every membership test of this group, so u is
+        # built once and reused, where a one-off solve replays the log
+        s = self.relation_snf()
+        column = IntMatrix._of(self.generator_count, 1, s.u.apply(vec))
+        return _smith_coordinates(s, column) is not None
 
     def smith(self) -> "SmithForm":
         if self._smith is None:

@@ -13,7 +13,8 @@ matrix whose entries form a divisibility chain.  Elimination reduces
 only a working copy of ``a``, which becomes ``d``, and logs its row and
 column operations; each transform is replayed from that log the first
 time it is read, and equals, entry for entry, the one that tracking it
-during elimination would give.  Pivoting always picks the entry of
+during elimination would give.  A solve reads no transform: it replays
+the row log on its right-hand side and the column log on the solution.  Pivoting always picks the entry of
 smallest nonzero absolute value, breaking ties by (row, col), which
 keeps every run bit-for-bit reproducible.
 """
@@ -287,11 +288,9 @@ class IntMatrix:
 # the same form, read on columns.
 
 
-def _replay(n: int, log: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """The rows of the n x n identity after the logged row operations."""
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
+def _replay(rows: list[list[int]], log: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """``rows`` after the logged row operations, which rebind its
+    entries in place; returns ``rows``."""
     for op in log:
         if len(op) == 3:
             i, j, q = op
@@ -305,12 +304,31 @@ def _replay(n: int, log: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return rows
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def _inverse_transposed(log: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Row operations that build the transpose of the inverse of what
     ``log`` builds: swaps and negations are their own inverse-transpose,
     and adding q times row j to row i becomes subtracting q times row i
     from row j."""
     return [(op[1], op[0], -op[2]) if len(op) == 3 else op for op in log]
+
+
+def _transposed(log: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Row operations that, replayed on ``z``, give ``e @ z`` where
+    ``e`` is what ``log`` builds when its operations are read on
+    columns: the same operations, transposed and in reverse order."""
+    return [(op[1], op[0], op[2]) if len(op) == 3 else op for op in reversed(log)]
+
+
+def _rows(a: "IntMatrix") -> list[list[int]]:
+    n = a.cols
+    return [list(a._entries[i * n:(i + 1) * n]) for i in range(a.rows)]
 
 
 def _flat(rows: list[list[int]]) -> list[int]:
@@ -342,23 +360,24 @@ class SnfDecomposition:
     @cached_property
     def u(self) -> IntMatrix:
         m = self.d.rows
-        return IntMatrix._of(m, m, _flat(_replay(m, self.row_log)))
+        return IntMatrix._of(m, m, _flat(_replay(_identity_rows(m), self.row_log)))
 
     @cached_property
     def u_inv(self) -> IntMatrix:
         m = self.d.rows
-        return IntMatrix._of(m, m, _flat_transposed(_replay(m, _inverse_transposed(self.row_log))))
+        return IntMatrix._of(m, m, _flat_transposed(
+            _replay(_identity_rows(m), _inverse_transposed(self.row_log))))
 
     @cached_property
     def v(self) -> IntMatrix:
         # a column operation on v is the same row operation on its transpose
         n = self.d.cols
-        return IntMatrix._of(n, n, _flat_transposed(_replay(n, self.col_log)))
+        return IntMatrix._of(n, n, _flat_transposed(_replay(_identity_rows(n), self.col_log)))
 
     @cached_property
     def v_inv(self) -> IntMatrix:
         n = self.d.cols
-        return IntMatrix._of(n, n, _flat(_replay(n, _inverse_transposed(self.col_log))))
+        return IntMatrix._of(n, n, _flat(_replay(_identity_rows(n), _inverse_transposed(self.col_log))))
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -405,7 +424,7 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     the full scan.
     """
     m, n = a.rows, a.cols
-    d = [list(a._entries[i * n:(i + 1) * n]) for i in range(m)]
+    d = _rows(a)
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
 
@@ -485,43 +504,51 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(IntMatrix._of(m, n, _flat(d)), tuple(row_log), tuple(col_log))
 
 
-def _smith_coordinates(s: SnfDecomposition, b: Sequence[int]) -> list[int] | None:
-    """The z with ``d @ z == u @ b``, free coordinates zero, or None
-    when there is none; then ``v @ z`` solves ``a @ x == b``."""
-    c = s.u.apply(b)
+def _smith_coordinates(s: SnfDecomposition, c: IntMatrix) -> list[list[int]] | None:
+    """The rows of the z with ``d @ z == c``, free coordinates zero, or
+    None when some column of ``c`` has none.  For ``c == u @ b``,
+    ``v @ z`` solves ``a @ x == b``."""
     diag = s.diagonal()
-    z = [0] * s.d.cols
-    for i, ci in enumerate(c):
+    z = [[0] * c.cols for _ in range(s.d.cols)]
+    for i in range(c.rows):
+        row = c.row(i)
         di = diag[i] if i < len(diag) else 0
-        if di != 0:
-            if ci % di != 0:
+        if di == 0:
+            if any(row):
                 return None
-            z[i] = ci // di
-        elif ci != 0:
-            return None
+            continue
+        for j, x in enumerate(row):
+            q, r = divmod(x, di)
+            if r:
+                return None
+            z[i][j] = q
     return z
 
 
-def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution of ``a @ x == b``, or None.
-
-    When the solution is not unique the free Smith coordinates are set
-    to zero, which makes the returned vector deterministic.
-    """
-    s = snf(a)
-    z = _smith_coordinates(s, b)
-    return None if z is None else s.v.apply(z)
-
-
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Column-wise ``solve``; None if any column has no solution."""
+    """One integer solution x of ``a @ x == b``, or None when some
+    column of ``b`` has no solution.
+
+    The Smith coordinates that are free (the solution is not unique)
+    are set to zero, which makes the returned matrix deterministic.
+    All columns are solved together, and no transform is built: ``u @
+    b`` is the row log replayed on the rows of ``b``, and ``v @ z`` the
+    column log, transposed and reversed, replayed on the rows of z.
+    """
     if a.rows != b.rows:
         raise ValueError("row counts differ")
     s = snf(a)
-    coords = [_smith_coordinates(s, b.col(j)) for j in range(b.cols)]
-    if any(z is None for z in coords):
+    c = IntMatrix._of(b.rows, b.cols, _flat(_replay(_rows(b), s.row_log)))
+    z = _smith_coordinates(s, c)
+    if z is None:
         return None
-    return IntMatrix.from_columns([s.v.apply(z) for z in coords], rows=a.cols)
+    return IntMatrix._of(a.cols, b.cols, _flat(_replay(z, _transposed(s.col_log))))
+
+
+def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """``solve_matrix`` for the one column ``b``."""
+    x = solve_matrix(a, IntMatrix.from_columns([b], rows=a.rows))
+    return None if x is None else x.col(0)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -20,14 +20,17 @@ columns of L·∂₂.  From these the pipeline forms
   only the subquotient bound by the torsion of theta is asserted
   ("bound").
 
-Sweeping the extension degree f re-evaluates the arithmetic inputs
-(orbits, rational points, the f-th Frobenius power) while alpha itself
-is geometric and stays fixed.
+Alpha itself is geometric and stays fixed as the extension degree f
+varies; only the arithmetic inputs (orbits, rational points, the f-th
+Frobenius power) move, and they depend on f only through the degree
+class gcd(f, P), P the lcm of the Frobenius orders and point degrees.
+So a sweep over f evaluates each class once and relabels its reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .complexes import DeltaComplex
@@ -42,7 +45,7 @@ from .groups import (
 )
 from .homology import HomologyResult, homology_group
 from .matrices import IntMatrix
-from .snc import SncConfiguration, build_dual_complex, has_rational_point
+from .snc import SncConfiguration, _action, build_dual_complex, has_rational_point
 
 __all__ = [
     "ComponentPi1",
@@ -207,17 +210,29 @@ def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
               ell: int) -> AlphaResult:
     """Evaluate the labels on homology generators.  Raises LabelError
     when the labels are not equivariant or do not descend."""
+    return _alpha_at(pi1, *_label_cycles(cfg, pi1, labels), ell)
+
+
+def _label_cycles(cfg: SncConfiguration, pi1: Pi1Input,
+                  labels: EdgeLabelCochain) -> tuple[HomologyResult, IntMatrix]:
+    """The part of alpha that no prime changes: the checked inputs, H₁
+    of the geometric complex, and the labels evaluated on its cycles
+    (one column per H₁ generator, in y0 coordinates)."""
     pi1_problems = validate_pi1(cfg, pi1)
     if pi1_problems:
         raise ValidationError(pi1_problems)
     label_problems = validate_labels(cfg, pi1, labels)
     if label_problems:
         raise LabelError("; ".join(label_problems))
-    theta = compute_theta(pi1, ell)
-
     cx = build_dual_complex(cfg)
     h1 = homology_group(cx, 1)
-    matrix = _label_matrix(cx, pi1, labels)[0] @ h1.cycle_matrix
+    return h1, _label_matrix(cx, pi1, labels)[0] @ h1.cycle_matrix
+
+
+def _alpha_at(pi1: Pi1Input, h1: HomologyResult, matrix: IntMatrix,
+              ell: int) -> AlphaResult:
+    """Alpha at ell from the output of ``_label_cycles``."""
+    theta = compute_theta(pi1, ell)
     # validate_labels checked descent over every 2-simplex, which is
     # exactly this map's well-definedness
     amap = ModuleMap._of(h1.group, theta.group, matrix)
@@ -292,35 +307,68 @@ class KernelReport:
     primes: dict[int, PrimeReport]
 
 
+def _period(cfg: SncConfiguration, pi1: Pi1Input) -> int:
+    """P = lcm(configuration Frobenius order, y0 Frobenius order, every
+    point degree).  Every degree-dependent input to a kernel report
+    depends on f only through gcd(f, P): on ids, σ^f and σ^gcd(f, P)
+    generate the same group, so they have the same orbits; a point
+    degree d divides f exactly when it divides gcd(f, P); and
+    Frobenius^f and Frobenius^gcd(f, P) generate the same group of
+    automorphisms of theta."""
+    degrees = [d for c in cfg.components for d in c.point_degrees]
+    degrees += [d for s in cfg.strata for d in s.point_degrees]
+    return lcm(_action(cfg).order, pi1.y0.order, *degrees)
+
+
 def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
                     ells: Sequence[int], degrees: Sequence[int]) -> tuple[KernelReport, ...]:
-    """One KernelReport per extension degree.  Alpha, theta and the
-    torsion of theta are geometric: each is computed once per prime
-    and shared by every degree."""
+    """One KernelReport per extension degree.
+
+    Alpha, theta and the torsion of theta are geometric: the inputs are
+    checked and alpha's cycles computed once, and the rest once per
+    prime.  The degree-dependent work (the extension, its rational
+    points and H₁, Frobenius^f on the torsion of theta and the
+    coinvariants test) is done once per degree class gcd(f, P) (see
+    ``_period``), at the first requested degree of the class, so an
+    ExtensionError names that degree.  Each report keeps its own f.
+    """
+    period = _period(cfg, pi1)
+    cycles: tuple[HomologyResult, IntMatrix] | None = None
     geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
+    classes: dict[int, tuple[dict[str, bool], HomologyResult, dict[int, tuple[bool, bool]]]] = {}
     reports = []
     for f in degrees:
-        ext = extension_complex(cfg, f)
-        flags = rational_point_flags(cfg, f, ext=ext)
+        g = gcd(f, period)
+        if g not in classes:
+            ext = extension_complex(cfg, f)
+            flags = rational_point_flags(cfg, f, ext=ext)
+            h1_quotient = homology_group(ext.complex, 1)
+            # per prime: Frobenius^f trivial on the torsion of theta, and
+            # that torsion injecting into the Frobenius^f coinvariants
+            arithmetic: dict[int, tuple[bool, bool]] = {}
+            for ell in ells:
+                if ell not in geometric:
+                    if cycles is None:
+                        cycles = _label_cycles(cfg, pi1, labels)
+                    alpha = _alpha_at(pi1, *cycles, ell)
+                    geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
+                alpha, torsion_module, torsion_incl = geometric[ell]
+                trivial = torsion_module.power(f).acts_trivially()
+                _, proj = coinvariants(alpha.theta.power(f))
+                arithmetic[ell] = (trivial, proj.compose(torsion_incl).is_injective())
+            classes[g] = (flags, h1_quotient, arithmetic)
+        flags, h1_quotient, arithmetic = classes[g]
         assumption_i = all(flags.values())
-        h1_quotient = homology_group(ext.complex, 1)
 
         primes: dict[int, PrimeReport] = {}
-        for ell in ells:
-            if ell not in geometric:
-                alpha = alpha_map(cfg, pi1, labels, ell)
-                geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
-            alpha, torsion_module, torsion_incl = geometric[ell]
-            assumption_ii = torsion_module.power(f).acts_trivially()
-
+        for ell, (assumption_ii, injective) in arithmetic.items():
+            alpha, torsion_module, _ = geometric[ell]
             warnings = list(alpha.warnings)
-            _, proj = coinvariants(alpha.theta.power(f))
-            if not proj.compose(torsion_incl).is_injective():
+            if not injective:
                 warnings.append(
                     f"ell={ell}, f={f}: torsion of theta does not inject into the "
                     f"coinvariants (expected only for non-geometric inputs)"
                 )
-
             exact = assumption_i and assumption_ii
             primes[ell] = PrimeReport(
                 ell=ell,
@@ -333,7 +381,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
                 kernel_bound=torsion_module.group,
                 warnings=tuple(warnings),
             )
-        reports.append(KernelReport(f, flags, assumption_i, h1_quotient, primes))
+        reports.append(KernelReport(f, dict(flags), assumption_i, h1_quotient, primes))
     return tuple(reports)
 
 

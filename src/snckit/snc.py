@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import ChainMap, DeltaComplex, Simplex
@@ -76,14 +77,22 @@ class FrobeniusAction:
     stratum_perm: Mapping[str, str] = field(default_factory=dict)
 
     def component_image(self, cid: str, f: int = 1) -> str:
-        for _ in range(f % self.order if self.order > 1 else 0):
-            cid = self.component_perm.get(cid, cid)
-        return cid
+        return _walk(self.component_perm, cid, f % self.order if self.order > 1 else 0)
 
     def stratum_image(self, sid: str, f: int = 1) -> str:
-        for _ in range(f % self.order if self.order > 1 else 0):
-            sid = self.stratum_perm.get(sid, sid)
-        return sid
+        return _walk(self.stratum_perm, sid, f % self.order if self.order > 1 else 0)
+
+
+def _walk(perm: Mapping[str, str], x: str, steps: int) -> str:
+    """``x`` moved ``steps`` times along ``perm`` (identity off its
+    keys), going round x's cycle at most once."""
+    path = [x]
+    for _ in range(steps):
+        y = perm.get(path[-1], path[-1])
+        if y == x:
+            return path[steps % len(path)]
+        path.append(y)
+    return path[-1]
 
 
 _TRIVIAL = FrobeniusAction(order=1)
@@ -93,23 +102,36 @@ def _action(cfg: "SncConfiguration") -> FrobeniusAction:
     return cfg.frobenius if cfg.frobenius is not None else _TRIVIAL
 
 
-def _orbits(ids: Sequence[str], step: Callable[[str], str]) -> list[tuple[str, ...]]:
-    """Orbits of the permutation ``step`` scanning ``ids`` in order, so
-    each orbit starts at its earliest member and orbits are listed by
-    that member."""
+def _orbits(ids: Sequence[str], step: Callable[[str], str],
+            f: int = 1) -> list[tuple[str, ...]]:
+    """Orbits of the f-th power of the permutation ``step``, scanning
+    ``ids`` in order, so each orbit starts at its earliest member and
+    orbits are listed by that member.
+
+    Each orbit is read off the cycle of ``step`` through its first
+    member: a cycle x_0, ..., x_{L-1} splits into gcd(f, L) orbits
+    x_k, x_{k+f}, x_{k+2f}, ... (indices mod L), so the cost is the
+    cycle lengths, whatever f is.
+    """
+    cycle_of: dict[str, tuple[list[str], int]] = {}
     seen: set[str] = set()
     out: list[tuple[str, ...]] = []
     for x in ids:
         if x in seen:
             continue
-        orbit = [x]
-        seen.add(x)
-        y = step(x)
-        while y != x:
-            orbit.append(y)
-            seen.add(y)
-            y = step(y)
-        out.append(tuple(orbit))
+        if x not in cycle_of:
+            cycle = [x]
+            y = step(x)
+            while y != x:
+                cycle.append(y)
+                y = step(y)
+            for k, member in enumerate(cycle):
+                cycle_of[member] = (cycle, k)
+        cycle, k = cycle_of[x]
+        length = len(cycle)
+        orbit = tuple(cycle[(k + i * f) % length] for i in range(length // gcd(f, length)))
+        seen.update(orbit)
+        out.append(orbit)
     return out
 
 

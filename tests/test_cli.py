@@ -199,6 +199,10 @@ class TestFailuresNameTheirObjects:
         # over the quadratic extension the orbits separate again
         assert main(["extend", str(path), "--f", "2"]) == 0
         capsys.readouterr()
+        # degree 3 shares its orbits with degree 1, and the error names
+        # the degree asked for
+        assert main(["kernel", str(path), "--ell", "3", "--f", "3"]) == 1
+        assert "over the degree-3 extension" in capsys.readouterr().err
 
     def test_cocycle_violation_names_face(self, capsys, tmp_path):
         doc = {
@@ -298,8 +302,9 @@ def _counting(counts, key, fn):
 
 def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     """One sweep builds the geometric complex once plus one quotient per
-    degree, evaluates alpha and its surjectivity once per prime, and
-    keeps SNF work bounded."""
+    degree class gcd(f, P) (fermat-5 has P = 1, so one class), evaluates
+    alpha and its surjectivity once per prime, and keeps SNF work
+    bounded."""
     from snckit import complexes, groups, matrices, reciprocity
 
     counts = {"complex": 0, "alpha": 0, "surjective": 0, "snf": 0}
@@ -308,16 +313,16 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     surjective = groups.ModuleMap.is_surjective
     monkeypatch.setattr(groups.ModuleMap, "is_surjective",
                         _counting(counts, "surjective", surjective))
-    for key, original in (("alpha", reciprocity.alpha_map), ("snf", matrices.snf)):
+    for key, original in (("alpha", reciprocity._alpha_at), ("snf", matrices.snf)):
         _rebind(monkeypatch, original, _counting(counts, key, original))
 
     argv = ["kernel", fermat_path, "--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"]
     assert main(argv + ["--json"]) == 0
     capsys.readouterr()
-    assert counts["complex"] == 11
+    assert counts["complex"] == 2
     assert counts["alpha"] == 3
     assert counts["surjective"] == 3
-    assert counts["snf"] <= 85
+    assert counts["snf"] <= 27
 
 
 def _cover_path(capsys, tmp_path, n: int) -> str:

@@ -3,6 +3,7 @@ the Frobenius action on homology, and norm maps."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from snckit.galois import (
 )
 from snckit.groups import coinvariants, cokernel
 from snckit.homology import homology_group, induced_map
+from snckit.snc import FrobeniusAction
 
 from conftest import (
     cycle_config,
@@ -33,6 +35,20 @@ def test_sort_parity():
     assert sort_parity([1, 0]) == -1
     assert sort_parity([2, 0, 1]) == 1
     assert sort_parity([]) == 1
+
+
+class _CountingPerm(dict):
+    """A permutation that counts its lookups and fails past ``limit``."""
+
+    def __init__(self, items, limit: int):
+        super().__init__(items)
+        self.calls = 0
+        self.limit = limit
+
+    def get(self, key, default=None):
+        self.calls += 1
+        assert self.calls <= self.limit, f"more than {self.limit} permutation lookups"
+        return super().get(key, default)
 
 
 class TestExtension:
@@ -86,6 +102,29 @@ class TestExtension:
             assert len(ext.component_orbits) == 2 * g
             h1 = homology_group(ext.complex, 1)
             assert h1.group.iso_type().rank == 1
+
+    def test_huge_degree_walks_each_cycle_once(self):
+        # with order 10**18, walking f % order steps per id would not
+        # finish, so lookups are counted and capped
+        small = random_admissible_config(random.Random(6), 4, "copies")
+        ids = len(small.components) + len(small.strata)
+        component_perm = _CountingPerm(small.frobenius.component_perm, 10 * ids)
+        stratum_perm = _CountingPerm(small.frobenius.stratum_perm, 10 * ids)
+        huge = replace(small, frobenius=FrobeniusAction(10**18, component_perm, stratum_perm))
+        ext = extension_complex(huge, 10**18 - 1)
+        # 10**18 - 1 is 3 mod 4, so the orbits, member order included,
+        # are those of the cube of the order-4 action
+        expected = extension_complex(small, 3)
+        assert ext.component_orbits == expected.component_orbits
+        assert ext.stratum_orbits == expected.stratum_orbits
+        assert ext.component_orbits[0] == ("c0_0", "c3_0", "c2_0", "c1_0")
+        # validation and the extension each look up every id, or every
+        # component of every stratum, a bounded number of times
+        assert component_perm.calls + stratum_perm.calls <= 5 * ids
+
+        component_perm.calls = 0
+        assert huge.frobenius.component_image("c0_0", 10**18 - 1) == "c3_0"
+        assert component_perm.calls == 4
 
     def test_collapse_detected(self):
         cfg = cycle_config(4, frobenius=rotation_action(4, 1, 4))

@@ -4,7 +4,7 @@ lattice helpers built on it."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snf_reference import snf as reference_snf
 from snckit.homology import random_complex
@@ -180,6 +180,38 @@ class TestSnfMatchesReference:
         self.assert_same(IntMatrix.zeros(*shape))
 
 
+def _reference_solve(a: IntMatrix, b) -> tuple[int, ...] | None:
+    """One column solved as the package first did it, on the eager
+    oracle SNF: ``u @ b`` divided by the diagonal with free
+    coordinates zero, then ``v`` times that; None when unsolvable."""
+    s = reference_snf(a)
+    diag = s.d.diagonal_entries()
+    z = [0] * a.cols
+    for i, c in enumerate(s.u.apply(b)):
+        d = diag[i] if i < len(diag) else 0
+        if (c if d == 0 else c % d) != 0:
+            return None
+        if d:
+            z[i] = c // d
+    return s.v.apply(z)
+
+
+@st.composite
+def systems(draw):
+    """A matrix and right-hand sides, each either a @ x (solvable) or
+    drawn freely (often not)."""
+    a = draw(matrices_of(st.integers(-9, 9), 4))
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x = draw(st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols))
+            columns.append(a.apply(x))
+        else:
+            columns.append(tuple(draw(st.lists(st.integers(-9, 9), min_size=a.rows,
+                                               max_size=a.rows))))
+    return a, columns
+
+
 class TestSolvers:
     def test_solve_unique(self):
         a = IntMatrix.from_rows([[2, 0], [0, 3]])
@@ -206,6 +238,23 @@ class TestSolvers:
         y = solve(a, b)
         assert y is not None
         assert a.apply(y) == b
+
+    @given(systems())
+    @example((IntMatrix.zeros(0, 0), [(), ()]))
+    @example((IntMatrix.zeros(0, 3), [()]))
+    @example((IntMatrix.zeros(3, 0), [(0, 0, 0), (0, 1, 0)]))
+    @example((IntMatrix.zeros(2, 2), []))
+    @example((IntMatrix.from_rows([[2, 0], [0, 3]]), [(4, 9), (1, 0)]))
+    @settings(max_examples=150, deadline=None)
+    def test_solve_matrix_matches_reference(self, system):
+        a, columns = system
+        expected = [_reference_solve(a, b) for b in columns]
+        assert [solve(a, b) for b in columns] == expected
+        x = solve_matrix(a, IntMatrix.from_columns(columns, rows=a.rows))
+        if None in expected:
+            assert x is None
+        else:
+            assert x == IntMatrix.from_columns(expected, rows=a.cols)
 
     def test_kernel_basis_spans_kernel(self):
         a = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])

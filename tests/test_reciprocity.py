@@ -1,10 +1,18 @@
 """theta, alpha, and the kernel predictions."""
 
+import math
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from snckit.errors import LabelError, ValidationError, WellDefinednessError
+from snckit import reciprocity
 from snckit.fixtures import fermat_bundle, rulings_bundle, trivial_pi1
-from snckit.groups import FgAbelianGroup, GaloisModule, ModuleMap
+from snckit.galois import extension_complex
+from snckit.groups import FgAbelianGroup, GaloisModule, ModuleMap, coinvariants
+from snckit.homology import homology_group
 from snckit.matrices import IntMatrix
 from snckit.reciprocity import (
     ComponentPi1,
@@ -19,7 +27,13 @@ from snckit.reciprocity import (
 )
 from snckit.snc import Component, FrobeniusAction, SncConfiguration, Stratum
 
-from conftest import cycle_config, reflection_action, swap_upgrade_fixture, triangle_config
+from conftest import (
+    cycle_config,
+    random_admissible_config,
+    reflection_action,
+    swap_upgrade_fixture,
+    triangle_config,
+)
 
 
 def _module(group: FgAbelianGroup, frob=None, order: int = 1) -> GaloisModule:
@@ -341,3 +355,59 @@ class TestSweep:
         cfg, pi1, labels = swap_upgrade_fixture()
         with pytest.raises(ValueError, match="positive"):
             sweep_extensions(cfg, pi1, labels, [3], 0)
+
+    def test_each_degree_class_is_evaluated_once(self, monkeypatch):
+        cfg = random_admissible_config(random.Random(4), 4, "coned")
+        # a degree-3 point makes P = lcm(4, 2, 3) = 12, and the classes
+        # gcd(f, 12) are its 6 divisors, each first met at f = itself
+        first = replace(cfg.components[0], point_degrees=(3,))
+        cfg = replace(cfg, components=(first, *cfg.components[1:]))
+        _, pi1, labels = swap_upgrade_fixture()
+        calls = []
+        original = reciprocity.extension_complex
+        monkeypatch.setattr(reciprocity, "extension_complex",
+                            lambda c, f: calls.append(f) or original(c, f))
+        sweep = sweep_extensions(cfg, pi1, labels, [3], 48)
+        assert [rep.f for rep in sweep.reports] == list(range(1, 49))
+        assert calls == [1, 2, 3, 4, 6, 12]
+
+
+def _random_degrees(rng: random.Random, cfg: SncConfiguration) -> SncConfiguration:
+    return replace(
+        cfg,
+        components=tuple(replace(c, point_degrees=(rng.randint(1, 3),))
+                         for c in cfg.components),
+        strata=tuple(replace(s, point_degrees=(rng.randint(1, 3),)) for s in cfg.strata),
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+@example(seed=0, e=3, vary_degrees=False)  # block shape: P = lcm(3, 2)
+@settings(max_examples=25, deadline=None)
+def test_sweep_reports_match_direct_evaluation(seed, e, vary_degrees):
+    """A sweep evaluates each class gcd(f, P) once; every report must
+    still equal what its own f gives when evaluated directly."""
+    rng = random.Random(seed)
+    cfg = random_admissible_config(rng, e)
+    if vary_degrees:
+        cfg = _random_degrees(rng, cfg)
+    _, pi1, labels = swap_upgrade_fixture()  # y0 = Z/3, Frobenius -1
+    degrees = [d for x in (*cfg.components, *cfg.strata) for d in x.point_degrees]
+    period = math.lcm(e, pi1.y0.order, *degrees)
+    theta = compute_theta(pi1, 3)
+    torsion, incl = theta.torsion_submodule()
+
+    sweep = sweep_extensions(cfg, pi1, labels, [3], 3 * period)
+    assert [rep.f for rep in sweep.reports] == list(range(1, 3 * period + 1))
+    for f, rep in enumerate(sweep.reports, start=1):
+        h1 = homology_group(extension_complex(cfg, f).complex, 1)
+        assert rep.h1_quotient.group.iso_type() == h1.group.iso_type()
+        flags = rational_point_flags(cfg, f)
+        assert rep.rational_point_flags == flags
+        exact = all(flags.values()) and torsion.power(f).acts_trivially()
+        assert rep.primes[3].verdict == ("exact" if exact else "bound")
+        _, proj = coinvariants(theta.power(f))
+        named = [w for w in rep.primes[3].warnings if "coinvariants" in w]
+        assert named == ([] if proj.compose(incl).is_injective() else [
+            f"ell=3, f={f}: torsion of theta does not inject into the coinvariants "
+            f"(expected only for non-geometric inputs)"])
