@@ -189,9 +189,12 @@ def _reference_solve(a: IntMatrix, b) -> tuple[int, ...] | None:
     z = [0] * a.cols
     for i, c in enumerate(s.u.apply(b)):
         d = diag[i] if i < len(diag) else 0
-        if (c if d == 0 else c % d) != 0:
+        if d == 0:
+            if c != 0:
+                return None
+        elif c % d != 0:
             return None
-        if d:
+        else:
             z[i] = c // d
     return s.v.apply(z)
 
