@@ -22,7 +22,14 @@ from .fixtures import fermat_cover_config, generate_example, trivial_pi1
 from .galois import extension_complex, norm_map
 from .groups import FgAbelianGroup, cokernel
 from .homology import homology_group, oracle_homology, random_complex
-from .reciprocity import KernelReport, alpha_map, compute_theta, predict_kernel, sweep_extensions
+from .reciprocity import (
+    KernelReport,
+    _alpha_at,
+    _label_cycles,
+    compute_theta,
+    predict_kernel,
+    sweep_extensions,
+)
 from .snc import build_dual_complex
 
 __all__ = ["main", "build_parser"]
@@ -237,8 +244,10 @@ def _cmd_alpha(args):
     bundle, digest = _load(args)
     per_ell = {}
     lines = []
+    # the checked inputs and H₁'s cycles do not depend on the prime
+    cycles = _label_cycles(bundle.config, bundle.pi1, bundle.labels)
     for ell in args.ell:
-        res = alpha_map(bundle.config, bundle.pi1, bundle.labels, ell)
+        res = _alpha_at(bundle.pi1, *cycles, ell)
         surjective = res.surjective
         per_ell[str(ell)] = {
             "source_h1": _group_payload(res.h1.group),

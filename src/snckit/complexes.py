@@ -9,6 +9,14 @@ and worse are legal; they arise naturally from intersection data).
 
 The boundary convention is positional: the facet omitting vertex
 position i enters the boundary with sign (-1)^i.
+
+Construction checks the chain-level identities combinatorially, one
+simplex at a time, and builds no matrix: d∘d = 0 by summing the signs
+over the facets of each simplex's facets, and d f = f d for a chain map
+by comparing the signed boundary of each simplex's image with the
+signed images of its facets.  Each simplex is one column of the
+products d_{a-1} d_a and d f, f d, so the checks are exact.  The
+boundary and chain-map matrices are built on first use.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ class Simplex:
 
 
 class DeltaComplex:
-    """An immutable Δ-complex; construction validates everything."""
+    """An immutable Δ-complex; construction validates everything, and
+    checks d∘d = 0 per simplex: the signed facets of its facets cancel."""
 
     __slots__ = ("_by_dim", "_by_id", "_vertex_pos", "_index_in_dim", "_boundaries")
 
@@ -130,11 +139,16 @@ class DeltaComplex:
         self._boundaries: dict[int, IntMatrix] = {}
 
         # facet data alone guarantees d(d(s)) has matching supports;
-        # the sign bookkeeping is what this checks
+        # the sign bookkeeping is what this checks, one simplex (one
+        # column of d_{a-1} d_a) at a time
         for a in range(2, len(self._by_dim)):
-            m = self.boundary_matrix(a - 1) @ self.boundary_matrix(a)
-            if not m.is_zero():
-                raise ValidationError([f"boundary squared is nonzero in dimension {a}"])
+            for s in self._by_dim[a]:
+                twice: dict[str, int] = {}
+                for i, fid in enumerate(s.facets):
+                    for k, gid in enumerate(by_id[fid].facets):
+                        twice[gid] = twice.get(gid, 0) + (-1 if (i + k) % 2 else 1)
+                if any(twice.values()):
+                    raise ValidationError([f"boundary squared is nonzero in dimension {a}"])
 
     # -- accessors ------------------------------------------------------
 
@@ -251,7 +265,8 @@ class DeltaComplex:
 class ChainMap:
     """A map of complexes sending each simplex to a signed simplex of
     the same dimension; construction checks it commutes with the
-    boundary, exactly."""
+    boundary, exactly and per source simplex: the signed boundary of its
+    image equals the signed images of its facets."""
 
     __slots__ = ("source", "target", "assignment", "_matrices")
 
@@ -284,26 +299,33 @@ class ChainMap:
         self._matrices: dict[int, IntMatrix] = {}
 
         for a in range(1, source.dimension + 1):
-            lhs = target.boundary_matrix(a) @ self.matrix(a)
-            rhs = self.matrix(a - 1) @ source.boundary_matrix(a)
-            if lhs != rhs:
-                raise ValidationError(
-                    [f"map does not commute with the boundary in dimension {a}"]
-                )
+            for s in source.simplices(a):
+                tid, sign = assignment[s.id]
+                diff: dict[str, int] = {}
+                for i, gid in enumerate(target.simplex(tid).facets):
+                    diff[gid] = diff.get(gid, 0) + (-sign if i % 2 else sign)
+                for i, fid in enumerate(s.facets):
+                    gid, fsign = assignment[fid]
+                    diff[gid] = diff.get(gid, 0) - (-fsign if i % 2 else fsign)
+                if any(diff.values()):
+                    raise ValidationError(
+                        [f"map does not commute with the boundary in dimension {a}"]
+                    )
 
     def matrix(self, a: int) -> IntMatrix:
-        """The induced map on a-chains (target rows, source columns)."""
-        if a not in self._matrices:
-            src = self.source.simplices(a)
+        """The induced map on a-chains (target rows, source columns).
+        Built on first use; construction never needs it."""
+        m = self._matrices.get(a)
+        if m is None:
             rows = len(self.target.simplices(a))
-            cols = []
-            for s in src:
-                col = [0] * rows
+            src = self.source.simplices(a)
+            cols = len(src)
+            entries = [0] * (rows * cols)
+            for j, s in enumerate(src):
                 tid, sign = self.assignment[s.id]
-                col[self.target.index_in_dimension(tid)] += sign
-                cols.append(col)
-            self._matrices[a] = IntMatrix.from_columns(cols, rows=rows)
-        return self._matrices[a]
+                entries[self.target.index_in_dimension(tid) * cols + j] += sign
+            m = self._matrices[a] = IntMatrix._of(rows, cols, entries)
+        return m
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""

@@ -175,17 +175,22 @@ class SncConfiguration:
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 
+    # id lookups: the first of repeated ids wins, as a scan would find
+    # it (validation reports the repeats); a miss raises KeyError(id)
+
+    @cached_property
+    def _component_by_id(self) -> dict[str, Component]:
+        return {c.id: c for c in reversed(self.components)}
+
+    @cached_property
+    def _stratum_by_id(self) -> dict[str, Stratum]:
+        return {s.id: s for s in reversed(self.strata)}
+
     def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._component_by_id[cid]
 
     def stratum(self, sid: str) -> Stratum:
-        for s in self.strata:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+        return self._stratum_by_id[sid]
 
     def depths(self) -> tuple[int, ...]:
         return tuple(sorted({s.depth for s in self.strata}))

@@ -325,6 +325,26 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     assert counts["snf"] <= 27
 
 
+def test_alpha_checks_labels_and_computes_h1_once(capsys, monkeypatch, tmp_path):
+    """``alpha`` does its prime-independent work once, however many
+    primes it is asked for: one label check on parsing, one in the
+    pipeline, and one H₁ of the geometric complex."""
+    from snckit import homology, reciprocity
+
+    assert main(["example", "fermat", "--n", "5"]) == 0
+    path = tmp_path / "fermat5.json"
+    path.write_text(capsys.readouterr().out)
+    counts = {"labels": 0, "h1": 0}
+    for key, original in (("labels", reciprocity.validate_labels),
+                          ("h1", homology.homology_group)):
+        _rebind(monkeypatch, original, _counting(counts, key, original))
+
+    argv = ["alpha", str(path), "--ell", "2", "--ell", "3", "--ell", "5"]
+    assert main(argv + ["--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["results"]["primes"]) == {"2", "3", "5"}
+    assert counts == {"labels": 2, "h1": 1}
+
+
 def _cover_path(capsys, tmp_path, n: int) -> str:
     """The ``example fermat --n N --cover`` document, written to a file."""
     assert main(["example", "fermat", "--n", str(n), "--cover"]) == 0

@@ -1,13 +1,17 @@
 """Δ-complex construction, validation, chain maps, suspension."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snckit.complexes import ChainMap, DeltaComplex, Simplex, suspend
+from snckit.complexes import ChainMap, DeltaComplex, Simplex, sort_parity, suspend
 from snckit.errors import ValidationError
-from snckit.homology import random_complex
+from snckit.homology import homology_group, random_complex
+from snckit.matrices import IntMatrix
 
+from chain_reference import boundary_squared_failure, commutation_failure
 from conftest import cycle_complex
 
 
@@ -48,6 +52,24 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             DeltaComplex(vs + bad)
         assert len(err.value.problems) >= 2
+
+    def test_parallel_edges_in_a_tetrahedron_break_boundary_squared(self):
+        # faces abc and abd bound through different parallel ab edges, so
+        # the tetrahedron's boundary of its boundary is ab1 - ab2
+        edges = [Simplex(eid, (eid[0], eid[1]), (eid[1], eid[0]))
+                 for eid in ("ab1", "ab2", "ac", "ad", "bc", "bd", "cd")]
+        faces = [
+            Simplex("abc", ("a", "b", "c"), ("bc", "ac", "ab1")),
+            Simplex("abd", ("a", "b", "d"), ("bd", "ad", "ab2")),
+            Simplex("acd", ("a", "c", "d"), ("cd", "ad", "ac")),
+            Simplex("bcd", ("b", "c", "d"), ("cd", "bd", "bc")),
+        ]
+        below = [Simplex.vertex(v) for v in "abcd"] + edges + faces
+        assert DeltaComplex(below).counts() == (4, 7, 4)
+        tetra = Simplex("abcd", ("a", "b", "c", "d"), ("bcd", "acd", "abd", "abc"))
+        with pytest.raises(ValidationError) as err:
+            DeltaComplex(below + [tetra])
+        assert err.value.problems == ["boundary squared is nonzero in dimension 3"]
 
 
 class TestStructure:
@@ -124,6 +146,21 @@ class TestChainMap:
         good = {"a": ("a", 1), "b": ("b", 1), "e1": ("e2", 1), "e2": ("e2", 1)}
         ChainMap(cx, cx, good)
 
+    def test_flipped_edge_sign_does_not_commute(self):
+        cx = DeltaComplex([Simplex.vertex(v) for v in "abc"] + [
+            Simplex("ab", ("a", "b"), ("b", "a")),
+            Simplex("ac", ("a", "c"), ("c", "a")),
+            Simplex("bc", ("b", "c"), ("c", "b")),
+            Simplex("abc", ("a", "b", "c"), ("bc", "ac", "ab")),
+        ])
+        flipped = {s.id: (s.id, 1) for s in cx.all_simplices()}
+        flipped["ab"] = ("ab", -1)
+        with pytest.raises(ValidationError) as err:
+            ChainMap(cx, cx, flipped)
+        assert err.value.problems == [
+            "map does not commute with the boundary in dimension 1"
+        ]
+
     def test_compose(self):
         cx = cycle_complex(4)
         # rotation by one step; edges crossing the wrap-around flip
@@ -198,3 +235,127 @@ class TestSuspend:
         s = suspend(cycle_complex(4), "O", "inf")
         for e in s.simplices(1):
             assert set(e.vertices) != {"O", "inf"}
+
+
+@st.composite
+def structured_simplices(draw):
+    """Vertices v0 < v1 < ..., then up to two simplices on every vertex
+    set of each dimension up to 3, each on facets drawn from the
+    simplices already on its faces.  Only the signs of d∘d can fail."""
+    n = draw(st.sampled_from([4, 3, 2, 1]))
+    verts = [f"v{i}" for i in range(n)]
+    simplices = [Simplex.vertex(v) for v in verts]
+    on_span = {(v,): [v] for v in verts}
+    for a in range(1, n):
+        for span in itertools.combinations(verts, a + 1):
+            faces = [on_span.get(span[:i] + span[i + 1:]) for i in range(a + 1)]
+            if not all(faces):
+                continue
+            for k in range(draw(st.sampled_from([1, 2] if a == 1 else [1, 2, 1, 0]))):
+                sid = "".join(span) + f"#{k}"
+                facets = tuple(draw(st.sampled_from(f)) for f in faces)
+                simplices.append(Simplex(sid, span, facets))
+                on_span.setdefault(span, []).append(sid)
+    return simplices
+
+
+@st.composite
+def complex_with_assignment(draw):
+    """A valid complex and a signed assignment on it: each simplex goes
+    to a simplex on the image of its vertices under a vertex map
+    (a permutation or any function), signed by parity, when there is
+    one, and to any simplex of its dimension otherwise; then at most one
+    sign is flipped."""
+    simplices = draw(structured_simplices())
+    if boundary_squared_failure(simplices) is not None:
+        simplices = [s for s in simplices if s.dim < 3]
+    cx = DeltaComplex(simplices)
+    verts = cx.vertex_order
+    images = st.permutations(verts) | st.lists(
+        st.sampled_from(verts), min_size=len(verts), max_size=len(verts))
+    vmap = dict(zip(verts, draw(images)))
+    assignment = {}
+    for s in cx.all_simplices():
+        image = [vmap[v] for v in s.vertices]
+        span = tuple(sorted(image, key=cx.vertex_position))
+        on = [t.id for t in cx.simplices(s.dim) if t.vertices == span]
+        if on and len(set(span)) == len(span):
+            tid = draw(st.sampled_from(on))
+            sign = sort_parity([cx.vertex_position(v) for v in image])
+        else:
+            tid = draw(st.sampled_from([t.id for t in cx.simplices(s.dim)]))
+            sign = 1
+        assignment[s.id] = (tid, sign)
+    flip = draw(st.none() | st.sampled_from(sorted(assignment)))
+    if flip is not None:
+        tid, sign = assignment[flip]
+        assignment[flip] = (tid, -sign)
+    return cx, assignment
+
+
+class TestChecksMatchDenseProducts:
+    """The per-simplex checks accept and reject exactly what the dense
+    products d_{a-1} d_a and d f, f d of ``chain_reference`` do, and
+    name the same dimension."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(structured_simplices())
+    def test_boundary_squared(self, simplices):
+        failure = boundary_squared_failure(simplices)
+        if failure is None:
+            DeltaComplex(simplices)
+        else:
+            with pytest.raises(ValidationError) as err:
+                DeltaComplex(simplices)
+            assert err.value.problems == [
+                f"boundary squared is nonzero in dimension {failure}"
+            ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(complex_with_assignment())
+    def test_commutation(self, case):
+        cx, assignment = case
+        failure = commutation_failure(cx, cx, assignment)
+        if failure is None:
+            f = ChainMap(cx, cx, assignment)
+            for a in range(1, cx.dimension + 1):
+                assert (cx.boundary_matrix(a) @ f.matrix(a)
+                        == f.matrix(a - 1) @ cx.boundary_matrix(a))
+        else:
+            with pytest.raises(ValidationError) as err:
+                ChainMap(cx, cx, assignment)
+            assert err.value.problems == [
+                f"map does not commute with the boundary in dimension {failure}"
+            ]
+
+
+def test_suspension_tower_construction_multiplies_no_matrices(monkeypatch):
+    """Building the 4-fold suspension of the 6-cycle and its identity
+    map checks d∘d and d f = f d without a matrix product and without
+    building a chain-level matrix; its H₅ is the one the dense checks
+    gave."""
+    counts = {"matmul": 0, "boundary": 0, "map": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls, name, key in ((IntMatrix, "__matmul__", "matmul"),
+                           (DeltaComplex, "boundary_matrix", "boundary"),
+                           (ChainMap, "matrix", "map")):
+        monkeypatch.setattr(cls, name, counting(key, getattr(cls, name)))
+    cx = cycle_complex(6)
+    for k in range(1, 5):
+        cx = suspend(cx, f"O{k}", f"I{k}")
+    ChainMap.identity(cx)
+    assert counts == {"matmul": 0, "boundary": 0, "map": 0}
+    assert cx.counts() == (14, 78, 224, 352, 288, 96)
+
+    h5 = homology_group(cx, 5)
+    assert h5.describe() == "Z"
+    assert "".join("+" if c > 0 else "-" for c in h5.representative(0)) == (
+        "-----++++++-+++++------++++++------+-----++++++-"
+        "+++++------+-----++++++------++++++-+++++------+"
+    )

@@ -48,6 +48,18 @@ class TestValidateConfig:
         )
         assert any("duplicate" in p for p in validate_config(cfg2))
 
+    def test_id_lookups_find_the_first_of_repeats(self):
+        first, second = Component("C", (2,)), Component("C", (3,))
+        s1, s2 = Stratum("s", ("C", "D")), Stratum("s", ("D", "E"))
+        cfg = SncConfiguration("bad", (first, Component("D"), second), (s1, s2))
+        assert cfg.component("C") is first
+        assert cfg.stratum("s") is s1
+        assert sum("duplicate" in p for p in validate_config(cfg)) >= 2
+        for lookup in (cfg.component, cfg.stratum):
+            with pytest.raises(KeyError) as err:
+                lookup("nope")
+            assert err.value.args == ("nope",)
+
     def test_unknown_component(self):
         cfg = SncConfiguration(
             "bad", (Component("C1"),), (Stratum("s", ("C1", "ZZ")),),
