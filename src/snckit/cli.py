@@ -25,10 +25,10 @@ from .homology import homology_group, oracle_homology, random_complex
 from .reciprocity import (
     KernelReport,
     _alpha_at,
+    _kernel_reports,
     _label_cycles,
+    _sweep,
     compute_theta,
-    predict_kernel,
-    sweep_extensions,
 )
 from .snc import build_dual_complex
 
@@ -244,7 +244,8 @@ def _cmd_alpha(args):
     bundle, digest = _load(args)
     per_ell = {}
     lines = []
-    # the checked inputs and H₁'s cycles do not depend on the prime
+    # parse_config checked the pi1 data and labels, and H₁'s cycles do
+    # not depend on the prime
     cycles = _label_cycles(bundle.config, bundle.pi1, bundle.labels)
     for ell in args.ell:
         res = _alpha_at(bundle.pi1, *cycles, ell)
@@ -311,9 +312,9 @@ def _kernel_report_lines(report: KernelReport) -> list[str]:
 
 def _cmd_kernel(args):
     bundle, digest = _load(args)
+    # parse_config checked the pi1 data and labels
     if args.sweep is not None:
-        result = sweep_extensions(bundle.config, bundle.pi1, bundle.labels,
-                                  args.ell, args.sweep)
+        result = _sweep(bundle.config, bundle.pi1, bundle.labels, args.ell, args.sweep)
         payload = {
             "sweep": [_kernel_report_payload(r) for r in result.reports],
             "trends": {str(ell): t for ell, t in sorted(result.trends.items())},
@@ -325,7 +326,7 @@ def _cmd_kernel(args):
             f"trend at ell={ell}: {t}" for ell, t in sorted(result.trends.items())
         )
         return digest, payload, lines
-    report = predict_kernel(bundle.config, bundle.pi1, bundle.labels, args.ell, args.f)
+    report = _kernel_reports(bundle.config, bundle.pi1, bundle.labels, args.ell, (args.f,))[0]
     return digest, _kernel_report_payload(report), _kernel_report_lines(report)
 
 

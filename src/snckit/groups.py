@@ -185,7 +185,7 @@ class FgAbelianGroup:
         # one SNF answers every membership test of this group, so u is
         # built once and reused, where a one-off solve replays the log
         s = self.relation_snf()
-        column = IntMatrix._of(self.generator_count, 1, s.u.apply(vec))
+        column = [{0: x} if x else {} for x in s.u.apply(vec)]
         return _smith_coordinates(s, column) is not None
 
     def smith(self) -> "SmithForm":

@@ -1,21 +1,26 @@
-"""Exact dense integer matrices and Smith normal form.
+"""Exact integer matrices and a Smith normal form on sparse rows.
 
 Everything in this module runs over Python's arbitrary-precision
-integers; no floating point is ever involved.  Matrices are immutable
-and row-major.  Shapes with zero rows or zero columns are legal
-everywhere and stand for zero objects, so degenerate inputs flow
-through every routine without special casing by the caller.
+integers; no floating point is ever involved.  ``IntMatrix`` is
+immutable and stores its entries row-major in one flat tuple.  Shapes
+with zero rows or zero columns are legal everywhere and stand for zero
+objects, so degenerate inputs flow through every routine without
+special casing by the caller.
 
 The Smith normal form here is the engine behind all homology and
 group computations: ``snf(a)`` returns unimodular ``u``, ``v`` and
 their inverses with ``u @ a @ v`` equal to a nonnegative diagonal
-matrix whose entries form a divisibility chain.  Elimination reduces
-only a working copy of ``a``, which becomes ``d``, and logs its row and
-column operations; each transform is replayed from that log the first
-time it is read, and equals, entry for entry, the one that tracking it
-during elimination would give.  A solve reads no transform: it replays
-the row log on its right-hand side and the column log on the solution.  Pivoting always picks the entry of
-smallest nonzero absolute value, breaking ties by (row, col), which
+matrix whose entries form a divisibility chain.  Elimination works on
+a copy of ``a`` held as sparse rows, ``{column: value}`` dicts of the
+nonzero entries, so a row operation costs in proportion to the
+nonzeros it reads.  It reduces only that copy, which becomes ``d``,
+and logs its row and column operations.  Each transform is replayed
+from the log on sparse rows the first time it is read and made dense
+once, at the end; it equals, entry for entry, the one that tracking it
+densely during elimination would give.  A solve reads no transform: it
+replays the row log on the sparse rows of its right-hand side and the
+column log on those of the solution.  Pivoting always picks the entry
+of smallest nonzero absolute value, breaking ties by (row, col), which
 keeps every run bit-for-bit reproducible.
 """
 
@@ -286,29 +291,44 @@ class IntMatrix:
 # ``(i, j)`` swaps rows i and j, ``(i, j, q)`` adds q times row j to
 # row i, and ``(i,)`` negates row i.  Column operations are logged in
 # the same form, read on columns.
+#
+# Working rows are sparse: a row is a ``{column: value}`` dict that
+# holds its nonzero entries only, and a transform or right-hand side is
+# a list of such rows.
 
 
-def _replay(rows: list[list[int]], log: Sequence[tuple[int, ...]]) -> list[list[int]]:
+def _add_multiple(row: dict[int, int], other: dict[int, int], q: int) -> None:
+    """``row += q * other`` in place, keeping only nonzero entries."""
+    if not q:
+        return
+    get = row.get
+    for k, y in other.items():
+        x = get(k, 0) + q * y
+        if x:
+            row[k] = x
+        else:
+            # q * y is nonzero, so a zero sum means k was present
+            del row[k]
+
+
+def _replay(rows: list[dict[int, int]], log: Sequence[tuple[int, ...]]) -> list[dict[int, int]]:
     """``rows`` after the logged row operations, which rebind its
     entries in place; returns ``rows``."""
     for op in log:
         if len(op) == 3:
             i, j, q = op
-            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            _add_multiple(rows[i], rows[j], q)
         elif len(op) == 2:
             i, j = op
             rows[i], rows[j] = rows[j], rows[i]
         else:
             i = op[0]
-            rows[i] = [-x for x in rows[i]]
+            rows[i] = {k: -x for k, x in rows[i].items()}
     return rows
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+def _sparse_identity(n: int) -> list[dict[int, int]]:
+    return [{i: 1} for i in range(n)]
 
 
 def _inverse_transposed(log: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -326,17 +346,31 @@ def _transposed(log: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [(op[1], op[0], op[2]) if len(op) == 3 else op for op in reversed(log)]
 
 
-def _rows(a: "IntMatrix") -> list[list[int]]:
-    n = a.cols
-    return [list(a._entries[i * n:(i + 1) * n]) for i in range(a.rows)]
+def _sparse_rows(a: IntMatrix) -> list[dict[int, int]]:
+    n, e = a.cols, a._entries
+    return [{j: x for j, x in enumerate(e[i * n:(i + 1) * n]) if x} for i in range(a.rows)]
 
 
-def _flat(rows: list[list[int]]) -> list[int]:
-    return [x for row in rows for x in row]
+def _from_rows(rows: list[dict[int, int]], cols: int) -> IntMatrix:
+    """The ``len(rows) x cols`` matrix with these sparse rows."""
+    entries = [0] * (len(rows) * cols)
+    for i, row in enumerate(rows):
+        base = i * cols
+        for j, x in row.items():
+            entries[base + j] = x
+    return IntMatrix._of(len(rows), cols, entries)
 
 
-def _flat_transposed(rows: list[list[int]]) -> list[int]:
-    return [x for col in zip(*rows) for x in col]
+def _from_columns(columns: list[dict[int, int]], rows: int) -> IntMatrix:
+    """The ``rows x len(columns)`` matrix with these sparse columns,
+    cut to their first ``rows`` coordinates."""
+    width = len(columns)
+    entries = [0] * (rows * width)
+    for k, column in enumerate(columns):
+        for i, x in column.items():
+            if i < rows:
+                entries[i * width + k] = x
+    return IntMatrix._of(rows, width, entries)
 
 
 @dataclass(frozen=True)
@@ -348,9 +382,9 @@ class SnfDecomposition:
     only ``d`` and logged its operations: ``row_log`` holds the row
     operations, which ``u`` records, and ``col_log`` the column
     operations, which ``v`` records.  ``u``, ``v`` and their exact
-    inverses ``u_inv``, ``v_inv`` are replayed from the logs the first
-    time each is read, so no inversion step is ever needed and no
-    caller pays for a transform it does not read.
+    inverses ``u_inv``, ``v_inv`` are replayed from the logs on sparse
+    rows the first time each is read, so no inversion step is ever
+    needed and no caller pays for a transform it does not read.
     """
 
     d: IntMatrix
@@ -360,24 +394,23 @@ class SnfDecomposition:
     @cached_property
     def u(self) -> IntMatrix:
         m = self.d.rows
-        return IntMatrix._of(m, m, _flat(_replay(_identity_rows(m), self.row_log)))
+        return _from_rows(_replay(_sparse_identity(m), self.row_log), m)
 
     @cached_property
     def u_inv(self) -> IntMatrix:
         m = self.d.rows
-        return IntMatrix._of(m, m, _flat_transposed(
-            _replay(_identity_rows(m), _inverse_transposed(self.row_log))))
+        return _from_columns(_replay(_sparse_identity(m), _inverse_transposed(self.row_log)), m)
 
     @cached_property
     def v(self) -> IntMatrix:
         # a column operation on v is the same row operation on its transpose
         n = self.d.cols
-        return IntMatrix._of(n, n, _flat_transposed(_replay(_identity_rows(n), self.col_log)))
+        return _from_columns(_replay(_sparse_identity(n), self.col_log), n)
 
     @cached_property
     def v_inv(self) -> IntMatrix:
         n = self.d.cols
-        return IntMatrix._of(n, n, _flat(_replay(_identity_rows(n), _inverse_transposed(self.col_log))))
+        return _from_rows(_replay(_sparse_identity(n), _inverse_transposed(self.col_log)), n)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -387,31 +420,30 @@ class SnfDecomposition:
         return sum(1 for x in self.diagonal() if x != 0)
 
 
-def _unit_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+def _unit_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
     """The first 1 or -1 of the working block (rows and columns t and
     after) in row-major order, or None."""
     # columns before t are zero in rows t and below, so a membership
     # test on the whole row answers for the working block
     for i in range(t, len(d)):
         row = d[i]
-        hits = [row.index(unit, t) for unit in (1, -1) if unit in row]
-        if hits:
-            return i, min(hits)
+        values = row.values()
+        if 1 in values or -1 in values:
+            return i, min(j for j, x in row.items() if x == 1 or x == -1)
     return None
 
 
-def _least_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+def _least_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
     """The first entry of least nonzero |value| of the working block in
     row-major order, or None when the block is zero."""
     least, best = 0, None
     for i in range(t, len(d)):
         row = d[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x != 0:
-                ax = -x if x < 0 else x
-                if best is None or ax < least:
-                    least, best = ax, (i, j)
+        if not row:
+            continue
+        ax = min(map(abs, row.values()))
+        if best is None or ax < least:
+            least, best = ax, (i, min(j for j, x in row.items() if abs(x) == ax))
     return best
 
 
@@ -421,10 +453,11 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     The pivot is the first entry of minimal |value| in a row-major scan
     of the working block, i.e. ties break by (row, col).  A 1 or -1 is
     minimal, so the first of those, when there is one, is taken without
-    the full scan.
+    the full scan.  Rows are reduced as sparse dicts, so an operation
+    costs in proportion to the nonzeros it reads.
     """
     m, n = a.rows, a.cols
-    d = _rows(a)
+    d = _sparse_rows(a)
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
 
@@ -433,7 +466,7 @@ def snf(a: IntMatrix) -> SnfDecomposition:
         row_log.append((i, j))
 
     def add_row(i, j, q):
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        _add_multiple(d[i], d[j], q)
         row_log.append((i, j, q))
 
     # Column operations only ever act on columns t and after, and every
@@ -441,7 +474,12 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     # swap only touches rows t and below.
     def swap_cols(t, j):
         for r in d[t:]:
-            r[t], r[j] = r[j], r[t]
+            x = r.pop(t, 0)
+            y = r.pop(j, 0)
+            if y:
+                r[t] = y
+            if x:
+                r[j] = x
         col_log.append((t, j))
 
     t = 0
@@ -458,16 +496,16 @@ def snf(a: IntMatrix) -> SnfDecomposition:
         while True:
             pivot_row = d[t]
             if pivot_row[t] < 0:
-                d[t] = pivot_row = [-x for x in pivot_row]
+                d[t] = pivot_row = {j: -x for j, x in pivot_row.items()}
                 row_log.append((t,))
             p = pivot_row[t]
             disturbed = False
             for i in range(t + 1, m):
-                x = d[i][t]
-                if x == 0:
+                x = d[i].get(t)
+                if x is None:
                     continue
                 add_row(i, t, -(x // p))
-                if d[i][t] != 0:
+                if t in d[i]:
                     # remainder is strictly smaller than p: promote it
                     swap_rows(t, i)
                     disturbed = True
@@ -477,51 +515,55 @@ def snf(a: IntMatrix) -> SnfDecomposition:
             # Column t is now zero below the pivot (and above it), so
             # adding a multiple of column t to column j changes only
             # row t of d.
-            for j in range(t + 1, n):
-                x = pivot_row[j]
-                if x == 0:
+            for j in sorted(pivot_row):
+                if j == t:
                     continue
+                x = pivot_row[j]
                 q = -(x // p)
-                pivot_row[j] = x + q * p
                 col_log.append((j, t, q))
-                if pivot_row[j] != 0:
+                x += q * p
+                if x:
+                    pivot_row[j] = x
                     swap_cols(t, j)
                     disturbed = True
                     break
+                del pivot_row[j]
             if disturbed:
                 continue
             if p == 1:
                 # a pivot of 1 divides every entry
                 break
             # a row's entries are all multiples of p iff their gcd is
-            offender = next((i for i in range(t + 1, m) if gcd(*d[i][t + 1:]) % p), None)
+            offender = next((i for i in range(t + 1, m) if gcd(*d[i].values()) % p), None)
             if offender is None:
                 break
             # pull a non-multiple into the pivot row and reduce again
             add_row(t, offender, 1)
         t += 1
 
-    return SnfDecomposition(IntMatrix._of(m, n, _flat(d)), tuple(row_log), tuple(col_log))
+    return SnfDecomposition(_from_rows(d, n), tuple(row_log), tuple(col_log))
 
 
-def _smith_coordinates(s: SnfDecomposition, c: IntMatrix) -> list[list[int]] | None:
-    """The rows of the z with ``d @ z == c``, free coordinates zero, or
-    None when some column of ``c`` has none.  For ``c == u @ b``,
-    ``v @ z`` solves ``a @ x == b``."""
+def _smith_coordinates(s: SnfDecomposition,
+                       c: list[dict[int, int]]) -> list[dict[int, int]] | None:
+    """The sparse rows of the z with ``d @ z == c``, free coordinates
+    zero, or None when some column of ``c`` has none; ``c`` is given by
+    its sparse rows.  For ``c == u @ b``, ``v @ z`` solves ``a @ x ==
+    b``."""
     diag = s.diagonal()
-    z = [[0] * c.cols for _ in range(s.d.cols)]
-    for i in range(c.rows):
-        row = c.row(i)
+    z: list[dict[int, int]] = [{} for _ in range(s.d.cols)]
+    for i, row in enumerate(c):
         di = diag[i] if i < len(diag) else 0
         if di == 0:
-            if any(row):
+            if row:
                 return None
             continue
-        for j, x in enumerate(row):
+        zi = z[i]
+        for j, x in row.items():
             q, r = divmod(x, di)
             if r:
                 return None
-            z[i][j] = q
+            zi[j] = q
     return z
 
 
@@ -532,23 +574,31 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     The Smith coordinates that are free (the solution is not unique)
     are set to zero, which makes the returned matrix deterministic.
     All columns are solved together, and no transform is built: ``u @
-    b`` is the row log replayed on the rows of ``b``, and ``v @ z`` the
-    column log, transposed and reversed, replayed on the rows of z.
+    b`` is the row log replayed on the sparse rows of ``b``, and ``v @
+    z`` the column log, transposed and reversed, replayed on the sparse
+    rows of z.
     """
     if a.rows != b.rows:
         raise ValueError("row counts differ")
     s = snf(a)
-    c = IntMatrix._of(b.rows, b.cols, _flat(_replay(_rows(b), s.row_log)))
-    z = _smith_coordinates(s, c)
+    z = _smith_coordinates(s, _replay(_sparse_rows(b), s.row_log))
     if z is None:
         return None
-    return IntMatrix._of(a.cols, b.cols, _flat(_replay(z, _transposed(s.col_log))))
+    return _from_rows(_replay(z, _transposed(s.col_log)), b.cols)
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """``solve_matrix`` for the one column ``b``."""
     x = solve_matrix(a, IntMatrix.from_columns([b], rows=a.rows))
     return None if x is None else x.col(0)
+
+
+def _kernel_columns(a: IntMatrix) -> list[dict[int, int]]:
+    """The columns of ``v`` past the rank of ``a``, as sparse dicts.
+    Column k of ``v`` is row k of the column log replayed on the
+    identity, so ``v`` itself is never built."""
+    s = snf(a)
+    return _replay(_sparse_identity(a.cols), s.col_log)[s.rank:]
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -558,10 +608,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Smith decomposition, so it is saturated: it extends to a basis of
     the full ambient lattice Z^cols.
     """
-    s = snf(a)
-    r, n = s.rank, a.cols
-    v = s.v._entries
-    return IntMatrix._of(n, n - r, [x for i in range(n) for x in v[i * n + r:(i + 1) * n]])
+    return _from_columns(_kernel_columns(a), a.cols)
 
 
 def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
@@ -573,9 +620,7 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     """
     if a.rows != lattice.rows:
         raise ValueError("lattice must live in the codomain of a")
-    k = kernel_basis(a.hstack(lattice))
-    cols = [k.col(j)[: a.cols] for j in range(k.cols)]
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return _from_columns(_kernel_columns(a.hstack(lattice)), a.cols)
 
 
 def in_column_span(a: IntMatrix, b: Sequence[int]) -> bool:

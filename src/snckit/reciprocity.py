@@ -149,6 +149,11 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
     label, problems = _label_matrix(cx, pi1, labels)
     if problems:
         return problems
+    # zero labels (none given, or y0 without generators) are equivariant
+    # and descend whatever Frobenius does; the configuration's own checks
+    # already accept only Frobenius actions that give a chain map
+    if label.is_zero():
+        return []
 
     y0 = pi1.y0
     # column e is the label of Frobenius(e), signed, minus Frobenius of e's label
@@ -206,24 +211,34 @@ class AlphaResult:
     warnings: tuple[str, ...]
 
 
-def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-              ell: int) -> AlphaResult:
-    """Evaluate the labels on homology generators.  Raises LabelError
-    when the labels are not equivariant or do not descend."""
-    return _alpha_at(pi1, *_label_cycles(cfg, pi1, labels), ell)
-
-
-def _label_cycles(cfg: SncConfiguration, pi1: Pi1Input,
-                  labels: EdgeLabelCochain) -> tuple[HomologyResult, IntMatrix]:
-    """The part of alpha that no prime changes: the checked inputs, H₁
-    of the geometric complex, and the labels evaluated on its cycles
-    (one column per H₁ generator, in y0 coordinates)."""
+def _check_inputs(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain) -> None:
+    """Raise ValidationError or LabelError unless the pi1 data and the
+    labels pass ``validate_pi1`` and ``validate_labels``.  The public
+    entry points below call this; ``parse_config`` makes the same checks
+    on every bundle it returns, so the command line calls the unchecked
+    ``_label_cycles``, ``_kernel_reports`` and ``_sweep`` on parsed
+    bundles."""
     pi1_problems = validate_pi1(cfg, pi1)
     if pi1_problems:
         raise ValidationError(pi1_problems)
     label_problems = validate_labels(cfg, pi1, labels)
     if label_problems:
         raise LabelError("; ".join(label_problems))
+
+
+def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
+              ell: int) -> AlphaResult:
+    """Evaluate the labels on homology generators.  Raises LabelError
+    when the labels are not equivariant or do not descend."""
+    _check_inputs(cfg, pi1, labels)
+    return _alpha_at(pi1, *_label_cycles(cfg, pi1, labels), ell)
+
+
+def _label_cycles(cfg: SncConfiguration, pi1: Pi1Input,
+                  labels: EdgeLabelCochain) -> tuple[HomologyResult, IntMatrix]:
+    """The part of alpha that no prime changes, from checked inputs: H₁
+    of the geometric complex, and the labels evaluated on its cycles
+    (one column per H₁ generator, in y0 coordinates)."""
     cx = build_dual_complex(cfg)
     h1 = homology_group(cx, 1)
     return h1, _label_matrix(cx, pi1, labels)[0] @ h1.cycle_matrix
@@ -322,13 +337,13 @@ def _period(cfg: SncConfiguration, pi1: Pi1Input) -> int:
 
 def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
                     ells: Sequence[int], degrees: Sequence[int]) -> tuple[KernelReport, ...]:
-    """One KernelReport per extension degree.
+    """One KernelReport per extension degree, from checked inputs.
 
-    Alpha, theta and the torsion of theta are geometric: the inputs are
-    checked and alpha's cycles computed once, and the rest once per
-    prime.  The degree-dependent work (the extension, its rational
-    points and H₁, Frobenius^f on the torsion of theta and the
-    coinvariants test) is done once per degree class gcd(f, P) (see
+    Alpha, theta and the torsion of theta are geometric: alpha's cycles
+    are computed once, and the rest once per prime.  The
+    degree-dependent work (the extension, its rational points and H₁,
+    Frobenius^f on the torsion of theta and the coinvariants test) is
+    done once per degree class gcd(f, P) (see
     ``_period``), at the first requested degree of the class, so an
     ExtensionError names that degree.  Each report keeps its own f.
     """
@@ -389,6 +404,7 @@ def predict_kernel(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochai
                    ells: Sequence[int], f: int = 1) -> KernelReport:
     """The kernel prediction over the degree-f extension, at each
     requested prime."""
+    _check_inputs(cfg, pi1, labels)
     return _kernel_reports(cfg, pi1, labels, ells, (f,))[0]
 
 
@@ -418,6 +434,13 @@ def sweep_extensions(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCoch
     prediction is available)."""
     if f_max < 1:
         raise ValueError("f_max must be positive")
+    _check_inputs(cfg, pi1, labels)
+    return _sweep(cfg, pi1, labels, ells, f_max)
+
+
+def _sweep(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
+           ells: Sequence[int], f_max: int) -> SweepResult:
+    """``sweep_extensions`` on checked inputs."""
     reports = _kernel_reports(cfg, pi1, labels, ells, range(1, f_max + 1))
     trends: dict[int, str] = {}
     for ell in ells:

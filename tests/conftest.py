@@ -150,3 +150,35 @@ def random_admissible_config(rng: random.Random, e: int,
     return SncConfiguration(
         "coned", tuple(comps), tuple(strata), FrobeniusAction(e, cp, sp)
     )
+
+
+SUSPENSION_CYCLE = 6
+
+
+def suspension_document(k: int) -> dict:
+    """The 6-cycle suspended k times, as a configuration document: apex
+    components O1, I1, O2, I2, ... follow the cycle in the component
+    order, and every simplex of dimension a >= 1 is a depth-(a+1)
+    stratum whose facets are inferred from its components."""
+    comps = [f"v{i}" for i in range(SUSPENSION_CYCLE)]
+    simplices: dict[str, tuple[str, ...]] = {c: (c,) for c in comps}
+    for i in range(SUSPENSION_CYCLE):
+        simplices[f"e{i}"] = (f"v{i}", f"v{(i + 1) % SUSPENSION_CYCLE}")
+    for level in range(1, k + 1):
+        apexes = (f"O{level}", f"I{level}")
+        joined = {}
+        for apex in apexes:
+            for sid, verts in simplices.items():
+                joined[f"{sid}*{apex}"] = verts + (apex,)
+        comps += apexes
+        simplices.update({apex: (apex,) for apex in apexes})
+        simplices.update(joined)
+    strata: dict[str, list] = {}
+    for sid, verts in simplices.items():
+        if len(verts) >= 2:
+            strata.setdefault(str(len(verts)), []).append({"id": sid, "on": list(verts)})
+    return {
+        "name": f"suspension-{k}",
+        "components": [{"id": c} for c in comps],
+        "strata": strata,
+    }

@@ -327,8 +327,8 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
 
 def test_alpha_checks_labels_and_computes_h1_once(capsys, monkeypatch, tmp_path):
     """``alpha`` does its prime-independent work once, however many
-    primes it is asked for: one label check on parsing, one in the
-    pipeline, and one H₁ of the geometric complex."""
+    primes it is asked for: one label check, on parsing, and one H₁ of
+    the geometric complex."""
     from snckit import homology, reciprocity
 
     assert main(["example", "fermat", "--n", "5"]) == 0
@@ -342,7 +342,24 @@ def test_alpha_checks_labels_and_computes_h1_once(capsys, monkeypatch, tmp_path)
     argv = ["alpha", str(path), "--ell", "2", "--ell", "3", "--ell", "5"]
     assert main(argv + ["--json"]) == 0
     assert set(json.loads(capsys.readouterr().out)["results"]["primes"]) == {"2", "3", "5"}
-    assert counts == {"labels": 2, "h1": 1}
+    assert counts == {"labels": 1, "h1": 1}
+
+
+@pytest.mark.parametrize("flags", [["--f", "2"], ["--sweep", "4"]])
+def test_kernel_checks_pi1_and_labels_once(capsys, monkeypatch, tmp_path, flags):
+    """``kernel`` trusts the bundle that ``parse_config`` checked."""
+    from snckit import reciprocity
+
+    assert main(["example", "fermat", "--n", "5"]) == 0
+    path = tmp_path / "fermat5.json"
+    path.write_text(capsys.readouterr().out)
+    counts = {"pi1": 0, "labels": 0}
+    for key, original in (("pi1", reciprocity.validate_pi1),
+                          ("labels", reciprocity.validate_labels)):
+        _rebind(monkeypatch, original, _counting(counts, key, original))
+    assert main(["kernel", str(path), "--ell", "5", *flags, "--json"]) == 0
+    capsys.readouterr()
+    assert counts == {"pi1": 1, "labels": 1}
 
 
 def _cover_path(capsys, tmp_path, n: int) -> str:

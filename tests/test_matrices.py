@@ -8,8 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from snf_reference import snf as reference_snf
 from snckit.homology import random_complex
+from snckit.snc import build_dual_complex
+from snckit.fixtures import fermat_cover_config
 from snckit.matrices import (
     IntMatrix,
+    _unit_pivot,
     in_column_span,
     kernel_basis,
     preimage_generators,
@@ -178,6 +181,31 @@ class TestSnfMatchesReference:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, shape):
         self.assert_same(IntMatrix.zeros(*shape))
+
+    def test_cover_boundary_stacked_with_six(self):
+        """``[d_1 | 6 I]`` of the 25-cover, the matrix whose kernel gives
+        Z/6 cycles: elimination fills in rows here."""
+        cx = build_dual_complex(fermat_cover_config(25))
+        d1 = cx.boundary_matrix(1)
+        self.assert_same(d1.hstack(IntMatrix.diagonal([6] * d1.rows)))
+
+    def test_unit_pivot_is_first_in_column_order(self):
+        # row 1 holds -1 before a later +1; row 2's +1 comes later in
+        # row-major order
+        self.assert_same(IntMatrix.from_rows([[4, 6, 0, 8],
+                                              [3, -1, 1, 0],
+                                              [1, 2, 0, 5]]))
+        # a sparse row lists its keys in insertion order, not column order
+        assert _unit_pivot([{2: 7}, {3: 1, 1: -1, 0: 2}], 0) == (1, 1)
+
+    def test_random_sparse(self):
+        """Up to 30 x 30 at about 10% density."""
+        rng = random.Random(30)
+        for _ in range(12):
+            rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+            self.assert_same(IntMatrix.from_rows(
+                [[rng.randint(-9, 9) if rng.random() < 0.1 else 0 for _ in range(cols)]
+                 for _ in range(rows)], cols=cols))
 
 
 def _reference_solve(a: IntMatrix, b) -> tuple[int, ...] | None:

@@ -1,5 +1,6 @@
 """theta, alpha, and the kernel predictions."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from snckit.errors import LabelError, ValidationError, WellDefinednessError
 from snckit import reciprocity
 from snckit.fixtures import fermat_bundle, rulings_bundle, trivial_pi1
-from snckit.galois import extension_complex
+from snckit.galois import extension_complex, frobenius_chain_map
 from snckit.groups import FgAbelianGroup, GaloisModule, ModuleMap, coinvariants
 from snckit.homology import homology_group
 from snckit.matrices import IntMatrix
@@ -25,7 +26,7 @@ from snckit.reciprocity import (
     validate_labels,
     validate_pi1,
 )
-from snckit.snc import Component, FrobeniusAction, SncConfiguration, Stratum
+from snckit.snc import Component, FrobeniusAction, SncConfiguration, Stratum, validate_config
 
 from conftest import (
     cycle_config,
@@ -160,6 +161,74 @@ class TestValidateLabels:
         cfg = cycle_config(4)
         pi1 = Pi1Input(_module(FgAbelianGroup.cyclic(3)))
         assert validate_labels(cfg, pi1, {}) == []
+
+    def test_zero_labels_build_no_frobenius_chain_map(self, monkeypatch):
+        """Zero labels are equivariant and descend whatever Frobenius
+        does, so their check builds no chain map: no labels, zero
+        vectors, or a y0 without generators."""
+        built = []
+        monkeypatch.setattr(reciprocity, "frobenius_chain_map", built.append)
+        cfg, _, _ = swap_upgrade_fixture()
+        y0 = _module(FgAbelianGroup.cyclic(3), IntMatrix.from_rows([[2]]), 2)
+        assert validate_labels(cfg, Pi1Input(y0), {}) == []
+        assert validate_labels(cfg, Pi1Input(y0), {"s1": (0,), "s2": (0,)}) == []
+        trivial = Pi1Input(_module(FgAbelianGroup.trivial()))
+        assert validate_labels(cfg, trivial, {"s1": (), "s2": ()}) == []
+        assert built == []
+        # structural problems are still reported
+        assert validate_labels(cfg, trivial, {"s1": (0,)}) == [
+            "label vector of wrong length on edge 's1': got 1, y0 has 0 generators"
+        ]
+
+    def test_accepted_frobenius_always_gives_a_chain_map(self):
+        """What lets zero labels skip the chain map: every Frobenius
+        action the configuration checks accept commutes with the
+        boundary, so building the chain map rejects nothing more.
+        Random configurations on up to 4 components with parallel edges
+        and triangles (explicit or inferred facets) and a random action
+        that respects the components of each stratum."""
+        rng = random.Random(8)
+        accepted = 0
+        for _ in range(600):
+            cfg = _random_frobenius_config(rng)
+            if cfg is None or validate_config(cfg):
+                continue
+            accepted += 1
+            frobenius_chain_map(cfg)
+        assert accepted > 150
+
+
+def _random_frobenius_config(rng: random.Random) -> SncConfiguration | None:
+    comps = [f"c{i}" for i in range(rng.randint(2, 4))]
+    strata: list[Stratum] = []
+    by_on: dict[tuple[str, ...], list[str]] = {}
+
+    def add(on, facets=None):
+        sid = f"s{len(strata)}"
+        strata.append(Stratum(sid, on, facets))
+        by_on.setdefault(on, []).append(sid)
+
+    for pair in itertools.combinations(comps, 2):
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            add(pair)
+    for tri in itertools.combinations(comps, 3):
+        faces = [tuple(x for x in tri if x != v) for v in tri]
+        if all(by_on.get(f) for f in faces):
+            for _ in range(rng.choice([0, 1, 2])):
+                facets = tuple(rng.choice(by_on[f]) for f in faces)
+                add(tri, facets if rng.random() < 0.8 else None)
+    image = comps[:]
+    rng.shuffle(image)
+    cp = dict(zip(comps, image))
+    sp = {}
+    for on, ids in by_on.items():
+        targets = list(by_on.get(tuple(sorted(cp[c] for c in on)), []))
+        if len(targets) != len(ids):
+            return None
+        rng.shuffle(targets)
+        sp.update(zip(ids, targets))
+    return SncConfiguration("random", tuple(Component(c) for c in comps), tuple(strata),
+                            FrobeniusAction(rng.choice([1, 2, 3, 4, 6, 12]), cp, sp))
 
 
 class TestAlphaMap:
