@@ -8,6 +8,14 @@ matrix product and a map is well defined exactly when it carries every
 source relation into the target relation lattice (decided through the
 Smith normal form, never by floating point or randomness).
 
+A group made from another by adding relation columns (a cokernel,
+coinvariants, a localization, theta over y0) continues that group's
+Smith normal form over the added columns (``matrices._extend_snf``)
+instead of eliminating its whole relation matrix again, and the
+preimage lattice behind ``image_subgroup`` and ``is_injective`` is read
+off the same continuation of the target's form.  Its relation matrix
+is still the parent's with the new columns appended.
+
 ``GaloisModule`` pairs a group with a finite-order automorphism, the
 Frobenius of a ground field acting on an invariant of the geometric
 object; ``coinvariants``, torsion restriction and localization at a
@@ -30,8 +38,9 @@ from .errors import WellDefinednessError
 from .matrices import (
     IntMatrix,
     SnfDecomposition,
+    _extend_snf,
+    _preimage_lattice,
     _smith_coordinates,
-    preimage_generators,
     snf,
 )
 
@@ -101,7 +110,7 @@ class IsoType:
 class FgAbelianGroup:
     """Z^n modulo the column span of ``relations`` (an n-row matrix)."""
 
-    __slots__ = ("generator_count", "relations", "_snf", "_smith")
+    __slots__ = ("generator_count", "relations", "_snf", "_smith", "_base")
 
     def __init__(self, generator_count: int, relations: IntMatrix | None = None):
         if generator_count < 0:
@@ -116,6 +125,15 @@ class FgAbelianGroup:
         self.relations = relations
         self._snf: SnfDecomposition | None = None
         self._smith: "SmithForm | None" = None
+        self._base: "tuple[FgAbelianGroup, IntMatrix] | None" = None
+
+    @classmethod
+    def _extended(cls, base: "FgAbelianGroup", columns: IntMatrix) -> "FgAbelianGroup":
+        """``base`` with the relation ``columns`` added.  Its Smith form
+        is ``base``'s continued over the new columns, on first use."""
+        g = cls(base.generator_count, base.relations.hstack(columns))
+        g._base = (base, columns)
+        return g
 
     # -- constructors -------------------------------------------------
 
@@ -149,7 +167,12 @@ class FgAbelianGroup:
 
     def relation_snf(self) -> SnfDecomposition:
         if self._snf is None:
-            self._snf = snf(self.relations)
+            if self._base is None:
+                self._snf = snf(self.relations)
+            else:
+                base, columns = self._base
+                self._snf = _extend_snf(base.relation_snf(), columns)
+                self._base = None
         return self._snf
 
     @property
@@ -315,7 +338,7 @@ class ModuleMap:
         return all(self.target.in_relation_lattice(diff.col(j)) for j in range(diff.cols))
 
     def is_injective(self) -> bool:
-        gens = preimage_generators(self.matrix, self.target.relations)
+        gens = _preimage_lattice(self.target.relation_snf(), self.matrix)
         return all(
             self.source.in_relation_lattice(gens.col(j)) for j in range(gens.cols)
         )
@@ -338,10 +361,7 @@ class ModuleMap:
 
 def cokernel(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
     """Target modulo the image, with the projection map."""
-    g = FgAbelianGroup(
-        f.target.generator_count,
-        f.target.relations.hstack(f.matrix),
-    )
+    g = FgAbelianGroup._extended(f.target, f.matrix)
     # g only adds relations to the target, so the identity descends
     proj = ModuleMap._of(f.target, g, IntMatrix.identity(g.generator_count))
     return g, proj
@@ -354,7 +374,7 @@ def image_subgroup(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
     the source generators) together with its inclusion into the
     target; the inclusion's matrix columns are the generating vectors.
     """
-    rel = preimage_generators(f.matrix, f.target.relations)
+    rel = _preimage_lattice(f.target.relation_snf(), f.matrix)
     g = FgAbelianGroup(f.source.generator_count, rel)
     # g's relations are the preimage of the target lattice under f
     incl = ModuleMap._of(g, f.target, f.matrix)
@@ -479,13 +499,9 @@ class GaloisModule:
                 lpart = d // m
                 col = sm.from_smith.matrix.col(i)
                 extra.append([lpart * x for x in col])
-        if extra:
-            rel = self.group.relations.hstack(
-                IntMatrix.from_columns(extra, rows=self.group.generator_count)
-            )
-        else:
-            rel = self.group.relations
-        quotient = FgAbelianGroup(self.group.generator_count, rel)
+        quotient = FgAbelianGroup._extended(
+            self.group, IntMatrix.from_columns(extra, rows=self.group.generator_count)
+        ) if extra else self.group
         proj = ModuleMap._of(self.group, quotient,
                              IntMatrix.identity(self.group.generator_count))
         # the prime-to-ell torsion is characteristic, so Frobenius and its

@@ -22,11 +22,18 @@ replays the row log on the sparse rows of its right-hand side and the
 column log on those of the solution.  Pivoting always picks the entry
 of smallest nonzero absolute value, breaking ties by (row, col), which
 keeps every run bit-for-bit reproducible.
+
+A matrix that only adds columns ``b`` to one whose form is known gets
+its form from ``_extend_snf``, not from ``snf``: ``u @ [a | b] @
+diag(v, I)`` is ``[d | u @ b]``, which the same elimination loop
+reduces, so the work is that of a nearly diagonal matrix, and the new
+transforms replay only the new operations on the known ones.  The
+diagonal is the one ``snf`` would give; ``u`` and ``v`` may differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from operator import index as _as_int
@@ -124,16 +131,15 @@ class IntMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         vals = list(values)
-        if rows is None:
-            rows = len(vals)
-        if cols is None:
-            cols = len(vals)
+        rows, cols = _shape(len(vals) if rows is None else rows,
+                            len(vals) if cols is None else cols)
         if len(vals) > min(rows, cols):
             raise ValueError("too many diagonal values for the requested shape")
+        # only the given values need checking: every other entry is 0
         entries = [0] * (rows * cols)
         for i, v in enumerate(vals):
-            entries[i * cols + i] = v
-        return cls(rows, cols, entries)
+            entries[i * cols + i] = _as_int(v)
+        return cls._of(rows, cols, entries)
 
     # -- access -------------------------------------------------------
 
@@ -384,33 +390,56 @@ class SnfDecomposition:
     operations, which ``v`` records.  ``u``, ``v`` and their exact
     inverses ``u_inv``, ``v_inv`` are replayed from the logs on sparse
     rows the first time each is read, so no inversion step is ever
-    needed and no caller pays for a transform it does not read.
+    needed and no caller pays for a transform it does not read.  A form
+    that ``_extend_snf`` continued from a parent's starts its replays
+    from the parent's transforms, and its logs begin with the parent's.
     """
 
     d: IntMatrix
     row_log: tuple[tuple[int, ...], ...]
     col_log: tuple[tuple[int, ...], ...]
+    _parent: "SnfDecomposition | None" = field(default=None, repr=False, compare=False)
+
+    def _replayed(self, name: str, by_rows: bool) -> IntMatrix:
+        """Transform ``name`` replayed on sparse rows, which are its rows
+        when ``by_rows`` and its columns otherwise.  A continued form
+        replays only the operations its parent's logs lack, on the
+        parent's transform padded by identity rows for the added
+        columns, and shares a transform those operations leave alone."""
+        row_side = name[0] == "u"
+        n = self.d.rows if row_side else self.d.cols
+        log = self.row_log if row_side else self.col_log
+        p = self._parent
+        if p is None:
+            start = _sparse_identity(n)
+        else:
+            log = log[len(p.row_log if row_side else p.col_log):]
+            t = getattr(p, name)
+            if not log and t.rows == n:
+                return t
+            start = _sparse_rows(t if by_rows else t.transpose())
+            start += [{j: 1} for j in range(len(start), n)]
+        if name.endswith("_inv"):
+            log = _inverse_transposed(log)
+        rows = _replay(start, log)
+        return _from_rows(rows, n) if by_rows else _from_columns(rows, n)
 
     @cached_property
     def u(self) -> IntMatrix:
-        m = self.d.rows
-        return _from_rows(_replay(_sparse_identity(m), self.row_log), m)
+        return self._replayed("u", True)
 
     @cached_property
     def u_inv(self) -> IntMatrix:
-        m = self.d.rows
-        return _from_columns(_replay(_sparse_identity(m), _inverse_transposed(self.row_log)), m)
+        return self._replayed("u_inv", False)
 
+    # a column operation on v is the same row operation on its transpose
     @cached_property
     def v(self) -> IntMatrix:
-        # a column operation on v is the same row operation on its transpose
-        n = self.d.cols
-        return _from_columns(_replay(_sparse_identity(n), self.col_log), n)
+        return self._replayed("v", False)
 
     @cached_property
     def v_inv(self) -> IntMatrix:
-        n = self.d.cols
-        return _from_rows(_replay(_sparse_identity(n), _inverse_transposed(self.col_log)), n)
+        return self._replayed("v_inv", True)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -447,19 +476,13 @@ def _least_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
     return best
 
 
-def snf(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with smallest-absolute-value pivoting.
-
-    The pivot is the first entry of minimal |value| in a row-major scan
-    of the working block, i.e. ties break by (row, col).  A 1 or -1 is
-    minimal, so the first of those, when there is one, is taken without
-    the full scan.  Rows are reduced as sparse dicts, so an operation
-    costs in proportion to the nonzeros it reads.
-    """
-    m, n = a.rows, a.cols
-    d = _sparse_rows(a)
-    row_log: list[tuple[int, ...]] = []
-    col_log: list[tuple[int, ...]] = []
+def _eliminate(d: list[dict[int, int]], n: int, row_log: list[tuple[int, ...]],
+               col_log: list[tuple[int, ...]]) -> None:
+    """Reduce the sparse rows ``d`` of a matrix with ``n`` columns in
+    place to Smith normal form, appending each row and column operation
+    to ``row_log`` and ``col_log``; the pivot rule is the one ``snf``
+    documents."""
+    m = len(d)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -541,7 +564,41 @@ def snf(a: IntMatrix) -> SnfDecomposition:
             add_row(t, offender, 1)
         t += 1
 
-    return SnfDecomposition(_from_rows(d, n), tuple(row_log), tuple(col_log))
+
+def snf(a: IntMatrix) -> SnfDecomposition:
+    """Smith normal form with smallest-absolute-value pivoting.
+
+    The pivot is the first entry of minimal |value| in a row-major scan
+    of the working block, i.e. ties break by (row, col).  A 1 or -1 is
+    minimal, so the first of those, when there is one, is taken without
+    the full scan.  Rows are reduced as sparse dicts, so an operation
+    costs in proportion to the nonzeros it reads.
+    """
+    d = _sparse_rows(a)
+    row_log: list[tuple[int, ...]] = []
+    col_log: list[tuple[int, ...]] = []
+    _eliminate(d, a.cols, row_log, col_log)
+    return SnfDecomposition(_from_rows(d, a.cols), tuple(row_log), tuple(col_log))
+
+
+def _extend_snf(s: SnfDecomposition, b: IntMatrix) -> SnfDecomposition:
+    """A Smith normal form of ``[a | b]`` from the form ``s`` of ``a``.
+
+    ``u @ [a | b] @ diag(v, I)`` is ``w = [d | u @ b]``, so eliminating
+    ``w`` continues ``s``: the logs are the parent's operations followed
+    by those that reduce ``w``, read on the wider matrix (the parent's
+    column operations touch only the columns of ``a``).  Each transform
+    replays only the new operations on the parent's, and ``u`` and
+    ``u_inv`` are the parent's own when no row operation was added.
+    """
+    if b.rows != s.d.rows:
+        raise ValueError("b must have as many rows as a")
+    w = _sparse_rows(s.d.hstack(s.u @ b))
+    row_log: list[tuple[int, ...]] = []
+    col_log: list[tuple[int, ...]] = []
+    _eliminate(w, s.d.cols + b.cols, row_log, col_log)
+    return SnfDecomposition(_from_rows(w, s.d.cols + b.cols), s.row_log + tuple(row_log),
+                            s.col_log + tuple(col_log), s)
 
 
 def _smith_coordinates(s: SnfDecomposition,
@@ -621,6 +678,24 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     if a.rows != lattice.rows:
         raise ValueError("lattice must live in the codomain of a")
     return _from_columns(_kernel_columns(a.hstack(lattice)), a.cols)
+
+
+def _preimage_lattice(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
+    """Generators (columns) of ``{x : b @ x lies in the column span of
+    a}``, where ``s`` is the Smith form of ``a``, read off the extension
+    of ``s`` by ``b``.
+
+    The kernel of ``[a | b]`` is spanned by the columns of the extended
+    ``v`` past the rank, and that ``v`` is ``diag(v_a, I) @ v'`` with
+    ``v'`` built by the new column operations alone, so the rows of the
+    ``b`` block are those of ``v'``: no transform of ``a`` is replayed.
+    Unlike ``preimage_generators`` the generators depend on the
+    elimination of ``a``, so they fit where only the lattice matters.
+    """
+    n = s.d.cols
+    e = _extend_snf(s, b)
+    columns = _replay(_sparse_identity(n + b.cols), e.col_log[len(s.col_log):])[e.rank:]
+    return _from_columns([{j - n: x for j, x in c.items() if j >= n} for c in columns], b.cols)
 
 
 def in_column_span(a: IntMatrix, b: Sequence[int]) -> bool:

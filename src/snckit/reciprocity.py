@@ -111,11 +111,15 @@ def validate_pi1(cfg: SncConfiguration, pi1: Pi1Input) -> list[str]:
 EdgeLabelCochain = Mapping[str, Sequence[int]]
 
 
-def _combined_relations(pi1: Pi1Input) -> IntMatrix:
-    rel = pi1.y0.group.relations
+def _component_quotient(pi1: Pi1Input) -> FgAbelianGroup:
+    """y0 modulo the images of the component maps, which is y0's own
+    group when no map adds a column; either way its Smith form is y0's,
+    continued over the added columns."""
+    y0 = pi1.y0.group
+    columns = IntMatrix.zeros(y0.generator_count, 0)
     for cid in sorted(pi1.component_maps):
-        rel = rel.hstack(pi1.component_maps[cid].map_to_y0.matrix)
-    return rel
+        columns = columns.hstack(pi1.component_maps[cid].map_to_y0.matrix)
+    return FgAbelianGroup._extended(y0, columns) if columns.cols else y0
 
 
 def _label_matrix(cx: DeltaComplex, pi1: Pi1Input,
@@ -164,7 +168,7 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
     if problems:
         return problems
 
-    vanishing = FgAbelianGroup(y0.group.generator_count, _combined_relations(pi1))
+    vanishing = _component_quotient(pi1)
     # column t is the label of the boundary of the 2-simplex t
     boundary = label @ cx.boundary_matrix(2)
     for j, t in enumerate(cx.simplices(2)):
@@ -182,8 +186,8 @@ def compute_theta(pi1: Pi1Input, ell: int) -> GaloisModule:
     y0.  Raises WellDefinednessError when Frobenius does not preserve
     the images of the component maps."""
     y0 = pi1.y0
-    rel = _combined_relations(pi1)
-    quotient = FgAbelianGroup(y0.group.generator_count, rel)
+    quotient = _component_quotient(pi1)
+    rel = quotient.relations
     # y0 is checked, so Frobenius already keeps its own relations and its
     # order bound; only the component-map columns remain to be tested
     for j in range(y0.group.relations.cols, rel.cols):

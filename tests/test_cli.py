@@ -404,45 +404,75 @@ def _dense_relation_document(g: int, seed: int) -> dict:
     }
 
 
-# (command and flags, SNF calls, largest input (rows, cols), peak entry
-# bit length over u, d, v, u_inv and v_inv of every SNF), as the eager
-# SNF that tracked every transform during elimination counted them.  A
-# change may lower these counts and pin the lower values; none may rise.
+# (command and flags, full SNF calls, SNF extension calls, largest
+# matrix reduced (rows, cols), peak entry bit length over u, d, v, u_inv
+# and v_inv of every SNF).  An extension of the SNF of a by columns b
+# reduces [a | b], so its shape is that of [a | b].  A change may lower
+# these counts and pin the lower values; none may rise.
 SNF_WORK = {
-    "cover-50": (["homology"], 3, (100, 100), 1),
-    "dense-12": (["kernel", "--ell", "3"], 13, (12, 25), 410),
+    "cover-50": (["homology"], 3, 0, (100, 100), 1),
+    "dense-12": (["kernel", "--ell", "3"], 8, 5, (12, 25), 306),
+    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 12, 15, (24, 50), 33041),
 }
+DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 
 
-@pytest.mark.parametrize("doc", sorted(SNF_WORK))
-def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
-    """Deterministic SNF work of one command: calls, shapes, entry size."""
+def _measure_snf_work(monkeypatch):
+    """Wrap ``snf`` and ``_extend_snf`` at every binding site; returns
+    the dict the wrappers fill in."""
     from snckit import matrices
 
-    argv, calls, shape, bits = SNF_WORK[doc]
-    if doc == "cover-50":
-        path = _cover_path(capsys, tmp_path, 50)
-    else:
-        path = tmp_path / f"{doc}.json"
-        path.write_text(json.dumps(_dense_relation_document(12, seed=12)))
+    seen = {"calls": 0, "extensions": 0, "shape": (0, 0), "bits": 0, "rows": []}
 
-    seen = {"calls": 0, "shape": (0, 0), "bits": 0}
-    original = matrices.snf
-
-    def measuring(a):
-        s = original(a)
-        seen["calls"] += 1
-        if a.rows * a.cols > seen["shape"][0] * seen["shape"][1]:
-            seen["shape"] = (a.rows, a.cols)
+    def record(key, shape, s):
+        seen[key] += 1
+        if shape[0] * shape[1] > seen["shape"][0] * seen["shape"][1]:
+            seen["shape"] = shape
         for m in (s.u, s.d, s.v, s.u_inv, s.v_inv):
             for x in m._entries:
                 seen["bits"] = max(seen["bits"], x.bit_length())
         return s
 
-    _rebind(monkeypatch, original, measuring)
-    assert main([argv[0], str(path), *argv[1:], "--json"]) == 0
+    snf, extend = matrices.snf, matrices._extend_snf
+
+    def measuring(a):
+        seen["rows"].append(a.rows)
+        return record("calls", (a.rows, a.cols), snf(a))
+
+    def measuring_extension(s, b):
+        return record("extensions", (b.rows, s.d.cols + b.cols), extend(s, b))
+
+    _rebind(monkeypatch, snf, measuring)
+    _rebind(monkeypatch, extend, measuring_extension)
+    return seen
+
+
+def _dense_path(tmp_path, doc: str) -> str:
+    g, seed = DENSE_SEEDS[doc]
+    path = tmp_path / f"{doc}.json"
+    path.write_text(json.dumps(_dense_relation_document(g, seed=seed)))
+    return str(path)
+
+
+@pytest.mark.parametrize("doc", sorted(SNF_WORK))
+def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
+    """Deterministic SNF work of one command: calls, shapes, entry size.
+    theta, its localizations, alpha's image and cokernel and the
+    coinvariants all add relations to y0, so a kernel run makes one full
+    SNF of a g-row matrix, y0's own, and continues it for the rest."""
+    argv, calls, extensions, shape, bits = SNF_WORK[doc]
+    if doc == "cover-50":
+        path = _cover_path(capsys, tmp_path, 50)
+    else:
+        path = _dense_path(tmp_path, doc)
+    seen = _measure_snf_work(monkeypatch)
+    assert main([argv[0], path, *argv[1:], "--json"]) == 0
     capsys.readouterr()
-    assert (seen["calls"], seen["shape"], seen["bits"]) == (calls, shape, bits)
+    assert (seen["calls"], seen["extensions"], seen["shape"], seen["bits"]) == (
+        calls, extensions, shape, bits)
+    if doc in DENSE_SEEDS:
+        g = DENSE_SEEDS[doc][0]
+        assert seen["rows"].count(g) == 1 and max(seen["rows"]) == g
 
 
 def test_kernel_checks_only_input_modules(capsys, monkeypatch, tmp_path):

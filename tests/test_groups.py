@@ -7,6 +7,7 @@ from snckit.errors import WellDefinednessError
 from snckit.groups import (
     FgAbelianGroup,
     GaloisModule,
+    IsoType,
     ModuleMap,
     coinvariants,
     cokernel,
@@ -14,7 +15,7 @@ from snckit.groups import (
     is_prime,
     torsion_and_primary,
 )
-from snckit.matrices import IntMatrix
+from snckit.matrices import IntMatrix, preimage_generators, snf, solve
 
 
 def group_of(*relations, generators=None):
@@ -193,6 +194,85 @@ def test_quotient_order_equals_det_magnitude(diag_extra, rel_vectors):
     g = FgAbelianGroup(n, square)
     if square.cols == n and square.det() != 0:
         assert g.order() == abs(square.det())
+
+
+def _stacked_iso_type(generators: int, relations: IntMatrix) -> IsoType:
+    """The iso type of Z^generators modulo the columns of ``relations``,
+    from a full elimination of that matrix."""
+    s = snf(relations)
+    return IsoType(tuple(d for d in s.diagonal() if d > 1), generators - s.rank)
+
+
+def _stacked_localized(g: FgAbelianGroup, ell: int) -> IsoType:
+    """``g`` modulo its prime-to-ell torsion, the way ``localized`` builds
+    it, from a full elimination of g's relations and of the stacked
+    quotient."""
+    s = snf(g.relations)
+    extra = []
+    for i, d in enumerate(s.diagonal()):
+        m = d
+        while m > 1 and m % ell == 0:
+            m //= ell
+        if d > 1 and m > 1:
+            extra.append([(d // m) * x for x in s.u_inv.col(i)])
+    if extra:
+        rel = g.relations.hstack(IntMatrix.from_columns(extra, rows=g.generator_count))
+    else:
+        rel = g.relations
+    return _stacked_iso_type(g.generator_count, rel)
+
+
+def _stacked_answers(f: ModuleMap) -> dict:
+    """What the map questions answer from full eliminations of the
+    stacked matrices: ``snf`` for the cokernel, ``preimage_generators``
+    for the image and injectivity."""
+    target = f.target
+    coker = _stacked_iso_type(target.generator_count, target.relations.hstack(f.matrix))
+    preimage = preimage_generators(f.matrix, target.relations)
+    return {
+        "injective": all(solve(f.source.relations, preimage.col(j)) is not None
+                         for j in range(preimage.cols)),
+        "surjective": coker.is_trivial,
+        "image": _stacked_iso_type(f.source.generator_count, preimage),
+        "cokernel": coker,
+    }
+
+
+@st.composite
+def maps(draw):
+    """A map S -> T of small random groups; S's relations are random
+    combinations of the preimage of T's, so the map is well defined."""
+    def block(rows, cols, lo=-6, hi=6):
+        return IntMatrix.from_rows(
+            [draw(st.lists(st.integers(lo, hi), min_size=cols, max_size=cols))
+             for _ in range(rows)], cols=cols)
+
+    m, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    target = FgAbelianGroup(m, block(m, draw(st.integers(0, 4))))
+    matrix = block(m, k)
+    preimage = preimage_generators(matrix, target.relations)
+    source_relations = preimage @ block(preimage.cols, draw(st.integers(0, 3)), -2, 2)
+    return ModuleMap(FgAbelianGroup(k, source_relations), target, matrix)
+
+
+@given(maps())
+@settings(max_examples=150, deadline=None)
+def test_derived_groups_match_full_eliminations(f):
+    """Cokernel, image, injectivity, surjectivity and localization,
+    which continue the target's Smith form, agree with eliminating the
+    stacked matrices from scratch."""
+    expected = _stacked_answers(f)
+    coker, _ = cokernel(f)
+    image, _ = image_subgroup(f)
+    assert f.is_injective() == expected["injective"]
+    assert f.is_surjective() == expected["surjective"]
+    assert image.iso_type() == expected["image"]
+    assert coker.iso_type() == expected["cokernel"]
+    for g in (f.target, coker):
+        module = GaloisModule(g, IntMatrix.identity(g.generator_count), 1)
+        for ell in (2, 3, 5):
+            localized, _ = module.localized(ell)
+            assert localized.group.iso_type() == _stacked_localized(g, ell)
 
 
 def test_is_prime():

@@ -12,6 +12,8 @@ from snckit.snc import build_dual_complex
 from snckit.fixtures import fermat_cover_config
 from snckit.matrices import (
     IntMatrix,
+    SnfDecomposition,
+    _extend_snf,
     _unit_pivot,
     in_column_span,
     kernel_basis,
@@ -76,6 +78,16 @@ class TestIntMatrix:
         assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
         assert IntMatrix.identity(0).det() == 1
 
+    def test_diagonal_checks_only_what_it_is_given(self):
+        assert IntMatrix.diagonal([2, 3], rows=3) == IntMatrix.from_rows(
+            [[2, 0], [0, 3], [0, 0]])
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal([1, 1.5])
+        with pytest.raises(ValueError):
+            IntMatrix.diagonal([1, 2, 3], rows=2)
+        with pytest.raises(ValueError):
+            IntMatrix.diagonal([], rows=-1)
+
     @given(matrices)
     @settings(max_examples=60, deadline=None)
     def test_det_matches_sympy(self, m):
@@ -86,8 +98,10 @@ class TestIntMatrix:
         assert m.det() == int(sympy.Matrix(m.rows, m.cols, flat).det())
 
 
-def assert_snf_contract(m: IntMatrix):
-    s = snf(m)
+def assert_snf_contract(m: IntMatrix, s: SnfDecomposition | None = None):
+    """``s`` (by default ``snf(m)``) is a Smith normal form of ``m``."""
+    if s is None:
+        s = snf(m)
     assert s.u @ m @ s.v == s.d
     assert s.u @ s.u_inv == IntMatrix.identity(m.rows)
     assert s.v @ s.v_inv == IntMatrix.identity(m.cols)
@@ -139,6 +153,60 @@ class TestSnf:
         first = snf(m)
         second = snf(IntMatrix.from_rows(m.to_rows()))
         assert first.u == second.u and first.v == second.v
+
+
+@st.composite
+def extensions(draw):
+    """A matrix R and two blocks of columns B1, B2 with R's row count."""
+    r = draw(matrices_of(st.integers(-9, 9), max_side=5))
+    blocks = []
+    for _ in range(2):
+        cols = draw(st.integers(0, 4))
+        rows = [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+                for _ in range(r.rows)]
+        blocks.append(IntMatrix.from_rows(rows, cols=cols))
+    return r, blocks[0], blocks[1]
+
+
+class TestExtendSnf:
+    """``_extend_snf(snf(R), B)`` is a Smith normal form of ``[R | B]``,
+    and so is an extension of an extension."""
+
+    @staticmethod
+    def assert_extends(stacked: IntMatrix, s: SnfDecomposition):
+        assert_snf_contract(stacked, s)
+        assert s.diagonal() == reference_snf(stacked).d.diagonal_entries()
+
+    @given(extensions())
+    @settings(max_examples=150, deadline=None)
+    def test_one_step(self, case):
+        r, b, _ = case
+        self.assert_extends(r.hstack(b), _extend_snf(snf(r), b))
+
+    @given(extensions())
+    @settings(max_examples=150, deadline=None)
+    def test_two_steps(self, case):
+        r, b1, b2 = case
+        s = _extend_snf(_extend_snf(snf(r), b1), b2)
+        self.assert_extends(r.hstack(b1).hstack(b2), s)
+
+    def test_transforms_continue_the_parents(self):
+        """The transforms replayed from the parent's equal a replay of
+        the whole log; with no row operation added, u and u_inv are the
+        parent's own objects."""
+        r = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        parent = snf(r)
+        for b in (IntMatrix.from_rows([[1], [3], [5]]), IntMatrix.zeros(3, 2)):
+            s = _extend_snf(parent, b)
+            whole = SnfDecomposition(s.d, s.row_log, s.col_log)
+            assert s == whole and repr(s) == repr(whole)
+            for name in ("u", "u_inv", "v", "v_inv"):
+                assert getattr(s, name) == getattr(whole, name), name
+        assert s.u is parent.u and s.u_inv is parent.u_inv
+
+    def test_rows_must_match(self):
+        with pytest.raises(ValueError):
+            _extend_snf(snf(IntMatrix.zeros(2, 2)), IntMatrix.zeros(3, 1))
 
 
 class TestSnfMatchesReference:
