@@ -4,19 +4,25 @@ Every subcommand reads one JSON configuration document (except
 ``example`` and ``oracle-check``), prints a human summary, and with
 ``--json`` prints a single machine-readable report object instead.
 Exit status: 0 success, 1 semantic/validation failure, 2 usage error.
+
+``main`` builds its argument parser on first use and keeps it for the
+rest of the process (``build_parser`` still returns a fresh one).  One
+command-line run calls ``main`` once, so only a process that calls it
+many times (tests, the benchmark, a program embedding snckit) saves the
+work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import json
 import random
 import sys
 from pathlib import Path
 
 from .complexes import suspend
-from .config_io import ConfigBundle, encode_json_value, parse_config, serialize_bundle
+from .config_io import ConfigBundle, json_text, parse_config, serialize_bundle
 from .errors import SnckitError, ValidationError
 from .fixtures import fermat_cover_config, generate_example, trivial_pi1
 from .galois import extension_complex, norm_map
@@ -434,10 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses; parsing leaves no state in it, so one
+    serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -449,7 +461,7 @@ def main(argv=None) -> int:
         return 0
     if args.json:
         report = {"command": args.command, "input_digest": digest, "results": payload}
-        print(json.dumps(encode_json_value(report), indent=2, ensure_ascii=False))
+        print(json_text(report))
     else:
         for line in lines:
             print(line)

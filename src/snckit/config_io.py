@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _quote
 from typing import Any, Mapping
 
 from .errors import SnckitError, ValidationError
@@ -36,9 +37,11 @@ from .matrices import IntMatrix
 from .reciprocity import ComponentPi1, Pi1Input, validate_labels, validate_pi1
 from .snc import Component, FrobeniusAction, SncConfiguration, Stratum, validate_config
 
-__all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "encode_json_value"]
+__all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "encode_json_value",
+           "json_text"]
 
 _I64 = 2 ** 63
+_int_text = int.__repr__
 
 
 def _is_decimal(text: str) -> bool:
@@ -59,6 +62,78 @@ def encode_json_value(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [encode_json_value(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def json_text(value: Any) -> str:
+    """``json.dumps(encode_json_value(value), indent=2,
+    ensure_ascii=False)``, written in one pass.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever
+    ``indent`` is set, and ``encode_json_value`` first copies the whole
+    value.  Here strings and keys go through the C routine
+    ``json.encoder.encode_basestring``, integers through
+    ``int.__repr__`` (past 64 bits, quoted, as ``encode_json_value``
+    renders them) and floats through ``json.dumps``.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``value``, whose closing bracket, if any,
+    goes after ``newline`` (the line break and indent it sits at)."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_int_text(value) if -_I64 < value < _I64 else _quote(str(value)))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(type(k) is str for k in value):
+            # as encode_json_value: keys that collide as strings keep the last value
+            value = {str(k): v for k, v in value.items()}
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in value.items():
+            head = sep + _quote(k) + ": "
+            # small integers and strings, most of every report, skip the dispatch
+            if type(v) is int and -_I64 < v < _I64:
+                out.append(head + _int_text(v))
+            elif type(v) is str:
+                out.append(head + _quote(v))
+            else:
+                out.append(head)
+                _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            if type(v) is int and -_I64 < v < _I64:
+                out.append(sep + _int_text(v))
+            elif type(v) is str:
+                out.append(sep + _quote(v))
+            else:
+                out.append(sep)
+                _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -410,4 +485,4 @@ def serialize_bundle(bundle: ConfigBundle) -> str:
         }
     if bundle.labels:
         doc["edge_labels"] = {eid: list(vec) for eid, vec in sorted(bundle.labels.items())}
-    return json.dumps(encode_json_value(doc), indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc) + "\n"

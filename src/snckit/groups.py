@@ -11,10 +11,12 @@ Smith normal form, never by floating point or randomness).
 A group made from another by adding relation columns (a cokernel,
 coinvariants, a localization, theta over y0) continues that group's
 Smith normal form over the added columns (``matrices._extend_snf``)
-instead of eliminating its whole relation matrix again, and the
-preimage lattice behind ``image_subgroup`` and ``is_injective`` is read
-off the same continuation of the target's form.  Its relation matrix
-is still the parent's with the new columns appended.
+instead of eliminating its whole relation matrix again.  A map makes
+that continuation of its target's form by its matrix once, as the form
+of its cokernel, and its image, its cokernel and both of
+``is_injective`` and ``is_surjective`` read the same one.  A derived
+group's relation matrix is still the parent's with the new columns
+appended.
 
 ``GaloisModule`` pairs a group with a finite-order automorphism, the
 Frobenius of a ground field acting on an invariant of the geometric
@@ -285,7 +287,7 @@ class ModuleMap:
     """A homomorphism between presented groups, as a matrix on
     generator coordinates (target rows, source columns)."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_cokernel")
 
     def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup,
                  matrix: IntMatrix):
@@ -303,6 +305,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._cokernel: FgAbelianGroup | None = None
 
     @classmethod
     def _of(cls, source: FgAbelianGroup, target: FgAbelianGroup,
@@ -313,6 +316,7 @@ class ModuleMap:
         m.source = source
         m.target = target
         m.matrix = matrix
+        m._cokernel = None
         return m
 
     @classmethod
@@ -337,14 +341,28 @@ class ModuleMap:
         diff = self.matrix - other.matrix
         return all(self.target.in_relation_lattice(diff.col(j)) for j in range(diff.cols))
 
+    def _cokernel_group(self) -> FgAbelianGroup:
+        """The target modulo the image, made once per map; its Smith
+        form is the target's continued by the matrix, and the preimage
+        lattice is read off that same form."""
+        if self._cokernel is None:
+            self._cokernel = FgAbelianGroup._extended(self.target, self.matrix)
+        return self._cokernel
+
+    def _preimage(self) -> IntMatrix:
+        """Generators of the source vectors sent into the target's
+        relation lattice."""
+        return _preimage_lattice(self.target.relation_snf(),
+                                 self._cokernel_group().relation_snf())
+
     def is_injective(self) -> bool:
-        gens = _preimage_lattice(self.target.relation_snf(), self.matrix)
+        gens = self._preimage()
         return all(
             self.source.in_relation_lattice(gens.col(j)) for j in range(gens.cols)
         )
 
     def is_surjective(self) -> bool:
-        return cokernel(self)[0].is_trivial()
+        return self._cokernel_group().is_trivial()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModuleMap):
@@ -361,7 +379,7 @@ class ModuleMap:
 
 def cokernel(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
     """Target modulo the image, with the projection map."""
-    g = FgAbelianGroup._extended(f.target, f.matrix)
+    g = f._cokernel_group()
     # g only adds relations to the target, so the identity descends
     proj = ModuleMap._of(f.target, g, IntMatrix.identity(g.generator_count))
     return g, proj
@@ -374,8 +392,7 @@ def image_subgroup(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
     the source generators) together with its inclusion into the
     target; the inclusion's matrix columns are the generating vectors.
     """
-    rel = _preimage_lattice(f.target.relation_snf(), f.matrix)
-    g = FgAbelianGroup(f.source.generator_count, rel)
+    g = FgAbelianGroup(f.source.generator_count, f._preimage())
     # g's relations are the preimage of the target lattice under f
     incl = ModuleMap._of(g, f.target, f.matrix)
     return g, incl

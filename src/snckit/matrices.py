@@ -680,10 +680,10 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     return _from_columns(_kernel_columns(a.hstack(lattice)), a.cols)
 
 
-def _preimage_lattice(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
+def _preimage_lattice(s: SnfDecomposition, e: SnfDecomposition) -> IntMatrix:
     """Generators (columns) of ``{x : b @ x lies in the column span of
-    a}``, where ``s`` is the Smith form of ``a``, read off the extension
-    of ``s`` by ``b``.
+    a}``, where ``s`` is the Smith form of ``a`` and ``e`` is
+    ``_extend_snf(s, b)``.
 
     The kernel of ``[a | b]`` is spanned by the columns of the extended
     ``v`` past the rank, and that ``v`` is ``diag(v_a, I) @ v'`` with
@@ -692,10 +692,10 @@ def _preimage_lattice(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
     Unlike ``preimage_generators`` the generators depend on the
     elimination of ``a``, so they fit where only the lattice matters.
     """
-    n = s.d.cols
-    e = _extend_snf(s, b)
-    columns = _replay(_sparse_identity(n + b.cols), e.col_log[len(s.col_log):])[e.rank:]
-    return _from_columns([{j - n: x for j, x in c.items() if j >= n} for c in columns], b.cols)
+    n, width = s.d.cols, e.d.cols
+    columns = _replay(_sparse_identity(width), e.col_log[len(s.col_log):])[e.rank:]
+    return _from_columns([{j - n: x for j, x in c.items() if j >= n} for c in columns],
+                         width - n)
 
 
 def in_column_span(a: IntMatrix, b: Sequence[int]) -> bool:

@@ -4,10 +4,13 @@ normal crossing surface built from a doubled configuration.
 The inputs are combinatorial: the configuration of the divisor D with
 its Frobenius action, fundamental-group data (a module y0 for the
 ambient piece, one module-with-map per component of D), and a label in
-y0 on every edge of the dual complex.  The labels are checked as one
-matrix L: Frobenius-equivariance on the columns of L·F₁ − Y·L (F₁ the
-Frobenius chain map on edges, Y its action on y0) and descent on the
-columns of L·∂₂.  From these the pipeline forms
+y0 on every edge of the dual complex.  The labels are the columns of
+one matrix L, checked column by column: Frobenius-equivariance on the
+columns of L·F₁ − Y·L (F₁ the Frobenius chain map on edges, Y its
+action on y0), each the signed label of an edge's image minus Y times
+its own, and descent on the columns of L·∂₂, each the signed sum of a
+2-simplex's facet labels; neither product is formed.  From these the
+pipeline forms
 
 * theta: the cokernel of the component maps into y0, localized at a
   prime ell (prime-to-ell torsion discarded, free part kept);
@@ -122,9 +125,9 @@ def _component_quotient(pi1: Pi1Input) -> FgAbelianGroup:
     return FgAbelianGroup._extended(y0, columns) if columns.cols else y0
 
 
-def _label_matrix(cx: DeltaComplex, pi1: Pi1Input,
-                  labels: EdgeLabelCochain) -> tuple[IntMatrix, list[str]]:
-    """The labels as a matrix with one column per edge, in the edge
+def _label_columns(cx: DeltaComplex, pi1: Pi1Input,
+                   labels: EdgeLabelCochain) -> tuple[dict[str, tuple[int, ...]], list[str]]:
+    """The label of every edge of ``cx``, keyed by edge id in the edge
     order of ``cx`` (missing edges are zero), plus structural
     problems."""
     problems: list[str] = []
@@ -142,37 +145,45 @@ def _label_matrix(cx: DeltaComplex, pi1: Pi1Input,
             )
             continue
         columns[eid] = tuple(int(x) for x in vec)
-    return IntMatrix.from_columns([columns[e.id] for e in edges], rows=gc), problems
+    return columns, problems
 
 
 def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
                     labels: EdgeLabelCochain) -> list[str]:
     """Equivariance and descent checks; empty list when the labels
-    define a map on homology."""
+    define a map on homology.  Each edge and each 2-simplex is checked
+    on its own column, so the work is linear in the size of the complex."""
     cx = build_dual_complex(cfg)
-    label, problems = _label_matrix(cx, pi1, labels)
+    columns, problems = _label_columns(cx, pi1, labels)
     if problems:
         return problems
     # zero labels (none given, or y0 without generators) are equivariant
     # and descend whatever Frobenius does; the configuration's own checks
     # already accept only Frobenius actions that give a chain map
-    if label.is_zero():
+    if not any(any(vec) for vec in columns.values()):
         return []
 
     y0 = pi1.y0
-    # column e is the label of Frobenius(e), signed, minus Frobenius of e's label
-    skew = label @ frobenius_chain_map(cfg).matrix(1) - y0.frobenius @ label
-    for j, e in enumerate(cx.simplices(1)):
-        if not y0.group.in_relation_lattice(skew.col(j)):
+    frobenius = frobenius_chain_map(cfg).assignment
+    for e in cx.simplices(1):
+        # the label of Frobenius(e), signed, minus Frobenius of e's label
+        image, sign = frobenius[e.id]
+        own = y0.frobenius.apply(columns[e.id])
+        skew = [sign * x - y for x, y in zip(columns[image], own)]
+        if not y0.group.in_relation_lattice(skew):
             problems.append(f"label on edge {e.id!r} is not Frobenius-equivariant")
     if problems:
         return problems
 
     vanishing = _component_quotient(pi1)
-    # column t is the label of the boundary of the 2-simplex t
-    boundary = label @ cx.boundary_matrix(2)
-    for j, t in enumerate(cx.simplices(2)):
-        if not vanishing.in_relation_lattice(boundary.col(j)):
+    zero = (0,) * y0.group.generator_count
+    for t in cx.simplices(2):
+        # the label of the boundary of the 2-simplex t
+        boundary = zero
+        for i, fid in enumerate(t.facets):
+            sign = -1 if i % 2 else 1
+            boundary = [b + sign * x for b, x in zip(boundary, columns[fid])]
+        if not vanishing.in_relation_lattice(boundary):
             problems.append(
                 f"labels do not descend to H₁: boundary of 2-simplex {t.id!r} "
                 f"pairs to a nonzero class"
@@ -245,7 +256,9 @@ def _label_cycles(cfg: SncConfiguration, pi1: Pi1Input,
     (one column per H₁ generator, in y0 coordinates)."""
     cx = build_dual_complex(cfg)
     h1 = homology_group(cx, 1)
-    return h1, _label_matrix(cx, pi1, labels)[0] @ h1.cycle_matrix
+    columns = _label_columns(cx, pi1, labels)[0]
+    label = IntMatrix.from_columns(list(columns.values()), rows=pi1.y0.group.generator_count)
+    return h1, label @ h1.cycle_matrix
 
 
 def _alpha_at(pi1: Pi1Input, h1: HomologyResult, matrix: IntMatrix,

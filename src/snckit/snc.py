@@ -382,7 +382,7 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], 
                 continue
             ok = True
             for fid in s.facets:
-                f = next((t for t in cfg.strata if t.id == fid), None)
+                f = cfg._stratum_by_id.get(fid)
                 if f is None:
                     problems.append(f"stratum {s.id!r}: facet {fid!r} does not exist")
                     ok = False

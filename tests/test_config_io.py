@@ -5,7 +5,13 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from snckit.config_io import ConfigBundle, encode_json_value, parse_config, serialize_bundle
+from snckit.config_io import (
+    ConfigBundle,
+    encode_json_value,
+    json_text,
+    parse_config,
+    serialize_bundle,
+)
 from snckit.errors import ValidationError
 from snckit.fixtures import fermat_bundle, rulings_bundle
 
@@ -183,6 +189,36 @@ class TestEncodeJsonValue:
         with pytest.raises(TypeError):
             encode_json_value({1, 2})
 
+
+
+# every kind of value a report holds, with integers on both sides of
+# ±2^63 and keys that are not strings, some equal as strings
+_edge_ints = st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63 - 1), -(2 ** 63)])
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(-(2 ** 64), 2 ** 64) | _edge_ints,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4) | st.integers(-2, 2), inner,
+                                     max_size=4)),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """The one-pass writer against its oracle, ``json.dumps`` of
+    ``encode_json_value``."""
+
+    @given(_report_values)
+    @settings(max_examples=400, deadline=None)
+    @example({1: "int key", "1": "string key", True: [], "": {}})
+    @example({"ключ": ["é\u2028\"\\\n", 2 ** 63, -(2 ** 63) + 1, float("nan"), -0.0]})
+    def test_matches_json_dumps(self, value):
+        expected = json.dumps(encode_json_value(value), indent=2, ensure_ascii=False)
+        assert json_text(value) == expected
+
+    def test_rejects_unknown_types(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            json_text({"a": [{1, 2}]})
 
 # Integers stay small, so no document can ask for a huge group; the
 # string forms include digits outside ASCII and past the digit limit.

@@ -1,6 +1,7 @@
 """theta, alpha, and the kernel predictions."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -8,6 +9,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from snckit.complexes import ChainMap
+from snckit.config_io import parse_config
 from snckit.errors import LabelError, ValidationError, WellDefinednessError
 from snckit import reciprocity
 from snckit.fixtures import fermat_bundle, rulings_bundle, trivial_pi1
@@ -26,7 +29,14 @@ from snckit.reciprocity import (
     validate_labels,
     validate_pi1,
 )
-from snckit.snc import Component, FrobeniusAction, SncConfiguration, Stratum, validate_config
+from snckit.snc import (
+    Component,
+    FrobeniusAction,
+    SncConfiguration,
+    Stratum,
+    build_dual_complex,
+    validate_config,
+)
 
 from conftest import (
     cycle_config,
@@ -197,6 +207,123 @@ class TestValidateLabels:
             frobenius_chain_map(cfg)
         assert accepted > 150
 
+
+
+def _dense_label_problems(cfg: SncConfiguration, pi1: Pi1Input, labels) -> list[str]:
+    """The label checks as the matrix products L·F₁ − Y·L and L·∂₂, the
+    reference for the per-column checks of ``validate_labels``."""
+    cx = build_dual_complex(cfg)
+    gc = pi1.y0.group.generator_count
+    edges = cx.simplices(1)
+    label = IntMatrix.from_columns([labels.get(e.id, (0,) * gc) for e in edges], rows=gc)
+    skew = label @ frobenius_chain_map(cfg).matrix(1) - pi1.y0.frobenius @ label
+    problems = [f"label on edge {e.id!r} is not Frobenius-equivariant"
+                for j, e in enumerate(edges)
+                if not pi1.y0.group.in_relation_lattice(skew.col(j))]
+    if problems:
+        return problems
+    vanishing = reciprocity._component_quotient(pi1)
+    boundary = label @ cx.boundary_matrix(2)
+    return [f"labels do not descend to H₁: boundary of 2-simplex {t.id!r} "
+            f"pairs to a nonzero class"
+            for j, t in enumerate(cx.simplices(2))
+            if not vanishing.in_relation_lattice(boundary.col(j))]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_label_checks_match_the_dense_products(seed, e, coboundary, frobenius_trivial):
+    """Random labels fail equivariance or descent somewhere; coboundaries
+    of vertex cochains always descend, and with Frobenius trivial on
+    both sides (e = 1) are equivariant too, so every branch is reached."""
+    rng = random.Random(seed)
+    cfg = random_admissible_config(rng, e)
+    y0 = _module(FgAbelianGroup.cyclic(3),
+                 None if frobenius_trivial else IntMatrix.from_rows([[2]]),
+                 1 if frobenius_trivial else 2)
+    cx = build_dual_complex(cfg)
+    if coboundary:
+        value = {v.id: rng.randrange(3) for v in cx.simplices(0)}
+        labels = {}
+        for edge in cx.simplices(1):
+            head, tail = edge.facets  # the boundary of an edge is head - tail
+            labels[edge.id] = ((value[head] - value[tail]) % 3,)
+    else:
+        labels = {edge.id: (rng.randrange(3),) for edge in cx.simplices(1)
+                  if rng.random() < 0.5}
+    expected = _dense_label_problems(cfg, Pi1Input(y0), labels)
+    assert validate_labels(cfg, Pi1Input(y0), labels) == expected
+
+
+def _coned_labeled_document(m: int, e: int = 2) -> dict:
+    """A cycle of m·e components rotated m steps by an order-e
+    Frobenius and coned off at two fixed apexes (depth-3 strata with
+    explicit facets), y0 = Z/9, and nonzero labels that pass both
+    checks: the coboundary of a Frobenius-invariant vertex cochain."""
+    n = m * e
+    comps = [f"v{i}" for i in range(n)] + ["O", "inf"]
+    value = {f"v{i}": 1 + i % m for i in range(n)}
+    position = {c: i for i, c in enumerate(comps)}
+    edges, triangles, labels = [], [], {}
+    cp = {f"v{i}": f"v{(i + m) % n}" for i in range(n)}
+    sp = {}
+
+    def edge(sid, a, b, image):
+        tail, head = sorted((a, b), key=position.__getitem__)
+        edges.append({"id": sid, "on": [a, b]})
+        labels[sid] = [(value.get(head, 0) - value.get(tail, 0)) % 9]
+        sp[sid] = image
+
+    for i in range(n):
+        j = (i + 1) % n
+        edge(f"e{i}", f"v{i}", f"v{j}", f"e{(i + m) % n}")
+        for apex in ("O", "inf"):
+            edge(f"v{i}x{apex}", f"v{i}", apex, f"v{(i + m) % n}x{apex}")
+    for i in range(n):
+        j = (i + 1) % n
+        for apex in ("O", "inf"):
+            sid = f"e{i}x{apex}"
+            triangles.append({"id": sid, "on": [f"v{i}", f"v{j}", apex],
+                              "facets": [f"e{i}", f"v{i}x{apex}", f"v{j}x{apex}"]})
+            sp[sid] = f"e{(i + m) % n}x{apex}"
+    return {
+        "components": [{"id": c} for c in comps],
+        "strata": {"2": edges, "3": triangles},
+        "frobenius": {"order": e, "components": cp, "strata": sp},
+        "pi1_y0": {"generators": 1, "relations": [[9]]},
+        "edge_labels": labels,
+    }
+
+
+def test_label_checks_build_no_quadratic_matrix(monkeypatch):
+    """``parse_config`` checks each edge label against the label of its
+    Frobenius image, and each 2-simplex against its facet labels: it
+    builds no matrix with (edges)² entries and never asks a chain map
+    for its matrix."""
+    doc = _coned_labeled_document(60)
+    edges = len(doc["strata"]["2"])
+    sizes, chain_matrices = [], []
+    init, of = IntMatrix.__init__, IntMatrix._of.__func__
+
+    def recording_init(self, rows, cols, entries):
+        init(self, rows, cols, entries)
+        sizes.append(self.rows * self.cols)
+
+    def recording_of(cls, rows, cols, entries):
+        sizes.append(rows * cols)
+        return of(cls, rows, cols, entries)
+
+    monkeypatch.setattr(IntMatrix, "__init__", recording_init)
+    monkeypatch.setattr(IntMatrix, "_of", classmethod(recording_of))
+    monkeypatch.setattr(ChainMap, "matrix", lambda self, a: chain_matrices.append(a))
+    bundle = parse_config(json.dumps(doc))
+    assert any(any(vec) for vec in bundle.labels.values())
+    assert max(sizes) < edges ** 2
+    assert chain_matrices == []
+    # the checks still run: one wrong label is named
+    doc["edge_labels"]["e0"] = [doc["edge_labels"]["e0"][0] + 1]
+    with pytest.raises(ValidationError, match="'e0' is not Frobenius-equivariant"):
+        parse_config(json.dumps(doc))
 
 def _random_frobenius_config(rng: random.Random) -> SncConfiguration | None:
     comps = [f"c{i}" for i in range(rng.randint(2, 4))]
