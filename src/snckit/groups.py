@@ -179,7 +179,7 @@ class FgAbelianGroup:
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.relation_snf().diagonal() if d > 1)
+        return tuple(d for d in self.relation_snf().diagonal if d > 1)
 
     @property
     def free_rank(self) -> int:
@@ -267,7 +267,7 @@ class SmithForm:
     @classmethod
     def _build(cls, g: FgAbelianGroup) -> "SmithForm":
         s = g.relation_snf()
-        diag = s.diagonal()
+        diag = s.diagonal
         torsion_idx = [i for i, d in enumerate(diag) if d > 1]
         free_idx = [i for i, d in enumerate(diag) if d == 0]
         free_idx += list(range(len(diag), g.generator_count))

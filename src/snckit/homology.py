@@ -2,10 +2,12 @@
 
 Integral homology in degree a is presented on a basis of the kernel of
 the boundary, with one relation per (a+1)-simplex.  Mod-n homology is
-computed from its own presentation (cycles mod n, relations from
-boundaries and n-multiples) rather than by reducing the integral
-answer, so universal-coefficient comparisons in the tests are a real
-cross-check and not a tautology.
+read off the integral Smith forms in degrees a and a - 1 by the
+universal coefficient theorem, on one generator per cyclic summand with
+one representative cycle mod n each; no matrix is stacked with n·I.
+The tests compare it with Z/n homology computed from its own
+presentation (``tests/zn_reference.py``), so the universal-coefficient
+checks there are a real cross-check and not a tautology.
 
 ``oracle_homology`` is a deliberately separate code path: plain
 Gaussian elimination over a prime field, sharing nothing with the
@@ -16,12 +18,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .complexes import ChainMap, DeltaComplex, Simplex
 from .errors import WellDefinednessError
 from .groups import FgAbelianGroup, ModuleMap
-from .matrices import IntMatrix, kernel_basis, preimage_generators, solve, solve_matrix
+from .matrices import (
+    IntMatrix,
+    SnfDecomposition,
+    _from_columns,
+    _kernel_columns,
+    _solve_with,
+    snf,
+    solve_matrix,
+)
 
 __all__ = [
     "HomologyResult",
@@ -57,10 +68,31 @@ class HomologyResult:
     def class_of(self, chain: Sequence[int]) -> tuple[int, ...]:
         """Coordinates, on the chosen generators, of the class of a
         cycle given in chain coordinates."""
-        y = solve(self.cycle_matrix, chain)
-        if y is None:
+        column = IntMatrix.from_columns([chain], rows=self.cycle_matrix.rows)
+        return self._coordinates(column).col(0)
+
+    def _coordinates(self, chains: IntMatrix) -> IntMatrix:
+        """Coordinates, on the chosen generators, of the classes of the
+        columns of ``chains``, which must be cycles.
+
+        Over Z/n the group is presented diagonally on the
+        representatives, so a chain is written once on [representatives
+        | d_{a+1} | n·I] and the representatives' block, reduced modulo
+        each summand's order, is its unique coordinate vector."""
+        n = self.modulus
+        if n is None:
+            x = solve_matrix(self.cycle_matrix, chains)
+        else:
+            rows = self.cycle_matrix.rows
+            lattice = self.cycle_matrix.hstack(self.complex.boundary_matrix(self.degree + 1))
+            x = solve_matrix(lattice.hstack(IntMatrix.diagonal([n] * rows)), chains)
+        if x is None:
             raise ValueError("chain is not a cycle for these coefficients")
-        return y
+        if n is None:
+            return x
+        orders = self.group.relations.diagonal_entries()
+        return IntMatrix._of(len(orders), x.cols,
+                             [x[i, j] % g for i, g in enumerate(orders) for j in range(x.cols)])
 
     def describe(self) -> str:
         return self.group.describe()
@@ -70,6 +102,72 @@ def _boundary(cx: DeltaComplex, a: int, reduced: bool) -> IntMatrix:
     if a == 0 and reduced:
         return cx.augmentation_matrix()
     return cx.boundary_matrix(a)
+
+
+def _integral(cx: DeltaComplex, a: int,
+              reduced: bool) -> tuple[SnfDecomposition, IntMatrix, FgAbelianGroup]:
+    """The Smith form of d_a, the basis of its kernel read off that
+    form, and H_a over Z presented on that basis, one relation per
+    (a+1)-simplex."""
+    d_a = _boundary(cx, a, reduced)
+    s = snf(d_a)
+    cycles = _from_columns(_kernel_columns(s), d_a.cols)
+    relations = solve_matrix(cycles, cx.boundary_matrix(a + 1))
+    if relations is None:
+        raise WellDefinednessError("a boundary is not a cycle")
+    return s, cycles, FgAbelianGroup(cycles.cols, relations)
+
+
+def _smith_cycles(cycles: IntMatrix, group: FgAbelianGroup, n: int,
+                  torsion_only: bool) -> tuple[list[int], list[int], IntMatrix]:
+    """The orders t, the gcds g = gcd(t, n) and, as the columns of a
+    matrix, the cycles of the Smith generators of ``group`` with g > 1:
+    the torsion ones in divisibility order, then, unless
+    ``torsion_only``, the free ones, whose order t is 0."""
+    s = group.relation_snf()
+    diag = s.diagonal
+    orders, gcds, picked = [], [], []
+    for i in range(group.generator_count):
+        t = diag[i] if i < len(diag) else 0
+        g = gcd(t, n)
+        if g > 1 and not (torsion_only and t == 0):
+            orders.append(t)
+            gcds.append(g)
+            picked.append(i)
+    if not picked:
+        # spares the replay of u_inv
+        return orders, gcds, IntMatrix.zeros(cycles.rows, 0)
+    # generator i of the Smith form is column i of u_inv
+    u_inv = s.u_inv
+    return orders, gcds, cycles @ IntMatrix._of(
+        u_inv.rows, len(picked), [u_inv[r, i] for r in range(u_inv.rows) for i in picked])
+
+
+def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:
+    """H_a with Z/n coefficients by the universal coefficient theorem,
+    H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕ Tor(H_{a-1}(X), Z/n), on one generator
+    per summand of order above 1, with diagonal relations.
+
+    A Smith generator z of H_a of order t (0 when free) gives Z/gcd(t, n),
+    represented by z.  A Smith generator z of H_{a-1} of order t > 1
+    gives Z/g with g = gcd(t, n), represented by (n/g)·c where ∂c = t·z:
+    the Bockstein H_a(X; Z/n) -> H_{a-1}(X) sends it to (t/g)·z, of order
+    g.  Every c is solved in one replay on the Smith form of d_a that
+    gave the degree-a cycles.  Representatives are reduced into [0, n).
+    """
+    s_a, cycles, group = _integral(cx, a, reduced)
+    _, gcds, reps = _smith_cycles(cycles, group, n, torsion_only=False)
+    if a >= 1:
+        _, lower_cycles, lower = _integral(cx, a - 1, reduced)
+        torsion, tor_gcds, z = _smith_cycles(lower_cycles, lower, n, torsion_only=True)
+        if torsion:
+            lifts = _solve_with(s_a, z @ IntMatrix.diagonal(torsion))
+            if lifts is None:
+                raise WellDefinednessError("a torsion cycle is not a boundary")
+            reps = reps.hstack(lifts @ IntMatrix.diagonal([n // g for g in tor_gcds]))
+            gcds += tor_gcds
+    reps = IntMatrix._of(reps.rows, reps.cols, [x % n for x in reps._entries])
+    return HomologyResult(cx, a, n, FgAbelianGroup(len(gcds), IntMatrix.diagonal(gcds)), reps)
 
 
 def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
@@ -84,24 +182,10 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
         raise ValueError("degree must be nonnegative")
     if modulus is not None and modulus < 2:
         raise ValueError("modulus must be at least 2")
-    d_a = _boundary(cx, a, reduced)
-    d_next = cx.boundary_matrix(a + 1)
-    n_chains = d_a.cols
-
-    if modulus is None:
-        cycles = kernel_basis(d_a)
-        relations = solve_matrix(cycles, d_next)
-        if relations is None:
-            raise WellDefinednessError("a boundary is not a cycle")
-        group = FgAbelianGroup(cycles.cols, relations)
-        return HomologyResult(cx, a, None, group, cycles)
-
-    scale = IntMatrix.diagonal([modulus] * d_a.rows)
-    cycles = preimage_generators(d_a, scale)
-    targets = d_next.hstack(IntMatrix.diagonal([modulus] * n_chains))
-    relations = preimage_generators(cycles, targets)
-    group = FgAbelianGroup(cycles.cols, relations)
-    return HomologyResult(cx, a, modulus, group, cycles)
+    if modulus is not None:
+        return _mod_n(cx, a, modulus, reduced)
+    _, cycles, group = _integral(cx, a, reduced)
+    return HomologyResult(cx, a, None, group, cycles)
 
 
 def induced_map(f: ChainMap, a: int, modulus: int | None = None,
@@ -118,9 +202,7 @@ def induced_map(f: ChainMap, a: int, modulus: int | None = None,
         source = homology_group(f.source, a, modulus, reduced)
     if target is None:
         target = homology_group(f.target, a, modulus, reduced)
-    matrix = solve_matrix(target.cycle_matrix, f.matrix(a) @ source.cycle_matrix)
-    if matrix is None:
-        raise ValueError("chain is not a cycle for these coefficients")
+    matrix = target._coordinates(f.matrix(a) @ source.cycle_matrix)
     return ModuleMap(source.group, target.group, matrix)
 
 

@@ -441,12 +441,13 @@ class SnfDecomposition:
     def v_inv(self) -> IntMatrix:
         return self._replayed("v_inv", True)
 
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
 
     @property
     def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
+        return sum(1 for x in self.diagonal if x != 0)
 
 
 def _unit_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
@@ -593,6 +594,10 @@ def _extend_snf(s: SnfDecomposition, b: IntMatrix) -> SnfDecomposition:
     """
     if b.rows != s.d.rows:
         raise ValueError("b must have as many rows as a")
+    if b.is_zero():
+        # [d | 0] is in Smith form already, so eliminating it would log
+        # no operation
+        return SnfDecomposition(s.d.hstack(b), s.row_log, s.col_log, s)
     w = _sparse_rows(s.d.hstack(s.u @ b))
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
@@ -607,7 +612,7 @@ def _smith_coordinates(s: SnfDecomposition,
     zero, or None when some column of ``c`` has none; ``c`` is given by
     its sparse rows.  For ``c == u @ b``, ``v @ z`` solves ``a @ x ==
     b``."""
-    diag = s.diagonal()
+    diag = s.diagonal
     z: list[dict[int, int]] = [{} for _ in range(s.d.cols)]
     for i, row in enumerate(c):
         di = diag[i] if i < len(diag) else 0
@@ -637,7 +642,11 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """
     if a.rows != b.rows:
         raise ValueError("row counts differ")
-    s = snf(a)
+    return _solve_with(snf(a), b)
+
+
+def _solve_with(s: SnfDecomposition, b: IntMatrix) -> IntMatrix | None:
+    """``solve_matrix`` for the matrix whose Smith form is ``s``."""
     z = _smith_coordinates(s, _replay(_sparse_rows(b), s.row_log))
     if z is None:
         return None
@@ -650,12 +659,11 @@ def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     return None if x is None else x.col(0)
 
 
-def _kernel_columns(a: IntMatrix) -> list[dict[int, int]]:
-    """The columns of ``v`` past the rank of ``a``, as sparse dicts.
-    Column k of ``v`` is row k of the column log replayed on the
-    identity, so ``v`` itself is never built."""
-    s = snf(a)
-    return _replay(_sparse_identity(a.cols), s.col_log)[s.rank:]
+def _kernel_columns(s: SnfDecomposition) -> list[dict[int, int]]:
+    """The columns of ``v`` past the rank of the form ``s``, as sparse
+    dicts.  Column k of ``v`` is row k of the column log replayed on
+    the identity, so ``v`` itself is never built."""
+    return _replay(_sparse_identity(s.d.cols), s.col_log)[s.rank:]
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -665,7 +673,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Smith decomposition, so it is saturated: it extends to a basis of
     the full ambient lattice Z^cols.
     """
-    return _from_columns(_kernel_columns(a), a.cols)
+    return _from_columns(_kernel_columns(snf(a)), a.cols)
 
 
 def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
@@ -677,7 +685,7 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     """
     if a.rows != lattice.rows:
         raise ValueError("lattice must live in the codomain of a")
-    return _from_columns(_kernel_columns(a.hstack(lattice)), a.cols)
+    return _from_columns(_kernel_columns(snf(a.hstack(lattice))), a.cols)
 
 
 def _preimage_lattice(s: SnfDecomposition, e: SnfDecomposition) -> IntMatrix:

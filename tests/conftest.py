@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from snckit.complexes import DeltaComplex
+from snckit.complexes import DeltaComplex, Simplex
 from snckit.groups import FgAbelianGroup, GaloisModule
 from snckit.matrices import IntMatrix
 from snckit.reciprocity import Pi1Input
@@ -27,6 +27,23 @@ def cycle_complex(n: int) -> DeltaComplex:
         [f"v{i}" for i in range(n)],
         [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)],
     )
+
+
+def moore_complex(k: int) -> DeltaComplex:
+    """A disk whose boundary runs k times round the triangle abc: the
+    cone from o over a 3k-gon whose j-th corner lies on the j-th vertex
+    of abc, joined to that vertex by the spoke s{j}.  H_1 is Z/k."""
+    ring = ["a", "b", "c"]
+    edges = {("a", "b"): "ab", ("b", "c"): "bc", ("a", "c"): "ac"}
+    simplices = [Simplex.vertex(v) for v in ["o", *ring]]
+    simplices += [Simplex(e, pair, pair[::-1]) for pair, e in edges.items()]
+    simplices += [Simplex(f"s{j}", ("o", ring[j % 3]), (ring[j % 3], "o"))
+                  for j in range(3 * k)]
+    for j in range(3 * k):
+        ends = sorted([(ring[j % 3], j), (ring[(j + 1) % 3], (j + 1) % (3 * k))])
+        (x, sx), (y, sy) = ends
+        simplices.append(Simplex(f"t{j}", ("o", x, y), (edges[x, y], f"s{sy}", f"s{sx}")))
+    return DeltaComplex(simplices)
 
 
 def rotation_action(n: int, step: int, order: int) -> FrobeniusAction:

@@ -4,8 +4,11 @@ The documents and reports under ``tests/golden/`` were produced by the
 command line before the pipeline was restructured to run each stage
 once per input; the ``norm --f 1`` report was produced before the norm
 map stopped building its base level twice and before the Smith normal
-form began replaying its transforms from a log.  Any change to a report
-byte is a behaviour change, not a refactor.  Never regenerate them to make this test pass.
+form began replaying its transforms from a log.  The three
+``homology-z6`` reports were produced when Z/n homology began to be read
+off the integral Smith forms by the universal coefficient theorem, with
+one representative per summand.  Any change to a report byte is a
+behaviour change, not a refactor.  Never regenerate them to make this test pass.
 """
 
 import hashlib
@@ -62,22 +65,24 @@ def test_report_matches_golden(capsys, golden, args):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
-# sha256 of ``--json`` reports too large to keep as files, over Z/6,
-# where elimination fills in rows: every representative cycle depends on
-# the exact pivot sequence of the Smith normal form.  The hashes were
-# taken from the elimination on dense rows; any faster engine must
-# reproduce them.
+# sha256 of ``--json`` reports too large to keep as files, over Z/6.
+# Each representative is a Smith generator's integral cycle, or 6/g
+# times a chain whose boundary is t times one, reduced into [0, 6), so
+# the hashes depend on the pivot sequences of the Smith normal forms of
+# d_a, d_{a-1} and the integral relation matrices.  They were taken when
+# Z/n homology began to be read off those forms; the suspension-2
+# degree-4 group is trivial, and its report is the one first pinned.
 Z6_HASHES = {
-    ("cover-25", ()): "d5218650e1e88c66876535733a7564d12bfc5b910bbef72882c1b67ad8a70f8c",
-    ("cover-50", ()): "b0fabe189c980af8e69ca21fda083486b23e036ce10b41cfd74c19a6a3f01344",
+    ("cover-25", ()): "b248afe8aa7be233e1e0ff2cbdc776916e9cca9725b2f943badfba5b4106ab62",
+    ("cover-50", ()): "74192a55acbfd2bfec1e568a30124fc256eba33156831cbdf7a32bde744533c0",
     ("suspension-2", ("--degree", "3")):
-        "2b8735737b48b356586be4795cf1b34e893fbc3092310982269967f3ae9183da",
+        "f3f3bd446031e2ae3c2fc71ab6594841ad108077d96df673a7e29d660206c9ee",
     ("suspension-2", ("--degree", "4")):
         "2706e004c63fbae2ef464ccdbbe17df7843bf876994c89079f468c4acf1381ee",
     ("suspension-3", ("--degree", "3")):
-        "f8f10ff9d4c3faaec7f43730c12bce7503b0226e4a11b5f0ee79907e0c739e6d",
+        "632f678373bc54cb2c3009f538b573add7fa8fd61b40ee6cefd6af84c2be0479",
     ("suspension-3", ("--degree", "4")):
-        "257884bedd0d7f01f4591b2a770d1a797a44f3b543b5bcea0d6bc504f9c04977",
+        "1e64c4f4c7382f6ded724d20812d9622fe012396381721cfc764ad8a5960a362",
 }
 
 

@@ -200,7 +200,7 @@ def _stacked_iso_type(generators: int, relations: IntMatrix) -> IsoType:
     """The iso type of Z^generators modulo the columns of ``relations``,
     from a full elimination of that matrix."""
     s = snf(relations)
-    return IsoType(tuple(d for d in s.diagonal() if d > 1), generators - s.rank)
+    return IsoType(tuple(d for d in s.diagonal if d > 1), generators - s.rank)
 
 
 def _stacked_localized(g: FgAbelianGroup, ell: int) -> IsoType:
@@ -209,7 +209,7 @@ def _stacked_localized(g: FgAbelianGroup, ell: int) -> IsoType:
     quotient."""
     s = snf(g.relations)
     extra = []
-    for i, d in enumerate(s.diagonal()):
+    for i, d in enumerate(s.diagonal):
         m = d
         while m > 1 and m % ell == 0:
             m //= ell

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snckit.complexes import ChainMap, DeltaComplex, Simplex, suspend
+from snckit.groups import is_prime
 from snckit.homology import (
     homology_group,
     induced_map,
     oracle_homology,
     random_complex,
 )
+from snckit.matrices import IntMatrix, solve
 
-from conftest import cycle_complex
+from conftest import cycle_complex, moore_complex
+from zn_reference import homology_mod_n
 
 
 def multigraph():
@@ -189,13 +192,16 @@ def n_torsion_size(group, n: int) -> int:
 
 
 class TestUniversalCoefficients:
+    """Z/n homology from its own presentation (the reference) against
+    the universal coefficient formula on the library's integral groups."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_cardinality_identity_random(self, n):
         rng = random.Random(100 + n)
         for _ in range(25):
             cx = random_complex(rng, max_vertices=6)
             for a in range(cx.dimension + 2):
-                h_mod = homology_group(cx, a, n).group
+                h_mod, _ = homology_mod_n(cx, a, n)
                 h_int = homology_group(cx, a).group
                 lower = (
                     homology_group(cx, a - 1).group if a >= 1 else None
@@ -206,6 +212,100 @@ class TestUniversalCoefficients:
                 assert h_mod.order() == expected
 
 
+@st.composite
+def complexes(draw):
+    """A random complex, or a Moore space M(Z/k, 1) or its suspension,
+    whose torsion feeds the Tor part in degrees 2 and 3."""
+    kind = draw(st.sampled_from(["random", "moore", "suspended moore"]))
+    if kind == "random":
+        return random_complex(random.Random(draw(st.integers(0, 2**32))), max_vertices=6)
+    moore = moore_complex(draw(st.integers(2, 6)))
+    return moore if kind == "moore" else suspend(moore, "N", "S")
+
+
+class TestModNMatchesReference:
+    @given(complexes(), st.integers(2, 12), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_groups_and_representatives(self, cx, n, reduced):
+        for a in range(cx.dimension + 2):
+            h = homology_group(cx, a, n, reduced=reduced)
+            ref, ref_cycles = homology_mod_n(cx, a, n, reduced)
+            assert h.group.iso_type() == ref.iso_type()
+            if is_prime(n):
+                expected = oracle_homology(cx, a, n) - (1 if reduced and a == 0 else 0)
+                assert len(h.group.invariant_factors) == expected
+            d_a = cx.augmentation_matrix() if reduced and a == 0 else cx.boundary_matrix(a)
+            orders = h.group.relations.diagonal_entries()
+            assert h.group.relations == IntMatrix.diagonal(orders)
+            product = 1
+            for j, g in enumerate(orders):
+                rep = h.representative(j)
+                assert any(rep) and all(0 <= x < n for x in rep)
+                assert all(x % n == 0 for x in d_a.apply(rep))
+                assert ref.element_order(solve(ref_cycles, rep)) == g
+                product *= g
+            assert product == ref.order()
+
+    @given(complexes(), st.integers(2, 12), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_class_of_reads_coordinates_modulo_orders(self, cx, n, seed):
+        rng = random.Random(seed)
+        a = rng.randint(0, cx.dimension)
+        h = homology_group(cx, a, n)
+        orders = h.group.relations.diagonal_entries()
+        d_next = cx.boundary_matrix(a + 1)
+        coeffs = [rng.randint(-20, 20) for _ in orders]
+        chain = [0] * h.cycle_matrix.rows
+        for j, c in enumerate(coeffs):
+            chain = [x + c * y for x, y in zip(chain, h.representative(j))]
+        boundary = d_next.apply([rng.randint(-3, 3) for _ in range(d_next.cols)])
+        chain = [x + y + n * rng.randint(-2, 2) for x, y in zip(chain, boundary)]
+        assert h.class_of(chain) == tuple(c % g for c, g in zip(coeffs, orders))
+
+    def test_snf_work_is_that_of_integral_homology(self, monkeypatch):
+        """Z/n homology in degree a eliminates what Z homology in degrees
+        a and a - 1 eliminates, plus the k x k diagonal of its own
+        presentation, and nothing wider than the widest boundary it
+        reads, which the n·I route exceeds whenever d_{a+1} has
+        columns."""
+        from snckit import matrices
+
+        from test_cli import _rebind
+
+        shapes = []
+        original = matrices.snf
+
+        def recording(m):
+            shapes.append((m.rows, m.cols))
+            return original(m)
+
+        _rebind(monkeypatch, original, recording)
+
+        def recorded(run):
+            shapes.clear()
+            run()
+            return sorted(shapes)
+
+        rng = random.Random(5)
+        cases = [suspend(cycle_complex(4), "O", "inf"), cycle_complex(6), moore_complex(4),
+                 suspend(moore_complex(6), "N", "S")]
+        cases += [random_complex(rng, max_vertices=6) for _ in range(6)]
+        for cx in cases:
+            for a in range(cx.dimension + 2):
+                for n, reduced in ((4, False), (6, False), (6, True)):
+                    got = recorded(lambda: homology_group(cx, a, n, reduced).group.iso_type())
+                    k = homology_group(cx, a, n, reduced).group.generator_count
+                    integral = recorded(lambda: [
+                        homology_group(cx, b, reduced=reduced).group.iso_type()
+                        for b in (a, a - 1) if b >= 0])
+                    assert got == sorted(integral + [(k, k)]), (cx, a, n)
+                    widest = max(cx.boundary_matrix(b).cols for b in (a - 1, a, a + 1) if b >= 0)
+                    assert max(cols for _, cols in got) <= widest
+                    old = recorded(lambda: homology_mod_n(cx, a, n, reduced))
+                    if cx.boundary_matrix(a + 1).cols:
+                        assert max(cols for _, cols in old) > widest
+
+
 class TestSuspensionIsomorphism:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_mod_n(self, n):
@@ -214,9 +314,9 @@ class TestSuspensionIsomorphism:
             cx = random_complex(rng, max_vertices=5)
             s = suspend(cx, "A0", "A1")
             for a in range(cx.dimension + 1):
-                up = homology_group(s, a + 1, n).group.invariant_factors
-                down_h = homology_group(cx, a, n, reduced=(a == 0))
-                assert up == down_h.group.invariant_factors
+                up, _ = homology_mod_n(s, a + 1, n)
+                down, _ = homology_mod_n(cx, a, n, reduced=(a == 0))
+                assert up.invariant_factors == down.invariant_factors
 
     def test_integral(self):
         rng = random.Random(18)

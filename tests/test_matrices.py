@@ -13,7 +13,10 @@ from snckit.fixtures import fermat_cover_config
 from snckit.matrices import (
     IntMatrix,
     SnfDecomposition,
+    _eliminate,
     _extend_snf,
+    _from_rows,
+    _sparse_rows,
     _unit_pivot,
     in_column_span,
     kernel_basis,
@@ -107,7 +110,7 @@ def assert_snf_contract(m: IntMatrix, s: SnfDecomposition | None = None):
     assert s.v @ s.v_inv == IntMatrix.identity(m.cols)
     assert abs(s.u.det()) == 1
     assert abs(s.v.det()) == 1
-    diag = s.diagonal()
+    diag = s.diagonal
     for i in range(m.rows):
         for j in range(m.cols):
             if i != j:
@@ -122,11 +125,11 @@ def assert_snf_contract(m: IntMatrix, s: SnfDecomposition | None = None):
 class TestSnf:
     def test_diagonal_example(self):
         s = snf(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-        assert s.diagonal() == (2, 2, 156)
+        assert s.diagonal == (2, 2, 156)
 
     def test_zero_and_empty(self):
-        assert snf(IntMatrix.zeros(2, 3)).diagonal() == (0, 0)
-        assert snf(IntMatrix.zeros(0, 4)).diagonal() == ()
+        assert snf(IntMatrix.zeros(2, 3)).diagonal == (0, 0)
+        assert snf(IntMatrix.zeros(0, 4)).diagonal == ()
 
     @given(matrices)
     @settings(max_examples=150, deadline=None)
@@ -139,7 +142,7 @@ class TestSnf:
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form
 
-        ours = [d for d in snf(m).diagonal() if d != 0]
+        ours = [d for d in snf(m).diagonal if d != 0]
         if m.rows == 0 or m.cols == 0:
             assert ours == []
             return
@@ -175,7 +178,7 @@ class TestExtendSnf:
     @staticmethod
     def assert_extends(stacked: IntMatrix, s: SnfDecomposition):
         assert_snf_contract(stacked, s)
-        assert s.diagonal() == reference_snf(stacked).d.diagonal_entries()
+        assert s.diagonal == reference_snf(stacked).d.diagonal_entries()
 
     @given(extensions())
     @settings(max_examples=150, deadline=None)
@@ -207,6 +210,26 @@ class TestExtendSnf:
     def test_rows_must_match(self):
         with pytest.raises(ValueError):
             _extend_snf(snf(IntMatrix.zeros(2, 2)), IntMatrix.zeros(3, 1))
+
+    @given(matrices_of(st.integers(-9, 9), max_side=5), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_block_matches_the_full_elimination(self, r, width):
+        """A zero block is returned at once; eliminating ``[d | u @ 0]``
+        as for any other block logs no operation and gives the same
+        form and transforms."""
+        parent = snf(r)
+        b = IntMatrix.zeros(r.rows, width)
+        cols = r.cols + width
+        w = _sparse_rows(parent.d.hstack(parent.u @ b))
+        row_log, col_log = [], []
+        _eliminate(w, cols, row_log, col_log)
+        assert row_log == [] and col_log == []
+        full = SnfDecomposition(_from_rows(w, cols), parent.row_log, parent.col_log, parent)
+        s = _extend_snf(parent, b)
+        assert s == full
+        for name in ("u", "u_inv", "v", "v_inv"):
+            assert getattr(s, name) == getattr(full, name), name
+        self.assert_extends(r.hstack(b), s)
 
 
 class TestSnfMatchesReference:
