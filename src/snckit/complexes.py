@@ -17,6 +17,12 @@ by comparing the signed boundary of each simplex's image with the
 signed images of its facets.  Each simplex is one column of the
 products d_{a-1} d_a and d f, f d, so the checks are exact.  The
 boundary and chain-map matrices are built on first use.
+
+``DeltaComplex`` checks everything about simplices a caller gives it.
+The dual complex of a validated configuration is built with the private
+``DeltaComplex._of`` instead, which takes the layers as they are and
+checks d∘d = 0 only on the simplices it is given as suspects; its call
+site states which validation step implies each check it skips.
 """
 
 from __future__ import annotations
@@ -61,8 +67,24 @@ class Simplex:
         return Simplex(vid, (vid,))
 
 
+def _check_boundary_squared(by_id: Mapping[str, Simplex],
+                            simplices: Sequence[Simplex]) -> None:
+    """Raise unless the signed facets of the facets of each simplex
+    cancel, naming the dimension of the first that does not.  Facet
+    data alone gives d(d(s)) matching supports; the sign bookkeeping is
+    what this checks, one simplex (one column of d_{a-1} d_a) at a
+    time."""
+    for s in simplices:
+        twice: dict[str, int] = {}
+        for i, fid in enumerate(s.facets):
+            for k, gid in enumerate(by_id[fid].facets):
+                twice[gid] = twice.get(gid, 0) + (-1 if (i + k) % 2 else 1)
+        if any(twice.values()):
+            raise ValidationError([f"boundary squared is nonzero in dimension {s.dim}"])
+
+
 class DeltaComplex:
-    """An immutable Δ-complex; construction validates everything, and
+    """An immutable Δ-complex; the constructor validates everything, and
     checks d∘d = 0 per simplex: the signed facets of its facets cancel."""
 
     __slots__ = ("_by_dim", "_by_id", "_vertex_pos", "_index_in_dim", "_boundaries")
@@ -130,25 +152,32 @@ class DeltaComplex:
         if problems:
             raise ValidationError(problems)
 
+        self._set_layers(by_dim, by_id)
+        _check_boundary_squared(by_id, [s for layer in by_dim[2:] for s in layer])
+
+    @classmethod
+    def _of(cls, by_dim: Sequence[Sequence[Simplex]],
+            suspects: Sequence[Simplex]) -> "DeltaComplex":
+        """A complex from layers the package built itself, listed by
+        dimension, whose simplices have distinct ids, respect the order
+        of layer 0 and have the facets their vertices call for; skips
+        the checks that ``__init__`` makes on caller data, except d∘d =
+        0 on ``suspects``, which must be listed by dimension."""
+        cx = object.__new__(cls)
+        by_id = {s.id: s for layer in by_dim for s in layer}
+        cx._set_layers(by_dim, by_id)
+        _check_boundary_squared(by_id, suspects)
+        return cx
+
+    def _set_layers(self, by_dim: Sequence[Sequence[Simplex]],
+                    by_id: dict[str, Simplex]) -> None:
         self._by_dim = tuple(tuple(layer) for layer in by_dim)
         self._by_id = by_id
-        self._vertex_pos = vertex_pos
+        self._vertex_pos = {s.id: i for i, s in enumerate(self._by_dim[0])}
         self._index_in_dim = {
             s.id: j for layer in self._by_dim for j, s in enumerate(layer)
         }
         self._boundaries: dict[int, IntMatrix] = {}
-
-        # facet data alone guarantees d(d(s)) has matching supports;
-        # the sign bookkeeping is what this checks, one simplex (one
-        # column of d_{a-1} d_a) at a time
-        for a in range(2, len(self._by_dim)):
-            for s in self._by_dim[a]:
-                twice: dict[str, int] = {}
-                for i, fid in enumerate(s.facets):
-                    for k, gid in enumerate(by_id[fid].facets):
-                        twice[gid] = twice.get(gid, 0) + (-1 if (i + k) % 2 else 1)
-                if any(twice.values()):
-                    raise ValidationError([f"boundary squared is nonzero in dimension {a}"])
 
     # -- accessors ------------------------------------------------------
 

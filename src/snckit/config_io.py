@@ -146,8 +146,16 @@ class ConfigBundle:
     labels: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
 
 
+def _plain_ints(value: Any) -> bool:
+    """Whether ``value`` is a list of JSON numbers that are integers,
+    which ``_Reader.int_list`` takes as they are (a bool is not one)."""
+    return type(value) is list and all(type(x) is int for x in value)
+
+
 class _Reader:
-    """Schema walker collecting problems with JSON-path locations."""
+    """Schema walker collecting problems with JSON-path locations.  A
+    path is formatted only to report a problem, so input that is
+    already well formed formats none."""
 
     def __init__(self) -> None:
         self.problems: list[str] = []
@@ -181,6 +189,8 @@ class _Reader:
         return None
 
     def int_list(self, value: Any, where: str) -> list[int] | None:
+        if _plain_ints(value):
+            return value
         if not isinstance(value, list):
             self.fail(where, f"expected a list, got {type(value).__name__}")
             return None
@@ -294,16 +304,18 @@ def parse_config(text: str) -> ConfigBundle:
         reader.fail("components", "required list is missing or not a list")
     else:
         for i, item in enumerate(comps):
-            where = f"components[{i}]"
             if not isinstance(item, dict):
-                reader.fail(where, "expected an object")
+                reader.fail(f"components[{i}]", "expected an object")
                 continue
-            cid = reader.str_value(item.get("id"), f"{where}.id")
-            if cid is None:
+            cid = item.get("id")
+            if not isinstance(cid, str):
+                reader.str_value(cid, f"components[{i}].id")
                 continue
             degrees = (1,)
             if "point_degrees" in item:
-                parsed = reader.int_list(item["point_degrees"], f"{where}.point_degrees")
+                raw = item["point_degrees"]
+                parsed = raw if _plain_ints(raw) else reader.int_list(
+                    raw, f"components[{i}].point_degrees")
                 if parsed is None:
                     continue
                 degrees = tuple(parsed)
@@ -327,31 +339,33 @@ def parse_config(text: str) -> ConfigBundle:
             reader.fail(where, "expected a list")
             continue
         for i, item in enumerate(items):
-            swhere = f"{where}[{i}]"
             if not isinstance(item, dict):
-                reader.fail(swhere, "expected an object")
+                reader.fail(f"{where}[{i}]", "expected an object")
                 continue
-            sid = reader.str_value(item.get("id"), f"{swhere}.id")
-            if sid is None:
+            sid = item.get("id")
+            if not isinstance(sid, str):
+                reader.str_value(sid, f"{where}[{i}].id")
                 continue
             on_raw = item.get("on")
             if not isinstance(on_raw, list) or not all(isinstance(x, str) for x in on_raw):
-                reader.fail(f"{swhere}.on", "expected a list of component ids")
+                reader.fail(f"{where}[{i}].on", "expected a list of component ids")
                 continue
             if len(on_raw) != depth:
-                reader.fail(f"{swhere}.on",
+                reader.fail(f"{where}[{i}].on",
                             f"{len(on_raw)} components listed under depth {depth}")
                 continue
             facets = None
             if "facets" in item:
                 fr = item["facets"]
                 if not isinstance(fr, list) or not all(isinstance(x, str) for x in fr):
-                    reader.fail(f"{swhere}.facets", "expected a list of stratum ids")
+                    reader.fail(f"{where}[{i}].facets", "expected a list of stratum ids")
                     continue
                 facets = tuple(fr)
             degrees = (1,)
             if "point_degrees" in item:
-                parsed = reader.int_list(item["point_degrees"], f"{swhere}.point_degrees")
+                raw = item["point_degrees"]
+                parsed = raw if _plain_ints(raw) else reader.int_list(
+                    raw, f"{where}[{i}].point_degrees")
                 if parsed is None:
                     continue
                 degrees = tuple(parsed)

@@ -1,10 +1,12 @@
 """Simplicial homology of Δ-complexes over Z and Z/n, exactly.
 
 Integral homology in degree a is presented on a basis of the kernel of
-the boundary, with one relation per (a+1)-simplex.  Mod-n homology is
-read off the integral Smith forms in degrees a and a - 1 by the
-universal coefficient theorem, on one generator per cyclic summand with
-one representative cycle mod n each; no matrix is stacked with n·I.
+the boundary, with one relation per (a+1)-simplex; in degree 0 that
+basis is the identity and the relations are d_1 itself.  Mod-n homology
+is read off the integral Smith forms in degrees a and a - 1 by the
+universal coefficient theorem (degree a - 1 only when it is at least 1,
+since H_0 is free), on one generator per cyclic summand with one
+representative cycle mod n each; no matrix is stacked with n·I.
 The tests compare it with Z/n homology computed from its own
 presentation (``tests/zn_reference.py``), so the universal-coefficient
 checks there are a real cross-check and not a tautology.
@@ -112,6 +114,10 @@ def _integral(cx: DeltaComplex, a: int,
     d_a = _boundary(cx, a, reduced)
     s = snf(d_a)
     cycles = _from_columns(_kernel_columns(s), d_a.cols)
+    if a == 0 and not reduced:
+        # d_0 has no rows, so its form logs no operation and the cycle
+        # basis is the identity, on which d_1 is its own solution
+        return s, cycles, FgAbelianGroup(cycles.cols, cx.boundary_matrix(1))
     relations = solve_matrix(cycles, cx.boundary_matrix(a + 1))
     if relations is None:
         raise WellDefinednessError("a boundary is not a cycle")
@@ -154,10 +160,12 @@ def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:
     the Bockstein H_a(X; Z/n) -> H_{a-1}(X) sends it to (t/g)·z, of order
     g.  Every c is solved in one replay on the Smith form of d_a that
     gave the degree-a cycles.  Representatives are reduced into [0, n).
+    H_0 and H̃_0 are free, so in degree 1 the Tor part is zero and H_0 is
+    not computed.
     """
     s_a, cycles, group = _integral(cx, a, reduced)
     _, gcds, reps = _smith_cycles(cycles, group, n, torsion_only=False)
-    if a >= 1:
+    if a >= 2:
         _, lower_cycles, lower = _integral(cx, a - 1, reduced)
         torsion, tor_gcds, z = _smith_cycles(lower_cycles, lower, n, torsion_only=True)
         if torsion:

@@ -11,6 +11,14 @@ when a unique depth-(r-1) stratum sits on each component subset;
 otherwise (parallel strata) explicit ``facets`` are required and
 inference failure is a validation error, never a guess.
 
+Validation proves everything the checking ``DeltaComplex`` constructor
+would check of the dual complex except d∘d = 0, so the dual complex is
+built once, in one pass over the strata, through the trusted
+``DeltaComplex._of``.  d∘d = 0 is checked only on simplices with a
+facet whose own facets were given explicitly: wherever facets were
+inferred, the facets of facets that must cancel are the same unique
+stratum.
+
 An optional Frobenius action permutes components and strata
 compatibly; its admissibility for a given scalar extension is the
 business of the extension machinery, not of validation here.
@@ -151,19 +159,46 @@ class SncConfiguration:
         return tuple(_find_problems(self))
 
     @cached_property
-    def _facets(self) -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:
+    def _facets(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]],
+                               tuple[str, ...]]:
         return _resolve_facets(self)
 
     @cached_property
     def _dual_complex(self) -> DeltaComplex:
-        order = {c.id: i for i, c in enumerate(self.components)}
-        facets = self._facets[0]
-        simplices = [Simplex.vertex(c.id) for c in self.components]
-        for r in self.depths():
-            for s in self.strata_of_depth(r):
-                verts = tuple(sorted(s.on, key=order.__getitem__))
-                simplices.append(Simplex(s.id, verts, facets[s.id]))
-        return DeltaComplex(simplices)
+        # Built only once validation found no problem, so _of may skip
+        # what validation proved:
+        # - ids are distinct: _find_problems rejects a duplicate id
+        #   across components and strata;
+        # - there is a vertex: it rejects an empty component list;
+        # - every stratum lies on known, distinct components, and so is
+        #   a simplex on distinct vertices: it rejects the rest;
+        # - vertex order: the vertex tuples of _resolve_facets are
+        #   sorted by the component order, which is layer 0's order;
+        # - facet ids, count and spans: _resolve_facets gives every
+        #   stratum one facet per vertex, the one omitting it, which is
+        #   a depth-(r-1) stratum on the other components (or, for an
+        #   edge, the other component); so depths run from 2 without
+        #   gaps.
+        # d∘d = 0 is checked on the simplices with a facet whose own
+        # facets were given explicitly.  In any other simplex every facet
+        # is an edge or had its facets inferred, and inference takes the
+        # only stratum on a set of components; so facet j's facet i and
+        # facet i's facet j-1, which lie on the same components, are
+        # both the only stratum (or component) there, and their signs
+        # cancel.
+        facets, vertices, _ = self._facets
+        layers: list[list[Simplex]] = [[Simplex.vertex(c.id) for c in self.components]]
+        explicit: set[str] = set()
+        for s in self.strata:
+            verts = vertices[s.id]
+            while len(layers) < len(verts):
+                layers.append([])
+            layers[len(verts) - 1].append(Simplex(s.id, verts, facets[s.id]))
+            if s.facets is not None and len(verts) >= 3:
+                explicit.add(s.id)
+        suspects = [t for layer in layers[3:] for t in layer
+                    if not explicit.isdisjoint(t.facets)] if explicit else []
+        return DeltaComplex._of(layers, suspects)
 
     @cached_property
     def _frobenius_chain(self) -> ChainMap:
@@ -205,10 +240,10 @@ def has_rational_point(point_degrees: Iterable[int], f: int) -> bool:
     return any(f % d == 0 for d in point_degrees)
 
 
-def _check_degrees(problems: list[str], owner: str, degrees: Sequence[int]) -> None:
+def _check_degrees(problems: list[str], kind: str, oid: str, degrees: Sequence[int]) -> None:
     for d in degrees:
         if d < 1:
-            problems.append(f"{owner}: point degree {d} is not positive")
+            problems.append(f"{kind} {oid!r}: point degree {d} is not positive")
 
 
 def _perm_problems(label: str, perm: Mapping[str, str], domain: Sequence[str],
@@ -251,28 +286,27 @@ def _find_problems(cfg: SncConfiguration) -> list[str]:
         if c.id in seen:
             problems.append(f"duplicate component id {c.id!r}")
         seen.add(c.id)
-        _check_degrees(problems, f"component {c.id!r}", c.point_degrees)
+        _check_degrees(problems, "component", c.id, c.point_degrees)
     comp_set = set(cfg.component_ids())
 
-    strata_by_id: dict[str, Stratum] = {}
     for s in cfg.strata:
         if s.id in seen:
             problems.append(f"duplicate id {s.id!r} (ids are global across components and strata)")
         seen.add(s.id)
-        strata_by_id[s.id] = s
-        _check_degrees(problems, f"stratum {s.id!r}", s.point_degrees)
-        if s.depth < 2:
-            problems.append(f"stratum {s.id!r} has depth {s.depth}, expected at least 2")
+        _check_degrees(problems, "stratum", s.id, s.point_degrees)
+        depth = len(s.on)
+        if depth < 2:
+            problems.append(f"stratum {s.id!r} has depth {depth}, expected at least 2")
             continue
-        if len(set(s.on)) != len(s.on):
+        if len(set(s.on)) != depth:
             problems.append(f"stratum {s.id!r}: repeated component in {s.on}")
             continue
-        unknown = [c for c in s.on if c not in comp_set]
-        if unknown:
+        if not comp_set.issuperset(s.on):
+            unknown = [c for c in s.on if c not in comp_set]
             problems.append(f"stratum {s.id!r} lies on unknown components {unknown}")
 
     if not problems:
-        problems.extend(cfg._facets[1])
+        problems.extend(cfg._facets[2])
 
     if cfg.frobenius is not None and not problems:
         problems.extend(_frobenius_problems(cfg))
@@ -344,23 +378,33 @@ def resolved_facets(cfg: SncConfiguration) -> dict[str, tuple[str, ...]]:
     tuple omits vertex i of its sorted vertex tuple.  Depth-2 strata
     get component ids.  Raises when inference is ambiguous or a facet
     is missing."""
-    facets, problems = cfg._facets
+    facets, _, problems = cfg._facets
     if problems:
         raise ValidationError(list(problems))
     return dict(facets)
 
 
-def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:
+def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]],
+                                                    dict[str, tuple[str, ...]],
+                                                    tuple[str, ...]]:
+    """The positional facets of every stratum whose facets resolve, the
+    vertex tuple of every stratum, sorted by the component order, and
+    the problems found.  ``_find_problems`` reads them only when every
+    stratum has depth at least 2 and lies on known, distinct
+    components."""
     problems: list[str] = []
     order = {c.id: i for i, c in enumerate(cfg.components)}
+    on_sets = [frozenset(s.on) for s in cfg.strata]
     by_on: dict[frozenset, list[str]] = {}
-    for s in cfg.strata:
-        by_on.setdefault(frozenset(s.on), []).append(s.id)
+    for s, on in zip(cfg.strata, on_sets):
+        by_on.setdefault(on, []).append(s.id)
     out: dict[str, tuple[str, ...]] = {}
+    vertices: dict[str, tuple[str, ...]] = {}
 
-    for s in cfg.strata:
-        verts = tuple(sorted(s.on, key=order.__getitem__))
-        if s.depth == 2:
+    for s, on in zip(cfg.strata, on_sets):
+        verts = vertices[s.id] = tuple(sorted(s.on, key=order.__getitem__))
+        r = len(verts)
+        if r == 2:
             if s.facets is not None:
                 given = set(s.facets)
                 if given != set(verts):
@@ -372,12 +416,12 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], 
             out[s.id] = (verts[1], verts[0])
             continue
 
-        positional: list[str | None] = [None] * len(verts)
+        positional: list[str | None] = [None] * r
         if s.facets is not None:
-            if len(s.facets) != s.depth:
+            if len(s.facets) != r:
                 problems.append(
                     f"stratum {s.id!r}: {len(s.facets)} explicit facets, "
-                    f"expected {s.depth}"
+                    f"expected {r}"
                 )
                 continue
             ok = True
@@ -387,15 +431,16 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], 
                     problems.append(f"stratum {s.id!r}: facet {fid!r} does not exist")
                     ok = False
                     continue
-                missing = set(s.on) - set(f.on)
-                if f.depth != s.depth - 1 or not set(f.on) <= set(s.on) or len(missing) != 1:
+                missing = on - set(f.on)
+                if f.depth != r - 1 or not on.issuperset(f.on) or len(missing) != 1:
                     problems.append(
                         f"stratum {s.id!r}: facet {fid!r} does not omit exactly one "
                         f"of its components"
                     )
                     ok = False
                     continue
-                i = verts.index(missing.pop())
+                (omitted,) = missing
+                i = verts.index(omitted)
                 if positional[i] is not None:
                     problems.append(
                         f"stratum {s.id!r}: facets {positional[i]!r} and {fid!r} omit "
@@ -412,13 +457,13 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], 
 
         ok = True
         for i, v in enumerate(verts):
-            key = frozenset(s.on) - {v}
+            key = on - {v}
             candidates = by_on.get(key, [])
             if len(candidates) == 1:
                 positional[i] = candidates[0]
             elif not candidates:
                 problems.append(
-                    f"stratum {s.id!r}: no depth-{s.depth - 1} stratum on "
+                    f"stratum {s.id!r}: no depth-{r - 1} stratum on "
                     f"{tuple(sorted(key, key=order.__getitem__))}"
                 )
                 ok = False
@@ -431,7 +476,7 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]], 
         if ok:
             out[s.id] = tuple(positional)  # type: ignore[arg-type]
 
-    return out, tuple(problems)
+    return out, vertices, tuple(problems)
 
 
 def build_dual_complex(cfg: SncConfiguration) -> DeltaComplex:

@@ -13,6 +13,8 @@ from snckit.cli import main
 from snckit.config_io import serialize_bundle
 from snckit.fixtures import fermat_bundle, rulings_bundle
 
+from conftest import suspension_document
+
 
 @pytest.fixture
 def rulings_path(tmp_path):
@@ -87,6 +89,49 @@ class TestExitCodes:
         path.write_text(json.dumps({"components": [{"id": "A"}], **doc}))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+    @pytest.mark.parametrize("doc, where, message", [
+        ({"strata": {"2": [{"id": "s", "on": ["A", "B"], "point_degrees": [1, True]}]}},
+         "strata['2'][0].point_degrees[1]", "expected an integer, got a boolean"),
+        ({"components": [{"id": "A"}, {"id": "B", "point_degrees": [2, "9" * 5000]}]},
+         "components[1].point_degrees[1]", "decimal integer of 5000 digits is too long"),
+        ({"strata": {"2": [{"id": "s", "on": ["A", "B"]}, ["t"]]}},
+         "strata['2'][1]", "expected an object"),
+        ({"strata": {"2": [{"id": 7, "on": ["A", "B"]}]}},
+         "strata['2'][0].id", "expected a string, got int"),
+    ], ids=["bool-degree", "overlong-degree", "stratum-not-object", "stratum-id-not-string"])
+    def test_walker_fast_paths_name_the_failing_path(self, capsys, tmp_path,
+                                                       doc, where, message):
+        """The schema walker takes well-formed lists and items without
+        formatting their paths, and still names the exact path of the
+        one that is not."""
+        path = tmp_path / "walker.json"
+        path.write_text(json.dumps({"components": [{"id": "A"}, {"id": "B"}], **doc}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+    def test_parallel_edges_with_mismatched_explicit_facets_exit_one(self, capsys, tmp_path):
+        """Triangles ABC and ABD bound the parallel edges AB and AB2, so
+        the inferred tetrahedron T on them has d∘d != 0; validation
+        accepts every stratum, and building the dual complex rejects T."""
+        doc = {
+            "components": [{"id": c} for c in "ABCD"],
+            "strata": {
+                "2": [{"id": e, "on": list(e)} for e in ("AB", "AC", "AD", "BC", "BD", "CD")]
+                     + [{"id": "AB2", "on": ["A", "B"]}],
+                "3": [
+                    {"id": "ABC", "on": ["A", "B", "C"], "facets": ["BC", "AC", "AB"]},
+                    {"id": "ABD", "on": ["A", "B", "D"], "facets": ["BD", "AD", "AB2"]},
+                    {"id": "ACD", "on": ["A", "C", "D"]},
+                    {"id": "BCD", "on": ["B", "C", "D"]},
+                ],
+                "4": [{"id": "T", "on": ["A", "B", "C", "D"]}],
+            },
+        }
+        path = tmp_path / "parallel-edges.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: boundary squared is nonzero in dimension 3\n"
 
     def test_overlong_json_number_is_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "long-number.json"
@@ -300,16 +345,33 @@ def _counting(counts, key, fn):
     return wrapper
 
 
+def _count_complexes(monkeypatch, counts):
+    """Count every complex built, through the checking constructor or
+    the trusted ``DeltaComplex._of``, under ``counts["complex"]``, and
+    the simplices whose d∘d sum is taken under ``counts["dd"]``."""
+    from snckit import complexes
+
+    cls = complexes.DeltaComplex
+    monkeypatch.setattr(cls, "__init__", _counting(counts, "complex", cls.__init__))
+    monkeypatch.setattr(cls, "_of", classmethod(_counting(counts, "complex", cls._of.__func__)))
+    check = complexes._check_boundary_squared
+
+    def checking(by_id, simplices):
+        counts["dd"] += len(simplices)
+        return check(by_id, simplices)
+
+    monkeypatch.setattr(complexes, "_check_boundary_squared", checking)
+
+
 def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     """One sweep builds the geometric complex once plus one quotient per
     degree class gcd(f, P) (fermat-5 has P = 1, so one class), evaluates
     alpha and its surjectivity once per prime, and keeps SNF work
     bounded."""
-    from snckit import complexes, groups, matrices, reciprocity
+    from snckit import groups, matrices, reciprocity
 
-    counts = {"complex": 0, "alpha": 0, "surjective": 0, "snf": 0}
-    init = complexes.DeltaComplex.__init__
-    monkeypatch.setattr(complexes.DeltaComplex, "__init__", _counting(counts, "complex", init))
+    counts = {"complex": 0, "dd": 0, "alpha": 0, "surjective": 0, "snf": 0}
+    _count_complexes(monkeypatch, counts)
     surjective = groups.ModuleMap.is_surjective
     monkeypatch.setattr(groups.ModuleMap, "is_surjective",
                         _counting(counts, "surjective", surjective))
@@ -323,6 +385,19 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     assert counts["alpha"] == 3
     assert counts["surjective"] == 3
     assert counts["snf"] <= 27
+
+
+def test_validate_builds_one_trusted_complex(capsys, monkeypatch, tmp_path):
+    """``validate`` on the 4-fold suspension of the 6-cycle builds its
+    dual complex once, and takes no d∘d sum: every facet there is
+    inferred, so validation already implies d∘d = 0."""
+    path = tmp_path / "suspension-4.json"
+    path.write_text(json.dumps(suspension_document(4)))
+    counts = {"complex": 0, "dd": 0}
+    _count_complexes(monkeypatch, counts)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert counts == {"complex": 1, "dd": 0}
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch, rulings_path):
@@ -437,12 +512,12 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 # and v_inv of every SNF).  An extension of the SNF of a by columns b
 # reduces [a | b], so its shape is that of [a | b].  Z/6 homology in
 # degree 1 eliminates the three matrices that Z homology eliminates in
-# each of degrees 1 and 0, and the 1 x 1 diagonal of its own
-# presentation.  A change may lower these counts and pin the lower
-# values; none may rise.
+# degree 1 and the 1 x 1 diagonal of its own presentation; H_0 is free,
+# so degree 0 adds none.  A change may lower these counts and pin the
+# lower values; none may rise.
 SNF_WORK = {
     "cover-50": (["homology"], 3, 0, (100, 100), 1),
-    "cover-50-z6": (["homology", "--coeff", "z/6"], 7, 0, (100, 100), 3),
+    "cover-50-z6": (["homology", "--coeff", "z/6"], 4, 0, (100, 100), 3),
     "dense-12": (["kernel", "--ell", "3"], 8, 4, (12, 25), 306),
     "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 12, 12, (24, 50), 33041),
 }

@@ -13,7 +13,7 @@ from snckit.homology import (
     oracle_homology,
     random_complex,
 )
-from snckit.matrices import IntMatrix, solve
+from snckit.matrices import IntMatrix, kernel_basis, solve, solve_matrix
 
 from conftest import cycle_complex, moore_complex
 from zn_reference import homology_mod_n
@@ -41,6 +41,19 @@ class TestHomologyGroup:
         two = DeltaComplex([Simplex.vertex("a"), Simplex.vertex("b")])
         assert homology_group(two, 0).group.free_rank == 2
         assert homology_group(two, 0, reduced=True).group.free_rank == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 2))
+    def test_h0_relations_are_d1(self, seed, max_dim):
+        """In degree 0 the cycle basis is the identity, so H_0 is
+        presented by d_1 itself: the same cycle matrix and relations, entry
+        for entry, as solving for the relations on the kernel basis."""
+        cx = random_complex(random.Random(seed), max_dim=max_dim)
+        h = homology_group(cx, 0)
+        cycles = kernel_basis(cx.boundary_matrix(0))
+        assert h.cycle_matrix == cycles == IntMatrix.identity(len(cx.simplices(0)))
+        assert h.group.generator_count == cycles.cols
+        assert h.group.relations == solve_matrix(cycles, cx.boundary_matrix(1))
 
     def test_suspension_of_four_cycle_mod_6(self):
         s = suspend(cycle_complex(4), "O", "inf")
@@ -267,7 +280,8 @@ class TestModNMatchesReference:
         a and a - 1 eliminates, plus the k x k diagonal of its own
         presentation, and nothing wider than the widest boundary it
         reads, which the n·I route exceeds whenever d_{a+1} has
-        columns."""
+        columns.  Degree 0 adds no SNF: H_0 and H̃_0 are free, so
+        Tor(H_0, Z/n) = 0 and degree 1 does not compute H_0."""
         from snckit import matrices
 
         from test_cli import _rebind
@@ -297,7 +311,7 @@ class TestModNMatchesReference:
                     k = homology_group(cx, a, n, reduced).group.generator_count
                     integral = recorded(lambda: [
                         homology_group(cx, b, reduced=reduced).group.iso_type()
-                        for b in (a, a - 1) if b >= 0])
+                        for b in (a, a - 1) if b == a or b >= 1])
                     assert got == sorted(integral + [(k, k)]), (cx, a, n)
                     widest = max(cx.boundary_matrix(b).cols for b in (a - 1, a, a + 1) if b >= 0)
                     assert max(cols for _, cols in got) <= widest

@@ -1,8 +1,16 @@
 """Configuration validation, facet resolution, dual complex."""
 
-import pytest
+import itertools
+import json
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from snckit.complexes import DeltaComplex, Simplex
+from snckit.config_io import ConfigBundle, parse_config, serialize_bundle
 from snckit.errors import ValidationError
+from snckit.fixtures import fermat_bundle, fermat_cover_config, rulings_bundle, trivial_pi1
 from snckit.snc import (
     Component,
     FrobeniusAction,
@@ -10,14 +18,17 @@ from snckit.snc import (
     Stratum,
     build_dual_complex,
     has_rational_point,
+    resolved_facets,
     validate_config,
 )
 
 from conftest import (
     cycle_config,
     multigraph_config,
+    random_admissible_config,
     reflection_action,
     rotation_action,
+    suspension_document,
     triangle_config,
 )
 
@@ -193,6 +204,99 @@ class TestBuildDualComplex:
         cfg = SncConfiguration("none", ())
         with pytest.raises(ValidationError):
             build_dual_complex(cfg)
+
+
+@st.composite
+def parallel_configs(draw):
+    """Components listed in a drawn order, then up to two strata on
+    every set of 2 to 4 of them whose faces all carry strata.  A stratum
+    of depth 3 or 4 names explicit facets, drawn from the strata on its
+    faces, whenever a face carries two strata, and otherwise sometimes;
+    edges sometimes name their components.  Strata are listed in a drawn
+    order and each lists its components in a drawn order.  Every such
+    configuration validates; d∘d fails where two explicit facets meet on
+    different parallel strata."""
+    comps = draw(st.permutations([f"c{i}" for i in range(draw(st.sampled_from([4, 5, 3, 2])))]))
+    on_span = {(c,): [c] for c in comps}
+    strata = []
+    for r in (2, 3, 4):
+        for span in itertools.combinations(comps, r):
+            faces = [on_span.get(span[:i] + span[i + 1:]) for i in range(r)]
+            if not all(faces):
+                continue
+            for k in range(draw(st.sampled_from([1, 2, 1, 2, 1, 0]))):
+                sid = "".join(span) + f"#{k}"
+                facets = None
+                if any(len(f) > 1 for f in faces) or draw(st.booleans()):
+                    facets = draw(st.permutations([draw(st.sampled_from(f)) for f in faces]))
+                strata.append(Stratum(sid, tuple(draw(st.permutations(span))),
+                                      None if facets is None else tuple(facets)))
+                on_span.setdefault(span, []).append(sid)
+    return SncConfiguration("parallel", tuple(Component(c) for c in comps),
+                            tuple(draw(st.permutations(strata))))
+
+
+BUILT_CONFIGS = [
+    cycle_config(5),
+    cycle_config(4, frobenius=reflection_action(4)),
+    triangle_config(),
+    triangle_config(with_face=False),
+    multigraph_config(),
+    rulings_bundle().config,
+    fermat_bundle(5).config,
+    fermat_cover_config(4),
+    parse_config(json.dumps(suspension_document(3))).config,
+]
+
+configurations = (
+    st.sampled_from(BUILT_CONFIGS)
+    | st.builds(random_admissible_config, st.integers(0, 10**6).map(random.Random),
+                st.integers(1, 3))
+    | parallel_configs()
+)
+
+
+def _checked_simplices(cfg: SncConfiguration) -> list[Simplex]:
+    """The dual complex's simplices as the checking constructor takes
+    them: vertices, then strata by depth, on vertex tuples sorted by the
+    component order."""
+    order = {c.id: i for i, c in enumerate(cfg.components)}
+    facets = resolved_facets(cfg)
+    simplices = [Simplex.vertex(c.id) for c in cfg.components]
+    for r in cfg.depths():
+        for s in cfg.strata_of_depth(r):
+            verts = tuple(sorted(s.on, key=order.__getitem__))
+            simplices.append(Simplex(s.id, verts, facets[s.id]))
+    return simplices
+
+
+def _ids_by_dimension(cx: DeltaComplex) -> list[list[str]]:
+    return [[s.id for s in cx.simplices(a)] for a in range(cx.dimension + 1)]
+
+
+class TestTrustedDualComplex:
+    """The dual complex of a validated configuration is built through
+    ``DeltaComplex._of``, which skips what validation proved; it must
+    accept and reject what the checking constructor does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(configurations)
+    def test_matches_checking_constructor(self, cfg):
+        assert validate_config(cfg) == []
+        text = serialize_bundle(ConfigBundle(cfg.name, cfg, trivial_pi1()))
+        try:
+            checked = DeltaComplex(_checked_simplices(cfg))
+        except ValidationError as err:
+            for build in (lambda: build_dual_complex(cfg), lambda: parse_config(text)):
+                with pytest.raises(ValidationError) as rejected:
+                    build()
+                assert rejected.value.problems == err.problems
+            return
+        for cx in (build_dual_complex(cfg), build_dual_complex(parse_config(text).config)):
+            for other in (DeltaComplex(list(cx.all_simplices())), checked):
+                assert cx.structure_signature() == other.structure_signature()
+                assert cx.counts() == other.counts()
+                assert _ids_by_dimension(cx) == _ids_by_dimension(other)
 
 
 def test_has_rational_point():
