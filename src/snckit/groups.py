@@ -8,15 +8,29 @@ matrix product and a map is well defined exactly when it carries every
 source relation into the target relation lattice (decided through the
 Smith normal form, never by floating point or randomness).
 
+Groups work in Smith coordinates and read only the ones they need.
+If ``u @ relations @ v == d``, a vector x lies in the relation lattice
+exactly when every coordinate i of ``u @ x`` is a multiple of d_i, so
+a row of ``u`` with d_i == 1 is never read, and a row with d_i > 1 is
+read modulo d_i (``matrices._smith_vector``); free rows, with d_i == 0,
+are read exactly.  A membership test of many vectors is one product of
+those rows with the block of vectors, and no caller replays a whole
+``u`` or ``u_inv``.
+
 A group made from another by adding relation columns (a cokernel,
 coinvariants, a localization, theta over y0) continues that group's
-Smith normal form over the added columns (``matrices._extend_snf``)
-instead of eliminating its whole relation matrix again.  A map makes
-that continuation of its target's form by its matrix once, as the form
-of its cokernel, and its image, its cokernel and both of
-``is_injective`` and ``is_surjective`` read the same one.  A derived
-group's relation matrix is still the parent's with the new columns
-appended.
+Smith normal form (``matrices._continue_snf``) over the Smith
+coordinates of the added columns, reduced the same way, instead of
+eliminating its whole relation matrix again.  That is the form of a
+presentation ``[a | b']`` with ``b'`` congruent to the added ``b``
+modulo the parent's relation lattice: the same lattice, so the same
+diagonal, the same membership tests and the same preimages.  A derived
+group's ``relations`` is still the parent's with the exact new columns
+appended, ``[a | b]``; only its ``relation_snf()`` is that of the
+congruent presentation.  A map makes that continuation of its target's
+form by its matrix once, as the form of its cokernel, and its image,
+its cokernel and both of ``is_injective`` and ``is_surjective`` read
+the same one.
 
 ``GaloisModule`` pairs a group with a finite-order automorphism, the
 Frobenius of a ground field acting on an invariant of the geometric
@@ -40,9 +54,9 @@ from .errors import WellDefinednessError
 from .matrices import (
     IntMatrix,
     SnfDecomposition,
-    _extend_snf,
+    _continue_snf,
     _preimage_lattice,
-    _smith_coordinates,
+    _smith_vector,
     snf,
 )
 
@@ -112,7 +126,7 @@ class IsoType:
 class FgAbelianGroup:
     """Z^n modulo the column span of ``relations`` (an n-row matrix)."""
 
-    __slots__ = ("generator_count", "relations", "_snf", "_smith", "_base")
+    __slots__ = ("generator_count", "relations", "_snf", "_smith", "_base", "_rows", "_iso")
 
     def __init__(self, generator_count: int, relations: IntMatrix | None = None):
         if generator_count < 0:
@@ -128,11 +142,14 @@ class FgAbelianGroup:
         self._snf: SnfDecomposition | None = None
         self._smith: "SmithForm | None" = None
         self._base: "tuple[FgAbelianGroup, IntMatrix] | None" = None
+        self._rows: "tuple[tuple[int, ...], IntMatrix, tuple[int, ...]] | None" = None
+        self._iso: IsoType | None = None
 
     @classmethod
     def _extended(cls, base: "FgAbelianGroup", columns: IntMatrix) -> "FgAbelianGroup":
         """``base`` with the relation ``columns`` added.  Its Smith form
-        is ``base``'s continued over the new columns, on first use."""
+        is ``base``'s continued over the reduced Smith coordinates of the
+        new columns, on first use."""
         g = cls(base.generator_count, base.relations.hstack(columns))
         g._base = (base, columns)
         return g
@@ -173,9 +190,66 @@ class FgAbelianGroup:
                 self._snf = snf(self.relations)
             else:
                 base, columns = self._base
-                self._snf = _extend_snf(base.relation_snf(), columns)
+                self._snf = _continue_snf(base.relation_snf(), base._smith_block(columns))
                 self._base = None
         return self._snf
+
+    def _smith_rows(self) -> tuple[tuple[int, ...], IntMatrix, tuple[int, ...]]:
+        """The Smith coordinates this group reads: the indices i of the
+        rows of its form's ``u`` with d_i != 1, in order (torsion, then
+        free), those rows as a matrix, row i reduced into [0, d_i) and
+        exact when free, and the moduli d_i, 0 for a free row."""
+        if self._rows is None:
+            s = self.relation_snf()
+            diag = s.diagonal
+            n = self.generator_count
+            idx = tuple(i for i in range(n) if i >= len(diag) or diag[i] != 1)
+            moduli = tuple(diag[i] if i < len(diag) else 0 for i in idx)
+            rows = IntMatrix._of(len(idx), n, [x for i in idx for x in _smith_vector(s, i)])
+            self._rows = (idx, rows, moduli)
+        return self._rows
+
+    def _reduced(self, block: IntMatrix) -> list[list[int]]:
+        """The rows of ``_smith_rows`` times ``block``, row i reduced
+        into [0, d_i): zero exactly where a column of ``block`` has a
+        coordinate outside the relation lattice."""
+        _, rows, moduli = self._smith_rows()
+        y, k = (rows @ block)._entries, block.cols
+        return [[x % m for x in y[r * k:(r + 1) * k]] if m else list(y[r * k:(r + 1) * k])
+                for r, m in enumerate(moduli)]
+
+    def _outside(self, block: IntMatrix) -> list[int]:
+        """The indices of the columns of ``block`` that do not lie in
+        the relation lattice, in order."""
+        # zero columns always lie in it, and this spares reading the SNF
+        if block.is_zero():
+            return []
+        reduced = self._reduced(block)
+        return [j for j in range(block.cols) if any(row[j] for row in reduced)]
+
+    def _smith_block(self, columns: IntMatrix) -> IntMatrix:
+        """Smith coordinates of ``columns`` that are congruent to ``u @
+        columns`` modulo the column span of ``d``: row i reduced into
+        [0, d_i), exact when free, and zero when d_i == 1."""
+        idx = self._smith_rows()[0]
+        k = columns.cols
+        entries = [0] * (self.generator_count * k)
+        for i, row in zip(idx, self._reduced(columns)):
+            entries[i * k:(i + 1) * k] = row
+        return IntMatrix._of(self.generator_count, k, entries)
+
+    def _exponent(self) -> int:
+        """The largest invariant factor when the group is finite (1 when
+        it is trivial), so that it times Z^n lies in the relation
+        lattice; 0 when the group has a free part."""
+        # without relations the group is free, and this spares reading
+        # the SNF
+        if self.relations.is_zero():
+            return 0 if self.generator_count else 1
+        iso = self.iso_type()
+        if iso.rank:
+            return 0
+        return iso.torsion[-1] if iso.torsion else 1
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -186,7 +260,9 @@ class FgAbelianGroup:
         return self.generator_count - self.relation_snf().rank
 
     def iso_type(self) -> IsoType:
-        return IsoType(self.invariant_factors, self.free_rank)
+        if self._iso is None:
+            self._iso = IsoType(self.invariant_factors, self.free_rank)
+        return self._iso
 
     def isomorphic_to(self, other: "FgAbelianGroup") -> bool:
         return self.iso_type() == other.iso_type()
@@ -204,14 +280,7 @@ class FgAbelianGroup:
 
     def in_relation_lattice(self, vec: Sequence[int]) -> bool:
         """Whether ``vec`` represents zero, i.e. lies in the relation lattice."""
-        # zero always does, and this spares reading the SNF
-        if len(vec) == self.generator_count and not any(vec):
-            return True
-        # one SNF answers every membership test of this group, so u is
-        # built once and reused, where a one-off solve replays the log
-        s = self.relation_snf()
-        column = [{0: x} if x else {} for x in s.u.apply(vec)]
-        return _smith_coordinates(s, column) is not None
+        return not self._outside(IntMatrix.from_columns([vec], rows=self.generator_count))
 
     def smith(self) -> "SmithForm":
         if self._smith is None:
@@ -220,13 +289,14 @@ class FgAbelianGroup:
 
     def element_order(self, vec: Sequence[int]) -> int | None:
         """Order of the class of ``vec``; None when infinite."""
-        sm = self.smith()
-        y = sm.to_smith.matrix.apply(vec)
-        if any(y[sm.torsion_count + k] != 0 for k in range(sm.free_count)):
-            return None
+        _, rows, moduli = self._smith_rows()
         n = 1
-        for i, d in enumerate(sm.torsion_orders):
-            k = d // gcd(d, y[i] % d)
+        for x, d in zip(rows.apply(vec), moduli):
+            if d == 0:
+                if x:
+                    return None
+                continue
+            k = d // gcd(d, x)
             n = n * k // gcd(n, k)
         return n
 
@@ -251,7 +321,10 @@ class SmithForm:
     ``group`` is presented on ``torsion_count + free_count`` generators
     (torsion first, in divisibility order) and ``to_smith`` /
     ``from_smith`` are mutually inverse isomorphisms with the original
-    presentation.
+    presentation.  Their matrices hold what the group needs of its
+    form's ``u`` and ``u_inv``: rows of ``u`` reduced modulo their
+    invariant factors, and columns of ``u_inv`` reduced modulo the
+    exponent of a finite group, exact where there is a free part.
     """
 
     __slots__ = ("group", "to_smith", "from_smith", "torsion_orders", "torsion_count", "free_count")
@@ -266,21 +339,21 @@ class SmithForm:
 
     @classmethod
     def _build(cls, g: FgAbelianGroup) -> "SmithForm":
-        s = g.relation_snf()
-        diag = s.diagonal
-        torsion_idx = [i for i, d in enumerate(diag) if d > 1]
-        free_idx = [i for i, d in enumerate(diag) if d == 0]
-        free_idx += list(range(len(diag), g.generator_count))
-        kept = torsion_idx + free_idx
-        orders = tuple(diag[i] for i in torsion_idx)
-        smith_group = FgAbelianGroup.from_invariants(orders, len(free_idx))
-        to_mat = IntMatrix.from_rows([list(s.u.row(i)) for i in kept], cols=g.generator_count)
-        from_mat = IntMatrix.from_columns([s.u_inv.col(i) for i in kept], rows=g.generator_count)
+        kept, to_mat, moduli = g._smith_rows()
+        orders = tuple(m for m in moduli if m)
+        free_count = len(moduli) - len(orders)
+        smith_group = FgAbelianGroup.from_invariants(orders, free_count)
+        s, e = g.relation_snf(), g._exponent()
+        from_mat = IntMatrix.from_columns(
+            [_smith_vector(s, i, column=True, modulus=e) for i in kept], rows=g.generator_count)
         # u carries the relation lattice onto the diagonal one and u_inv
-        # carries it back, so both maps are well defined
+        # carries it back, so both maps are well defined; reducing row i
+        # of u modulo d_i, and u_inv modulo the exponent e of a finite
+        # group (e times Z^n lies in its relation lattice), changes them
+        # by relations only
         to_smith = ModuleMap._of(g, smith_group, to_mat)
         from_smith = ModuleMap._of(smith_group, g, from_mat)
-        return cls(smith_group, to_smith, from_smith, orders, len(free_idx))
+        return cls(smith_group, to_smith, from_smith, orders, free_count)
 
 
 class ModuleMap:
@@ -296,12 +369,11 @@ class ModuleMap:
                 f"matrix is {matrix.rows}x{matrix.cols}, expected "
                 f"{target.generator_count}x{source.generator_count}"
             )
-        for j in range(source.relations.cols):
-            image = matrix.apply(source.relations.col(j))
-            if not target.in_relation_lattice(image):
-                raise WellDefinednessError(
-                    f"source relation #{j} is not sent into the target relation lattice"
-                )
+        outside = target._outside(matrix @ source.relations)
+        if outside:
+            raise WellDefinednessError(
+                f"source relation #{outside[0]} is not sent into the target relation lattice"
+            )
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -338,8 +410,7 @@ class ModuleMap:
         differ by target relations)."""
         if self.matrix.cols != other.matrix.cols or self.matrix.rows != other.matrix.rows:
             return False
-        diff = self.matrix - other.matrix
-        return all(self.target.in_relation_lattice(diff.col(j)) for j in range(diff.cols))
+        return not self.target._outside(self.matrix - other.matrix)
 
     def _cokernel_group(self) -> FgAbelianGroup:
         """The target modulo the image, made once per map; its Smith
@@ -356,10 +427,7 @@ class ModuleMap:
                                  self._cokernel_group().relation_snf())
 
     def is_injective(self) -> bool:
-        gens = self._preimage()
-        return all(
-            self.source.in_relation_lattice(gens.col(j)) for j in range(gens.cols)
-        )
+        return not self.source._outside(self._preimage())
 
     def is_surjective(self) -> bool:
         return self._cokernel_group().is_trivial()
@@ -417,6 +485,28 @@ def torsion_and_primary(g: FgAbelianGroup, ell: int) -> tuple[FgAbelianGroup, Fg
     return torsion, primary
 
 
+def _power_on(group: FgAbelianGroup, m: IntMatrix, k: int) -> IntMatrix:
+    """``m`` to the power ``k``, as a map of ``group``: exact when the
+    group has a free part, and otherwise by square-and-multiply with
+    every product reduced into [0, e), e the exponent, since e times Z^n
+    lies in the relation lattice."""
+    e = group._exponent()
+    if not e:
+        return m.power(k)
+
+    def reduced(x: IntMatrix) -> IntMatrix:
+        return IntMatrix._of(x.rows, x.cols, [v % e for v in x._entries])
+
+    result, base = reduced(IntMatrix.identity(m.rows)), reduced(m)
+    while k:
+        if k & 1:
+            result = reduced(result @ base)
+        k >>= 1
+        if k:
+            base = reduced(base @ base)
+    return result
+
+
 class GaloisModule:
     """A group together with a finite-order Frobenius automorphism.
 
@@ -434,12 +524,10 @@ class GaloisModule:
         if frobenius.rows != n or frobenius.cols != n:
             raise ValueError(f"frobenius must be {n}x{n}")
         ModuleMap(group, group, frobenius)  # raises if ill-defined
-        power = frobenius.power(order) - IntMatrix.identity(n)
-        for j in range(n):
-            if not group.in_relation_lattice(power.col(j)):
-                raise WellDefinednessError(
-                    f"frobenius is not an automorphism whose order divides {order}"
-                )
+        if group._outside(_power_on(group, frobenius, order) - IntMatrix.identity(n)):
+            raise WellDefinednessError(
+                f"frobenius is not an automorphism whose order divides {order}"
+            )
         self.group = group
         self.frobenius = frobenius
         self.order = order
@@ -460,16 +548,14 @@ class GaloisModule:
         (the Frobenius of the degree-f scalar extension)."""
         if f < 1:
             raise ValueError("extension degree must be positive")
-        mat = self.frobenius.power(f % self.order if self.order > 1 else 0)
+        mat = _power_on(self.group, self.frobenius, f % self.order if self.order > 1 else 0)
         # a power of an automorphism of order dividing n has order
         # dividing n / gcd(n, f)
         return GaloisModule._of(self.group, mat, self.order // gcd(self.order, f))
 
     def acts_trivially(self) -> bool:
-        delta = self.frobenius - IntMatrix.identity(self.group.generator_count)
-        return all(
-            self.group.in_relation_lattice(delta.col(j)) for j in range(delta.cols)
-        )
+        return not self.group._outside(
+            self.frobenius - IntMatrix.identity(self.group.generator_count))
 
     def torsion_submodule(self) -> tuple["GaloisModule", ModuleMap]:
         """The torsion subgroup with the restricted action, plus its

@@ -31,6 +31,7 @@ from .matrices import (
     SnfDecomposition,
     _from_columns,
     _kernel_columns,
+    _smith_vector,
     _solve_with,
     snf,
     solve_matrix,
@@ -140,13 +141,11 @@ def _smith_cycles(cycles: IntMatrix, group: FgAbelianGroup, n: int,
             orders.append(t)
             gcds.append(g)
             picked.append(i)
-    if not picked:
-        # spares the replay of u_inv
-        return orders, gcds, IntMatrix.zeros(cycles.rows, 0)
-    # generator i of the Smith form is column i of u_inv
-    u_inv = s.u_inv
-    return orders, gcds, cycles @ IntMatrix._of(
-        u_inv.rows, len(picked), [u_inv[r, i] for r in range(u_inv.rows) for i in picked])
+    # generator i of the Smith form is column i of u_inv, read without
+    # building u_inv
+    generators = IntMatrix.from_columns([_smith_vector(s, i, column=True) for i in picked],
+                                        rows=group.generator_count)
+    return orders, gcds, cycles @ generators
 
 
 def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:

@@ -29,6 +29,20 @@ diag(v, I)`` is ``[d | u @ b]``, which the same elimination loop
 reduces, so the work is that of a nearly diagonal matrix, and the new
 transforms replay only the new operations on the known ones.  The
 diagonal is the one ``snf`` would give; ``u`` and ``v`` may differ.
+``_continue_snf``, which ``_extend_snf`` calls with ``c = u @ b``,
+does the same from Smith coordinates ``c`` of the added columns that
+need only be right modulo the column span of ``d``; its form is then
+that of ``[a | b']`` for some ``b'`` congruent to ``b`` modulo the
+column span of ``a``, with the same diagonal.  Groups continue their
+forms this way, over reduced coordinates.
+
+A caller that needs a few Smith coordinates, not a whole transform,
+reads them with ``_smith_vector``: row i of ``u`` reduced modulo d_i
+(every multiple of d_i in coordinate i is a relation), or column i of
+``u_inv``, exactly or modulo a given modulus, each by one backward walk
+over the row log.  Every decomposition keeps the exact unimodular
+contract ``u @ a @ v == d`` (for ``_continue_snf``, with ``a`` the
+congruent ``[a | b']``); reducing coordinates is left to the callers.
 """
 
 from __future__ import annotations
@@ -586,24 +600,78 @@ def _extend_snf(s: SnfDecomposition, b: IntMatrix) -> SnfDecomposition:
     """A Smith normal form of ``[a | b]`` from the form ``s`` of ``a``.
 
     ``u @ [a | b] @ diag(v, I)`` is ``w = [d | u @ b]``, so eliminating
-    ``w`` continues ``s``: the logs are the parent's operations followed
-    by those that reduce ``w``, read on the wider matrix (the parent's
-    column operations touch only the columns of ``a``).  Each transform
-    replays only the new operations on the parent's, and ``u`` and
-    ``u_inv`` are the parent's own when no row operation was added.
+    ``w`` continues ``s`` (see ``_continue_snf``), and the result keeps
+    the exact contract ``u @ [a | b] @ v == d``.
     """
     if b.rows != s.d.rows:
         raise ValueError("b must have as many rows as a")
-    if b.is_zero():
+    return _continue_snf(s, b if b.is_zero() else s.u @ b)
+
+
+def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
+    """A Smith normal form of ``[a | b]``, where ``s`` is the form of
+    ``a`` and ``c`` holds the Smith coordinates ``u @ b`` of the added
+    columns, each row i needed only modulo d_i (0 for a free row).
+
+    ``[d | c]`` is ``u @ [a | b'] @ diag(v, I)`` with ``b' = u_inv @
+    c``, and ``u @ b - c`` lies in the column span of ``d``, so ``b' -
+    b`` lies in that of ``a``: ``[a | b']`` and ``[a | b]`` span one
+    lattice and share the diagonal.  Eliminating ``[d | c]`` continues
+    ``s``: the logs are the parent's operations followed by those that
+    reduce it, read on the wider matrix (the parent's column operations
+    touch only the columns of ``a``).  The transforms are those of
+    ``[a | b']``, exactly ``[a | b]``'s when ``c == u @ b``; each
+    replays only the new operations on the parent's, and ``u`` and
+    ``u_inv`` are the parent's own when no row operation was added.
+    """
+    if c.is_zero():
         # [d | 0] is in Smith form already, so eliminating it would log
         # no operation
-        return SnfDecomposition(s.d.hstack(b), s.row_log, s.col_log, s)
-    w = _sparse_rows(s.d.hstack(s.u @ b))
+        return SnfDecomposition(s.d.hstack(c), s.row_log, s.col_log, s)
+    width = s.d.cols + c.cols
+    w = _sparse_rows(s.d.hstack(c))
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
-    _eliminate(w, s.d.cols + b.cols, row_log, col_log)
-    return SnfDecomposition(_from_rows(w, s.d.cols + b.cols), s.row_log + tuple(row_log),
+    _eliminate(w, width, row_log, col_log)
+    return SnfDecomposition(_from_rows(w, width), s.row_log + tuple(row_log),
                             s.col_log + tuple(col_log), s)
+
+
+def _smith_vector(s: SnfDecomposition, i: int, column: bool = False,
+                  modulus: int = 0) -> list[int]:
+    """Row i of ``u``, reduced into [0, d_i) when d_i > 0 and exact
+    when d_i == 0 or i is at or past the rank; with ``column``, column
+    i of ``u_inv``, exact, or reduced into [0, modulus) when a modulus
+    is given.  No transform is replayed.
+
+    ``u`` is the logged row operations applied in order to the
+    identity, so its row i is e_i times their product, which is e_i
+    acted on by the operations transposed, last first: adding q times
+    row j to row i becomes adding q times entry i to entry j.
+    ``u_inv`` is the inverse operations in reverse order, so its column
+    i is e_i acted on by the inverses, last first: subtracting q times
+    entry j from entry i.  Either walk costs one step per logged
+    operation.
+    """
+    diag = s.diagonal
+    m = modulus if column else diag[i] if i < len(diag) else 0
+    x = [0] * s.d.rows
+    x[i] = 1 % m if m else 1
+    for op in reversed(s.row_log):
+        if len(op) == 3:
+            a, b, q = op
+            if column:
+                if x[b]:
+                    x[a] = (x[a] - q * x[b]) % m if m else x[a] - q * x[b]
+            elif x[a]:
+                x[b] = (x[b] + q * x[a]) % m if m else x[b] + q * x[a]
+        elif len(op) == 2:
+            a, b = op
+            x[a], x[b] = x[b], x[a]
+        else:
+            a = op[0]
+            x[a] = -x[a] % m if m else -x[a]
+    return x
 
 
 def _smith_coordinates(s: SnfDecomposition,
@@ -691,7 +759,9 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
 def _preimage_lattice(s: SnfDecomposition, e: SnfDecomposition) -> IntMatrix:
     """Generators (columns) of ``{x : b @ x lies in the column span of
     a}``, where ``s`` is the Smith form of ``a`` and ``e`` is
-    ``_extend_snf(s, b)``.
+    ``_extend_snf(s, b)``, or ``_continue_snf`` of ``s`` over any ``c``
+    congruent to ``u @ b`` (which changes ``b @ x`` only by a vector of
+    that span).
 
     The kernel of ``[a | b]`` is spanned by the columns of the extended
     ``v`` past the rank, and that ``v`` is ``diag(v_a, I) @ v'`` with

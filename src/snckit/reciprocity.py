@@ -101,12 +101,8 @@ def validate_pi1(cfg: SncConfiguration, pi1: Pi1Input) -> list[str]:
             problems.append(f"component {cid!r}: map target is not y0")
             continue
         diff = pi1.y0.frobenius @ m.matrix - m.matrix @ cp.module.frobenius
-        for j in range(diff.cols):
-            if not pi1.y0.group.in_relation_lattice(diff.col(j)):
-                problems.append(
-                    f"component {cid!r}: map into y0 is not Frobenius-equivariant"
-                )
-                break
+        if pi1.y0.group._outside(diff):
+            problems.append(f"component {cid!r}: map into y0 is not Frobenius-equivariant")
     return problems
 
 
@@ -164,30 +160,37 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
         return []
 
     y0 = pi1.y0
+    gc = y0.group.generator_count
     frobenius = frobenius_chain_map(cfg).assignment
-    for e in cx.simplices(1):
-        # the label of Frobenius(e), signed, minus Frobenius of e's label
+    edges = cx.simplices(1)
+    # per edge, the label of Frobenius(e), signed, minus Frobenius of
+    # e's label; all edges are tested in one product
+    images = []
+    for e in edges:
         image, sign = frobenius[e.id]
-        own = y0.frobenius.apply(columns[e.id])
-        skew = [sign * x - y for x, y in zip(columns[image], own)]
-        if not y0.group.in_relation_lattice(skew):
-            problems.append(f"label on edge {e.id!r} is not Frobenius-equivariant")
+        images.append([sign * x for x in columns[image]])
+    own = y0.frobenius @ IntMatrix.from_columns([columns[e.id] for e in edges], rows=gc)
+    for j in y0.group._outside(IntMatrix.from_columns(images, rows=gc) - own):
+        problems.append(f"label on edge {edges[j].id!r} is not Frobenius-equivariant")
     if problems:
         return problems
 
-    vanishing = _component_quotient(pi1)
-    zero = (0,) * y0.group.generator_count
-    for t in cx.simplices(2):
+    triangles = cx.simplices(2)
+    zero = (0,) * gc
+    boundaries = []
+    for t in triangles:
         # the label of the boundary of the 2-simplex t
         boundary = zero
         for i, fid in enumerate(t.facets):
             sign = -1 if i % 2 else 1
             boundary = [b + sign * x for b, x in zip(boundary, columns[fid])]
-        if not vanishing.in_relation_lattice(boundary):
-            problems.append(
-                f"labels do not descend to H₁: boundary of 2-simplex {t.id!r} "
-                f"pairs to a nonzero class"
-            )
+        boundaries.append(boundary)
+    vanishing = _component_quotient(pi1)
+    for j in vanishing._outside(IntMatrix.from_columns(boundaries, rows=gc)):
+        problems.append(
+            f"labels do not descend to H₁: boundary of 2-simplex {triangles[j].id!r} "
+            f"pairs to a nonzero class"
+        )
     return problems
 
 
@@ -201,11 +204,15 @@ def compute_theta(pi1: Pi1Input, ell: int) -> GaloisModule:
     rel = quotient.relations
     # y0 is checked, so Frobenius already keeps its own relations and its
     # order bound; only the component-map columns remain to be tested
-    for j in range(y0.group.relations.cols, rel.cols):
-        if not quotient.in_relation_lattice(y0.frobenius.apply(rel.col(j))):
-            raise WellDefinednessError(
-                f"source relation #{j} is not sent into the target relation lattice"
-            )
+    first = y0.group.relations.cols
+    added = IntMatrix._of(rel.rows, rel.cols - first,
+                          [x for i in range(rel.rows) for x in rel.row(i)[first:]])
+    outside = quotient._outside(y0.frobenius @ added)
+    if outside:
+        raise WellDefinednessError(
+            f"source relation #{first + outside[0]} is not sent into the target "
+            f"relation lattice"
+        )
     localized, _ = GaloisModule._of(quotient, y0.frobenius, y0.order).localized(ell)
     return localized
 

@@ -389,8 +389,9 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]],
                                                     tuple[str, ...]]:
     """The positional facets of every stratum whose facets resolve, the
     vertex tuple of every stratum, sorted by the component order, and
-    the problems found.  ``_find_problems`` reads them only when every
-    stratum has depth at least 2 and lies on known, distinct
+    the problems found; a stratum on an unknown component is such a
+    problem and is skipped.  ``_find_problems`` reads them only when
+    every stratum has depth at least 2 and lies on known, distinct
     components."""
     problems: list[str] = []
     order = {c.id: i for i, c in enumerate(cfg.components)}
@@ -402,7 +403,12 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]],
     vertices: dict[str, tuple[str, ...]] = {}
 
     for s, on in zip(cfg.strata, on_sets):
-        verts = vertices[s.id] = tuple(sorted(s.on, key=order.__getitem__))
+        try:
+            verts = vertices[s.id] = tuple(sorted(s.on, key=order.__getitem__))
+        except KeyError:
+            unknown = [c for c in s.on if c not in order]
+            problems.append(f"stratum {s.id!r} lies on unknown components {unknown}")
+            continue
         r = len(verts)
         if r == 2:
             if s.facets is not None:

@@ -199,3 +199,48 @@ def suspension_document(k: int) -> dict:
         "components": [{"id": c} for c in comps],
         "strata": strata,
     }
+
+
+DENSE_ENTRY = 9
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p by row reduction."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        prow = [x * inv % p for x in rows[rank]]
+        rows[rank] = prow
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != rank and c:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+def dense_document(rng: random.Random, g: int, name: str) -> dict:
+    """Two components crossing twice; y0 is Z^g modulo a dense nonsingular
+    g x g relation matrix with entries in [-9, 9], Frobenius is the
+    identity, and edge P1 carries a seeded label.  The same documents as
+    the benchmark's dense workload builds from the same generator state."""
+    while True:
+        rel = [[rng.randint(-DENSE_ENTRY, DENSE_ENTRY) for _ in range(g)] for _ in range(g)]
+        # full rank modulo a prime certifies a nonzero determinant
+        if _rank_mod(rel, 2_147_483_647) == g:
+            break
+    label = [rng.randint(-DENSE_ENTRY, DENSE_ENTRY) for _ in range(g)]
+    return {
+        "name": name,
+        "components": [{"id": "C1"}, {"id": "C2"}],
+        "strata": {"2": [{"id": "P1", "on": ["C1", "C2"]},
+                         {"id": "P2", "on": ["C1", "C2"]}]},
+        # relation vectors are the columns of the g x g matrix
+        "pi1_y0": {"generators": g, "relations": rel},
+        "edge_labels": {"P1": label},
+    }

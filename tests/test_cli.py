@@ -510,23 +510,24 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 # (command and flags, full SNF calls, SNF extension calls, largest
 # matrix reduced (rows, cols), peak entry bit length over u, d, v, u_inv
 # and v_inv of every SNF).  An extension of the SNF of a by columns b
-# reduces [a | b], so its shape is that of [a | b].  Z/6 homology in
-# degree 1 eliminates the three matrices that Z homology eliminates in
-# degree 1 and the 1 x 1 diagonal of its own presentation; H_0 is free,
-# so degree 0 adds none.  A change may lower these counts and pin the
+# reduces [d | c], c the Smith coordinates of b, so its shape is that of
+# [a | b].  Z/6 homology in degree 1 eliminates the three matrices that
+# Z homology eliminates in degree 1 and the 1 x 1 diagonal of its own
+# presentation; H_0 is free, so degree 0 adds none.  A change may lower these counts and pin the
 # lower values; none may rise.
 SNF_WORK = {
     "cover-50": (["homology"], 3, 0, (100, 100), 1),
     "cover-50-z6": (["homology", "--coeff", "z/6"], 4, 0, (100, 100), 3),
     "dense-12": (["kernel", "--ell", "3"], 8, 4, (12, 25), 306),
-    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 12, 12, (24, 50), 33041),
+    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 12, 12, (24, 50), 32948),
 }
 DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 
 
 def _measure_snf_work(monkeypatch):
-    """Wrap ``snf`` and ``_extend_snf`` at every binding site; returns
-    the dict the wrappers fill in."""
+    """Wrap ``snf`` and ``_continue_snf`` at every binding site; returns
+    the dict the wrappers fill in.  ``_extend_snf`` continues a form
+    through ``_continue_snf`` too, so every extension is counted once."""
     from snckit import matrices
 
     seen = {"calls": 0, "extensions": 0, "shape": (0, 0), "bits": 0, "rows": []}
@@ -540,14 +541,14 @@ def _measure_snf_work(monkeypatch):
                 seen["bits"] = max(seen["bits"], x.bit_length())
         return s
 
-    snf, extend = matrices.snf, matrices._extend_snf
+    snf, extend = matrices.snf, matrices._continue_snf
 
     def measuring(a):
         seen["rows"].append(a.rows)
         return record("calls", (a.rows, a.cols), snf(a))
 
-    def measuring_extension(s, b):
-        return record("extensions", (b.rows, s.d.cols + b.cols), extend(s, b))
+    def measuring_extension(s, c):
+        return record("extensions", (c.rows, s.d.cols + c.cols), extend(s, c))
 
     _rebind(monkeypatch, snf, measuring)
     _rebind(monkeypatch, extend, measuring_extension)
@@ -580,6 +581,21 @@ def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
     if doc in DENSE_SEEDS:
         g = DENSE_SEEDS[doc][0]
         assert seen["rows"].count(g) == 1 and max(seen["rows"]) == g
+
+
+def test_dense_kernel_replays_no_transform(capsys, monkeypatch, tmp_path):
+    """The groups read single Smith coordinates, so a dense-24 kernel
+    run replays no ``u``, ``u_inv``, ``v`` or ``v_inv`` of any form."""
+    from snckit import matrices
+
+    counts = {"replayed": 0}
+    cls = matrices.SnfDecomposition
+    monkeypatch.setattr(cls, "_replayed", _counting(counts, "replayed", cls._replayed))
+    argv = ["kernel", _dense_path(tmp_path, "dense-24"), "--ell", "2", "--ell", "3",
+            "--ell", "5", "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"replayed": 0}
 
 
 def test_kernel_checks_only_input_modules(capsys, monkeypatch, tmp_path):

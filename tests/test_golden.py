@@ -13,13 +13,14 @@ behaviour change, not a refactor.  Never regenerate them to make this test pass.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from snckit.cli import main
 
-from conftest import suspension_document
+from conftest import dense_document, suspension_document
 
 GOLDEN = Path(__file__).parent / "golden"
 ELLS = ["--ell", "2", "--ell", "3", "--ell", "5"]
@@ -104,3 +105,18 @@ def test_z6_report_hash_is_pinned(capsys, tmp_path, doc, flags):
     assert main(["homology", path, *flags, "--coeff", "z/6", "--json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == Z6_HASHES[doc, flags]
+
+
+# sha256 of ``kernel --ell 2 --ell 3 --ell 5 --json`` on the dense g = 32
+# document of generator seed 6, taken before the groups read their Smith
+# coordinates modulo the invariant factors (a run then took about 50 s
+# on 2 shared cores, and under a second after).
+DENSE_32_HASH = "e8fa1acb484fdb487cc6c3817668418cd890e7207f82408eeb7688952148aa7e"
+
+
+def test_dense_32_kernel_report_hash_is_pinned(capsys, tmp_path):
+    path = tmp_path / "dense-32.json"
+    path.write_text(json.dumps(dense_document(random.Random(6), 32, "dense-32")))
+    assert main(["kernel", str(path), *ELLS, "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == DENSE_32_HASH

@@ -1,7 +1,7 @@
 """Presented abelian groups, maps, and Frobenius modules."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snckit.errors import WellDefinednessError
 from snckit.groups import (
@@ -16,6 +16,8 @@ from snckit.groups import (
     torsion_and_primary,
 )
 from snckit.matrices import IntMatrix, preimage_generators, snf, solve
+
+from snf_reference import snf as reference_snf
 
 
 def group_of(*relations, generators=None):
@@ -277,3 +279,143 @@ def test_derived_groups_match_full_eliminations(f):
 
 def test_is_prime():
     assert [p for p in range(30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _reference_member(relations: IntMatrix, vec) -> bool:
+    """Whether ``vec`` lies in the column span of ``relations``, by an
+    exact solve on the eager oracle SNF."""
+    s = reference_snf(relations)
+    diag = s.d.diagonal_entries()
+    for i, c in enumerate(s.u.apply(vec)):
+        d = diag[i] if i < len(diag) else 0
+        if (c % d if d else c) != 0:
+            return False
+    return True
+
+
+@st.composite
+def groups_with_vectors(draw):
+    """A group with unit factors, torsion and a free part, a chain of
+    two groups derived from it by added relations, and test vectors:
+    combinations of the final relations (members) and free draws."""
+    n = draw(st.integers(0, 5))
+
+    def block(cols, lo=-9, hi=9):
+        return IntMatrix.from_rows(
+            [draw(st.lists(st.integers(lo, hi), min_size=cols, max_size=cols))
+             for _ in range(n)], cols=cols)
+
+    base = FgAbelianGroup(n, block(draw(st.integers(0, n + 1))))
+    first = FgAbelianGroup._extended(base, block(draw(st.integers(0, 3))))
+    second = FgAbelianGroup._extended(first, block(draw(st.integers(0, 2))))
+    vectors = []
+    for g in (base, first, second):
+        rel = g.relations
+        x = draw(st.lists(st.integers(-3, 3), min_size=rel.cols, max_size=rel.cols))
+        vectors.append(rel.apply(x))
+    for _ in range(draw(st.integers(0, 3))):
+        vectors.append(tuple(draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))))
+    return (base, first, second), vectors
+
+
+@given(groups_with_vectors())
+@settings(max_examples=200, deadline=None)
+def test_smith_coordinates_match_an_exact_solve(case):
+    """Membership in Smith coordinates, one vector at a time and in one
+    block, agrees with an exact solve on the stacked relations; derived
+    groups, whose forms continue over reduced Smith coordinates, keep the
+    diagonal of the stacked matrix; torsion rows stay inside [0, d_i)."""
+    chain, vectors = case
+    for g in chain:
+        n = g.generator_count
+        expected = [_reference_member(g.relations, v) for v in vectors]
+        assert [g.in_relation_lattice(v) for v in vectors] == expected
+        block = IntMatrix.from_columns(vectors, rows=n)
+        assert g._outside(block) == [j for j, ok in enumerate(expected) if not ok]
+        assert g.relation_snf().diagonal == reference_snf(g.relations).d.diagonal_entries()
+        _, rows, moduli = g._smith_rows()
+        for r, m in enumerate(moduli):
+            assert m != 1
+            if m:
+                assert all(0 <= x < m for x in rows.row(r))
+        iso = g.iso_type()
+        assert iso is g.iso_type()
+        assert iso == _stacked_iso_type(n, g.relations)
+
+
+def _exact_order_check(group: FgAbelianGroup, frobenius: IntMatrix, order: int) -> bool:
+    """Whether the module constructor should accept: Frobenius keeps the
+    relations and its exact order-th power is the identity modulo them."""
+    images = frobenius @ group.relations
+    if not all(_reference_member(group.relations, images.col(j)) for j in range(images.cols)):
+        return False
+    power = frobenius.power(order) - IntMatrix.identity(group.generator_count)
+    return all(_reference_member(group.relations, power.col(j)) for j in range(power.cols))
+
+
+@st.composite
+def modules(draw):
+    n = draw(st.integers(0, 3))
+
+    def square(lo, hi):
+        return IntMatrix.from_rows(
+            [draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)) for _ in range(n)],
+            cols=n)
+
+    relations = square(-6, 6)
+    if draw(st.booleans()):
+        # a divisibility chain of factors, so the exponent exceeds the
+        # others; a diagonal presentation without 0 is finite
+        factors, d = [], 1
+        for step in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)):
+            d *= step
+            factors.append(d)
+        relations = IntMatrix.diagonal(factors)
+    return FgAbelianGroup(n, relations), square(-3, 3), draw(st.integers(1, 12))
+
+
+@given(modules())
+@example((FgAbelianGroup.from_invariants([2, 4], 0), IntMatrix.from_rows([[1, 0], [0, 3]]), 1))
+@settings(max_examples=300, deadline=None)
+def test_order_check_matches_the_exact_power(case):
+    group, frobenius, order = case
+    try:
+        GaloisModule(group, frobenius, order)
+        accepted = True
+    except WellDefinednessError:
+        accepted = False
+    assert accepted == _exact_order_check(group, frobenius, order)
+
+
+def test_order_check_works_modulo_the_exponent(monkeypatch):
+    """Order 10^18 on Z/5 ⊕ Z/10: square-and-multiply modulo the exponent
+    10 makes O(log order) products of entries below 10.  Each product is
+    checked as it is made, so an exact power fails at once instead of
+    building 10^18-bit entries."""
+    group = FgAbelianGroup.from_invariants([5, 10], 0)
+    frobenius = IntMatrix.from_rows([[2, 0], [0, 3]])  # orders 4 and 4
+    # a product of 2 x 2 matrices with entries below 10 is below 2 * 81
+    bound = (2 * 9 * 9).bit_length()
+    products = []
+    product = IntMatrix.__matmul__
+
+    def bounded(a, b):
+        out = product(a, b)
+        assert all(abs(x).bit_length() <= bound for x in out._entries)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", bounded)
+    module = GaloisModule(group, frobenius, 10 ** 18)
+    assert len(products) <= 2 * (10 ** 18).bit_length() + 2
+    with pytest.raises(WellDefinednessError):
+        GaloisModule(group, frobenius, 10 ** 18 + 2)
+    # the Frobenius of a degree-f extension is reduced the same way
+    products.clear()
+    power = module.power(10 ** 18 - 1)
+    assert len(products) <= 2 * (10 ** 18).bit_length() + 2
+    assert power.order == 10 ** 18
+    # the inverse of Frobenius, reduced modulo 10: 8 is 2^-1 mod 5 and 7
+    # is 3^-1 mod 10
+    assert power.frobenius == IntMatrix.from_rows([[8, 0], [0, 7]])
+    assert power.power(4).acts_trivially()

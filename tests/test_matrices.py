@@ -13,9 +13,11 @@ from snckit.fixtures import fermat_cover_config
 from snckit.matrices import (
     IntMatrix,
     SnfDecomposition,
+    _continue_snf,
     _eliminate,
     _extend_snf,
     _from_rows,
+    _smith_vector,
     _sparse_rows,
     _unit_pivot,
     in_column_span,
@@ -230,6 +232,59 @@ class TestExtendSnf:
         for name in ("u", "u_inv", "v", "v_inv"):
             assert getattr(s, name) == getattr(full, name), name
         self.assert_extends(r.hstack(b), s)
+
+
+def _reduced_coordinates(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
+    """``u @ b`` with row i reduced into [0, d_i), free rows exact."""
+    diag = s.diagonal
+    y = s.u @ b
+    return IntMatrix._of(y.rows, y.cols, [
+        y[i, j] % diag[i] if i < len(diag) and diag[i] else y[i, j]
+        for i in range(y.rows) for j in range(y.cols)])
+
+
+class TestSmithCoordinates:
+    """``_smith_vector`` reads single rows of ``u`` and columns of
+    ``u_inv`` by walking the row log backwards, and ``_continue_snf``
+    continues a form over Smith coordinates known only modulo d."""
+
+    @given(extensions(), st.integers(2, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_vectors_match_the_replayed_transforms(self, case, modulus):
+        r, b, _ = case
+        for s in (snf(r), _extend_snf(snf(r), b)):
+            diag = s.diagonal
+            for i in range(s.d.rows):
+                d = diag[i] if i < len(diag) else 0
+                row = list(s.u.row(i))
+                assert _smith_vector(s, i) == ([x % d for x in row] if d else row)
+                column = list(s.u_inv.col(i))
+                assert _smith_vector(s, i, column=True) == column
+                assert _smith_vector(s, i, column=True, modulus=modulus) == [
+                    x % modulus for x in column]
+
+    @given(extensions())
+    @settings(max_examples=150, deadline=None)
+    def test_continuing_over_reduced_coordinates(self, case):
+        """Over reduced coordinates c the form is an exact one of ``[R |
+        u_inv @ c]`` and has the diagonal of ``[R | B1 | B2]``."""
+        r, b1, b2 = case
+        s = snf(r)
+        e = _continue_snf(s, _reduced_coordinates(s, b1))
+        assert_snf_contract(r.hstack(s.u_inv @ _reduced_coordinates(s, b1)), e)
+        assert e.diagonal == reference_snf(r.hstack(b1)).d.diagonal_entries()
+        e2 = _continue_snf(e, _reduced_coordinates(e, b2))
+        assert e2.diagonal == reference_snf(r.hstack(b1).hstack(b2)).d.diagonal_entries()
+
+    def test_walk_keeps_torsion_rows_small(self):
+        """A torsion row of u comes back inside [0, d_i) even when u's
+        own entries are large."""
+        rng = random.Random(3)
+        a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)])
+        s = snf(a)
+        assert max(abs(x) for x in s.u._entries) > 10 ** 6
+        for i, d in enumerate(s.diagonal):
+            assert all(0 <= x < d for x in _smith_vector(s, i))
 
 
 class TestSnfMatchesReference:

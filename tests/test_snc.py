@@ -146,6 +146,14 @@ class TestValidateConfig:
             f"frobenius: stratum permutation order does not divide {order}",
         ]
 
+    def test_resolved_facets_names_a_stratum_on_unknown_components(self):
+        cfg = SncConfiguration("x", (Component("A"),), (Stratum("s", ("A", "Z")),))
+        with pytest.raises(ValidationError) as info:
+            resolved_facets(cfg)
+        assert info.value.problems == ["stratum 's' lies on unknown components ['Z']"]
+        # validation reports it once, from its own check
+        assert validate_config(cfg) == ["stratum 's' lies on unknown components ['Z']"]
+
 
 class TestBuildDualComplex:
     def test_rulings_is_four_cycle(self):
