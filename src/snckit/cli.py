@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("oracle-check", _cmd_oracle_check, needs_config=False,
             help="compare the pipeline against the elimination oracle")
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_at_least(0), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-vertices", type=_at_least(1), default=6)
 

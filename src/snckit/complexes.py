@@ -28,7 +28,7 @@ site states which validation step implies each check it skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .matrices import IntMatrix
@@ -200,10 +200,6 @@ class DeltaComplex:
     def has_simplex(self, sid: str) -> bool:
         return sid in self._by_id
 
-    @property
-    def vertex_order(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self._by_dim[0])
-
     def vertex_position(self, vid: str) -> int:
         return self._vertex_pos[vid]
 
@@ -243,17 +239,6 @@ class DeltaComplex:
         homology in degree 0)."""
         return IntMatrix.from_rows([[1] * len(self._by_dim[0])], cols=len(self._by_dim[0]))
 
-    def chain_vector(self, coeffs: Mapping[str, int], a: int) -> tuple[int, ...]:
-        """A chain given as {simplex id: coefficient} in dimension a,
-        as a coordinate vector."""
-        vec = [0] * len(self.simplices(a))
-        for sid, c in coeffs.items():
-            s = self._by_id.get(sid)
-            if s is None or s.dim != a:
-                raise KeyError(f"no {a}-simplex with id {sid!r}")
-            vec[self._index_in_dim[sid]] += c
-        return tuple(vec)
-
     # -- comparison --------------------------------------------------------
 
     def structure_signature(self) -> tuple:
@@ -274,21 +259,6 @@ class DeltaComplex:
     def __repr__(self) -> str:
         shape = "x".join(str(c) for c in self.counts())
         return f"<DeltaComplex {shape}>"
-
-    # -- convenience builders ------------------------------------------------
-
-    @classmethod
-    def graph(cls, vertices: Sequence[str],
-              edges: Sequence[tuple[str, str, str]]) -> "DeltaComplex":
-        """A 1-dimensional complex from vertex ids and (edge id, u, v)
-        triples; endpoint order is normalized to the vertex order."""
-        pos = {v: i for i, v in enumerate(vertices)}
-        simplices = [Simplex.vertex(v) for v in vertices]
-        for eid, u, v in edges:
-            if pos[u] > pos[v]:
-                u, v = v, u
-            simplices.append(Simplex(eid, (u, v), (v, u)))
-        return cls(simplices)
 
 
 class ChainMap:

@@ -41,6 +41,10 @@ __all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "encode_json_valu
            "json_text"]
 
 _I64 = 2 ** 63
+# generators of one group (y0 or a component's); the Frobenius identity
+# and the order check hold generators**2 entries, so a few bytes of
+# input could otherwise ask for billions
+MAX_GENERATORS = 1000
 _int_text = int.__repr__
 
 
@@ -236,6 +240,9 @@ class _Reader:
         if gens is None or gens < 0:
             if gens is not None:
                 self.fail(f"{where}.generators", "must be nonnegative")
+            return None
+        if gens > MAX_GENERATORS:
+            self.fail(f"{where}.generators", f"at most {MAX_GENERATORS} allowed, got {gens}")
             return None
         relations = IntMatrix.zeros(gens, 0)
         if "relations" in obj:

@@ -264,9 +264,6 @@ class FgAbelianGroup:
             self._iso = IsoType(self.invariant_factors, self.free_rank)
         return self._iso
 
-    def isomorphic_to(self, other: "FgAbelianGroup") -> bool:
-        return self.iso_type() == other.iso_type()
-
     def order(self) -> int | None:
         return self.iso_type().order()
 
@@ -404,13 +401,6 @@ class ModuleMap:
             raise ValueError("maps are not composable")
         # a composite of well-defined maps is well defined
         return ModuleMap._of(other.source, self.target, self.matrix @ other.matrix)
-
-    def equals_mod_relations(self, other: "ModuleMap") -> bool:
-        """Whether the two maps agree as homomorphisms (columns may
-        differ by target relations)."""
-        if self.matrix.cols != other.matrix.cols or self.matrix.rows != other.matrix.rows:
-            return False
-        return not self.target._outside(self.matrix - other.matrix)
 
     def _cokernel_group(self) -> FgAbelianGroup:
         """The target modulo the image, made once per map; its Smith

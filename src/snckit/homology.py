@@ -6,7 +6,10 @@ basis is the identity and the relations are d_1 itself.  Mod-n homology
 is read off the integral Smith forms in degrees a and a - 1 by the
 universal coefficient theorem (degree a - 1 only when it is at least 1,
 since H_0 is free), on one generator per cyclic summand with one
-representative cycle mod n each; no matrix is stacked with n·I.
+representative cycle mod n each; the group is found with no matrix
+stacked with n·I.  Only the induced map over Z/n
+(``HomologyResult._coordinates``) solves on ``[representatives |
+d_{a+1} | n·I]``, to write a chain on the chosen generators.
 The tests compare it with Z/n homology computed from its own
 presentation (``tests/zn_reference.py``), so the universal-coefficient
 checks there are a real cross-check and not a tautology.
@@ -21,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 from .complexes import ChainMap, DeltaComplex, Simplex
 from .errors import WellDefinednessError
@@ -67,12 +69,6 @@ class HomologyResult:
         col = self.cycle_matrix.col(j)
         layer = self.complex.simplices(self.degree)
         return {layer[i].id: col[i] for i in range(len(layer)) if col[i] != 0}
-
-    def class_of(self, chain: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates, on the chosen generators, of the class of a
-        cycle given in chain coordinates."""
-        column = IntMatrix.from_columns([chain], rows=self.cycle_matrix.rows)
-        return self._coordinates(column).col(0)
 
     def _coordinates(self, chains: IntMatrix) -> IntMatrix:
         """Coordinates, on the chosen generators, of the classes of the

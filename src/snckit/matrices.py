@@ -24,17 +24,16 @@ of smallest nonzero absolute value, breaking ties by (row, col), which
 keeps every run bit-for-bit reproducible.
 
 A matrix that only adds columns ``b`` to one whose form is known gets
-its form from ``_extend_snf``, not from ``snf``: ``u @ [a | b] @
+its form from ``_continue_snf``, not from ``snf``: ``u @ [a | b] @
 diag(v, I)`` is ``[d | u @ b]``, which the same elimination loop
-reduces, so the work is that of a nearly diagonal matrix, and the new
-transforms replay only the new operations on the known ones.  The
+reduces, so the work is that of a nearly diagonal matrix.  The
 diagonal is the one ``snf`` would give; ``u`` and ``v`` may differ.
-``_continue_snf``, which ``_extend_snf`` calls with ``c = u @ b``,
-does the same from Smith coordinates ``c`` of the added columns that
-need only be right modulo the column span of ``d``; its form is then
-that of ``[a | b']`` for some ``b'`` congruent to ``b`` modulo the
-column span of ``a``, with the same diagonal.  Groups continue their
-forms this way, over reduced coordinates.
+The Smith coordinates ``c`` of the added columns need only be right
+modulo the column span of ``d``; the form is then that of ``[a | b']``
+for some ``b'`` congruent to ``b`` modulo the column span of ``a``,
+with the same diagonal, and exactly that of ``[a | b]`` when ``c == u
+@ b``.  Groups continue their forms this way, over reduced
+coordinates.
 
 A caller that needs a few Smith coordinates, not a whole transform,
 reads them with ``_smith_vector``: row i of ``u`` reduced modulo d_i
@@ -47,7 +46,7 @@ congruent ``[a | b']``); reducing coordinates is left to the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import index as _as_int
@@ -256,42 +255,13 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     # -- predicates ---------------------------------------------------
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._entries)
 
     def is_identity(self) -> bool:
-        return self.is_square() and self == IntMatrix.identity(self.rows)
+        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -405,37 +375,24 @@ class SnfDecomposition:
     inverses ``u_inv``, ``v_inv`` are replayed from the logs on sparse
     rows the first time each is read, so no inversion step is ever
     needed and no caller pays for a transform it does not read.  A form
-    that ``_extend_snf`` continued from a parent's starts its replays
-    from the parent's transforms, and its logs begin with the parent's.
+    that ``_continue_snf`` made from a parent's has logs that begin
+    with the parent's, so replaying them from the identity passes
+    through the parent's transforms.
     """
 
     d: IntMatrix
     row_log: tuple[tuple[int, ...], ...]
     col_log: tuple[tuple[int, ...], ...]
-    _parent: "SnfDecomposition | None" = field(default=None, repr=False, compare=False)
 
     def _replayed(self, name: str, by_rows: bool) -> IntMatrix:
-        """Transform ``name`` replayed on sparse rows, which are its rows
-        when ``by_rows`` and its columns otherwise.  A continued form
-        replays only the operations its parent's logs lack, on the
-        parent's transform padded by identity rows for the added
-        columns, and shares a transform those operations leave alone."""
+        """Transform ``name`` replayed from the identity on sparse rows,
+        which are its rows when ``by_rows`` and its columns otherwise."""
         row_side = name[0] == "u"
         n = self.d.rows if row_side else self.d.cols
         log = self.row_log if row_side else self.col_log
-        p = self._parent
-        if p is None:
-            start = _sparse_identity(n)
-        else:
-            log = log[len(p.row_log if row_side else p.col_log):]
-            t = getattr(p, name)
-            if not log and t.rows == n:
-                return t
-            start = _sparse_rows(t if by_rows else t.transpose())
-            start += [{j: 1} for j in range(len(start), n)]
         if name.endswith("_inv"):
             log = _inverse_transposed(log)
-        rows = _replay(start, log)
+        rows = _replay(_sparse_identity(n), log)
         return _from_rows(rows, n) if by_rows else _from_columns(rows, n)
 
     @cached_property
@@ -596,18 +553,6 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(_from_rows(d, a.cols), tuple(row_log), tuple(col_log))
 
 
-def _extend_snf(s: SnfDecomposition, b: IntMatrix) -> SnfDecomposition:
-    """A Smith normal form of ``[a | b]`` from the form ``s`` of ``a``.
-
-    ``u @ [a | b] @ diag(v, I)`` is ``w = [d | u @ b]``, so eliminating
-    ``w`` continues ``s`` (see ``_continue_snf``), and the result keeps
-    the exact contract ``u @ [a | b] @ v == d``.
-    """
-    if b.rows != s.d.rows:
-        raise ValueError("b must have as many rows as a")
-    return _continue_snf(s, b if b.is_zero() else s.u @ b)
-
-
 def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
     """A Smith normal form of ``[a | b]``, where ``s`` is the form of
     ``a`` and ``c`` holds the Smith coordinates ``u @ b`` of the added
@@ -620,21 +565,19 @@ def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
     ``s``: the logs are the parent's operations followed by those that
     reduce it, read on the wider matrix (the parent's column operations
     touch only the columns of ``a``).  The transforms are those of
-    ``[a | b']``, exactly ``[a | b]``'s when ``c == u @ b``; each
-    replays only the new operations on the parent's, and ``u`` and
-    ``u_inv`` are the parent's own when no row operation was added.
+    ``[a | b']``, exactly ``[a | b]``'s when ``c == u @ b``.
     """
     if c.is_zero():
         # [d | 0] is in Smith form already, so eliminating it would log
         # no operation
-        return SnfDecomposition(s.d.hstack(c), s.row_log, s.col_log, s)
+        return SnfDecomposition(s.d.hstack(c), s.row_log, s.col_log)
     width = s.d.cols + c.cols
     w = _sparse_rows(s.d.hstack(c))
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
     _eliminate(w, width, row_log, col_log)
     return SnfDecomposition(_from_rows(w, width), s.row_log + tuple(row_log),
-                            s.col_log + tuple(col_log), s)
+                            s.col_log + tuple(col_log))
 
 
 def _smith_vector(s: SnfDecomposition, i: int, column: bool = False,
@@ -759,9 +702,9 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
 def _preimage_lattice(s: SnfDecomposition, e: SnfDecomposition) -> IntMatrix:
     """Generators (columns) of ``{x : b @ x lies in the column span of
     a}``, where ``s`` is the Smith form of ``a`` and ``e`` is
-    ``_extend_snf(s, b)``, or ``_continue_snf`` of ``s`` over any ``c``
-    congruent to ``u @ b`` (which changes ``b @ x`` only by a vector of
-    that span).
+    ``_continue_snf`` of ``s`` over ``u @ b`` or over any ``c``
+    congruent to it (which changes ``b @ x`` only by a vector of that
+    span).
 
     The kernel of ``[a | b]`` is spanned by the columns of the extended
     ``v`` past the rank, and that ``v`` is ``diag(v_a, I) @ v'`` with

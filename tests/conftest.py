@@ -1,12 +1,13 @@
 """Shared builders for the test suite: small standard configurations,
-actions with known quotients, and random admissible actions."""
+actions with known quotients, and random admissible actions; and the
+exact determinant and map comparison that tests use as oracles."""
 
 from __future__ import annotations
 
 import random
 
 from snckit.complexes import DeltaComplex, Simplex
-from snckit.groups import FgAbelianGroup, GaloisModule
+from snckit.groups import FgAbelianGroup, GaloisModule, ModuleMap
 from snckit.matrices import IntMatrix
 from snckit.reciprocity import Pi1Input
 from snckit.snc import Component, FrobeniusAction, SncConfiguration, Stratum
@@ -22,8 +23,56 @@ def cycle_config(n: int, name: str = "cycle",
     return SncConfiguration(name, comps, strata, frobenius)
 
 
+def graph_complex(vertices: list[str],
+                  edges: list[tuple[str, str, str]]) -> DeltaComplex:
+    """A 1-dimensional complex from vertex ids and (edge id, u, v)
+    triples; endpoint order is normalized to the vertex order."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    simplices = [Simplex.vertex(v) for v in vertices]
+    for eid, u, v in edges:
+        if pos[u] > pos[v]:
+            u, v = v, u
+        simplices.append(Simplex(eid, (u, v), (v, u)))
+    return DeltaComplex(simplices)
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def agree_mod_relations(f: ModuleMap, g: ModuleMap) -> bool:
+    """Whether two maps agree as homomorphisms: their matrices have one
+    shape and differ, column by column, by relations of f's target."""
+    if (f.matrix.rows, f.matrix.cols) != (g.matrix.rows, g.matrix.cols):
+        return False
+    return not f.target._outside(f.matrix - g.matrix)
+
+
 def cycle_complex(n: int) -> DeltaComplex:
-    return DeltaComplex.graph(
+    return graph_complex(
         [f"v{i}" for i in range(n)],
         [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)],
     )

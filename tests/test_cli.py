@@ -13,7 +13,7 @@ from snckit.cli import main
 from snckit.config_io import serialize_bundle
 from snckit.fixtures import fermat_bundle, rulings_bundle
 
-from conftest import suspension_document
+from conftest import det, suspension_document
 
 
 @pytest.fixture
@@ -49,6 +49,7 @@ class TestExitCodes:
         assert main(["homology", rulings_path, "--degree", "-1"]) == 2
         assert main(["example", "fermat", "--n", "1"]) == 2
         assert main(["oracle-check", "--max-vertices", "0"]) == 2
+        assert main(["oracle-check", "--count", "-5"]) == 2
         capsys.readouterr()
 
     def test_validation_errors_exit_one(self, capsys, tmp_path):
@@ -56,6 +57,10 @@ class TestExitCodes:
         bad.write_text('{"components": []}')
         assert main(["validate", str(bad)]) == 1
         assert "at least one component required" in capsys.readouterr().err
+        # a group past the generator cap is refused before it is built
+        bad.write_text('{"components": [{"id": "A"}], "pi1_y0": {"generators": 1001}}')
+        assert main(["validate", str(bad)]) == 1
+        assert "pi1_y0.generators: at most 1000 allowed" in capsys.readouterr().err
 
     def test_non_utf8_input_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
@@ -495,7 +500,7 @@ def _dense_relation_document(g: int, seed: int) -> dict:
     rng = random.Random(seed)
     while True:
         rel = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(g)]
-        if IntMatrix.from_rows(rel).det() != 0:
+        if det(IntMatrix.from_rows(rel)) != 0:
             break
     return {
         "name": f"dense-{g}",
@@ -525,9 +530,9 @@ DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 
 
 def _measure_snf_work(monkeypatch):
-    """Wrap ``snf`` and ``_continue_snf`` at every binding site; returns
-    the dict the wrappers fill in.  ``_extend_snf`` continues a form
-    through ``_continue_snf`` too, so every extension is counted once."""
+    """Wrap ``snf`` and ``_continue_snf``, the only routines that
+    eliminate, at every binding site; returns the dict the wrappers
+    fill in, so every full SNF and every extension is counted once."""
     from snckit import matrices
 
     seen = {"calls": 0, "extensions": 0, "shape": (0, 0), "bits": 0, "rows": []}

@@ -12,11 +12,26 @@ from snckit.homology import homology_group, random_complex
 from snckit.matrices import IntMatrix
 
 from chain_reference import boundary_squared_failure, commutation_failure
-from conftest import cycle_complex
+from conftest import cycle_complex, graph_complex
+
+
+def vertex_order(cx: DeltaComplex) -> tuple[str, ...]:
+    return tuple(s.id for s in cx.simplices(0))
+
+
+def chain_vector(cx: DeltaComplex, coeffs: dict[str, int], a: int) -> tuple[int, ...]:
+    """A chain given as {simplex id: coefficient} in dimension a, as a
+    coordinate vector on the simplices of that dimension in order."""
+    vec = [0] * len(cx.simplices(a))
+    for sid, c in coeffs.items():
+        if not cx.has_simplex(sid) or cx.simplex(sid).dim != a:
+            raise KeyError(f"no {a}-simplex with id {sid!r}")
+        vec[cx.index_in_dimension(sid)] += c
+    return tuple(vec)
 
 
 def path_complex():
-    return DeltaComplex.graph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")])
+    return graph_complex(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")])
 
 
 class TestValidation:
@@ -99,12 +114,12 @@ class TestStructure:
         assert cx.boundary_matrix(0).rows == 0
 
     def test_parallel_edges_are_legal(self):
-        cx = DeltaComplex.graph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
+        cx = graph_complex(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
         assert cx.counts() == (2, 2)
 
     def test_structure_signature_ignores_names(self):
         one = cycle_complex(4)
-        other = DeltaComplex.graph(
+        other = graph_complex(
             ["w0", "w1", "w2", "w3"],
             [("f0", "w0", "w1"), ("f1", "w1", "w2"),
              ("f2", "w2", "w3"), ("f3", "w0", "w3")],
@@ -112,18 +127,20 @@ class TestStructure:
         assert one.structure_signature() == other.structure_signature()
 
     def test_structure_signature_is_order_sensitive(self):
-        one = DeltaComplex.graph(["a", "b"], [("e", "a", "b")])
-        two = DeltaComplex.graph(["b", "a"], [("e", "a", "b")])
+        one = graph_complex(["a", "b"], [("e", "a", "b")])
+        two = graph_complex(["b", "a"], [("e", "a", "b")])
         assert one.structure_signature() == two.structure_signature()
-        three = DeltaComplex.graph(["a", "b", "c"], [("e", "a", "c")])
-        four = DeltaComplex.graph(["a", "b", "c"], [("e", "b", "c")])
+        three = graph_complex(["a", "b", "c"], [("e", "a", "c")])
+        four = graph_complex(["a", "b", "c"], [("e", "b", "c")])
         assert three.structure_signature() != four.structure_signature()
 
     def test_chain_vector(self):
         cx = path_complex()
-        assert cx.chain_vector({"bc": 2, "ab": -1}, 1) == (-1, 2)
+        assert chain_vector(cx, {"bc": 2, "ab": -1}, 1) == (-1, 2)
         with pytest.raises(KeyError):
-            cx.chain_vector({"zz": 1}, 1)
+            chain_vector(cx, {"zz": 1}, 1)
+        with pytest.raises(KeyError):
+            chain_vector(cx, {"a": 1}, 1)
 
 
 class TestChainMap:
@@ -139,7 +156,7 @@ class TestChainMap:
             ChainMap(cx, cx, partial)
 
     def test_must_commute_with_boundary(self):
-        cx = DeltaComplex.graph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
+        cx = graph_complex(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
         bad = {"a": ("a", 1), "b": ("b", 1), "e1": ("e2", -1), "e2": ("e2", 1)}
         with pytest.raises(ValidationError, match="commute"):
             ChainMap(cx, cx, bad)
@@ -199,7 +216,7 @@ class TestSuspend:
         pt = DeltaComplex([Simplex.vertex("p")])
         s = suspend(pt, "O", "inf")
         assert s.counts() == (3, 2)
-        assert s.vertex_order == ("p", "O", "inf")
+        assert vertex_order(s) == ("p", "O", "inf")
 
     def test_four_cycle(self):
         s = suspend(cycle_complex(4), "O", "inf")
@@ -207,7 +224,7 @@ class TestSuspend:
         assert s.euler_characteristic() == 2
 
     def test_multigraph(self):
-        cx = DeltaComplex.graph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
+        cx = graph_complex(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
         s = suspend(cx, "O", "inf")
         assert s.counts() == (4, 6, 4)
 
@@ -270,7 +287,7 @@ def complex_with_assignment(draw):
     if boundary_squared_failure(simplices) is not None:
         simplices = [s for s in simplices if s.dim < 3]
     cx = DeltaComplex(simplices)
-    verts = cx.vertex_order
+    verts = vertex_order(cx)
     images = st.permutations(verts) | st.lists(
         st.sampled_from(verts), min_size=len(verts), max_size=len(verts))
     vmap = dict(zip(verts, draw(images)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from snckit.config_io import (
+    MAX_GENERATORS,
     ConfigBundle,
     encode_json_value,
     json_text,
@@ -125,6 +126,21 @@ class TestParsePi1AndLabels:
         doc["component_maps"]["A"]["matrix"] = [[1]]
         problems = _problems(json.dumps(doc))
         assert any("expected 2 rows" in p for p in problems)
+
+    def test_generator_count_is_capped(self):
+        """Each group takes at most MAX_GENERATORS generators; one more
+        is refused, naming its JSON path, before any matrix is built."""
+        doc = json.loads(_doc())
+        doc["pi1_y0"] = {"generators": MAX_GENERATORS}
+        assert parse_config(json.dumps(doc)).pi1.y0.group.generator_count == MAX_GENERATORS
+        doc["pi1_y0"] = {"generators": MAX_GENERATORS + 1}
+        assert _problems(json.dumps(doc)) == [
+            f"pi1_y0.generators: at most {MAX_GENERATORS} allowed, got {MAX_GENERATORS + 1}"]
+        doc = json.loads(_doc())
+        doc["component_maps"] = {"A": {"generators": MAX_GENERATORS + 1, "matrix": []}}
+        assert _problems(json.dumps(doc)) == [
+            f"component_maps['A'].generators: at most {MAX_GENERATORS} allowed, "
+            f"got {MAX_GENERATORS + 1}"]
 
     def test_label_wrong_length_names_edge(self):
         doc = json.loads(_doc())

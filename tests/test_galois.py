@@ -23,6 +23,7 @@ from snckit.homology import homology_group, induced_map
 from snckit.snc import FrobeniusAction
 
 from conftest import (
+    agree_mod_relations,
     cycle_config,
     random_admissible_config,
     reflection_action,
@@ -187,7 +188,7 @@ class TestConnectingMap:
                                    source=h_fine, target=h_mid)
                 m_down = induced_map(lower, a, modulus,
                                      source=h_mid, target=h_coarse)
-                assert m_down.compose(m_up).equals_mod_relations(m_direct)
+                assert agree_mod_relations(m_down.compose(m_up), m_direct)
 
 
 class TestFrobeniusOnHomology:
@@ -230,7 +231,7 @@ class TestNormMap:
             res = norm_map(cfg, f, 1)
             assert res.map.matrix.is_identity()
             assert res.map.is_surjective()
-            assert res.image_group.isomorphic_to(res.target_homology.group)
+            assert res.image_group.iso_type() == res.target_homology.group.iso_type()
 
     def test_double_cover_norm_has_index_two(self):
         cfg = cycle_config(4, frobenius=rotation_action(4, 2, 2))

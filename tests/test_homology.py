@@ -15,12 +15,18 @@ from snckit.homology import (
 )
 from snckit.matrices import IntMatrix, kernel_basis, solve, solve_matrix
 
-from conftest import cycle_complex, moore_complex
+from conftest import agree_mod_relations, cycle_complex, det, graph_complex, moore_complex
 from zn_reference import homology_mod_n
 
 
+def class_of(h, chain) -> tuple[int, ...]:
+    """Coordinates, on the chosen generators of ``h``, of the class of
+    a cycle given in chain coordinates."""
+    return h._coordinates(IntMatrix.from_columns([chain], rows=h.cycle_matrix.rows)).col(0)
+
+
 def multigraph():
-    return DeltaComplex.graph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
+    return graph_complex(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
 
 
 class TestHomologyGroup:
@@ -88,7 +94,7 @@ class TestHomologyGroup:
         cx = cycle_complex(4)
         h = homology_group(cx, 1)
         z = h.representative(0)
-        assert h.class_of(z) == (1,)
+        assert class_of(h, z) == (1,)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -134,12 +140,12 @@ class TestInducedMap:
         g = f.compose(f)
         lhs = induced_map(g, 1)
         rhs = induced_map(f, 1).compose(induced_map(f, 1))
-        assert lhs.equals_mod_relations(rhs)
+        assert agree_mod_relations(lhs, rhs)
 
     def test_one_snf_per_map(self, monkeypatch):
         from snckit import groups, matrices
 
-        cx = DeltaComplex.graph(["a", "b"], [(f"e{i}", "a", "b") for i in range(3)])
+        cx = graph_complex(["a", "b"], [(f"e{i}", "a", "b") for i in range(3)])
         h = homology_group(cx, 1)
         assert h.group.describe() == "Z^2"
         swap = {s.id: (s.id, 1) for s in cx.all_simplices()}
@@ -150,7 +156,7 @@ class TestInducedMap:
             monkeypatch.setattr(module, "snf", lambda a: calls.append(a) or original(a))
         m = induced_map(ChainMap(cx, cx, swap), 1, source=h, target=h)
         assert len(calls) == 1
-        assert m.matrix.det() == -1
+        assert det(m.matrix) == -1
 
     def test_mod_n_induced(self):
         cx = cycle_complex(4)
@@ -273,7 +279,7 @@ class TestModNMatchesReference:
             chain = [x + c * y for x, y in zip(chain, h.representative(j))]
         boundary = d_next.apply([rng.randint(-3, 3) for _ in range(d_next.cols)])
         chain = [x + y + n * rng.randint(-2, 2) for x, y in zip(chain, boundary)]
-        assert h.class_of(chain) == tuple(c % g for c, g in zip(coeffs, orders))
+        assert class_of(h, chain) == tuple(c % g for c, g in zip(coeffs, orders))
 
     def test_snf_work_is_that_of_integral_homology(self, monkeypatch):
         """Z/n homology in degree a eliminates what Z homology in degrees

@@ -1,0 +1,88 @@
+"""Source hygiene of the package: every import is used, every module
+compiles without a warning, and importing it loads only the standard
+library."""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "snckit").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(bound name, line) of every import, ``__future__`` ones aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [(a.asname or a.name, node.lineno) for a in node.names]
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those inside string
+    annotations such as ``"SnfDecomposition | None"``."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = _used_names(tree) | _exported(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
+              if name not in used]
+    assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_compiles_without_warnings(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_imports_only_the_standard_library():
+    """``python -S`` leaves site-packages off the path, so the package
+    and its CLI import without them, and every top-level module loaded
+    is the standard library's or the package's own."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import snckit, snckit.cli\n"
+        "allowed = set(sys.stdlib_module_names) | {'snckit', '__main__'}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - allowed))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -162,7 +162,7 @@ class TestBuildDualComplex:
         cx = build_dual_complex(rulings_bundle().config)
         assert cx.counts() == (4, 4)
         # every vertex has exactly two incident edges
-        incidence = {v: 0 for v in cx.vertex_order}
+        incidence = {v.id: 0 for v in cx.simplices(0)}
         for e in cx.simplices(1):
             for v in e.vertices:
                 incidence[v] += 1
