@@ -27,7 +27,7 @@ from .errors import SnckitError, ValidationError
 from .fixtures import fermat_cover_config, generate_example, trivial_pi1
 from .galois import extension_complex, norm_map
 from .groups import FgAbelianGroup, cokernel
-from .homology import homology_group, oracle_homology, random_complex
+from .homology import ORACLE_SIZE_BOUND, homology_group, oracle_homology, random_complex
 from .reciprocity import (
     KernelReport,
     _alpha_at,
@@ -66,11 +66,14 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-def _at_least(low: int):
+def _at_least(low: int, high: int | None = None):
+    """An argparse type for integers of at least ``low`` and, when
+    ``high`` is given, at most ``high``."""
     def parse(text: str) -> int:
         n = _integer(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {n}")
+        if n < low or high is not None and n > high:
+            bound = f"of at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {n}")
         return n
     return parse
 
@@ -435,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="compare the pipeline against the elimination oracle")
     p.add_argument("--count", type=_at_least(0), default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vertices", type=_at_least(1), default=6)
+    # a random complex on n vertices has at most 4n simplices (n
+    # vertices, 2n edges, n triangles), so every instance stays within
+    # the oracle's size bound
+    p.add_argument("--max-vertices", type=_at_least(1, ORACLE_SIZE_BOUND // 4), default=6)
 
     return parser
 

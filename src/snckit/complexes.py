@@ -16,7 +16,9 @@ over the facets of each simplex's facets, and d f = f d for a chain map
 by comparing the signed boundary of each simplex's image with the
 signed images of its facets.  Each simplex is one column of the
 products d_{a-1} d_a and d f, f d, so the checks are exact.  The
-boundary and chain-map matrices are built on first use.
+boundary and chain-map matrices are built on first use; homology reads
+each boundary as sparse rows built from the facets
+(``_boundary_rows``), with no dense matrix.
 
 ``DeltaComplex`` checks everything about simplices a caller gives it.
 The dual complex of a validated configuration is built with the private
@@ -233,6 +235,19 @@ class DeltaComplex:
                     entries[self._index_in_dim[fid] * cols + j] += -1 if i % 2 else 1
             m = self._boundaries[a] = IntMatrix._of(rows, cols, entries)
         return m
+
+    def _boundary_rows(self, a: int) -> list[dict[int, int]]:
+        """The rows of ``boundary_matrix(a)`` as fresh ``{column: value}``
+        dicts of their nonzero entries, built from the facets with no
+        dense matrix; the caller may reduce them in place.  The facets
+        of a simplex span different vertex sets, so they are distinct
+        and no entry sums two signs."""
+        rows: list[dict[int, int]] = [{} for _ in self.simplices(a - 1)] if a >= 1 else []
+        index = self._index_in_dim
+        for j, s in enumerate(self.simplices(a)):
+            for i, fid in enumerate(s.facets):
+                rows[index[fid]][j] = -1 if i % 2 else 1
+        return rows
 
     def augmentation_matrix(self) -> IntMatrix:
         """The map C_0 -> Z sending every vertex to 1 (for reduced

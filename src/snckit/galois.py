@@ -8,7 +8,9 @@ keeps its positional facets from the validated dual complex, reordered
 with its vertices.  The collapse maps, from the geometric complex and
 between extension levels, send each simplex to its orbit
 representative; ``ChainMap.induced`` signs them by the parity of the
-image vertices in the quotient's vertex order.
+image vertices in the quotient's vertex order.  The one from the
+geometric complex (``Extension.sigma``) is built on first read, since
+only the ``extend`` report reads it.
 
 A configuration stops being simple normal crossing over F when an
 orbit identifies two components of one stratum; that is detected here
@@ -18,6 +20,7 @@ and reported, never silently quotiented.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .complexes import ChainMap, DeltaComplex, Simplex
@@ -45,15 +48,25 @@ def _representatives(orbits: Sequence[tuple[str, ...]]) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Extension:
-    """The degree-f scalar extension: quotient complex, the collapse
-    chain map from the geometric complex, and the orbits themselves
-    (each tuple starts at the representative that names the orbit)."""
+    """The degree-f scalar extension: quotient complex, the geometric
+    complex ``base`` it collapses, and the orbits themselves (each tuple
+    starts at the representative that names the orbit).
+
+    The collapse chain map ``sigma`` is built, and checked to commute
+    with the boundary, on first read: the ``extend`` report reads it,
+    while norm maps and kernel reports need only the quotient and the
+    maps between levels (``connecting_map``)."""
 
     f: int
     complex: DeltaComplex
-    sigma: ChainMap
+    base: DeltaComplex
     component_orbits: tuple[tuple[str, ...], ...]
     stratum_orbits: tuple[tuple[str, ...], ...]
+
+    @cached_property
+    def sigma(self) -> ChainMap:
+        rep = _representatives(self.component_orbits + self.stratum_orbits)
+        return ChainMap.induced(self.base, self.complex, rep)
 
 
 def check_admissible(cfg: SncConfiguration, f: int) -> None:
@@ -85,9 +98,10 @@ def _admissible_component_orbits(cfg: SncConfiguration, f: int) -> list[tuple[st
 
 
 def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
-    """Quotient complex over the degree-f extension plus the collapse
-    map from the geometric complex.  Raises ExtensionError when the
-    quotient would not be simple normal crossing."""
+    """Quotient complex over the degree-f extension, whose collapse map
+    from the geometric complex is built on first read of ``sigma``.
+    Raises ExtensionError when the quotient would not be simple normal
+    crossing."""
     comp_orbits = _admissible_component_orbits(cfg, f)
     base = build_dual_complex(cfg)
     perm = _action(cfg).stratum_perm
@@ -106,9 +120,7 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
         perm = sorted(range(len(s.vertices)), key=lambda i: quotient_pos[rep[s.vertices[i]]])
         simplices.append(Simplex(s.id, tuple(rep[s.vertices[i]] for i in perm),
                                  tuple(rep[s.facets[i]] for i in perm)))
-    quotient = DeltaComplex(simplices)
-    sigma = ChainMap.induced(base, quotient, rep)
-    return Extension(f, quotient, sigma, tuple(comp_orbits), tuple(strat_orbits))
+    return Extension(f, DeltaComplex(simplices), base, tuple(comp_orbits), tuple(strat_orbits))
 
 
 def connecting_map(cfg: SncConfiguration, f_fine: int, f_coarse: int,

@@ -2,17 +2,24 @@
 
 Integral homology in degree a is presented on a basis of the kernel of
 the boundary, with one relation per (a+1)-simplex; in degree 0 that
-basis is the identity and the relations are d_1 itself.  Mod-n homology
-is read off the integral Smith forms in degrees a and a - 1 by the
-universal coefficient theorem (degree a - 1 only when it is at least 1,
-since H_0 is free), on one generator per cyclic summand with one
+basis is the identity and the relations are d_1 itself.  Everything
+over Z comes from one Smith form u·d_a·v = D, eliminated on sparse
+rows built from the facets (no dense boundary): the basis is the
+columns of v past the rank, and the relations, and the coordinates of
+any cycle that an induced map writes on the basis, are the rows past
+the rank of v⁻¹ applied to it, replayed from the column log.  No
+second form is eliminated for the cycle basis, and the result keeps
+the form of d_a for its induced maps.  Mod-n homology is read off the
+integral Smith forms in degrees a and a - 1 by the universal
+coefficient theorem (degree a - 1 only when it is at least 1, since
+H_0 is free), on one generator per cyclic summand with one
 representative cycle mod n each; the group is found with no matrix
 stacked with n·I.  Only the induced map over Z/n
 (``HomologyResult._coordinates``) solves on ``[representatives |
-d_{a+1} | n·I]``, to write a chain on the chosen generators.
-The tests compare it with Z/n homology computed from its own
-presentation (``tests/zn_reference.py``), so the universal-coefficient
-checks there are a real cross-check and not a tautology.
+d_{a+1} | n·I]``, to write a chain on the chosen generators.  The
+tests compare it with Z/n homology computed from its own presentation
+(``tests/zn_reference.py``), so the universal-coefficient checks there
+are a real cross-check and not a tautology.
 
 ``oracle_homology`` is a deliberately separate code path: plain
 Gaussian elimination over a prime field, sharing nothing with the
@@ -22,7 +29,7 @@ Smith normal form engine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .complexes import ChainMap, DeltaComplex, Simplex
@@ -32,10 +39,13 @@ from .matrices import (
     IntMatrix,
     SnfDecomposition,
     _from_columns,
+    _from_rows,
     _kernel_columns,
+    _kernel_coordinates,
     _smith_vector,
+    _snf_rows,
     _solve_with,
-    snf,
+    _sparse_rows,
     solve_matrix,
 )
 
@@ -61,6 +71,9 @@ class HomologyResult:
     modulus: int | None
     group: FgAbelianGroup
     cycle_matrix: IntMatrix
+    # the Smith form of d_a (of the augmentation in reduced degree 0)
+    # that gave the integral cycles
+    _boundary_form: SnfDecomposition = field(repr=False, compare=False)
 
     def representative(self, j: int) -> tuple[int, ...]:
         return self.cycle_matrix.col(j)
@@ -74,21 +87,23 @@ class HomologyResult:
         """Coordinates, on the chosen generators, of the classes of the
         columns of ``chains``, which must be cycles.
 
-        Over Z/n the group is presented diagonally on the
+        Over Z the generators are the kernel columns of v in the Smith
+        form of d_a, so the coordinates are read off that form with no
+        elimination.  Over Z/n the group is presented diagonally on the
         representatives, so a chain is written once on [representatives
         | d_{a+1} | n·I] and the representatives' block, reduced modulo
         each summand's order, is its unique coordinate vector."""
         n = self.modulus
         if n is None:
-            x = solve_matrix(self.cycle_matrix, chains)
-        else:
-            rows = self.cycle_matrix.rows
-            lattice = self.cycle_matrix.hstack(self.complex.boundary_matrix(self.degree + 1))
-            x = solve_matrix(lattice.hstack(IntMatrix.diagonal([n] * rows)), chains)
+            x = _kernel_coordinates(self._boundary_form, _sparse_rows(chains))
+            if x is None:
+                raise ValueError("chain is not a cycle for these coefficients")
+            return _from_rows(x, chains.cols)
+        rows = self.cycle_matrix.rows
+        lattice = self.cycle_matrix.hstack(self.complex.boundary_matrix(self.degree + 1))
+        x = solve_matrix(lattice.hstack(IntMatrix.diagonal([n] * rows)), chains)
         if x is None:
             raise ValueError("chain is not a cycle for these coefficients")
-        if n is None:
-            return x
         orders = self.group.relations.diagonal_entries()
         return IntMatrix._of(len(orders), x.cols,
                              [x[i, j] % g for i, g in enumerate(orders) for j in range(x.cols)])
@@ -97,28 +112,34 @@ class HomologyResult:
         return self.group.describe()
 
 
-def _boundary(cx: DeltaComplex, a: int, reduced: bool) -> IntMatrix:
+def _boundary_rows(cx: DeltaComplex, a: int, reduced: bool) -> list[dict[int, int]]:
+    """The sparse rows of d_a, or of the augmentation in reduced degree 0."""
     if a == 0 and reduced:
-        return cx.augmentation_matrix()
-    return cx.boundary_matrix(a)
+        return [dict.fromkeys(range(len(cx.simplices(0))), 1)]
+    return cx._boundary_rows(a)
 
 
 def _integral(cx: DeltaComplex, a: int,
               reduced: bool) -> tuple[SnfDecomposition, IntMatrix, FgAbelianGroup]:
-    """The Smith form of d_a, the basis of its kernel read off that
-    form, and H_a over Z presented on that basis, one relation per
-    (a+1)-simplex."""
-    d_a = _boundary(cx, a, reduced)
-    s = snf(d_a)
-    cycles = _from_columns(_kernel_columns(s), d_a.cols)
-    if a == 0 and not reduced:
-        # d_0 has no rows, so its form logs no operation and the cycle
-        # basis is the identity, on which d_1 is its own solution
-        return s, cycles, FgAbelianGroup(cycles.cols, cx.boundary_matrix(1))
-    relations = solve_matrix(cycles, cx.boundary_matrix(a + 1))
+    """The Smith form u·d_a·v = D of d_a, the basis of its kernel read
+    off that form, and H_a over Z presented on that basis, one relation
+    per (a+1)-simplex.
+
+    The basis is the columns of v past the rank, and the relations are
+    the coordinates of d_{a+1} on it: since d_a·d_{a+1} = 0, the first
+    rank rows of v⁻¹·d_{a+1} vanish and the rest are those coordinates,
+    read by replaying the column log on the sparse rows of d_{a+1}.  The
+    basis is saturated, so they are the unique solution, and no second
+    form is eliminated.  In degree 0, d_0 has no rows, its form logs no
+    operation, and the relations are d_1 itself."""
+    width = len(cx.simplices(a))
+    s = _snf_rows(_boundary_rows(cx, a, reduced), width)
+    cycles = _from_columns(_kernel_columns(s), width)
+    relations = _kernel_coordinates(s, cx._boundary_rows(a + 1))
     if relations is None:
         raise WellDefinednessError("a boundary is not a cycle")
-    return s, cycles, FgAbelianGroup(cycles.cols, relations)
+    group = FgAbelianGroup(cycles.cols, _from_rows(relations, len(cx.simplices(a + 1))))
+    return s, cycles, group
 
 
 def _smith_cycles(cycles: IntMatrix, group: FgAbelianGroup, n: int,
@@ -170,7 +191,8 @@ def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:
             reps = reps.hstack(lifts @ IntMatrix.diagonal([n // g for g in tor_gcds]))
             gcds += tor_gcds
     reps = IntMatrix._of(reps.rows, reps.cols, [x % n for x in reps._entries])
-    return HomologyResult(cx, a, n, FgAbelianGroup(len(gcds), IntMatrix.diagonal(gcds)), reps)
+    return HomologyResult(cx, a, n, FgAbelianGroup(len(gcds), IntMatrix.diagonal(gcds)), reps,
+                          s_a)
 
 
 def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
@@ -187,8 +209,8 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
         raise ValueError("modulus must be at least 2")
     if modulus is not None:
         return _mod_n(cx, a, modulus, reduced)
-    _, cycles, group = _integral(cx, a, reduced)
-    return HomologyResult(cx, a, None, group, cycles)
+    s, cycles, group = _integral(cx, a, reduced)
+    return HomologyResult(cx, a, None, group, cycles, s)
 
 
 def induced_map(f: ChainMap, a: int, modulus: int | None = None,

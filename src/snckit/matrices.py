@@ -7,21 +7,27 @@ with zero rows or zero columns are legal everywhere and stand for zero
 objects, so degenerate inputs flow through every routine without
 special casing by the caller.
 
-The Smith normal form here is the engine behind all homology and
-group computations: ``snf(a)`` returns unimodular ``u``, ``v`` and
-their inverses with ``u @ a @ v`` equal to a nonnegative diagonal
-matrix whose entries form a divisibility chain.  Elimination works on
-a copy of ``a`` held as sparse rows, ``{column: value}`` dicts of the
-nonzero entries, so a row operation costs in proportion to the
-nonzeros it reads.  It reduces only that copy, which becomes ``d``,
-and logs its row and column operations.  Each transform is replayed
-from the log on sparse rows the first time it is read and made dense
-once, at the end; it equals, entry for entry, the one that tracking it
+The Smith normal form here is the engine behind all homology and group
+computations: ``snf(a)`` returns unimodular ``u``, ``v`` and their
+inverses with ``u @ a @ v`` equal to a nonnegative diagonal matrix
+whose entries form a divisibility chain.  Elimination works on a copy
+of ``a`` held as sparse rows, ``{column: value}`` dicts of the nonzero
+entries, so a row operation costs in proportion to the nonzeros it
+reads.  ``snf`` makes that copy and hands it to ``_snf_rows``, the one
+entry that eliminates a whole matrix, which a caller holding sparse
+rows already (homology, with boundaries built from facets) calls
+directly.  Elimination reduces only its rows, which become ``d``, and
+logs its row and column operations.  Each transform is replayed from
+the log on sparse rows the first time it is read and made dense once,
+at the end; it equals, entry for entry, the one that tracking it
 densely during elimination would give.  A solve reads no transform: it
 replays the row log on the sparse rows of its right-hand side and the
-column log on those of the solution.  Pivoting always picks the entry
-of smallest nonzero absolute value, breaking ties by (row, col), which
-keeps every run bit-for-bit reproducible.
+column log on those of the solution.  Coordinates on the kernel basis
+that ``_kernel_columns`` reads off a form need no solve at all:
+``_kernel_coordinates`` replays the inverted column log alone.
+Pivoting always picks the entry of smallest nonzero absolute value,
+breaking ties by (row, col), which keeps every run bit-for-bit
+reproducible.
 
 A matrix that only adds columns ``b`` to one whose form is known gets
 its form from ``_continue_snf``, not from ``snf``: ``u @ [a | b] @
@@ -546,11 +552,19 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     the full scan.  Rows are reduced as sparse dicts, so an operation
     costs in proportion to the nonzeros it reads.
     """
-    d = _sparse_rows(a)
+    return _snf_rows(_sparse_rows(a), a.cols)
+
+
+def _snf_rows(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
+    """``snf`` of the matrix with ``cols`` columns whose sparse rows are
+    ``rows``, which elimination reduces in place.  Every full Smith form
+    is made here; a caller that holds a matrix as sparse rows already,
+    such as a boundary built from facets, passes them without a dense
+    round trip."""
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
-    _eliminate(d, a.cols, row_log, col_log)
-    return SnfDecomposition(_from_rows(d, a.cols), tuple(row_log), tuple(col_log))
+    _eliminate(rows, cols, row_log, col_log)
+    return SnfDecomposition(_from_rows(rows, cols), tuple(row_log), tuple(col_log))
 
 
 def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
@@ -675,6 +689,23 @@ def _kernel_columns(s: SnfDecomposition) -> list[dict[int, int]]:
     dicts.  Column k of ``v`` is row k of the column log replayed on
     the identity, so ``v`` itself is never built."""
     return _replay(_sparse_identity(s.d.cols), s.col_log)[s.rank:]
+
+
+def _kernel_coordinates(s: SnfDecomposition,
+                        rows: list[dict[int, int]]) -> list[dict[int, int]] | None:
+    """The sparse rows of the unique x with ``k @ x`` equal to the matrix
+    whose sparse rows are ``rows`` (replayed in place), ``k`` the kernel
+    columns of ``v`` that ``_kernel_columns`` reads off the form ``s``;
+    None when some column of that matrix is not in the kernel.
+
+    ``v_inv @ y`` holds the coordinates of each column y on the columns
+    of ``v``, and ``a @ y == u_inv @ d @ v_inv @ y`` vanishes exactly
+    when the first ``rank`` of them do, so the rest are the answer.
+    ``v_inv`` is the column log, inverted and transposed, replayed on
+    the rows of y; nothing is eliminated."""
+    y = _replay(rows, _inverse_transposed(s.col_log))
+    r = s.rank
+    return None if any(y[:r]) else y[r:]
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

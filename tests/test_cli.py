@@ -49,6 +49,10 @@ class TestExitCodes:
         assert main(["homology", rulings_path, "--degree", "-1"]) == 2
         assert main(["example", "fermat", "--n", "1"]) == 2
         assert main(["oracle-check", "--max-vertices", "0"]) == 2
+        # past ORACLE_SIZE_BOUND // 4 a random complex could outgrow the oracle
+        assert main(["oracle-check", "--count", "1", "--max-vertices", "251"]) == 2
+        assert main(["oracle-check", "--count", "1", "--seed", "0", "--max-vertices", "700"]) == 2
+        assert main(["oracle-check", "--max-vertices", "10000000"]) == 2
         assert main(["oracle-check", "--count", "-5"]) == 2
         capsys.readouterr()
 
@@ -323,6 +327,13 @@ class TestExampleAndPipelines:
         report = run_json(capsys, ["oracle-check", "--count", "5", "--seed", "3"])
         assert report["results"]["mismatches"] == []
 
+    def test_oracle_check_at_the_vertex_cap(self, capsys):
+        """At the largest accepted --max-vertices every random complex
+        stays within the oracle's size bound."""
+        report = run_json(capsys, ["oracle-check", "--count", "2", "--seed", "0",
+                                   "--max-vertices", "250"])
+        assert report["results"]["mismatches"] == []
+
 
 def test_console_entry_point():
     proc = subprocess.run(
@@ -380,7 +391,7 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     surjective = groups.ModuleMap.is_surjective
     monkeypatch.setattr(groups.ModuleMap, "is_surjective",
                         _counting(counts, "surjective", surjective))
-    for key, original in (("alpha", reciprocity._alpha_at), ("snf", matrices.snf)):
+    for key, original in (("alpha", reciprocity._alpha_at), ("snf", matrices._snf_rows)):
         _rebind(monkeypatch, original, _counting(counts, key, original))
 
     argv = ["kernel", fermat_path, "--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"]
@@ -516,23 +527,25 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 # matrix reduced (rows, cols), peak entry bit length over u, d, v, u_inv
 # and v_inv of every SNF).  An extension of the SNF of a by columns b
 # reduces [d | c], c the Smith coordinates of b, so its shape is that of
-# [a | b].  Z/6 homology in degree 1 eliminates the three matrices that
-# Z homology eliminates in degree 1 and the 1 x 1 diagonal of its own
-# presentation; H_0 is free, so degree 0 adds none.  A change may lower these counts and pin the
-# lower values; none may rise.
+# [a | b].  Z homology in degree 1 eliminates d_1 and its own relation
+# matrix, whose rows it reads off the form of d_1; Z/6 homology in degree
+# 1 eliminates those two and the 1 x 1 diagonal of its own presentation;
+# H_0 is free, so degree 0 adds none.  A change may lower these counts
+# and pin the lower values; none may rise.
 SNF_WORK = {
-    "cover-50": (["homology"], 3, 0, (100, 100), 1),
-    "cover-50-z6": (["homology", "--coeff", "z/6"], 4, 0, (100, 100), 3),
-    "dense-12": (["kernel", "--ell", "3"], 8, 4, (12, 25), 306),
-    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 12, 12, (24, 50), 32948),
+    "cover-50": (["homology"], 2, 0, (100, 100), 1),
+    "cover-50-z6": (["homology", "--coeff", "z/6"], 3, 0, (100, 100), 3),
+    "dense-12": (["kernel", "--ell", "3"], 6, 4, (12, 25), 306),
+    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 10, 12, (24, 50), 32948),
 }
 DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 
 
 def _measure_snf_work(monkeypatch):
-    """Wrap ``snf`` and ``_continue_snf``, the only routines that
-    eliminate, at every binding site; returns the dict the wrappers
-    fill in, so every full SNF and every extension is counted once."""
+    """Wrap ``_snf_rows`` and ``_continue_snf``, the only routines that
+    eliminate (``snf`` delegates to ``_snf_rows``), at every binding
+    site; returns the dict the wrappers fill in, so every full SNF and
+    every extension is counted once."""
     from snckit import matrices
 
     seen = {"calls": 0, "extensions": 0, "shape": (0, 0), "bits": 0, "rows": []}
@@ -546,16 +559,16 @@ def _measure_snf_work(monkeypatch):
                 seen["bits"] = max(seen["bits"], x.bit_length())
         return s
 
-    snf, extend = matrices.snf, matrices._continue_snf
+    snf_rows, extend = matrices._snf_rows, matrices._continue_snf
 
-    def measuring(a):
-        seen["rows"].append(a.rows)
-        return record("calls", (a.rows, a.cols), snf(a))
+    def measuring(rows, cols):
+        seen["rows"].append(len(rows))
+        return record("calls", (len(rows), cols), snf_rows(rows, cols))
 
     def measuring_extension(s, c):
         return record("extensions", (c.rows, s.d.cols + c.cols), extend(s, c))
 
-    _rebind(monkeypatch, snf, measuring)
+    _rebind(monkeypatch, snf_rows, measuring)
     _rebind(monkeypatch, extend, measuring_extension)
     return seen
 

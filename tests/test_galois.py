@@ -1,15 +1,23 @@
 """Scalar extension quotients, collapse detection, tower functoriality,
 the Frobenius action on homology, and norm maps."""
 
+import contextlib
+import io
 import math
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snckit.complexes import sort_parity
+from snckit import galois
+from snckit.cli import main
+from snckit.complexes import ChainMap, sort_parity
+from snckit.config_io import ConfigBundle, serialize_bundle
 from snckit.errors import ExtensionError
-from snckit.fixtures import fermat_cover_config, rulings_bundle
+from snckit.fixtures import fermat_cover_config, rulings_bundle, trivial_pi1
 from snckit.galois import (
     check_admissible,
     connecting_map,
@@ -20,7 +28,7 @@ from snckit.galois import (
 )
 from snckit.groups import coinvariants, cokernel
 from snckit.homology import homology_group, induced_map
-from snckit.snc import FrobeniusAction
+from snckit.snc import FrobeniusAction, build_dual_complex
 
 from conftest import (
     agree_mod_relations,
@@ -148,6 +156,69 @@ class TestExtension:
             assert ext.complex.dimension == 2
             assert homology_group(ext.complex, 2).group.iso_type().rank == 1
             assert homology_group(ext.complex, 1).group.is_trivial()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.sampled_from([2, 3, 4, 6]), f=st.integers(1, 12))
+def test_sigma_builds_whenever_the_extension_does(seed, e, f):
+    """The collapse map is built on first read, so its checks run
+    there; on admissible configurations it always builds, from the
+    geometric complex onto the quotient, once per extension."""
+    cfg = random_admissible_config(random.Random(seed), e)
+    ext = extension_complex(cfg, f)
+    sigma = ext.sigma
+    assert sigma is ext.sigma
+    assert sigma.source is ext.base is build_dual_complex(cfg)
+    assert sigma.target is ext.complex
+    reps = {member: orbit[0] for orbit in ext.component_orbits + ext.stratum_orbits
+            for member in orbit}
+    assert {sid: tid for sid, (tid, _) in sigma.assignment.items()} == reps
+
+
+def _maps_onto_quotients(argv: list[str]) -> tuple[int, int]:
+    """Run ``argv`` and count the chain maps it builds onto an extension
+    quotient, and among them the collapse maps from the geometric
+    complex."""
+    from test_cli import _rebind
+
+    extensions, built = [], []
+    original = galois.extension_complex
+
+    def recording(*args, **kwargs):
+        ext = original(*args, **kwargs)
+        extensions.append(ext)
+        return ext
+
+    init = ChainMap.__init__
+
+    def building(self, source, target, assignment):
+        built.append((source, target))
+        init(self, source, target, assignment)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _rebind(mp, original, recording)
+        mp.setattr(ChainMap, "__init__", building)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--json"]) == 0
+    onto = [(s, t) for s, t in built if any(t is x.complex for x in extensions)]
+    collapse = [(s, t) for s, t in onto if any(s is x.base for x in extensions)]
+    return len(onto), len(collapse)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.sampled_from([2, 3, 4, 6]), f=st.integers(1, 6))
+def test_only_extend_builds_the_collapse_map(seed, e, f):
+    """``norm`` builds one chain map onto a quotient, the connecting map
+    between levels, and ``kernel --sweep`` none; ``extend`` builds
+    exactly one, the collapse map from the geometric complex."""
+    cfg = random_admissible_config(random.Random(seed), e)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(serialize_bundle(ConfigBundle(cfg.name, cfg, trivial_pi1(), {})))
+        path = str(path)
+        assert _maps_onto_quotients(["norm", path, "--f", str(f)]) == (1, 0)
+        assert _maps_onto_quotients(["kernel", path, "--ell", "2", "--sweep", str(f)]) == (0, 0)
+        assert _maps_onto_quotients(["extend", path, "--f", str(f)]) == (1, 1)
 
 
 class TestConnectingMap:
