@@ -33,6 +33,12 @@ from conftest import (
 )
 
 
+def _S(sid, on=None, facets=None):
+    """A stratum on the components named by the letters of ``on``
+    (default: of its id)."""
+    return Stratum(sid, tuple(sid if on is None else on), facets)
+
+
 class TestValidateConfig:
     def test_single_component_ok(self):
         cfg = SncConfiguration("one", (Component("C"),))
@@ -145,6 +151,48 @@ class TestValidateConfig:
             f"frobenius: component permutation order does not divide {order}",
             f"frobenius: stratum permutation order does not divide {order}",
         ]
+
+    @pytest.mark.parametrize("components, strata, problems", [
+        ("ABCD",
+         [_S("AB"), _S("BC"), _S("BD"), _S("AB2", "BA"), _S("T", "CAB"), _S("U", "BDC")],
+         ["stratum 'T': no depth-2 stratum on ('A', 'C')",
+          "stratum 'T': facet ambiguity, candidates ['AB', 'AB2'] all lie on the same "
+          "components; give explicit facets",
+          "stratum 'U': no depth-2 stratum on ('C', 'D')"]),
+        ("ABC",
+         [_S("AB"), _S("AC"), _S("BC"), _S("AB2", "AB"),
+          _S("T", "ABC", ("AB", "BC", "AB2")), _S("T2", "CBA", ("AB2", "AB", "AB"))],
+         ["stratum 'T': facets 'AB' and 'AB2' omit the same component",
+          "stratum 'T2': facets 'AB2' and 'AB' omit the same component",
+          "stratum 'T2': facets 'AB2' and 'AB' omit the same component"]),
+        ("ABC",
+         [_S("AB", "AB", ("B", "C")), _S("AC", "CA", ("A", "C")), _S("BC", "BC", ("B",)),
+          _S("BC2", "CB", ("B", "B"))],
+         ["stratum 'AB': explicit facets ['B', 'C'] must be its two components",
+          "stratum 'BC': explicit facets ['B'] must be its two components",
+          "stratum 'BC2': explicit facets ['B'] must be its two components"]),
+        ("ABCD",
+         [_S("AB"), _S("AC"), _S("BC"), _S("BD"), _S("CD"), _S("BCD"),
+          _S("T", "ABC", ("BD", "AC", "BCD")), _S("T2", "BAC", ("AB", "AC", "BC", "AB")),
+          _S("T3", "ABC", ("A", "zz", "BC")), _S("T4", "CAB", ("AB", "AC"))],
+         ["stratum 'T': facet 'BD' does not omit exactly one of its components",
+          "stratum 'T': facet 'BCD' does not omit exactly one of its components",
+          "stratum 'T2': 4 explicit facets, expected 3",
+          "stratum 'T3': facet 'A' does not exist",
+          "stratum 'T3': facet 'zz' does not exist",
+          "stratum 'T4': 2 explicit facets, expected 3"]),
+        ("ABA",
+         [_S("AB"), _S("B", "AB"), _S("AB", "BA")],
+         ["duplicate component id 'A'",
+          "duplicate id 'B' (ids are global across components and strata)",
+          "duplicate id 'AB' (ids are global across components and strata)"]),
+    ], ids=["inferred", "same-component", "edge-facets", "explicit", "duplicate-ids"])
+    def test_facet_resolution_messages(self, components, strata, problems):
+        """Every facet-resolution message, with its exact text, in the
+        order of the strata and, within one, of its facets (vertex order
+        when inferred, listing order when explicit)."""
+        cfg = SncConfiguration("x", tuple(Component(c) for c in components), tuple(strata))
+        assert validate_config(cfg) == problems
 
     def test_resolved_facets_names_a_stratum_on_unknown_components(self):
         cfg = SncConfiguration("x", (Component("A"),), (Stratum("s", ("A", "Z")),))
