@@ -23,8 +23,10 @@ each boundary as sparse rows built from the facets
 ``DeltaComplex`` checks everything about simplices a caller gives it.
 The dual complex of a validated configuration is built with the private
 ``DeltaComplex._of`` instead, which takes the layers as they are and
-checks d∘d = 0 only on the simplices it is given as suspects; its call
-site states which validation step implies each check it skips.
+checks nothing, d∘d = 0 included; its call site states which validation
+step implies each check it skips.  The d∘d sum itself,
+``_boundary_squared_problems``, reads only facet ids, so configuration
+validation takes it on its own positional facets.
 """
 
 from __future__ import annotations
@@ -66,23 +68,39 @@ class Simplex:
 
     @staticmethod
     def vertex(vid: str) -> "Simplex":
-        return Simplex(vid, (vid,))
+        return Simplex._of(vid, (vid,), ())
+
+    @classmethod
+    def _of(cls, sid: str, vertices: tuple[str, ...],
+            facets: tuple[str, ...]) -> "Simplex":
+        """``Simplex(sid, vertices, facets)`` without the frozen
+        dataclass's per-field ``object.__setattr__``; the fields are
+        the same."""
+        s = object.__new__(cls)
+        fields = s.__dict__
+        fields["id"] = sid
+        fields["vertices"] = vertices
+        fields["facets"] = facets
+        return s
 
 
-def _check_boundary_squared(by_id: Mapping[str, Simplex],
-                            simplices: Sequence[Simplex]) -> None:
-    """Raise unless the signed facets of the facets of each simplex
-    cancel, naming the dimension of the first that does not.  Facet
-    data alone gives d(d(s)) matching supports; the sign bookkeeping is
-    what this checks, one simplex (one column of d_{a-1} d_a) at a
-    time."""
-    for s in simplices:
+def _boundary_squared_problems(facets: Mapping[str, Sequence[str]],
+                               ids: Iterable[str]) -> list[str]:
+    """[] when the signed facets of the facets of each simplex in
+    ``ids`` cancel; otherwise the one problem naming the dimension of the
+    first that does not.  ``facets`` maps the simplices in ``ids`` and
+    their facets to their facet ids.  Facet data alone gives d(d(s))
+    matching supports; the sign bookkeeping is what this checks, one
+    simplex (one column of d_{a-1} d_a) at a time."""
+    for sid in ids:
         twice: dict[str, int] = {}
-        for i, fid in enumerate(s.facets):
-            for k, gid in enumerate(by_id[fid].facets):
+        own = facets[sid]
+        for i, fid in enumerate(own):
+            for k, gid in enumerate(facets[fid]):
                 twice[gid] = twice.get(gid, 0) + (-1 if (i + k) % 2 else 1)
         if any(twice.values()):
-            raise ValidationError([f"boundary squared is nonzero in dimension {s.dim}"])
+            return [f"boundary squared is nonzero in dimension {len(own) - 1}"]
+    return []
 
 
 class DeltaComplex:
@@ -154,21 +172,22 @@ class DeltaComplex:
         if problems:
             raise ValidationError(problems)
 
+        problems = _boundary_squared_problems(
+            {sid: s.facets for sid, s in by_id.items()},
+            [s.id for layer in by_dim[2:] for s in layer])
+        if problems:
+            raise ValidationError(problems)
         self._set_layers(by_dim, by_id)
-        _check_boundary_squared(by_id, [s for layer in by_dim[2:] for s in layer])
 
     @classmethod
-    def _of(cls, by_dim: Sequence[Sequence[Simplex]],
-            suspects: Sequence[Simplex]) -> "DeltaComplex":
+    def _of(cls, by_dim: Sequence[Sequence[Simplex]]) -> "DeltaComplex":
         """A complex from layers the package built itself, listed by
         dimension, whose simplices have distinct ids, respect the order
-        of layer 0 and have the facets their vertices call for; skips
-        the checks that ``__init__`` makes on caller data, except d∘d =
-        0 on ``suspects``, which must be listed by dimension."""
+        of layer 0, have the facets their vertices call for and satisfy
+        d∘d = 0; skips the checks that ``__init__`` makes on caller
+        data."""
         cx = object.__new__(cls)
-        by_id = {s.id: s for layer in by_dim for s in layer}
-        cx._set_layers(by_dim, by_id)
-        _check_boundary_squared(by_id, suspects)
+        cx._set_layers(by_dim, {s.id: s for layer in by_dim for s in layer})
         return cx
 
     def _set_layers(self, by_dim: Sequence[Sequence[Simplex]],

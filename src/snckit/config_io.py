@@ -376,7 +376,7 @@ def parse_config(text: str) -> ConfigBundle:
                 if parsed is None:
                     continue
                 degrees = tuple(parsed)
-            strata.append(Stratum(sid, tuple(on_raw), facets, degrees))
+            strata.append(Stratum._of(sid, tuple(on_raw), facets, degrees))
 
     frobenius = None
     if "frobenius" in doc:

@@ -48,7 +48,13 @@ from .groups import (
 )
 from .homology import HomologyResult, homology_group
 from .matrices import IntMatrix
-from .snc import SncConfiguration, _action, build_dual_complex, has_rational_point
+from .snc import (
+    SncConfiguration,
+    _action,
+    build_dual_complex,
+    ensure_valid,
+    has_rational_point,
+)
 
 __all__ = [
     "ComponentPi1",
@@ -148,7 +154,11 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
                     labels: EdgeLabelCochain) -> list[str]:
     """Equivariance and descent checks; empty list when the labels
     define a map on homology.  Each edge and each 2-simplex is checked
-    on its own column, so the work is linear in the size of the complex."""
+    on its own column, so the work is linear in the size of the complex.
+    With no labels there is nothing to check, and no complex is built."""
+    if not labels:
+        ensure_valid(cfg)
+        return []
     cx = build_dual_complex(cfg)
     columns, problems = _label_columns(cx, pi1, labels)
     if problems:

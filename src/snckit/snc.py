@@ -11,13 +11,17 @@ when a unique depth-(r-1) stratum sits on each component subset;
 otherwise (parallel strata) explicit ``facets`` are required and
 inference failure is a validation error, never a guess.
 
-Validation proves everything the checking ``DeltaComplex`` constructor
-would check of the dual complex except d∘d = 0, so the dual complex is
-built once, in one pass over the strata, through the trusted
-``DeltaComplex._of``.  d∘d = 0 is checked only on simplices with a
-facet whose own facets were given explicitly: wherever facets were
-inferred, the facets of facets that must cancel are the same unique
-stratum.
+Validation sorts each stratum's components by the component order
+once.  That vertex tuple shows unknown components, keys the strata for
+facet inference (facet i is the lookup of the tuple without vertex i)
+and places explicit facets.  Validation proves everything the checking
+``DeltaComplex`` constructor would check of the dual complex, d∘d = 0
+included, so nothing needs the complex to validate a configuration; it
+is built once, when first read, in one pass over the strata, through
+the trusted ``DeltaComplex._of``.  d∘d = 0 is summed only on simplices
+with a facet whose own facets were given explicitly: wherever facets
+were inferred, the facets of facets that must cancel are the same
+unique stratum.
 
 An optional Frobenius action permutes components and strata
 compatibly; its admissibility for a given scalar extension is the
@@ -28,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import ChainMap, DeltaComplex, Simplex
+from .complexes import ChainMap, DeltaComplex, Simplex, _boundary_squared_problems
 from .errors import ValidationError
 
 __all__ = [
@@ -72,6 +77,20 @@ class Stratum:
     @property
     def depth(self) -> int:
         return len(self.on)
+
+    @classmethod
+    def _of(cls, sid: str, on: tuple[str, ...], facets: tuple[str, ...] | None,
+            point_degrees: tuple[int, ...]) -> "Stratum":
+        """``Stratum(sid, on, facets, point_degrees)`` without the frozen
+        dataclass's per-field ``object.__setattr__``; the fields are the
+        same."""
+        s = object.__new__(cls)
+        fields = s.__dict__
+        fields["id"] = sid
+        fields["on"] = on
+        fields["facets"] = facets
+        fields["point_degrees"] = point_degrees
+        return s
 
 
 @dataclass(frozen=True)
@@ -155,13 +174,9 @@ class SncConfiguration:
     frobenius: FrobeniusAction | None = None
 
     @cached_property
-    def _problems(self) -> tuple[str, ...]:
-        return tuple(_find_problems(self))
-
-    @cached_property
-    def _facets(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]],
-                               tuple[str, ...]]:
-        return _resolve_facets(self)
+    def _validation(self) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]],
+                                   dict[str, tuple[str, ...]]]:
+        return _find_problems(self)
 
     @cached_property
     def _dual_complex(self) -> DeltaComplex:
@@ -172,33 +187,23 @@ class SncConfiguration:
         # - there is a vertex: it rejects an empty component list;
         # - every stratum lies on known, distinct components, and so is
         #   a simplex on distinct vertices: it rejects the rest;
-        # - vertex order: the vertex tuples of _resolve_facets are
+        # - vertex order: the vertex tuples of _find_problems are
         #   sorted by the component order, which is layer 0's order;
         # - facet ids, count and spans: _resolve_facets gives every
         #   stratum one facet per vertex, the one omitting it, which is
         #   a depth-(r-1) stratum on the other components (or, for an
         #   edge, the other component); so depths run from 2 without
-        #   gaps.
-        # d∘d = 0 is checked on the simplices with a facet whose own
-        # facets were given explicitly.  In any other simplex every facet
-        # is an edge or had its facets inferred, and inference takes the
-        # only stratum on a set of components; so facet j's facet i and
-        # facet i's facet j-1, which lie on the same components, are
-        # both the only stratum (or component) there, and their signs
-        # cancel.
-        facets, vertices, _ = self._facets
+        #   gaps;
+        # - d∘d = 0: _boundary_squared checks it wherever facets were
+        #   given explicitly, and inference implies it everywhere else.
+        _, facets, vertices = self._validation
         layers: list[list[Simplex]] = [[Simplex.vertex(c.id) for c in self.components]]
-        explicit: set[str] = set()
         for s in self.strata:
             verts = vertices[s.id]
             while len(layers) < len(verts):
                 layers.append([])
-            layers[len(verts) - 1].append(Simplex(s.id, verts, facets[s.id]))
-            if s.facets is not None and len(verts) >= 3:
-                explicit.add(s.id)
-        suspects = [t for layer in layers[3:] for t in layer
-                    if not explicit.isdisjoint(t.facets)] if explicit else []
-        return DeltaComplex._of(layers, suspects)
+            layers[len(verts) - 1].append(Simplex._of(s.id, verts, facets[s.id]))
+        return DeltaComplex._of(layers)
 
     @cached_property
     def _frobenius_chain(self) -> ChainMap:
@@ -270,14 +275,24 @@ def _perm_problems(label: str, perm: Mapping[str, str], domain: Sequence[str],
 
 def validate_config(cfg: SncConfiguration) -> list[str]:
     """All violated invariants, empty when the configuration is OK."""
-    return list(cfg._problems)
+    return list(cfg._validation[0])
 
 
-def _find_problems(cfg: SncConfiguration) -> list[str]:
+def _find_problems(cfg: SncConfiguration) -> tuple[tuple[str, ...],
+                                                   dict[str, tuple[str, ...]],
+                                                   dict[str, tuple[str, ...]]]:
+    """The problems of ``cfg``, the positional facets of every stratum
+    whose facets resolve (none while an earlier check fails), and the
+    vertex tuple of every stratum on at least two known, distinct
+    components, sorted by the component order.  That one sort per
+    stratum finds its unknown and repeated components and keys facet
+    resolution."""
     problems: list[str] = []
+    facets: dict[str, tuple[str, ...]] = {}
+    vertices: dict[str, tuple[str, ...]] = {}
     if not cfg.components:
         problems.append("at least one component required")
-        return problems
+        return tuple(problems), facets, vertices
 
     seen: set[str] = set()
     for c in cfg.components:
@@ -287,7 +302,8 @@ def _find_problems(cfg: SncConfiguration) -> list[str]:
             problems.append(f"duplicate component id {c.id!r}")
         seen.add(c.id)
         _check_degrees(problems, "component", c.id, c.point_degrees)
-    comp_set = set(cfg.component_ids())
+    order = {c.id: i for i, c in enumerate(cfg.components)}
+    position = order.__getitem__
 
     for s in cfg.strata:
         if s.id in seen:
@@ -298,22 +314,29 @@ def _find_problems(cfg: SncConfiguration) -> list[str]:
         if depth < 2:
             problems.append(f"stratum {s.id!r} has depth {depth}, expected at least 2")
             continue
+        try:
+            verts = tuple(sorted(s.on, key=position))
+        except KeyError:  # an unknown component, unless a repeat is reported first
+            verts = None
         if len(set(s.on)) != depth:
             problems.append(f"stratum {s.id!r}: repeated component in {s.on}")
-            continue
-        if not comp_set.issuperset(s.on):
-            unknown = [c for c in s.on if c not in comp_set]
+        elif verts is None:
+            unknown = [c for c in s.on if c not in order]
             problems.append(f"stratum {s.id!r} lies on unknown components {unknown}")
+        else:
+            vertices[s.id] = verts
 
     if not problems:
-        problems.extend(cfg._facets[2])
-
+        facets = _resolve_facets(cfg, vertices, problems)
     if cfg.frobenius is not None and not problems:
-        problems.extend(_frobenius_problems(cfg))
-    return problems
+        problems.extend(_frobenius_problems(cfg, facets))
+    if not problems:
+        problems.extend(_boundary_squared(cfg, facets))
+    return tuple(problems), facets, vertices
 
 
-def _frobenius_problems(cfg: SncConfiguration) -> list[str]:
+def _frobenius_problems(cfg: SncConfiguration,
+                        facets: Mapping[str, tuple[str, ...]]) -> list[str]:
     problems: list[str] = []
     fr = cfg.frobenius
     assert fr is not None
@@ -352,7 +375,6 @@ def _frobenius_problems(cfg: SncConfiguration) -> list[str]:
     if problems:
         return problems
 
-    facets = cfg._facets[0]
     for s in cfg.strata:
         if s.depth < 3:
             continue
@@ -376,53 +398,44 @@ def ensure_valid(cfg: SncConfiguration) -> None:
 def resolved_facets(cfg: SncConfiguration) -> dict[str, tuple[str, ...]]:
     """Positional facet ids for every stratum: entry i of a stratum's
     tuple omits vertex i of its sorted vertex tuple.  Depth-2 strata
-    get component ids.  Raises when inference is ambiguous or a facet
-    is missing."""
-    facets, _, problems = cfg._facets
-    if problems:
-        raise ValidationError(list(problems))
-    return dict(facets)
+    get component ids.  Raises, as ``build_dual_complex`` does, unless
+    the configuration is valid."""
+    ensure_valid(cfg)
+    return dict(cfg._validation[1])
 
 
-def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]],
-                                                    dict[str, tuple[str, ...]],
-                                                    tuple[str, ...]]:
-    """The positional facets of every stratum whose facets resolve, the
-    vertex tuple of every stratum, sorted by the component order, and
-    the problems found; a stratum on an unknown component is such a
-    problem and is skipped.  ``_find_problems`` reads them only when
-    every stratum has depth at least 2 and lies on known, distinct
-    components."""
-    problems: list[str] = []
-    order = {c.id: i for i, c in enumerate(cfg.components)}
-    on_sets = [frozenset(s.on) for s in cfg.strata]
-    by_on: dict[frozenset, list[str]] = {}
-    for s, on in zip(cfg.strata, on_sets):
-        by_on.setdefault(on, []).append(s.id)
+def _resolve_facets(cfg: SncConfiguration, vertices: Mapping[str, tuple[str, ...]],
+                    problems: list[str]) -> dict[str, tuple[str, ...]]:
+    """The positional facets of every stratum whose facets resolve;
+    appends the problems found to ``problems``.  ``vertices`` holds the
+    vertex tuple of every stratum, and ids are distinct.
+
+    Strata are keyed by vertex tuple, so an inferred facet is one dict
+    lookup, of the tuple without the vertex it omits.  An explicit facet
+    is placed by the vertex its own tuple omits."""
+    facet_of: dict[tuple[str, ...], str] = {}
+    parallel: dict[tuple[str, ...], list[str]] = {}
+    for sid, verts in vertices.items():
+        first = facet_of.setdefault(verts, sid)
+        if first != sid:
+            parallel.setdefault(verts, [first]).append(sid)
+    for verts in parallel:  # parallel strata infer no facet
+        del facet_of[verts]
     out: dict[str, tuple[str, ...]] = {}
-    vertices: dict[str, tuple[str, ...]] = {}
 
-    for s, on in zip(cfg.strata, on_sets):
-        try:
-            verts = vertices[s.id] = tuple(sorted(s.on, key=order.__getitem__))
-        except KeyError:
-            unknown = [c for c in s.on if c not in order]
-            problems.append(f"stratum {s.id!r} lies on unknown components {unknown}")
-            continue
+    for s in cfg.strata:
+        verts = vertices[s.id]
         r = len(verts)
         if r == 2:
-            if s.facets is not None:
-                given = set(s.facets)
-                if given != set(verts):
-                    problems.append(
-                        f"stratum {s.id!r}: explicit facets {sorted(given)} must be "
-                        f"its two components"
-                    )
-                    continue
+            if s.facets is not None and set(s.facets) != set(verts):
+                problems.append(
+                    f"stratum {s.id!r}: explicit facets {sorted(set(s.facets))} must be "
+                    f"its two components"
+                )
+                continue
             out[s.id] = (verts[1], verts[0])
             continue
 
-        positional: list[str | None] = [None] * r
         if s.facets is not None:
             if len(s.facets) != r:
                 problems.append(
@@ -430,59 +443,76 @@ def _resolve_facets(cfg: SncConfiguration) -> tuple[dict[str, tuple[str, ...]],
                     f"expected {r}"
                 )
                 continue
+            # r facets, each on its own side, cover all r sides
+            positional: list[str | None] = [None] * r
             ok = True
             for fid in s.facets:
-                f = cfg._stratum_by_id.get(fid)
-                if f is None:
+                fverts = vertices.get(fid)
+                if fverts is None:
                     problems.append(f"stratum {s.id!r}: facet {fid!r} does not exist")
                     ok = False
                     continue
-                missing = on - set(f.on)
-                if f.depth != r - 1 or not on.issuperset(f.on) or len(missing) != 1:
+                i = _omitted(verts, fverts)
+                if i is None:
                     problems.append(
                         f"stratum {s.id!r}: facet {fid!r} does not omit exactly one "
                         f"of its components"
                     )
                     ok = False
-                    continue
-                (omitted,) = missing
-                i = verts.index(omitted)
-                if positional[i] is not None:
+                elif positional[i] is not None:
                     problems.append(
                         f"stratum {s.id!r}: facets {positional[i]!r} and {fid!r} omit "
                         f"the same component"
                     )
                     ok = False
-                    continue
-                positional[i] = fid
-            if ok and all(p is not None for p in positional):
+                else:
+                    positional[i] = fid
+            if ok:
                 out[s.id] = tuple(positional)  # type: ignore[arg-type]
-            elif ok:
-                problems.append(f"stratum {s.id!r}: explicit facets do not cover all sides")
             continue
 
-        ok = True
-        for i, v in enumerate(verts):
-            key = on - {v}
-            candidates = by_on.get(key, [])
-            if len(candidates) == 1:
-                positional[i] = candidates[0]
-            elif not candidates:
-                problems.append(
-                    f"stratum {s.id!r}: no depth-{r - 1} stratum on "
-                    f"{tuple(sorted(key, key=order.__getitem__))}"
-                )
-                ok = False
-            else:
-                problems.append(
-                    f"stratum {s.id!r}: facet ambiguity, candidates {sorted(candidates)} "
-                    f"all lie on the same components; give explicit facets"
-                )
-                ok = False
-        if ok:
-            out[s.id] = tuple(positional)  # type: ignore[arg-type]
+        try:
+            # combinations omits the last vertex first
+            out[s.id] = tuple(map(facet_of.__getitem__, combinations(verts, r - 1)))[::-1]
+        except KeyError:
+            for i in range(r):
+                side = verts[:i] + verts[i + 1:]
+                if side in parallel:
+                    problems.append(
+                        f"stratum {s.id!r}: facet ambiguity, candidates "
+                        f"{sorted(parallel[side])} all lie on the same components; "
+                        f"give explicit facets"
+                    )
+                elif side not in facet_of:
+                    problems.append(f"stratum {s.id!r}: no depth-{r - 1} stratum on {side}")
+    return out
 
-    return out, vertices, tuple(problems)
+
+def _omitted(verts: tuple[str, ...], side: tuple[str, ...]) -> int | None:
+    """The position i with ``side`` = ``verts`` without vertex i, both
+    sorted by the component order, or None."""
+    for i in range(len(verts)):
+        if verts[:i] + verts[i + 1:] == side:
+            return i
+    return None
+
+
+def _boundary_squared(cfg: SncConfiguration,
+                      facets: Mapping[str, tuple[str, ...]]) -> list[str]:
+    """The d∘d problem of the dual complex, if any.  The sum is taken
+    only on simplices with a facet whose own facets were given
+    explicitly.  In any other simplex every facet is an edge or had its
+    facets inferred, and inference takes the only stratum on a set of
+    components; so facet j's facet i and facet i's facet j-1, which lie
+    on the same components, are both the only stratum (or component)
+    there, and their signs cancel."""
+    explicit = {s.id for s in cfg.strata if s.facets is not None and len(s.on) >= 3}
+    if not explicit:
+        return []
+    suspects = [sid for sid, fs in facets.items()
+                if len(fs) >= 4 and not explicit.isdisjoint(fs)]
+    suspects.sort(key=lambda sid: len(facets[sid]))
+    return _boundary_squared_problems(facets, suspects)
 
 
 def build_dual_complex(cfg: SncConfiguration) -> DeltaComplex:

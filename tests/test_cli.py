@@ -364,19 +364,22 @@ def _counting(counts, key, fn):
 def _count_complexes(monkeypatch, counts):
     """Count every complex built, through the checking constructor or
     the trusted ``DeltaComplex._of``, under ``counts["complex"]``, and
-    the simplices whose d∘d sum is taken under ``counts["dd"]``."""
-    from snckit import complexes
+    the simplices whose d∘d sum is taken, by the checking constructor or
+    by configuration validation, under ``counts["dd"]``."""
+    from snckit import complexes, snc
 
     cls = complexes.DeltaComplex
     monkeypatch.setattr(cls, "__init__", _counting(counts, "complex", cls.__init__))
     monkeypatch.setattr(cls, "_of", classmethod(_counting(counts, "complex", cls._of.__func__)))
-    check = complexes._check_boundary_squared
+    check = complexes._boundary_squared_problems
 
-    def checking(by_id, simplices):
-        counts["dd"] += len(simplices)
-        return check(by_id, simplices)
+    def checking(facets, ids):
+        ids = list(ids)
+        counts["dd"] += len(ids)
+        return check(facets, ids)
 
-    monkeypatch.setattr(complexes, "_check_boundary_squared", checking)
+    for module in (complexes, snc):
+        monkeypatch.setattr(module, "_boundary_squared_problems", checking)
 
 
 def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
@@ -403,17 +406,21 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
     assert counts["snf"] <= 27
 
 
-def test_validate_builds_one_trusted_complex(capsys, monkeypatch, tmp_path):
-    """``validate`` on the 4-fold suspension of the 6-cycle builds its
-    dual complex once, and takes no d∘d sum: every facet there is
-    inferred, so validation already implies d∘d = 0."""
+def test_validate_builds_no_complex(capsys, monkeypatch, tmp_path):
+    """``validate`` on the 4-fold suspension of the 6-cycle builds no
+    dual complex, since the document has no edge labels to check, and
+    takes no d∘d sum: every facet there is inferred, so validation
+    already implies d∘d = 0.  ``dual-complex`` and ``homology`` build it
+    once."""
     path = tmp_path / "suspension-4.json"
     path.write_text(json.dumps(suspension_document(4)))
-    counts = {"complex": 0, "dd": 0}
-    _count_complexes(monkeypatch, counts)
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    assert counts == {"complex": 1, "dd": 0}
+    for argv, built in ((["validate"], 0), (["dual-complex"], 1), (["homology"], 1)):
+        counts = {"complex": 0, "dd": 0}
+        with monkeypatch.context() as patch:
+            _count_complexes(patch, counts)
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+        capsys.readouterr()
+        assert counts == {"complex": built, "dd": 0}
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch, rulings_path):

@@ -172,6 +172,14 @@ class TestValidateLabels:
         pi1 = Pi1Input(_module(FgAbelianGroup.cyclic(3)))
         assert validate_labels(cfg, pi1, {}) == []
 
+    def test_no_labels_still_need_a_valid_configuration(self):
+        pi1 = Pi1Input(_module(FgAbelianGroup.cyclic(3)))
+        bad = SncConfiguration("bad", (Component("A"),), (Stratum("s", ("A", "Z")),))
+        for labels in ({}, {"s": (1,)}):
+            with pytest.raises(ValidationError) as info:
+                validate_labels(bad, pi1, labels)
+            assert info.value.problems == ["stratum 's' lies on unknown components ['Z']"]
+
     def test_zero_labels_build_no_frobenius_chain_map(self, monkeypatch):
         """Zero labels are equivariant and descend whatever Frobenius
         does, so their check builds no chain map: no labels, zero

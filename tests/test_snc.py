@@ -17,11 +17,13 @@ from snckit.snc import (
     SncConfiguration,
     Stratum,
     build_dual_complex,
+    ensure_valid,
     has_rational_point,
     resolved_facets,
     validate_config,
 )
 
+from facets_reference import _resolve_facets as reference_facets
 from conftest import (
     cycle_config,
     multigraph_config,
@@ -202,6 +204,67 @@ class TestValidateConfig:
         # validation reports it once, from its own check
         assert validate_config(cfg) == ["stratum 's' lies on unknown components ['Z']"]
 
+    def test_boundary_squared_names_the_lowest_failing_dimension(self):
+        """On the 4-simplex ABCDE with the parallel strata AB2 and ACE2,
+        d∘d fails in dimension 4 (the tetrahedra ACDE and ABCE meet on
+        ACE2 and ACE) and, once ABD takes AB2, in dimension 3 as well;
+        the lower dimension is named whatever the listing order."""
+        explicit = {"ABC": ("BC", "AC", "AB"), "ABE": ("BE", "AE", "AB"),
+                    "ACDE": ("CDE", "ADE", "ACE2", "ACD"),
+                    "ABCE": ("BCE", "ACE", "ABE", "ABC")}
+        for abd, dimension in ((("BD", "AD", "AB"), 4), (("BD", "AD", "AB2"), 3)):
+            facets = {**explicit, "ABD": abd}
+            strata = [_S("ABCDE")] + [
+                _S("".join(span), span, facets.get("".join(span)))
+                for r in (2, 3, 4) for span in itertools.combinations("ABCDE", r)
+            ] + [_S("AB2", "AB"), _S("ACE2", "ACE")]
+            cfg = SncConfiguration("x", tuple(Component(c) for c in "ABCDE"), tuple(strata))
+            problems = [f"boundary squared is nonzero in dimension {dimension}"]
+            assert validate_config(cfg) == problems
+            with pytest.raises(ValidationError) as checked:
+                DeltaComplex(_checked_simplices(cfg))
+            assert checked.value.problems == problems
+
+    def test_unknown_component_named_like_a_stratum(self):
+        cfg = SncConfiguration("x", (Component("A"), Component("B")),
+                               (_S("s", "AB"), Stratum("t", ("A", "s"))))
+        assert validate_config(cfg) == ["stratum 't' lies on unknown components ['s']"]
+
+    @pytest.mark.parametrize("components, strata", [
+        ("AB", [_S("aa", "AA")]),
+        ("AB", [_S("ab", "AB"), _S("ab", "BA")]),
+        ("AA", []),
+    ], ids=["repeated-component", "duplicate-stratum-id", "duplicate-component-id"])
+    def test_resolved_facets_raises_what_validation_reports(self, components, strata):
+        cfg = SncConfiguration("x", tuple(Component(c) for c in components), tuple(strata))
+        problems = validate_config(cfg)
+        assert problems
+        for call in (resolved_facets, build_dual_complex):
+            with pytest.raises(ValidationError) as info:
+                call(cfg)
+            assert info.value.problems == problems
+
+    def test_boundary_squared_is_a_validation_problem(self):
+        """Triangles ABC and ABD bound the parallel edges AB and AB2, so
+        the inferred tetrahedron T on them has d∘d != 0.  Validation
+        reports it, with the text the checking constructor gives."""
+        strata = [_S(e) for e in ("AB", "AC", "AD", "BC", "BD", "CD")] + [
+            _S("AB2", "AB"),
+            _S("ABC", "ABC", ("BC", "AC", "AB")),
+            _S("ABD", "ABD", ("BD", "AD", "AB2")),
+            _S("ACD"), _S("BCD"), _S("T", "ABCD"),
+        ]
+        cfg = SncConfiguration("x", tuple(Component(c) for c in "ABCD"), tuple(strata))
+        problems = ["boundary squared is nonzero in dimension 3"]
+        assert validate_config(cfg) == problems
+        with pytest.raises(ValidationError) as checked:
+            DeltaComplex(_checked_simplices(cfg))
+        assert checked.value.problems == problems
+        for call in (ensure_valid, resolved_facets, build_dual_complex):
+            with pytest.raises(ValidationError) as info:
+                call(cfg)
+            assert info.value.problems == problems
+
 
 class TestBuildDualComplex:
     def test_rulings_is_four_cycle(self):
@@ -315,14 +378,13 @@ configurations = (
 def _checked_simplices(cfg: SncConfiguration) -> list[Simplex]:
     """The dual complex's simplices as the checking constructor takes
     them: vertices, then strata by depth, on vertex tuples sorted by the
-    component order."""
-    order = {c.id: i for i, c in enumerate(cfg.components)}
-    facets = resolved_facets(cfg)
-    simplices = [Simplex.vertex(c.id) for c in cfg.components]
+    component order, with the facets the reference resolution gives."""
+    facets, vertices, problems = reference_facets(cfg)
+    assert problems == ()
+    simplices = [Simplex(c.id, (c.id,)) for c in cfg.components]
     for r in cfg.depths():
         for s in cfg.strata_of_depth(r):
-            verts = tuple(sorted(s.on, key=order.__getitem__))
-            simplices.append(Simplex(s.id, verts, facets[s.id]))
+            simplices.append(Simplex(s.id, vertices[s.id], facets[s.id]))
     return simplices
 
 
@@ -338,21 +400,83 @@ class TestTrustedDualComplex:
     @settings(max_examples=300, deadline=None)
     @given(configurations)
     def test_matches_checking_constructor(self, cfg):
-        assert validate_config(cfg) == []
         text = serialize_bundle(ConfigBundle(cfg.name, cfg, trivial_pi1()))
         try:
             checked = DeltaComplex(_checked_simplices(cfg))
         except ValidationError as err:
+            assert validate_config(cfg) == err.problems
             for build in (lambda: build_dual_complex(cfg), lambda: parse_config(text)):
                 with pytest.raises(ValidationError) as rejected:
                     build()
                 assert rejected.value.problems == err.problems
             return
+        assert validate_config(cfg) == []
         for cx in (build_dual_complex(cfg), build_dual_complex(parse_config(text).config)):
             for other in (DeltaComplex(list(cx.all_simplices())), checked):
                 assert cx.structure_signature() == other.structure_signature()
                 assert cx.counts() == other.counts()
                 assert _ids_by_dimension(cx) == _ids_by_dimension(other)
+
+
+@st.composite
+def facet_configs(draw):
+    """Components listed in a drawn order, then zero to two strata on
+    every set of 2 to 4 of them, so some faces carry no stratum and some
+    carry parallel ones.  Each stratum lists its components in a drawn
+    order and may name explicit facets: its faces' strata, drawn per
+    face or drawn from all its faces (so two may share a side), or any
+    list of ids (the ones listed so far, components and an unknown one),
+    which may be too short or too long.  Strata are listed
+    in a drawn order.  Ids are distinct and every stratum lies on known,
+    distinct components, so the configurations reach facet resolution;
+    most of them fail it."""
+    comps = draw(st.permutations([f"c{i}" for i in range(draw(st.integers(2, 5)))]))
+    on_span = {(c,): [c] for c in comps}
+    strata = []
+    for r in (2, 3, 4):
+        for span in itertools.combinations(comps, r):
+            faces = [on_span.get(span[:i] + span[i + 1:], []) for i in range(r)]
+            for k in range(draw(st.sampled_from([0, 1, 1, 2]))):
+                sid = "".join(span) + f"#{k}"
+                mode = draw(st.sampled_from(["inferred", "inferred", "faces", "sides", "any"]))
+                facets = None
+                if mode == "faces" and all(faces):
+                    facets = tuple(draw(st.permutations(
+                        [draw(st.sampled_from(f)) for f in faces])))
+                elif mode == "sides" and any(faces):
+                    facets = tuple(draw(st.lists(st.sampled_from(sum(faces, [])),
+                                                 min_size=r, max_size=r)))
+                elif mode == "any":
+                    ids = [x.id for x in strata] + list(comps) + ["nowhere"]
+                    facets = tuple(draw(st.lists(st.sampled_from(ids),
+                                                 min_size=r - 1, max_size=r + 1)))
+                strata.append(Stratum(sid, tuple(draw(st.permutations(span))), facets))
+                on_span.setdefault(span, []).append(sid)
+    return SncConfiguration("facets", tuple(Component(c) for c in comps),
+                            tuple(draw(st.permutations(strata))))
+
+
+class TestFacetsMatchReference:
+    """Facet resolution on vertex tuples against the frozenset-keyed
+    reference in ``tests/facets_reference.py``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(facet_configs() | parallel_configs())
+    def test_problems_facets_and_vertices_agree(self, cfg):
+        facets, vertices, problems = reference_facets(cfg)
+        got_problems, got_facets, got_vertices = cfg._validation
+        assert got_vertices == vertices
+        # the facets of every stratum whose facets resolve, in listing order
+        assert list(got_facets.items()) == list(facets.items())
+        if problems:
+            assert list(got_problems) == list(problems)
+            return
+        try:
+            DeltaComplex(_checked_simplices(cfg))
+        except ValidationError as err:
+            assert list(got_problems) == err.problems
+        else:
+            assert got_problems == ()
 
 
 def test_has_rational_point():
