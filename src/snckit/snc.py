@@ -327,7 +327,7 @@ def _find_problems(cfg: SncConfiguration) -> tuple[tuple[str, ...],
             vertices[s.id] = verts
 
     if not problems:
-        facets = _resolve_facets(cfg, vertices, problems)
+        facets, problems = _resolve_facets(cfg, vertices)
     if cfg.frobenius is not None and not problems:
         problems.extend(_frobenius_problems(cfg, facets))
     if not problems:
@@ -404,11 +404,11 @@ def resolved_facets(cfg: SncConfiguration) -> dict[str, tuple[str, ...]]:
     return dict(cfg._validation[1])
 
 
-def _resolve_facets(cfg: SncConfiguration, vertices: Mapping[str, tuple[str, ...]],
-                    problems: list[str]) -> dict[str, tuple[str, ...]]:
-    """The positional facets of every stratum whose facets resolve;
-    appends the problems found to ``problems``.  ``vertices`` holds the
-    vertex tuple of every stratum, and ids are distinct.
+def _resolve_facets(cfg: SncConfiguration, vertices: Mapping[str, tuple[str, ...]]
+                    ) -> tuple[dict[str, tuple[str, ...]], list[str]]:
+    """The positional facets of every stratum whose facets resolve, and
+    the problems found.  ``vertices`` holds the vertex tuple of every
+    stratum, and ids are distinct.
 
     Strata are keyed by vertex tuple, so an inferred facet is one dict
     lookup, of the tuple without the vertex it omits.  An explicit facet
@@ -422,6 +422,7 @@ def _resolve_facets(cfg: SncConfiguration, vertices: Mapping[str, tuple[str, ...
     for verts in parallel:  # parallel strata infer no facet
         del facet_of[verts]
     out: dict[str, tuple[str, ...]] = {}
+    problems: list[str] = []
 
     for s in cfg.strata:
         verts = vertices[s.id]
@@ -485,7 +486,7 @@ def _resolve_facets(cfg: SncConfiguration, vertices: Mapping[str, tuple[str, ...
                     )
                 elif side not in facet_of:
                     problems.append(f"stratum {s.id!r}: no depth-{r - 1} stratum on {side}")
-    return out
+    return out, problems
 
 
 def _omitted(verts: tuple[str, ...], side: tuple[str, ...]) -> int | None:
