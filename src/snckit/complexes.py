@@ -39,6 +39,9 @@ from .matrices import IntMatrix
 
 __all__ = ["Simplex", "DeltaComplex", "ChainMap", "suspend", "sort_parity"]
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 def sort_parity(seq: Sequence[int]) -> int:
     """+1 or -1: the sign of the permutation sorting ``seq`` (entries
@@ -73,14 +76,14 @@ class Simplex:
     @classmethod
     def _of(cls, sid: str, vertices: tuple[str, ...],
             facets: tuple[str, ...]) -> "Simplex":
-        """``Simplex(sid, vertices, facets)`` without the frozen
-        dataclass's per-field ``object.__setattr__``; the fields are
-        the same."""
-        s = object.__new__(cls)
-        fields = s.__dict__
-        fields["id"] = sid
-        fields["vertices"] = vertices
-        fields["facets"] = facets
+        """``Simplex(sid, vertices, facets)`` at half the cost: the frozen
+        dataclass's ``__init__`` looks ``object.__setattr__`` up again
+        for every field.  (Filling the instance ``__dict__`` would build
+        as fast, but would make every later attribute read slower.)"""
+        s = _new(cls)
+        _set(s, "id", sid)
+        _set(s, "vertices", vertices)
+        _set(s, "facets", facets)
         return s
 
 

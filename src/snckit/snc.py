@@ -36,7 +36,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import ChainMap, DeltaComplex, Simplex, _boundary_squared_problems
+from .complexes import ChainMap, DeltaComplex, Simplex, _boundary_squared_problems, _new, _set
 from .errors import ValidationError
 
 __all__ = [
@@ -81,15 +81,13 @@ class Stratum:
     @classmethod
     def _of(cls, sid: str, on: tuple[str, ...], facets: tuple[str, ...] | None,
             point_degrees: tuple[int, ...]) -> "Stratum":
-        """``Stratum(sid, on, facets, point_degrees)`` without the frozen
-        dataclass's per-field ``object.__setattr__``; the fields are the
-        same."""
-        s = object.__new__(cls)
-        fields = s.__dict__
-        fields["id"] = sid
-        fields["on"] = on
-        fields["facets"] = facets
-        fields["point_degrees"] = point_degrees
+        """``Stratum(sid, on, facets, point_degrees)`` at half the cost,
+        as ``Simplex._of``."""
+        s = _new(cls)
+        _set(s, "id", sid)
+        _set(s, "on", on)
+        _set(s, "facets", facets)
+        _set(s, "point_degrees", point_degrees)
         return s
 
 
