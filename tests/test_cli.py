@@ -414,11 +414,11 @@ def test_validate_builds_no_complex(capsys, monkeypatch, tmp_path):
     once."""
     path = tmp_path / "suspension-4.json"
     path.write_text(json.dumps(suspension_document(4)))
-    for argv, built in ((["validate"], 0), (["dual-complex"], 1), (["homology"], 1)):
+    for command, built in (("validate", 0), ("dual-complex", 1), ("homology", 1)):
         counts = {"complex": 0, "dd": 0}
         with monkeypatch.context() as patch:
             _count_complexes(patch, counts)
-            assert main([argv[0], str(path), *argv[1:]]) == 0
+            assert main([command, str(path)]) == 0
         capsys.readouterr()
         assert counts == {"complex": built, "dd": 0}
 

@@ -41,6 +41,12 @@ def _S(sid, on=None, facets=None):
     return Stratum(sid, tuple(sid if on is None else on), facets)
 
 
+# explicit facets around the parallel strata AB2 and ACE2 on five
+# components: the tetrahedra ACDE and ABCE meet on ACE2 and ACE
+_ACE2_FACETS = {"ABC": ("BC", "AC", "AB"), "ABE": ("BE", "AE", "AB"),
+                "ACDE": ("CDE", "ADE", "ACE2", "ACD"), "ABCE": ("BCE", "ACE", "ABE", "ABC")}
+
+
 class TestValidateConfig:
     def test_single_component_ok(self):
         cfg = SncConfiguration("one", (Component("C"),))
@@ -204,27 +210,6 @@ class TestValidateConfig:
         # validation reports it once, from its own check
         assert validate_config(cfg) == ["stratum 's' lies on unknown components ['Z']"]
 
-    def test_boundary_squared_names_the_lowest_failing_dimension(self):
-        """On the 4-simplex ABCDE with the parallel strata AB2 and ACE2,
-        d∘d fails in dimension 4 (the tetrahedra ACDE and ABCE meet on
-        ACE2 and ACE) and, once ABD takes AB2, in dimension 3 as well;
-        the lower dimension is named whatever the listing order."""
-        explicit = {"ABC": ("BC", "AC", "AB"), "ABE": ("BE", "AE", "AB"),
-                    "ACDE": ("CDE", "ADE", "ACE2", "ACD"),
-                    "ABCE": ("BCE", "ACE", "ABE", "ABC")}
-        for abd, dimension in ((("BD", "AD", "AB"), 4), (("BD", "AD", "AB2"), 3)):
-            facets = {**explicit, "ABD": abd}
-            strata = [_S("ABCDE")] + [
-                _S("".join(span), span, facets.get("".join(span)))
-                for r in (2, 3, 4) for span in itertools.combinations("ABCDE", r)
-            ] + [_S("AB2", "AB"), _S("ACE2", "ACE")]
-            cfg = SncConfiguration("x", tuple(Component(c) for c in "ABCDE"), tuple(strata))
-            problems = [f"boundary squared is nonzero in dimension {dimension}"]
-            assert validate_config(cfg) == problems
-            with pytest.raises(ValidationError) as checked:
-                DeltaComplex(_checked_simplices(cfg))
-            assert checked.value.problems == problems
-
     def test_unknown_component_named_like_a_stratum(self):
         cfg = SncConfiguration("x", (Component("A"), Component("B")),
                                (_S("s", "AB"), Stratum("t", ("A", "s"))))
@@ -244,18 +229,26 @@ class TestValidateConfig:
                 call(cfg)
             assert info.value.problems == problems
 
-    def test_boundary_squared_is_a_validation_problem(self):
-        """Triangles ABC and ABD bound the parallel edges AB and AB2, so
-        the inferred tetrahedron T on them has d∘d != 0.  Validation
-        reports it, with the text the checking constructor gives."""
-        strata = [_S(e) for e in ("AB", "AC", "AD", "BC", "BD", "CD")] + [
-            _S("AB2", "AB"),
-            _S("ABC", "ABC", ("BC", "AC", "AB")),
-            _S("ABD", "ABD", ("BD", "AD", "AB2")),
-            _S("ACD"), _S("BCD"), _S("T", "ABCD"),
-        ]
-        cfg = SncConfiguration("x", tuple(Component(c) for c in "ABCD"), tuple(strata))
-        problems = ["boundary squared is nonzero in dimension 3"]
+    @pytest.mark.parametrize("components, facets, dimension", [
+        ("ABCD", {"ABC": ("BC", "AC", "AB"), "ABD": ("BD", "AD", "AB2")}, 3),
+        ("ABCDE", {**_ACE2_FACETS, "ABD": ("BD", "AD", "AB")}, 4),
+        ("ABCDE", {**_ACE2_FACETS, "ABD": ("BD", "AD", "AB2")}, 3),
+    ], ids=["tetrahedron", "4-simplex", "lowest-dimension"])
+    def test_boundary_squared_is_a_validation_problem(self, components, facets, dimension):
+        """The full simplex on the components, plus the parallel edge
+        AB2, and on five components the parallel triangle ACE2.  Where
+        ABD takes AB2 and ABC takes AB, the tetrahedron ABCD has d∘d != 0;
+        where the tetrahedra ACDE and ABCE meet on ACE2 and ACE, the
+        4-simplex has.  Validation reports the lowest such dimension,
+        whatever the listing order (the 4-simplex is listed first), with
+        the text the checking constructor gives."""
+        strata = [_S(components)] + [
+            _S("".join(span), span, facets.get("".join(span)))
+            for r in range(2, len(components))
+            for span in itertools.combinations(components, r)
+        ] + [_S("AB2", "AB")] + ([_S("ACE2", "ACE")] if "E" in components else [])
+        cfg = SncConfiguration("x", tuple(Component(c) for c in components), tuple(strata))
+        problems = [f"boundary squared is nonzero in dimension {dimension}"]
         assert validate_config(cfg) == problems
         with pytest.raises(ValidationError) as checked:
             DeltaComplex(_checked_simplices(cfg))
@@ -426,10 +419,10 @@ def facet_configs(draw):
     order and may name explicit facets: its faces' strata, drawn per
     face or drawn from all its faces (so two may share a side), or any
     list of ids (the ones listed so far, components and an unknown one),
-    which may be too short or too long.  Strata are listed
-    in a drawn order.  Ids are distinct and every stratum lies on known,
-    distinct components, so the configurations reach facet resolution;
-    most of them fail it."""
+    which may be too short or too long.  Strata are listed in a drawn
+    order.  Ids are distinct and every stratum lies on known, distinct
+    components, so the configurations reach facet resolution; most of
+    them fail it."""
     comps = draw(st.permutations([f"c{i}" for i in range(draw(st.integers(2, 5)))]))
     on_span = {(c,): [c] for c in comps}
     strata = []
