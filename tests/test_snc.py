@@ -160,6 +160,50 @@ class TestValidateConfig:
             f"frobenius: stratum permutation order does not divide {order}",
         ]
 
+    @pytest.mark.parametrize("components, strata, action, problems", [
+        ("ABC", [_S("AB"), _S("BC"), _S("AC", "CA")], FrobeniusAction(0),
+         ["frobenius: order must be positive"]),
+        ("ABC", [_S("AB"), _S("BC")], FrobeniusAction(2, {"zz": "A", "B": "yy"}, {"q": "r"}),
+         ["frobenius: component permutation maps unknown id 'zz'",
+          "frobenius: component permutation targets unknown id 'yy'"]),
+        ("ABC", [_S("AB"), _S("BC")], FrobeniusAction(2, {}, {"AB": "q", "A": "AB"}),
+         ["frobenius: stratum permutation targets unknown id 'q'",
+          "frobenius: stratum permutation maps unknown id 'A'"]),
+        ("ABC", [_S("AB"), _S("BC")], FrobeniusAction(2, {"A": "B", "B": "B"}, {"AB": "BC"}),
+         ["frobenius: component permutation is not a bijection"]),
+        ("ABC", [_S("AB"), _S("BC")], FrobeniusAction(2, {}, {"AB": "BC"}),
+         ["frobenius: stratum permutation is not a bijection"]),
+        ("ABC", [_S("AB"), _S("AC"), _S("BC"), _S("ABC")],
+         FrobeniusAction(2, {"A": "B", "B": "A"}, {"AB": "ABC", "ABC": "AB"}),
+         ["frobenius: stratum 'AB' (depth 2) maps to 'ABC' (depth 3)",
+          "frobenius: stratum 'AC' maps to 'AC', which does not lie on the image components",
+          "frobenius: stratum 'BC' maps to 'BC', which does not lie on the image components",
+          "frobenius: stratum 'ABC' (depth 3) maps to 'AB' (depth 2)"]),
+        ("ABC", [_S("AB"), _S("BC"), _S("AC", "CA")],
+         FrobeniusAction(2, {"A": "B", "B": "C", "C": "A"}, {"AB": "BC", "BC": "AC", "AC": "AB"}),
+         ["frobenius: component permutation order does not divide 2",
+          "frobenius: stratum permutation order does not divide 2"]),
+        # at order 1 the action is the identity, whatever the permutations
+        # say, so the incidence checks pass and only the order check sees them
+        ("ABC", [_S("AB"), _S("BC"), _S("AC", "CA")],
+         FrobeniusAction(1, {"A": "B", "B": "C", "C": "A"}, {"AB": "BC", "BC": "AB"}),
+         ["frobenius: component permutation order does not divide 1",
+          "frobenius: stratum permutation order does not divide 1"]),
+        ("ABC", [_S("AB"), _S("AB2", "AB"), _S("AC"), _S("BC"),
+                 _S("T", "ABC", ("BC", "AC", "AB")), _S("T2", "ABC", ("AB2", "AC", "BC"))],
+         FrobeniusAction(2, {}, {"T": "T2", "T2": "T"}),
+         ["frobenius: facet 'AB' of stratum 'T' does not map to a facet of 'T2'",
+          "frobenius: facet 'AB2' of stratum 'T2' does not map to a facet of 'T'"]),
+    ], ids=["order", "component-ids", "stratum-ids", "component-bijection",
+            "stratum-bijection", "incidence", "orbit-length", "order-one", "facets"])
+    def test_frobenius_messages(self, components, strata, action, problems):
+        """Every Frobenius message, with its exact text, in the order of
+        the checks and, within one, of the permutation's items or of the
+        strata and their facets."""
+        cfg = SncConfiguration("x", tuple(Component(c) for c in components), tuple(strata),
+                               action)
+        assert validate_config(cfg) == problems
+
     @pytest.mark.parametrize("components, strata, problems", [
         ("ABCD",
          [_S("AB"), _S("BC"), _S("BD"), _S("AB2", "BA"), _S("T", "CAB"), _S("U", "BDC")],
