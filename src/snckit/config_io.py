@@ -354,7 +354,7 @@ def parse_config(text: str) -> ConfigBundle:
                 reader.str_value(sid, f"{where}[{i}].id")
                 continue
             on_raw = item.get("on")
-            if not isinstance(on_raw, list) or not all(isinstance(x, str) for x in on_raw):
+            if not isinstance(on_raw, list) or not all(map(str.__instancecheck__, on_raw)):
                 reader.fail(f"{where}[{i}].on", "expected a list of component ids")
                 continue
             if len(on_raw) != depth:
@@ -364,7 +364,7 @@ def parse_config(text: str) -> ConfigBundle:
             facets = None
             if "facets" in item:
                 fr = item["facets"]
-                if not isinstance(fr, list) or not all(isinstance(x, str) for x in fr):
+                if not isinstance(fr, list) or not all(map(str.__instancecheck__, fr)):
                     reader.fail(f"{where}[{i}].facets", "expected a list of stratum ids")
                     continue
                 facets = tuple(fr)

@@ -12,7 +12,9 @@ second form is eliminated for the cycle basis, and the result keeps
 the form of d_a for its induced maps.  Mod-n homology is read off the
 integral Smith forms in degrees a and a - 1 by the universal
 coefficient theorem (degree a - 1 only when it is at least 1, since
-H_0 is free), on one generator per cyclic summand with one
+H_0 is free, and only when the form of d_a has an invariant factor
+above 1 that shares a prime with n, since those factors are the
+torsion coefficients of H_{a-1}), on one generator per cyclic summand with one
 representative cycle mod n each; the group is found with no matrix
 stacked with n·I.  Only the induced map over Z/n
 (``HomologyResult._coordinates``) solves on ``[representatives |
@@ -178,10 +180,18 @@ def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:
     gave the degree-a cycles.  Representatives are reduced into [0, n).
     H_0 and H̃_0 are free, so in degree 1 the Tor part is zero and H_0 is
     not computed.
+
+    H_{a-1} is computed only when Tor(H_{a-1}, Z/n) can be nonzero: when
+    some diagonal entry t > 1 of the form of d_a has gcd(t, n) > 1.  The
+    sequence 0 -> H_{a-1} -> coker d_a -> C_{a-1}/Z_{a-1} -> 0 splits,
+    since the quotient embeds in the free C_{a-2}, so the torsion of
+    H_{a-1} is that of coker d_a, whose invariant factors are those
+    entries.  When none of them meets n, H_{a-1} has no Smith generator
+    with gcd(t, n) > 1 and t > 1, and the branch would add nothing.
     """
     s_a, cycles, group = _integral(cx, a, reduced)
     _, gcds, reps = _smith_cycles(cycles, group, n, torsion_only=False)
-    if a >= 2:
+    if a >= 2 and any(t > 1 and gcd(t, n) > 1 for t in s_a.diagonal):
         _, lower_cycles, lower = _integral(cx, a - 1, reduced)
         torsion, tor_gcds, z = _smith_cycles(lower_cycles, lower, n, torsion_only=True)
         if torsion:

@@ -204,11 +204,20 @@ class SncConfiguration:
         return DeltaComplex._of(layers)
 
     @cached_property
-    def _frobenius_chain(self) -> ChainMap:
+    def _frobenius_image(self) -> dict[str, str]:
+        """Every component and stratum id mapped to its Frobenius image,
+        as ``component_image`` and ``stratum_image`` give it: the
+        permutation with identity default, or the identity at order 1
+        whatever the permutations say."""
         action = _action(self)
-        image = {c.id: action.component_image(c.id) for c in self.components}
-        image.update((s.id, action.stratum_image(s.id)) for s in self.strata)
-        return ChainMap.induced(self._dual_complex, self._dual_complex, image)
+        cp, sp = (action.component_perm, action.stratum_perm) if action.order > 1 else ({}, {})
+        image = {c.id: cp.get(c.id, c.id) for c in self.components}
+        image.update((s.id, sp.get(s.id, s.id)) for s in self.strata)
+        return image
+
+    @cached_property
+    def _frobenius_chain(self) -> ChainMap:
+        return ChainMap.induced(self._dual_complex, self._dual_complex, self._frobenius_image)
 
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
@@ -271,6 +280,25 @@ def _perm_problems(label: str, perm: Mapping[str, str], domain: Sequence[str],
     return True
 
 
+def _cycle_lengths(perm: Mapping[str, str]) -> set[int]:
+    """The lengths of the cycles of ``perm``, one walk over its keys.
+    ``perm`` must be a bijection of its domain with identity default,
+    so every id it moves is one of its keys."""
+    lengths: set[int] = set()
+    seen: set[str] = set()
+    for x in perm:
+        if x in seen:
+            continue
+        seen.add(x)
+        length, y = 1, perm[x]
+        while y != x:
+            seen.add(y)
+            length += 1
+            y = perm[y]
+        lengths.add(length)
+    return lengths
+
+
 def validate_config(cfg: SncConfiguration) -> list[str]:
     """All violated invariants, empty when the configuration is OK."""
     return list(cfg._validation[0])
@@ -304,6 +332,8 @@ def _find_problems(cfg: SncConfiguration) -> tuple[tuple[str, ...],
     position = order.__getitem__
 
     for s in cfg.strata:
+        if not s.id:
+            problems.append("stratum with empty id")
         if s.id in seen:
             problems.append(f"duplicate id {s.id!r} (ids are global across components and strata)")
         seen.add(s.id)
@@ -348,16 +378,16 @@ def _frobenius_problems(cfg: SncConfiguration,
     if not _perm_problems("stratum", fr.stratum_perm, strat_ids, problems):
         return problems
 
+    step = cfg._frobenius_image
     for s in cfg.strata:
-        image = cfg.stratum(fr.stratum_image(s.id))
+        image = cfg.stratum(step[s.id])
         if image.depth != s.depth:
             problems.append(
                 f"frobenius: stratum {s.id!r} (depth {s.depth}) maps to "
                 f"{image.id!r} (depth {image.depth})"
             )
             continue
-        want = {fr.component_image(c) for c in s.on}
-        if set(image.on) != want:
+        if set(image.on) != set(map(step.__getitem__, s.on)):
             problems.append(
                 f"frobenius: stratum {s.id!r} maps to {image.id!r}, which does not "
                 f"lie on the image components"
@@ -365,10 +395,11 @@ def _frobenius_problems(cfg: SncConfiguration,
     if problems:
         return problems
 
-    # a permutation's order divides ``order`` exactly when each orbit's length does
-    for label, perm, ids in (("component", fr.component_perm, comp_ids),
-                             ("stratum", fr.stratum_perm, strat_ids)):
-        if any(fr.order % len(o) for o in _orbits(ids, lambda x: perm.get(x, x))):
+    # a permutation's order divides ``order`` exactly when each cycle's
+    # length does; the permutation itself is read, since at order 1 the
+    # image is the identity whatever it says
+    for label, perm in (("component", fr.component_perm), ("stratum", fr.stratum_perm)):
+        if any(fr.order % length for length in _cycle_lengths(perm)):
             problems.append(f"frobenius: {label} permutation order does not divide {fr.order}")
     if problems:
         return problems
@@ -376,13 +407,13 @@ def _frobenius_problems(cfg: SncConfiguration,
     for s in cfg.strata:
         if s.depth < 3:
             continue
-        image = cfg.stratum(fr.stratum_image(s.id))
-        image_facets = set(facets[image.id])
+        image = step[s.id]
+        image_facets = set(facets[image])
         for fid in facets[s.id]:
-            if fr.stratum_image(fid) not in image_facets:
+            if step[fid] not in image_facets:
                 problems.append(
                     f"frobenius: facet {fid!r} of stratum {s.id!r} does not map to "
-                    f"a facet of {image.id!r}"
+                    f"a facet of {image!r}"
                 )
     return problems
 

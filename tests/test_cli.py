@@ -65,6 +65,10 @@ class TestExitCodes:
         bad.write_text('{"components": [{"id": "A"}], "pi1_y0": {"generators": 1001}}')
         assert main(["validate", str(bad)]) == 1
         assert "pi1_y0.generators: at most 1000 allowed" in capsys.readouterr().err
+        bad.write_text('{"components": [{"id": "A"}, {"id": "B"}], '
+                       '"strata": {"2": [{"id": "", "on": ["A", "B"]}]}}')
+        assert main(["validate", str(bad)]) == 1
+        assert "stratum with empty id" in capsys.readouterr().err
 
     def test_non_utf8_input_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
@@ -537,13 +541,18 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 # [a | b].  Z homology in degree 1 eliminates d_1 and its own relation
 # matrix, whose rows it reads off the form of d_1; Z/6 homology in degree
 # 1 eliminates those two and the 1 x 1 diagonal of its own presentation;
-# H_0 is free, so degree 0 adds none.  A change may lower these counts
-# and pin the lower values; none may rise.
+# H_0 is free, so degree 0 adds none.  Z/6 homology in degree 4 of the
+# 3-fold suspension of the 6-cycle eliminates d_4 (120 x 48), its
+# relations and its 1 x 1 diagonal, and no form of d_3 (116 x 120):
+# every invariant factor of d_4 is 1, so H_3 has no torsion to meet 6.
+# A change may lower these counts and pin the lower values; none may
+# rise.
 SNF_WORK = {
     "cover-50": (["homology"], 2, 0, (100, 100), 1),
     "cover-50-z6": (["homology", "--coeff", "z/6"], 3, 0, (100, 100), 3),
     "dense-12": (["kernel", "--ell", "3"], 6, 4, (12, 25), 306),
     "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 10, 12, (24, 50), 32948),
+    "suspension-3-z6": (["homology", "--degree", "4", "--coeff", "z/6"], 3, 0, (120, 48), 3),
 }
 DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 
@@ -596,6 +605,9 @@ def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
     argv, calls, extensions, shape, bits = SNF_WORK[doc]
     if doc.startswith("cover-50"):
         path = _cover_path(capsys, tmp_path, 50)
+    elif doc.startswith("suspension-3"):
+        (tmp_path / "suspension-3.json").write_text(json.dumps(suspension_document(3)))
+        path = str(tmp_path / "suspension-3.json")
     else:
         path = _dense_path(tmp_path, doc)
     seen = _measure_snf_work(monkeypatch)
@@ -606,6 +618,8 @@ def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
     if doc in DENSE_SEEDS:
         g = DENSE_SEEDS[doc][0]
         assert seen["rows"].count(g) == 1 and max(seen["rows"]) == g
+    if doc == "suspension-3-z6":
+        assert 116 not in seen["rows"]
 
 
 def test_dense_kernel_replays_no_transform(capsys, monkeypatch, tmp_path):

@@ -74,6 +74,21 @@ class TestParseBasics:
         problems = _problems(_doc(strata={"3": [{"id": "s", "on": ["A", "B"]}]}))
         assert any("2 components listed under depth 3" in p for p in problems)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("on", ["A", 1], "strata['2'][0].on: expected a list of component ids"),
+        ("on", [None, "B"], "strata['2'][0].on: expected a list of component ids"),
+        ("on", "AB", "strata['2'][0].on: expected a list of component ids"),
+        ("facets", ["A", ["B"]], "strata['2'][0].facets: expected a list of stratum ids"),
+        ("facets", {"A": 1}, "strata['2'][0].facets: expected a list of stratum ids"),
+    ])
+    def test_id_lists_hold_strings(self, field, value, problem):
+        stratum = {"id": "s", "on": ["A", "B"], field: value}
+        assert _problems(_doc(strata={"2": [stratum]})) == [problem]
+
+    def test_empty_stratum_id(self):
+        problems = _problems(_doc(strata={"2": [{"id": "", "on": ["A", "B"]}]}))
+        assert problems == ["stratum with empty id"]
+
     def test_integers_as_strings(self):
         doc = json.loads(_doc())
         doc["components"][0]["point_degrees"] = ["2", 3]

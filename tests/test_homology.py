@@ -1,6 +1,7 @@
 """Homology over Z and Z/n, induced maps, and the elimination oracle."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from snckit.homology import (
     oracle_homology,
     random_complex,
 )
-from snckit.matrices import IntMatrix, kernel_basis, solve, solve_matrix
+from snckit.matrices import IntMatrix, kernel_basis, snf, solve, solve_matrix
 
 from conftest import agree_mod_relations, cycle_complex, det, graph_complex, moore_complex
 from zn_reference import homology_mod_n
@@ -224,8 +225,6 @@ class TestOracle:
 
 def mod_quotient_size(group, n: int) -> int:
     """|G/nG| from invariant factors."""
-    from math import gcd
-
     size = n ** group.free_rank
     for d in group.invariant_factors:
         size *= gcd(d, n)
@@ -233,8 +232,6 @@ def mod_quotient_size(group, n: int) -> int:
 
 
 def n_torsion_size(group, n: int) -> int:
-    from math import gcd
-
     size = 1
     for d in group.invariant_factors:
         size *= gcd(d, n)
@@ -313,12 +310,15 @@ class TestModNMatchesReference:
         assert class_of(h, chain) == tuple(c % g for c, g in zip(coeffs, orders))
 
     def test_snf_work_is_that_of_integral_homology(self, monkeypatch):
-        """Z/n homology in degree a eliminates what Z homology in degrees
-        a and a - 1 eliminates, plus the k x k diagonal of its own
-        presentation, and nothing wider than the widest boundary it
-        reads, which the n·I route exceeds whenever d_{a+1} has
-        columns.  Degree 0 adds no SNF: H_0 and H̃_0 are free, so
-        Tor(H_0, Z/n) = 0 and degree 1 does not compute H_0."""
+        """Z/n homology in degree a eliminates what Z homology in degree
+        a eliminates, plus the k x k diagonal of its own presentation,
+        and also what Z homology in degree a - 1 eliminates exactly when
+        some invariant factor t > 1 of d_a has gcd(t, n) > 1, since those
+        factors are the torsion coefficients of H_{a-1}.  It eliminates
+        nothing wider than the widest boundary it reads, which the n·I
+        route exceeds whenever d_{a+1} has columns.  Degree 0 adds no
+        SNF: H_0 and H̃_0 are free, so Tor(H_0, Z/n) = 0 and degree 1
+        does not compute H_0."""
         from snckit import matrices
 
         from test_cli import _rebind
@@ -337,25 +337,36 @@ class TestModNMatchesReference:
             run()
             return sorted(shapes)
 
+        def integral(cx, degrees, reduced):
+            return recorded(lambda: [homology_group(cx, b, reduced=reduced).group.iso_type()
+                                     for b in degrees])
+
         rng = random.Random(5)
         cases = [suspend(cycle_complex(4), "O", "inf"), cycle_complex(6), moore_complex(4),
                  suspend(moore_complex(6), "N", "S")]
         cases += [random_complex(rng, max_vertices=6) for _ in range(6)]
-        for cx in cases:
+        lower_taken = {}
+        for index, cx in enumerate(cases):
             for a in range(cx.dimension + 2):
                 for n, reduced in ((4, False), (6, False), (6, True)):
                     got = recorded(lambda: homology_group(cx, a, n, reduced).group.iso_type())
                     k = homology_group(cx, a, n, reduced).group.generator_count
-                    integral = recorded(lambda: [
-                        homology_group(cx, b, reduced=reduced).group.iso_type()
-                        for b in (a, a - 1) if b == a or b >= 1])
-                    assert got == sorted(integral + [(k, k)]), (cx, a, n)
+                    lower = a >= 2 and any(
+                        t > 1 and gcd(t, n) > 1
+                        for t in snf(cx.boundary_matrix(a)).d.diagonal_entries())
+                    lower_taken[index, a, n, reduced] = lower
+                    expected = integral(cx, [a, a - 1] if lower else [a], reduced)
+                    assert got == sorted(expected + [(k, k)]), (cx, a, n)
                     widest = max(cx.boundary_matrix(b).cols for b in (a - 1, a, a + 1) if b >= 0)
                     assert max(cols for _, cols in got) <= widest
                     old = recorded(lambda: homology_mod_n(cx, a, n, reduced))
                     if cx.boundary_matrix(a + 1).cols:
                         assert max(cols for _, cols in old) > widest
-
+        # the Moore complex's Z/4 torsion in H_1 meets 4 and 6, so degree
+        # 2 eliminates d_1; a suspended cycle has free homology, so no
+        # degree takes the lower branch
+        assert all(lower_taken[2, 2, n, reduced] for n, reduced in ((4, False), (6, False)))
+        assert not any(taken for (index, *_), taken in lower_taken.items() if index == 0)
 
 class TestSuspensionIsomorphism:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -73,6 +73,20 @@ class TestValidateConfig:
         )
         assert any("duplicate" in p for p in validate_config(cfg2))
 
+    def test_empty_ids(self):
+        cfg = SncConfiguration("x", (Component("A"), Component("B")), (Stratum("", ("A", "B")),))
+        assert validate_config(cfg) == ["stratum with empty id"]
+        # reported where the strata loop meets it, before a duplicate id
+        cfg = SncConfiguration("x", (Component(""), Component("B")),
+                               (Stratum("", ("", "B")), Stratum("", ("", "B"))))
+        assert validate_config(cfg) == [
+            "component with empty id",
+            "stratum with empty id",
+            "duplicate id '' (ids are global across components and strata)",
+            "stratum with empty id",
+            "duplicate id '' (ids are global across components and strata)",
+        ]
+
     def test_id_lookups_find_the_first_of_repeats(self):
         first, second = Component("C", (2,)), Component("C", (3,))
         s1, s2 = Stratum("s", ("C", "D")), Stratum("s", ("D", "E"))
