@@ -381,10 +381,10 @@ def _frobenius_problems(cfg: SncConfiguration,
     step = cfg._frobenius_image
     for s in cfg.strata:
         image = cfg.stratum(step[s.id])
-        if image.depth != s.depth:
+        if len(image.on) != len(s.on):
             problems.append(
-                f"frobenius: stratum {s.id!r} (depth {s.depth}) maps to "
-                f"{image.id!r} (depth {image.depth})"
+                f"frobenius: stratum {s.id!r} (depth {len(s.on)}) maps to "
+                f"{image.id!r} (depth {len(image.on)})"
             )
             continue
         if set(image.on) != set(map(step.__getitem__, s.on)):
@@ -405,10 +405,10 @@ def _frobenius_problems(cfg: SncConfiguration,
         return problems
 
     for s in cfg.strata:
-        if s.depth < 3:
+        if len(s.on) < 3:
             continue
         image = step[s.id]
-        image_facets = set(facets[image])
+        image_facets = facets[image]
         for fid in facets[s.id]:
             if step[fid] not in image_facets:
                 problems.append(
