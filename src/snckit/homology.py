@@ -14,9 +14,9 @@ integral Smith forms in degrees a and a - 1 by the universal
 coefficient theorem (degree a - 1 only when it is at least 1, since
 H_0 is free, and only when the form of d_a has an invariant factor
 above 1 that shares a prime with n, since those factors are the
-torsion coefficients of H_{a-1}), on one generator per cyclic summand with one
-representative cycle mod n each; the group is found with no matrix
-stacked with n·I.  Only the induced map over Z/n
+torsion coefficients of H_{a-1}), on one generator per cyclic summand
+with one representative cycle mod n each; the group is found with no
+matrix stacked with n·I.  Only the induced map over Z/n
 (``HomologyResult._coordinates``) solves on ``[representatives |
 d_{a+1} | n·I]``, to write a chain on the chosen generators.  The
 tests compare it with Z/n homology computed from its own presentation
