@@ -80,10 +80,10 @@ def _at_least(low: int, high: int | None = None):
 
 def _prime(text: str) -> int:
     n = _integer(text)
-    from .groups import is_prime
+    from .groups import PRIME_BOUND, is_prime
 
-    if not is_prime(n):
-        raise argparse.ArgumentTypeError(f"--ell expects a prime, got {n}")
+    if n >= PRIME_BOUND or not is_prime(n):
+        raise argparse.ArgumentTypeError(f"--ell expects a prime below {PRIME_BOUND}, got {n}")
     return n
 
 
@@ -235,16 +235,17 @@ def _cmd_theta(args):
     for ell in args.ell:
         theta = compute_theta(bundle.pi1, ell)
         torsion, _ = theta.torsion_submodule()
+        trivial = theta.acts_trivially()
         per_ell[str(ell)] = {
             "theta": _group_payload(theta.group),
             "torsion": _group_payload(torsion.group),
             "frobenius_matrix": theta.frobenius.to_rows(),
-            "frobenius_trivial": theta.acts_trivially(),
+            "frobenius_trivial": trivial,
         }
         lines.append(
             f"theta at ell={ell}: {theta.group.describe()} "
             f"(torsion {torsion.group.describe()}, Frobenius "
-            f"{'trivial' if theta.acts_trivially() else 'nontrivial'})"
+            f"{'trivial' if trivial else 'nontrivial'})"
         )
     return digest, {"primes": per_ell}, lines
 

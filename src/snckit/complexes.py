@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _from_rows
 
 __all__ = ["Simplex", "DeltaComplex", "ChainMap", "suspend", "sort_parity"]
 
@@ -248,14 +248,7 @@ class DeltaComplex:
         from it.  Built once per complex and shared by every caller."""
         m = self._boundaries.get(a)
         if m is None:
-            rows = len(self.simplices(a - 1)) if a >= 1 else 0
-            upper = self.simplices(a)
-            cols = len(upper)
-            entries = [0] * (rows * cols)
-            for j, s in enumerate(upper):
-                for i, fid in enumerate(s.facets):
-                    entries[self._index_in_dim[fid] * cols + j] += -1 if i % 2 else 1
-            m = self._boundaries[a] = IntMatrix._of(rows, cols, entries)
+            m = self._boundaries[a] = _from_rows(self._boundary_rows(a), len(self.simplices(a)))
         return m
 
     def _boundary_rows(self, a: int) -> list[dict[int, int]]:

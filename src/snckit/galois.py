@@ -81,8 +81,7 @@ def _admissible_component_orbits(cfg: SncConfiguration, f: int) -> list[tuple[st
     ensure_valid(cfg)
     if f < 1:
         raise ValueError("extension degree must be positive")
-    perm = _action(cfg).component_perm
-    orbits = _orbits(cfg.component_ids(), lambda c: perm.get(c, c), f)
+    orbits = _orbits(cfg, cfg.component_ids(), f)
     rep = _representatives(orbits)
     for s in cfg.strata:
         images = [rep[c] for c in s.on]
@@ -104,11 +103,9 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     crossing."""
     comp_orbits = _admissible_component_orbits(cfg, f)
     base = build_dual_complex(cfg)
-    perm = _action(cfg).stratum_perm
-    strat_orbits: list[tuple[str, ...]] = []
-    for a in range(1, base.dimension + 1):
-        strat_orbits.extend(_orbits([s.id for s in base.simplices(a)],
-                                    lambda s: perm.get(s, s), f))
+    # Frobenius keeps depths, so no orbit crosses dimensions
+    strata = [s.id for a in range(1, base.dimension + 1) for s in base.simplices(a)]
+    strat_orbits = _orbits(cfg, strata, f)
     rep = _representatives(comp_orbits + strat_orbits)
 
     # a representative keeps its base facets, reordered along with its

@@ -74,17 +74,30 @@ __all__ = [
 ]
 
 
+# Miller–Rabin on the prime bases 2 to 41 decides every n below this
+# bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3):
-        if n % q == 0:
-            return n == q
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
+    """Deterministic Miller–Rabin.  Raises ValueError at or above
+    ``PRIME_BOUND``, where the bases decide nothing."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}")
+    if n < 43 or n % 2 == 0:  # the primes below 43, and the even prime, are bases
+        return n in _BASES
+    d = n - 1
+    while d % 2 == 0:
+        d //= 2
+    for a in _BASES:
+        # a prime passes: a^d is 1, or a^(d·2^i) is -1 for some d·2^i < n - 1
+        t, x = d, pow(a, d, n)
+        while t != n - 1 and x != 1 and x != n - 1:
+            x, t = x * x % n, t * 2
+        if x != n - 1 and t != d:
             return False
-        i += 6
     return True
 
 

@@ -36,7 +36,7 @@ from math import gcd
 
 from .complexes import ChainMap, DeltaComplex, Simplex
 from .errors import WellDefinednessError
-from .groups import FgAbelianGroup, ModuleMap
+from .groups import FgAbelianGroup, ModuleMap, is_prime
 from .matrices import (
     IntMatrix,
     SnfDecomposition,
@@ -274,7 +274,7 @@ def oracle_homology(cx: DeltaComplex, a: int, p: int) -> int:
     """dim_{F_p} H_a(cx), by rank-nullity with plain elimination."""
     if cx.size() > ORACLE_SIZE_BOUND:
         raise ValueError(f"complex exceeds the oracle size bound of {ORACLE_SIZE_BOUND}")
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if a < 0:
         raise ValueError("degree must be nonnegative")

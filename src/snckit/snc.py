@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .complexes import ChainMap, DeltaComplex, Simplex, _boundary_squared_problems, _new, _set
 from .errors import ValidationError
@@ -101,24 +101,6 @@ class FrobeniusAction:
     component_perm: Mapping[str, str] = field(default_factory=dict)
     stratum_perm: Mapping[str, str] = field(default_factory=dict)
 
-    def component_image(self, cid: str, f: int = 1) -> str:
-        return _walk(self.component_perm, cid, f % self.order if self.order > 1 else 0)
-
-    def stratum_image(self, sid: str, f: int = 1) -> str:
-        return _walk(self.stratum_perm, sid, f % self.order if self.order > 1 else 0)
-
-
-def _walk(perm: Mapping[str, str], x: str, steps: int) -> str:
-    """``x`` moved ``steps`` times along ``perm`` (identity off its
-    keys), going round x's cycle at most once."""
-    path = [x]
-    for _ in range(steps):
-        y = perm.get(path[-1], path[-1])
-        if y == x:
-            return path[steps % len(path)]
-        path.append(y)
-    return path[-1]
-
 
 _TRIVIAL = FrobeniusAction(order=1)
 
@@ -127,32 +109,23 @@ def _action(cfg: "SncConfiguration") -> FrobeniusAction:
     return cfg.frobenius if cfg.frobenius is not None else _TRIVIAL
 
 
-def _orbits(ids: Sequence[str], step: Callable[[str], str],
-            f: int = 1) -> list[tuple[str, ...]]:
-    """Orbits of the f-th power of the permutation ``step``, scanning
-    ``ids`` in order, so each orbit starts at its earliest member and
-    orbits are listed by that member.
+def _orbits(cfg: "SncConfiguration", ids: Sequence[str], f: int) -> list[tuple[str, ...]]:
+    """Orbits of Frobenius^f on ``ids``, scanning them in order, so
+    each orbit starts at its earliest member and orbits are listed by
+    that member.
 
-    Each orbit is read off the cycle of ``step`` through its first
+    Each orbit is read off the cached Frobenius cycle through its first
     member: a cycle x_0, ..., x_{L-1} splits into gcd(f, L) orbits
     x_k, x_{k+f}, x_{k+2f}, ... (indices mod L), so the cost is the
-    cycle lengths, whatever f is.
+    orbit lengths, whatever f is.
     """
-    cycle_of: dict[str, tuple[list[str], int]] = {}
+    cycles = cfg._frobenius_cycles
     seen: set[str] = set()
     out: list[tuple[str, ...]] = []
     for x in ids:
         if x in seen:
             continue
-        if x not in cycle_of:
-            cycle = [x]
-            y = step(x)
-            while y != x:
-                cycle.append(y)
-                y = step(y)
-            for k, member in enumerate(cycle):
-                cycle_of[member] = (cycle, k)
-        cycle, k = cycle_of[x]
+        cycle, k = cycles[x]
         length = len(cycle)
         orbit = tuple(cycle[(k + i * f) % length] for i in range(length // gcd(f, length)))
         seen.update(orbit)
@@ -205,15 +178,36 @@ class SncConfiguration:
 
     @cached_property
     def _frobenius_image(self) -> dict[str, str]:
-        """Every component and stratum id mapped to its Frobenius image,
-        as ``component_image`` and ``stratum_image`` give it: the
-        permutation with identity default, or the identity at order 1
-        whatever the permutations say."""
+        """Every component and stratum id mapped to its Frobenius image:
+        the permutation with identity default, or the identity at order
+        1 whatever the permutations say."""
         action = _action(self)
         cp, sp = (action.component_perm, action.stratum_perm) if action.order > 1 else ({}, {})
         image = {c.id: cp.get(c.id, c.id) for c in self.components}
         image.update((s.id, sp.get(s.id, s.id)) for s in self.strata)
         return image
+
+    @cached_property
+    def _frobenius_cycles(self) -> dict[str, tuple[tuple[str, ...], int]]:
+        """Every component and stratum id mapped to its Frobenius cycle
+        and its position there, walking the permutations (identity
+        default) once.  Read only once validation found both
+        permutations bijections, so every walk closes."""
+        action = _action(self)
+        cycles: dict[str, tuple[tuple[str, ...], int]] = {}
+        for ids, perm in ((self.component_ids(), action.component_perm),
+                          ([s.id for s in self.strata], action.stratum_perm)):
+            for x in ids:
+                if x in cycles:
+                    continue
+                walk, y = [x], perm.get(x, x)
+                while y != x:
+                    walk.append(y)
+                    y = perm.get(y, y)
+                cycle = tuple(walk)
+                for k, member in enumerate(cycle):
+                    cycles[member] = (cycle, k)
+        return cycles
 
     @cached_property
     def _frobenius_chain(self) -> ChainMap:
@@ -278,25 +272,6 @@ def _perm_problems(label: str, perm: Mapping[str, str], domain: Sequence[str],
         problems.append(f"frobenius: {label} permutation is not a bijection")
         return False
     return True
-
-
-def _cycle_lengths(perm: Mapping[str, str]) -> set[int]:
-    """The lengths of the cycles of ``perm``, one walk over its keys.
-    ``perm`` must be a bijection of its domain with identity default,
-    so every id it moves is one of its keys."""
-    lengths: set[int] = set()
-    seen: set[str] = set()
-    for x in perm:
-        if x in seen:
-            continue
-        seen.add(x)
-        length, y = 1, perm[x]
-        while y != x:
-            seen.add(y)
-            length += 1
-            y = perm[y]
-        lengths.add(length)
-    return lengths
 
 
 def validate_config(cfg: SncConfiguration) -> list[str]:
@@ -396,10 +371,11 @@ def _frobenius_problems(cfg: SncConfiguration,
         return problems
 
     # a permutation's order divides ``order`` exactly when each cycle's
-    # length does; the permutation itself is read, since at order 1 the
-    # image is the identity whatever it says
-    for label, perm in (("component", fr.component_perm), ("stratum", fr.stratum_perm)):
-        if any(fr.order % length for length in _cycle_lengths(perm)):
+    # length does; the cycles walk the permutations themselves, since at
+    # order 1 the image is the identity whatever they say
+    cycles = cfg._frobenius_cycles
+    for label, objs in (("component", cfg.components), ("stratum", cfg.strata)):
+        if any(fr.order % len(cycles[o.id][0]) for o in objs):
             problems.append(f"frobenius: {label} permutation order does not divide {fr.order}")
     if problems:
         return problems

@@ -12,6 +12,7 @@ import pytest
 from snckit.cli import main
 from snckit.config_io import serialize_bundle
 from snckit.fixtures import fermat_bundle, rulings_bundle
+from snckit.groups import PRIME_BOUND
 
 from conftest import det, suspension_document
 
@@ -55,6 +56,10 @@ class TestExitCodes:
         assert main(["oracle-check", "--max-vertices", "10000000"]) == 2
         assert main(["oracle-check", "--count", "-5"]) == 2
         capsys.readouterr()
+        # primality is decided only below the bound, which the message names
+        for ell in (PRIME_BOUND, 10**40 + 1):
+            assert main(["theta", rulings_path, "--ell", str(ell)]) == 2
+            assert f"--ell expects a prime below {PRIME_BOUND}" in capsys.readouterr().err
 
     def test_validation_errors_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -131,9 +131,21 @@ class TestExtension:
         # component of every stratum, a bounded number of times
         assert component_perm.calls + stratum_perm.calls <= 5 * ids
 
-        component_perm.calls = 0
-        assert huge.frobenius.component_image("c0_0", 10**18 - 1) == "c3_0"
-        assert component_perm.calls == 4
+    def test_cycles_are_walked_once_per_configuration(self):
+        # validation reads each permutation once for the bijection check
+        # and once for the image dict, and the cycle map once; every
+        # extension then reads its orbits off the cycle map
+        small = random_admissible_config(random.Random(6), 4, "copies")
+        ids = len(small.components) + len(small.strata)
+        component_perm = _CountingPerm(small.frobenius.component_perm, 3 * ids)
+        stratum_perm = _CountingPerm(small.frobenius.stratum_perm, 3 * ids)
+        cfg = replace(small, frobenius=replace(small.frobenius, component_perm=component_perm,
+                                               stratum_perm=stratum_perm))
+        for f in (1, 2, 3, 5, 7, 10**18 - 1):
+            ext, expected = extension_complex(cfg, f), extension_complex(small, f)
+            assert (ext.component_orbits, ext.stratum_orbits) \
+                == (expected.component_orbits, expected.stratum_orbits)
+        assert component_perm.calls + stratum_perm.calls <= 3 * ids
 
     def test_collapse_detected(self):
         cfg = cycle_config(4, frobenius=rotation_action(4, 1, 4))

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from snckit.errors import WellDefinednessError
 from snckit.groups import (
+    PRIME_BOUND,
     FgAbelianGroup,
     GaloisModule,
     IsoType,
@@ -280,6 +281,23 @@ def test_derived_groups_match_full_eliminations(f):
 
 def test_is_prime():
     assert [p for p in range(30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(2, 20000) if is_prime(n)] == list(sympy.primerange(2, 20000))
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases, and a prime
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 10**18 + 3):
+        assert is_prime(n) == sympy.isprime(n)
+    assert is_prime(10**18 + 3)
+    assert is_prime(PRIME_BOUND - 1) == sympy.isprime(PRIME_BOUND - 1)
+
+
+def test_is_prime_refuses_past_its_bound():
+    # the bound is the least strong pseudoprime to the bases 2 to 41
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 10**30):
+        with pytest.raises(ValueError, match=f"only below {PRIME_BOUND}"):
+            is_prime(n)
 
 
 def _reference_member(relations: IntMatrix, vec) -> bool:

@@ -1,6 +1,6 @@
-"""Source hygiene of the package: every import is used, every module
-compiles without a warning, and importing it loads only the standard
-library."""
+"""Source hygiene of the package: every import is used, every private
+function has a caller, every module compiles without a warning, and
+importing it loads only the standard library."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import ast
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,30 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def _referenced(nodes) -> Counter:
+    """How often each name is read, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_has_a_caller():
+    """A private function or method is read somewhere in the package
+    outside its own body, so no helper outlives its last caller.  Names
+    are matched, not bindings: a name defined twice, such as ``_of``,
+    passes while any reference to it is left."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in MODULES}
+    refs = _referenced(node for tree in trees.values() for node in ast.walk(tree))
+    unused = [
+        f"{name}.{node.name} (line {node.lineno})"
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and refs[node.name] == _referenced(ast.walk(node))[node.name]
+    ]
+    assert unused == [], f"private functions without a caller: {unused}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
