@@ -266,15 +266,17 @@ class FgAbelianGroup:
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.relation_snf().diagonal if d > 1)
+        return self.iso_type().torsion
 
     @property
     def free_rank(self) -> int:
-        return self.generator_count - self.relation_snf().rank
+        return self.iso_type().rank
 
     def iso_type(self) -> IsoType:
         if self._iso is None:
-            self._iso = IsoType(self.invariant_factors, self.free_rank)
+            s = self.relation_snf()
+            self._iso = IsoType(tuple(d for d in s.diagonal if d > 1),
+                                self.generator_count - s.rank)
         return self._iso
 
     def order(self) -> int | None:

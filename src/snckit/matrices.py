@@ -16,30 +16,31 @@ entries, so a row operation costs in proportion to the nonzeros it
 reads.  ``snf`` makes that copy and hands it to ``_snf_rows``, the one
 entry that eliminates a whole matrix, which a caller holding sparse
 rows already (homology, with boundaries built from facets) calls
-directly.  Elimination reduces only its rows, which become ``d``, and
-logs its row and column operations.  Each transform is replayed from
-the log on sparse rows the first time it is read and made dense once,
-at the end; it equals, entry for entry, the one that tracking it
-densely during elimination would give.  A solve reads no transform: it
-replays the row log on the sparse rows of its right-hand side and the
-column log on those of the solution.  Coordinates on the kernel basis
-that ``_kernel_columns`` reads off a form need no solve at all:
+directly.  Elimination reduces only its rows, whose diagonal the form
+keeps with its shape, and logs its row and column operations.  ``d``
+and each transform are built from those the first time they are read,
+a transform replayed from its log on sparse rows and made dense once;
+it equals, entry for entry, the one that tracking it densely during
+elimination would give.  A solve reads no transform: it replays the
+row log on the sparse rows of its right-hand side and the column log
+on those of the solution.  Coordinates on the kernel basis that
+``_kernel_columns`` reads off a form need no solve at all:
 ``_kernel_coordinates`` replays the inverted column log alone.
 Pivoting always picks the entry of smallest nonzero absolute value,
-breaking ties by (row, col), which keeps every run bit-for-bit
-reproducible.
+breaking ties by (row, col), in one scan that stops at the first ±1,
+which keeps every run bit-for-bit reproducible.
 
 A matrix that only adds columns ``b`` to one whose form is known gets
 its form from ``_continue_snf``, not from ``snf``: ``u @ [a | b] @
-diag(v, I)`` is ``[d | u @ b]``, which the same elimination loop
-reduces, so the work is that of a nearly diagonal matrix.  The
-diagonal is the one ``snf`` would give; ``u`` and ``v`` may differ.
-The Smith coordinates ``c`` of the added columns need only be right
-modulo the column span of ``d``; the form is then that of ``[a | b']``
-for some ``b'`` congruent to ``b`` modulo the column span of ``a``,
-with the same diagonal, and exactly that of ``[a | b]`` when ``c == u
-@ b``.  Groups continue their forms this way, over reduced
-coordinates.
+diag(v, I)`` is ``[d | u @ b]``, built from the diagonal and reduced
+by the same elimination loop, so the work is that of a nearly diagonal
+matrix.  The diagonal is the one ``snf`` would give; ``u`` and ``v``
+may differ.  The Smith coordinates ``c`` of the added columns need
+only be right modulo the column span of ``d``; the form is then that
+of ``[a | b']`` for some ``b'`` congruent to ``b`` modulo the column
+span of ``a``, with the same diagonal, and exactly that of ``[a | b]``
+when ``c == u @ b``.  Groups continue their forms this way, over
+reduced coordinates.
 
 A caller that needs a few Smith coordinates, not a whole transform,
 reads them with ``_smith_vector``: row i of ``u`` reduced modulo d_i
@@ -373,20 +374,21 @@ def _from_columns(columns: list[dict[int, int]], rows: int) -> IntMatrix:
 class SnfDecomposition:
     """Smith normal form ``u @ a @ v == d`` with unimodular u, v.
 
-    ``d`` is diagonal with nonnegative entries forming a divisibility
-    chain d_0 | d_1 | ...; zero entries trail.  Elimination computed
-    only ``d`` and logged its operations: ``row_log`` holds the row
-    operations, which ``u`` records, and ``col_log`` the column
-    operations, which ``v`` records.  ``u``, ``v`` and their exact
-    inverses ``u_inv``, ``v_inv`` are replayed from the logs on sparse
-    rows the first time each is read, so no inversion step is ever
-    needed and no caller pays for a transform it does not read.  A form
-    that ``_continue_snf`` made from a parent's has logs that begin
-    with the parent's, so replaying them from the identity passes
-    through the parent's transforms.
+    It holds what elimination computes: ``diagonal``, nonnegative
+    entries forming a divisibility chain d_0 | d_1 | ... with zeros
+    trailing, the ``shape`` of ``a``, and the logged row operations
+    (``row_log``, which ``u`` records) and column operations
+    (``col_log``, which ``v`` records).  Every matrix is derived on its
+    first read: ``d`` from the diagonal, and ``u``, ``v`` and their
+    exact inverses ``u_inv``, ``v_inv`` replayed from the logs on sparse
+    rows, so no inversion step is ever needed and no caller pays for a
+    matrix it does not read.  A form that ``_continue_snf`` made from a
+    parent's has logs that begin with the parent's, so replaying them
+    from the identity passes through the parent's transforms.
     """
 
-    d: IntMatrix
+    diagonal: tuple[int, ...]
+    shape: tuple[int, int]
     row_log: tuple[tuple[int, ...], ...]
     col_log: tuple[tuple[int, ...], ...]
 
@@ -394,12 +396,16 @@ class SnfDecomposition:
         """Transform ``name`` replayed from the identity on sparse rows,
         which are its rows when ``by_rows`` and its columns otherwise."""
         row_side = name[0] == "u"
-        n = self.d.rows if row_side else self.d.cols
+        n = self.shape[0] if row_side else self.shape[1]
         log = self.row_log if row_side else self.col_log
         if name.endswith("_inv"):
             log = _inverse_transposed(log)
         rows = _replay(_sparse_identity(n), log)
         return _from_rows(rows, n) if by_rows else _from_columns(rows, n)
+
+    @cached_property
+    def d(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diagonal, *self.shape)
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -418,31 +424,16 @@ class SnfDecomposition:
     def v_inv(self) -> IntMatrix:
         return self._replayed("v_inv", True)
 
-    @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        return self.d.diagonal_entries()
-
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def _unit_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
-    """The first 1 or -1 of the working block (rows and columns t and
-    after) in row-major order, or None."""
-    # columns before t are zero in rows t and below, so a membership
-    # test on the whole row answers for the working block
-    for i in range(t, len(d)):
-        row = d[i]
-        values = row.values()
-        if 1 in values or -1 in values:
-            return i, min(j for j, x in row.items() if x == 1 or x == -1)
-    return None
-
-
 def _least_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
-    """The first entry of least nonzero |value| of the working block in
-    row-major order, or None when the block is zero."""
+    """The first entry of least nonzero |value| of the working block
+    (rows and columns t and after, so all of rows t and after) in
+    row-major order, or None when it is zero.  No |value| is less than
+    1, so the scan stops at the first row that holds a 1 or -1."""
     least, best = 0, None
     for i in range(t, len(d)):
         row = d[i]
@@ -451,15 +442,17 @@ def _least_pivot(d: list[dict[int, int]], t: int) -> tuple[int, int] | None:
         ax = min(map(abs, row.values()))
         if best is None or ax < least:
             least, best = ax, (i, min(j for j, x in row.items() if abs(x) == ax))
+            if ax == 1:
+                break
     return best
 
 
 def _eliminate(d: list[dict[int, int]], n: int, row_log: list[tuple[int, ...]],
-               col_log: list[tuple[int, ...]]) -> None:
+               col_log: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Reduce the sparse rows ``d`` of a matrix with ``n`` columns in
     place to Smith normal form, appending each row and column operation
-    to ``row_log`` and ``col_log``; the pivot rule is the one ``snf``
-    documents."""
+    to ``row_log`` and ``col_log``, and return its diagonal; the pivot
+    rule is the one ``snf`` documents."""
     m = len(d)
 
     def swap_rows(i, j):
@@ -486,7 +479,7 @@ def _eliminate(d: list[dict[int, int]], n: int, row_log: list[tuple[int, ...]],
     t = 0
     bound = min(m, n)
     while t < bound:
-        best = _unit_pivot(d, t) or _least_pivot(d, t)
+        best = _least_pivot(d, t)
         if best is None:
             break
         bi, bj = best
@@ -541,16 +534,16 @@ def _eliminate(d: list[dict[int, int]], n: int, row_log: list[tuple[int, ...]],
             # pull a non-multiple into the pivot row and reduce again
             add_row(t, offender, 1)
         t += 1
+    return tuple(d[i].get(i, 0) for i in range(bound))
 
 
 def snf(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with smallest-absolute-value pivoting.
 
     The pivot is the first entry of minimal |value| in a row-major scan
-    of the working block, i.e. ties break by (row, col).  A 1 or -1 is
-    minimal, so the first of those, when there is one, is taken without
-    the full scan.  Rows are reduced as sparse dicts, so an operation
-    costs in proportion to the nonzeros it reads.
+    of the working block, i.e. ties break by (row, col), and the scan
+    stops at the first 1 or -1.  Rows are reduced as sparse dicts, so an
+    operation costs in proportion to the nonzeros it reads.
     """
     return _snf_rows(_sparse_rows(a), a.cols)
 
@@ -563,8 +556,8 @@ def _snf_rows(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
     round trip."""
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
-    _eliminate(rows, cols, row_log, col_log)
-    return SnfDecomposition(_from_rows(rows, cols), tuple(row_log), tuple(col_log))
+    diagonal = _eliminate(rows, cols, row_log, col_log)
+    return SnfDecomposition(diagonal, (len(rows), cols), tuple(row_log), tuple(col_log))
 
 
 def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
@@ -575,22 +568,27 @@ def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
     ``[d | c]`` is ``u @ [a | b'] @ diag(v, I)`` with ``b' = u_inv @
     c``, and ``u @ b - c`` lies in the column span of ``d``, so ``b' -
     b`` lies in that of ``a``: ``[a | b']`` and ``[a | b]`` span one
-    lattice and share the diagonal.  Eliminating ``[d | c]`` continues
-    ``s``: the logs are the parent's operations followed by those that
-    reduce it, read on the wider matrix (the parent's column operations
-    touch only the columns of ``a``).  The transforms are those of
-    ``[a | b']``, exactly ``[a | b]``'s when ``c == u @ b``.
+    lattice and share the diagonal.  Eliminating ``[d | c]``, built from
+    the diagonal and the sparse rows of ``c``, continues ``s``: the logs
+    are the parent's operations followed by those that reduce it, read
+    on the wider matrix (the parent's column operations touch only the
+    columns of ``a``).  The transforms are those of ``[a | b']``,
+    exactly ``[a | b]``'s when ``c == u @ b``.
     """
+    (m, n), diag = s.shape, s.diagonal
+    width = n + c.cols
     if c.is_zero():
-        # [d | 0] is in Smith form already, so eliminating it would log
-        # no operation
-        return SnfDecomposition(s.d.hstack(c), s.row_log, s.col_log)
-    width = s.d.cols + c.cols
-    w = _sparse_rows(s.d.hstack(c))
+        # [d | 0] is in Smith form already: eliminating it logs nothing
+        diag += (0,) * (min(m, width) - len(diag))
+        return SnfDecomposition(diag, (m, width), s.row_log, s.col_log)
+    k, e = c.cols, c._entries
+    w = [{i: diag[i]} if i < len(diag) and diag[i] else {} for i in range(m)]
+    for i, row in enumerate(w):
+        row.update((n + j, x) for j, x in enumerate(e[i * k:(i + 1) * k]) if x)
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
-    _eliminate(w, width, row_log, col_log)
-    return SnfDecomposition(_from_rows(w, width), s.row_log + tuple(row_log),
+    diagonal = _eliminate(w, width, row_log, col_log)
+    return SnfDecomposition(diagonal, (m, width), s.row_log + tuple(row_log),
                             s.col_log + tuple(col_log))
 
 
@@ -612,7 +610,7 @@ def _smith_vector(s: SnfDecomposition, i: int, column: bool = False,
     """
     diag = s.diagonal
     m = modulus if column else diag[i] if i < len(diag) else 0
-    x = [0] * s.d.rows
+    x = [0] * s.shape[0]
     x[i] = 1 % m if m else 1
     for op in reversed(s.row_log):
         if len(op) == 3:
@@ -638,7 +636,7 @@ def _smith_coordinates(s: SnfDecomposition,
     its sparse rows.  For ``c == u @ b``, ``v @ z`` solves ``a @ x ==
     b``."""
     diag = s.diagonal
-    z: list[dict[int, int]] = [{} for _ in range(s.d.cols)]
+    z: list[dict[int, int]] = [{} for _ in range(s.shape[1])]
     for i, row in enumerate(c):
         di = diag[i] if i < len(diag) else 0
         if di == 0:
@@ -688,7 +686,7 @@ def _kernel_columns(s: SnfDecomposition) -> list[dict[int, int]]:
     """The columns of ``v`` past the rank of the form ``s``, as sparse
     dicts.  Column k of ``v`` is row k of the column log replayed on
     the identity, so ``v`` itself is never built."""
-    return _replay(_sparse_identity(s.d.cols), s.col_log)[s.rank:]
+    return _replay(_sparse_identity(s.shape[1]), s.col_log)[s.rank:]
 
 
 def _kernel_coordinates(s: SnfDecomposition,
@@ -744,7 +742,7 @@ def _preimage_lattice(s: SnfDecomposition, e: SnfDecomposition) -> IntMatrix:
     Unlike ``preimage_generators`` the generators depend on the
     elimination of ``a``, so they fit where only the lattice matters.
     """
-    n, width = s.d.cols, e.d.cols
+    n, width = s.shape[1], e.shape[1]
     columns = _replay(_sparse_identity(width), e.col_log[len(s.col_log):])[e.rank:]
     return _from_columns([{j - n: x for j, x in c.items() if j >= n} for c in columns],
                          width - n)

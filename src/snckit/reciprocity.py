@@ -116,15 +116,16 @@ def validate_pi1(cfg: SncConfiguration, pi1: Pi1Input) -> list[str]:
 EdgeLabelCochain = Mapping[str, Sequence[int]]
 
 
-def _component_quotient(pi1: Pi1Input) -> FgAbelianGroup:
+def _component_quotient(pi1: Pi1Input) -> tuple[FgAbelianGroup, IntMatrix]:
     """y0 modulo the images of the component maps, which is y0's own
-    group when no map adds a column; either way its Smith form is y0's,
-    continued over the added columns."""
+    group when no map adds a column, and the added columns, the
+    component maps' matrices side by side; either way the group's Smith
+    form is y0's, continued over those columns."""
     y0 = pi1.y0.group
     columns = IntMatrix.zeros(y0.generator_count, 0)
     for cid in sorted(pi1.component_maps):
         columns = columns.hstack(pi1.component_maps[cid].map_to_y0.matrix)
-    return FgAbelianGroup._extended(y0, columns) if columns.cols else y0
+    return (FgAbelianGroup._extended(y0, columns) if columns.cols else y0), columns
 
 
 def _label_columns(cx: DeltaComplex, pi1: Pi1Input,
@@ -195,7 +196,7 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
             sign = -1 if i % 2 else 1
             boundary = [b + sign * x for b, x in zip(boundary, columns[fid])]
         boundaries.append(boundary)
-    vanishing = _component_quotient(pi1)
+    vanishing, _ = _component_quotient(pi1)
     for j in vanishing._outside(IntMatrix.from_columns(boundaries, rows=gc)):
         problems.append(
             f"labels do not descend to H₁: boundary of 2-simplex {triangles[j].id!r} "
@@ -210,18 +211,14 @@ def compute_theta(pi1: Pi1Input, ell: int) -> GaloisModule:
     y0.  Raises WellDefinednessError when Frobenius does not preserve
     the images of the component maps."""
     y0 = pi1.y0
-    quotient = _component_quotient(pi1)
-    rel = quotient.relations
+    quotient, added = _component_quotient(pi1)
     # y0 is checked, so Frobenius already keeps its own relations and its
     # order bound; only the component-map columns remain to be tested
-    first = y0.group.relations.cols
-    added = IntMatrix._of(rel.rows, rel.cols - first,
-                          [x for i in range(rel.rows) for x in rel.row(i)[first:]])
     outside = quotient._outside(y0.frobenius @ added)
     if outside:
         raise WellDefinednessError(
-            f"source relation #{first + outside[0]} is not sent into the target "
-            f"relation lattice"
+            f"source relation #{y0.group.relations.cols + outside[0]} is not sent into "
+            f"the target relation lattice"
         )
     localized, _ = GaloisModule._of(quotient, y0.frobenius, y0.order).localized(ell)
     return localized

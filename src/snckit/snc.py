@@ -179,13 +179,12 @@ class SncConfiguration:
     @cached_property
     def _frobenius_image(self) -> dict[str, str]:
         """Every component and stratum id mapped to its Frobenius image:
-        the permutation with identity default, or the identity at order
-        1 whatever the permutations say."""
-        action = _action(self)
-        cp, sp = (action.component_perm, action.stratum_perm) if action.order > 1 else ({}, {})
-        image = {c.id: cp.get(c.id, c.id) for c in self.components}
-        image.update((s.id, sp.get(s.id, s.id)) for s in self.strata)
-        return image
+        its successor in its Frobenius cycle, or the identity at order 1
+        whatever the permutations say.  Read, like the cycles, only once
+        validation found both permutations bijections."""
+        step = 1 if _action(self).order > 1 else 0
+        return {x: cycle[(k + step) % len(cycle)]
+                for x, (cycle, k) in self._frobenius_cycles.items()}
 
     @cached_property
     def _frobenius_cycles(self) -> dict[str, tuple[tuple[str, ...], int]]:

@@ -587,7 +587,7 @@ def _measure_snf_work(monkeypatch):
         return record("calls", (len(rows), cols), snf_rows(rows, cols))
 
     def measuring_extension(s, c):
-        return record("extensions", (c.rows, s.d.cols + c.cols), extend(s, c))
+        return record("extensions", (c.rows, s.shape[1] + c.cols), extend(s, c))
 
     _rebind(monkeypatch, snf_rows, measuring)
     _rebind(monkeypatch, extend, measuring_extension)
@@ -640,6 +640,27 @@ def test_dense_kernel_replays_no_transform(capsys, monkeypatch, tmp_path):
     assert main(argv) == 0
     capsys.readouterr()
     assert counts == {"replayed": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "cover-100"],
+    ["homology", "cover-100", "--coeff", "z/6"],
+    ["kernel", "dense-24", "--ell", "2", "--ell", "3", "--ell", "5"],
+], ids=["cover-100", "cover-100-z6", "dense-24"])
+def test_no_command_reads_a_dense_smith_form(capsys, monkeypatch, tmp_path, argv):
+    """A Smith form stores its diagonal, shape and logs, and ``d`` is
+    built only when read: homology of the 100-cover, over Z and over
+    Z/6, and the dense-24 kernel read no form's ``d``."""
+    from snckit import matrices
+
+    command, doc, *rest = argv
+    path = _cover_path(capsys, tmp_path, 100) if doc == "cover-100" else _dense_path(tmp_path, doc)
+    counts = {"d": 0}
+    cls = matrices.SnfDecomposition
+    monkeypatch.setattr(cls, "d", property(_counting(counts, "d", cls.__dict__["d"].func)))
+    assert main([command, path, *rest, "--json"]) == 0
+    capsys.readouterr()
+    assert counts == {"d": 0}
 
 
 def test_kernel_checks_only_input_modules(capsys, monkeypatch, tmp_path):

@@ -16,10 +16,9 @@ from snckit.matrices import (
     SnfDecomposition,
     _continue_snf,
     _eliminate,
-    _from_rows,
+    _least_pivot,
     _smith_vector,
     _sparse_rows,
-    _unit_pivot,
     in_column_span,
     kernel_basis,
     preimage_generators,
@@ -221,7 +220,7 @@ class TestExtendSnf:
             s = _extended(parent, b)
             rows, cols = len(parent.row_log), len(parent.col_log)
             assert s.row_log[:rows] == parent.row_log and s.col_log[:cols] == parent.col_log
-            new = SnfDecomposition(s.d, s.row_log[rows:], s.col_log[cols:])
+            new = SnfDecomposition(s.diagonal, s.shape, s.row_log[rows:], s.col_log[cols:])
             assert s.u == new.u @ parent.u
             assert s.v == _block_diagonal(parent.v, s.d.cols) @ new.v
         assert s.u == parent.u and s.u_inv == parent.u_inv
@@ -237,9 +236,9 @@ class TestExtendSnf:
         cols = r.cols + width
         w = _sparse_rows(parent.d.hstack(parent.u @ b))
         row_log, col_log = [], []
-        _eliminate(w, cols, row_log, col_log)
+        diagonal = _eliminate(w, cols, row_log, col_log)
         assert row_log == [] and col_log == []
-        full = SnfDecomposition(_from_rows(w, cols), parent.row_log, parent.col_log)
+        full = SnfDecomposition(diagonal, (r.rows, cols), parent.row_log, parent.col_log)
         s = _extended(parent, b)
         assert s == full
         for name in ("u", "u_inv", "v", "v_inv"):
@@ -348,14 +347,16 @@ class TestSnfMatchesReference:
         d1 = cx.boundary_matrix(1)
         self.assert_same(d1.hstack(IntMatrix.diagonal([6] * d1.rows)))
 
-    def test_unit_pivot_is_first_in_column_order(self):
+    def test_least_pivot_is_first_in_column_order(self):
         # row 1 holds -1 before a later +1; row 2's +1 comes later in
         # row-major order
         self.assert_same(IntMatrix.from_rows([[4, 6, 0, 8],
                                               [3, -1, 1, 0],
                                               [1, 2, 0, 5]]))
         # a sparse row lists its keys in insertion order, not column order
-        assert _unit_pivot([{2: 7}, {3: 1, 1: -1, 0: 2}], 0) == (1, 1)
+        assert _least_pivot([{2: 7}, {3: 1, 1: -1, 0: 2}], 0) == (1, 1)
+        # without a unit, the first row holding the least |value| wins
+        assert _least_pivot([{0: 4}, {2: -2, 1: 2}, {0: 2}], 0) == (1, 1)
 
     def test_random_sparse(self):
         """Up to 30 x 30 at about 10% density."""

@@ -230,7 +230,7 @@ def _dense_label_problems(cfg: SncConfiguration, pi1: Pi1Input, labels) -> list[
                 if not pi1.y0.group.in_relation_lattice(skew.col(j))]
     if problems:
         return problems
-    vanishing = reciprocity._component_quotient(pi1)
+    vanishing, _ = reciprocity._component_quotient(pi1)
     boundary = label @ cx.boundary_matrix(2)
     return [f"labels do not descend to H₁: boundary of 2-simplex {t.id!r} "
             f"pairs to a nonzero class"
