@@ -15,10 +15,10 @@ simplex at a time, and builds no matrix: d∘d = 0 by summing the signs
 over the facets of each simplex's facets, and d f = f d for a chain map
 by comparing the signed boundary of each simplex's image with the
 signed images of its facets.  Each simplex is one column of the
-products d_{a-1} d_a and d f, f d, so the checks are exact.  The
-boundary and chain-map matrices are built on first use; homology reads
-each boundary as sparse rows built from the facets
-(``_boundary_rows``), with no dense matrix.
+products d_{a-1} d_a and d f, f d, so the checks are exact.  A
+chain-map matrix is built on first use and a dense boundary on each
+read; homology reads each boundary as sparse rows built from the
+facets (``_boundary_rows``), with no dense matrix.
 
 ``DeltaComplex`` checks everything about simplices a caller gives it.
 The dual complex of a validated configuration is built with the private
@@ -110,7 +110,7 @@ class DeltaComplex:
     """An immutable Δ-complex; the constructor validates everything, and
     checks d∘d = 0 per simplex: the signed facets of its facets cancel."""
 
-    __slots__ = ("_by_dim", "_by_id", "_vertex_pos", "_index_in_dim", "_boundaries")
+    __slots__ = ("_by_dim", "_by_id", "_vertex_pos", "_index_in_dim")
 
     def __init__(self, simplices: Iterable[Simplex]):
         by_dim: list[list[Simplex]] = []
@@ -201,7 +201,6 @@ class DeltaComplex:
         self._index_in_dim = {
             s.id: j for layer in self._by_dim for j, s in enumerate(layer)
         }
-        self._boundaries: dict[int, IntMatrix] = {}
 
     # -- accessors ------------------------------------------------------
 
@@ -245,11 +244,9 @@ class DeltaComplex:
         """The boundary C_a -> C_{a-1}; rows follow the (a-1)-simplex
         order, columns the a-simplex order.  For a == 0 this is the
         zero map to the zero module, for a > dimension the zero map
-        from it.  Built once per complex and shared by every caller."""
-        m = self._boundaries.get(a)
-        if m is None:
-            m = self._boundaries[a] = _from_rows(self._boundary_rows(a), len(self.simplices(a)))
-        return m
+        from it.  Built from ``_boundary_rows`` on each call; homology
+        eliminates those sparse rows and reads no dense boundary."""
+        return _from_rows(self._boundary_rows(a), len(self.simplices(a)))
 
     def _boundary_rows(self, a: int) -> list[dict[int, int]]:
         """The rows of ``boundary_matrix(a)`` as fresh ``{column: value}``

@@ -10,18 +10,16 @@ any cycle that an induced map writes on the basis, are the rows past
 the rank of v⁻¹ applied to it, replayed from the column log.  No
 second form is eliminated for the cycle basis, and the result keeps
 the form of d_a for its induced maps.  Mod-n homology is read off the
-integral Smith forms in degrees a and a - 1 by the universal
-coefficient theorem (degree a - 1 only when it is at least 1, since
-H_0 is free, and only when the form of d_a has an invariant factor
-above 1 that shares a prime with n, since those factors are the
-torsion coefficients of H_{a-1}), on one generator per cyclic summand
-with one representative cycle mod n each; the group is found with no
-matrix stacked with n·I.  Only the induced map over Z/n
-(``HomologyResult._coordinates``) solves on ``[representatives |
-d_{a+1} | n·I]``, to write a chain on the chosen generators.  The
-tests compare it with Z/n homology computed from its own presentation
-(``tests/zn_reference.py``), so the universal-coefficient checks there
-are a real cross-check and not a tautology.
+same form and the relation form of H_a by the universal coefficient
+theorem: the diagonal entries above 1 of D are the torsion
+coefficients of H_{a-1}, and the columns of v inside the rank lift
+them (see ``_mod_n``).  So no boundary of lower degree is eliminated,
+no matrix is stacked with n·I, and the coordinates of a chain mod n,
+which an induced map over Z/n writes, come from the same replay of
+v⁻¹ with no elimination either.  The tests compare it with Z/n
+homology computed from its own presentation (``tests/zn_reference.py``),
+so the universal-coefficient checks there are a real cross-check and
+not a tautology.
 
 ``oracle_homology`` is a deliberately separate code path: plain
 Gaussian elimination over a prime field, sharing nothing with the
@@ -40,15 +38,13 @@ from .groups import FgAbelianGroup, ModuleMap, is_prime
 from .matrices import (
     IntMatrix,
     SnfDecomposition,
+    _cycle_coordinates,
     _from_columns,
     _from_rows,
-    _kernel_columns,
-    _kernel_coordinates,
     _smith_vector,
     _snf_rows,
-    _solve_with,
     _sparse_rows,
-    solve_matrix,
+    _v_columns,
 )
 
 __all__ = [
@@ -74,8 +70,10 @@ class HomologyResult:
     group: FgAbelianGroup
     cycle_matrix: IntMatrix
     # the Smith form of d_a (of the augmentation in reduced degree 0)
-    # that gave the integral cycles
+    # that gave the integral cycles, and H_a over Z presented on them
+    # (``group`` itself over Z)
     _boundary_form: SnfDecomposition = field(repr=False, compare=False)
+    _cycle_group: FgAbelianGroup = field(repr=False, compare=False)
 
     def representative(self, j: int) -> tuple[int, ...]:
         return self.cycle_matrix.col(j)
@@ -87,28 +85,29 @@ class HomologyResult:
 
     def _coordinates(self, chains: IntMatrix) -> IntMatrix:
         """Coordinates, on the chosen generators, of the classes of the
-        columns of ``chains``, which must be cycles.
+        columns of ``chains``, which must be cycles, read off the form of
+        d_a with no elimination.
 
-        Over Z the generators are the kernel columns of v in the Smith
-        form of d_a, so the coordinates are read off that form with no
-        elimination.  Over Z/n the group is presented diagonally on the
-        representatives, so a chain is written once on [representatives
-        | d_{a+1} | n·I] and the representatives' block, reduced modulo
-        each summand's order, is its unique coordinate vector."""
-        n = self.modulus
-        if n is None:
-            x = _kernel_coordinates(self._boundary_form, _sparse_rows(chains))
-            if x is None:
-                raise ValueError("chain is not a cycle for these coefficients")
-            return _from_rows(x, chains.cols)
-        rows = self.cycle_matrix.rows
-        lattice = self.cycle_matrix.hstack(self.complex.boundary_matrix(self.degree + 1))
-        x = solve_matrix(lattice.hstack(IntMatrix.diagonal([n] * rows)), chains)
-        if x is None:
+        The coordinates w = v⁻¹·x of a chain x on the columns of v say
+        whether it is a cycle (mod n, d_i·w_i ≡ 0 for every i below the
+        rank).  Over Z the rows of w past the rank are its coordinates.
+        Over Z/n those rows times the Smith rows of H_a give its H_a ⊗
+        Z/n part, and w_i / (n/g) its coordinate on the Tor summand Z/g
+        of diagonal entry i (see ``_mod_n``); each is reduced modulo its
+        summand's order, which makes it unique."""
+        s, n = self._boundary_form, self.modulus
+        w = _cycle_coordinates(s, _sparse_rows(chains), n or 0)
+        if w is None:
             raise ValueError("chain is not a cycle for these coefficients")
-        orders = self.group.relations.diagonal_entries()
-        return IntMatrix._of(len(orders), x.cols,
-                             [x[i, j] % g for i, g in enumerate(orders) for j in range(x.cols)])
+        k = chains.cols
+        kernel = _from_rows(w[s.rank:], k)
+        if n is None:
+            return kernel
+        gcds = [gcd(t, n) for t in self._cycle_group._smith_rows()[2]]
+        rows = [[x % g for x in row]
+                for g, row in zip(gcds, self._cycle_group._reduced(kernel)) if g > 1]
+        rows += [[w[i].get(j, 0) // (n // g) % g for j in range(k)] for i, g in _tor_summands(s, n)]
+        return IntMatrix._of(len(rows), k, [x for row in rows for x in row])
 
     def describe(self) -> str:
         return self.group.describe()
@@ -121,88 +120,80 @@ def _boundary_rows(cx: DeltaComplex, a: int, reduced: bool) -> list[dict[int, in
     return cx._boundary_rows(a)
 
 
-def _integral(cx: DeltaComplex, a: int,
-              reduced: bool) -> tuple[SnfDecomposition, IntMatrix, FgAbelianGroup]:
-    """The Smith form u·d_a·v = D of d_a, the basis of its kernel read
-    off that form, and H_a over Z presented on that basis, one relation
-    per (a+1)-simplex.
+def _integral(cx: DeltaComplex, a: int, reduced: bool
+              ) -> tuple[SnfDecomposition, list[dict[int, int]], IntMatrix, FgAbelianGroup]:
+    """The Smith form u·d_a·v = D of d_a, the columns of v inside its
+    rank as sparse dicts, the basis of its kernel (the columns past the
+    rank), and H_a over Z presented on that basis, one relation per
+    (a+1)-simplex.
 
-    The basis is the columns of v past the rank, and the relations are
-    the coordinates of d_{a+1} on it: since d_a·d_{a+1} = 0, the first
-    rank rows of v⁻¹·d_{a+1} vanish and the rest are those coordinates,
-    read by replaying the column log on the sparse rows of d_{a+1}.  The
-    basis is saturated, so they are the unique solution, and no second
-    form is eliminated.  In degree 0, d_0 has no rows, its form logs no
-    operation, and the relations are d_1 itself."""
+    The relations are the coordinates of d_{a+1} on the basis: since
+    d_a·d_{a+1} = 0, the first rank rows of v⁻¹·d_{a+1} vanish and the
+    rest are those coordinates, read by replaying the column log on the
+    sparse rows of d_{a+1}.  The basis is saturated, so they are the
+    unique solution, and no second form is eliminated.  In degree 0,
+    d_0 has no rows, its form logs no operation, and the relations are
+    d_1 itself."""
     width = len(cx.simplices(a))
     s = _snf_rows(_boundary_rows(cx, a, reduced), width)
-    cycles = _from_columns(_kernel_columns(s), width)
-    relations = _kernel_coordinates(s, cx._boundary_rows(a + 1))
+    relations = _cycle_coordinates(s, cx._boundary_rows(a + 1))
     if relations is None:
         raise WellDefinednessError("a boundary is not a cycle")
-    group = FgAbelianGroup(cycles.cols, _from_rows(relations, len(cx.simplices(a + 1))))
-    return s, cycles, group
+    group = FgAbelianGroup(width - s.rank,
+                           _from_rows(relations[s.rank:], len(cx.simplices(a + 1))))
+    columns = _v_columns(s)
+    return s, columns[:s.rank], _from_columns(columns[s.rank:], width), group
 
 
-def _smith_cycles(cycles: IntMatrix, group: FgAbelianGroup, n: int,
-                  torsion_only: bool) -> tuple[list[int], list[int], IntMatrix]:
-    """The orders t, the gcds g = gcd(t, n) and, as the columns of a
-    matrix, the cycles of the Smith generators of ``group`` with g > 1:
-    the torsion ones in divisibility order, then, unless
-    ``torsion_only``, the free ones, whose order t is 0."""
+def _smith_cycles(cycles: IntMatrix, group: FgAbelianGroup,
+                  n: int) -> tuple[list[int], IntMatrix]:
+    """The gcds g = gcd(t, n) > 1 over the orders t of the Smith
+    generators of ``group`` (0 when free) and, as the columns of a
+    matrix, the cycles of those generators: the torsion ones in
+    divisibility order, then the free ones."""
     s = group.relation_snf()
-    diag = s.diagonal
-    orders, gcds, picked = [], [], []
-    for i in range(group.generator_count):
-        t = diag[i] if i < len(diag) else 0
-        g = gcd(t, n)
-        if g > 1 and not (torsion_only and t == 0):
-            orders.append(t)
-            gcds.append(g)
-            picked.append(i)
+    orders = s.diagonal + (0,) * (group.generator_count - len(s.diagonal))
+    picked = [(i, g) for i, g in enumerate(gcd(t, n) for t in orders) if g > 1]
     # generator i of the Smith form is column i of u_inv, read without
     # building u_inv
-    generators = IntMatrix.from_columns([_smith_vector(s, i, column=True) for i in picked],
+    generators = IntMatrix.from_columns([_smith_vector(s, i, column=True) for i, _ in picked],
                                         rows=group.generator_count)
-    return orders, gcds, cycles @ generators
+    return [g for _, g in picked], cycles @ generators
+
+
+def _tor_summands(s: SnfDecomposition, n: int) -> list[tuple[int, int]]:
+    """The pairs (i, g) with g = gcd(d_i, n) > 1 over the nonzero
+    diagonal entries d_i of the form ``s`` of d_a, in order: the Tor
+    summands Z/g of H_a(X; Z/n) (see ``_mod_n``)."""
+    return [(i, g) for i, g in enumerate(gcd(t, n) for t in s.diagonal[:s.rank]) if g > 1]
 
 
 def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:
     """H_a with Z/n coefficients by the universal coefficient theorem,
     H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕ Tor(H_{a-1}(X), Z/n), on one generator
-    per summand of order above 1, with diagonal relations.
+    per summand of order above 1, with diagonal relations, read off the
+    Smith form u·d_a·v = D of d_a and the relation form of H_a alone.
 
     A Smith generator z of H_a of order t (0 when free) gives Z/gcd(t, n),
-    represented by z.  A Smith generator z of H_{a-1} of order t > 1
-    gives Z/g with g = gcd(t, n), represented by (n/g)·c where ∂c = t·z:
-    the Bockstein H_a(X; Z/n) -> H_{a-1}(X) sends it to (t/g)·z, of order
-    g.  Every c is solved in one replay on the Smith form of d_a that
-    gave the degree-a cycles.  Representatives are reduced into [0, n).
-    H_0 and H̃_0 are free, so in degree 1 the Tor part is zero and H_0 is
-    not computed.
-
-    H_{a-1} is computed only when Tor(H_{a-1}, Z/n) can be nonzero: when
-    some diagonal entry t > 1 of the form of d_a has gcd(t, n) > 1.  The
-    sequence 0 -> H_{a-1} -> coker d_a -> C_{a-1}/Z_{a-1} -> 0 splits,
-    since the quotient embeds in the free C_{a-2}, so the torsion of
-    H_{a-1} is that of coker d_a, whose invariant factors are those
-    entries.  When none of them meets n, H_{a-1} has no Smith generator
-    with gcd(t, n) > 1 and t > 1, and the branch would add nothing.
+    represented by z.  The sequence 0 -> H_{a-1} -> coker d_a ->
+    C_{a-1}/Z_{a-1} -> 0 splits, since the quotient embeds in the free
+    C_{a-2}, so the torsion of H_{a-1} is that of coker d_a: the
+    diagonal entries t > 1 of D are its coefficients, and column i of
+    u⁻¹ is a cycle z of order t = d_i.  Since d_a·v = u⁻¹·D, column i of
+    v is a chain c with ∂c = t·z, so t with g = gcd(t, n) > 1 gives Z/g,
+    represented by (n/g)·c: the Bockstein H_a(X; Z/n) -> H_{a-1}(X)
+    sends it to (t/g)·z, of order g.  H_{a-1} is never computed and
+    nothing is solved.  Representatives are reduced into [0, n).
     """
-    s_a, cycles, group = _integral(cx, a, reduced)
-    _, gcds, reps = _smith_cycles(cycles, group, n, torsion_only=False)
-    if a >= 2 and any(t > 1 and gcd(t, n) > 1 for t in s_a.diagonal):
-        _, lower_cycles, lower = _integral(cx, a - 1, reduced)
-        torsion, tor_gcds, z = _smith_cycles(lower_cycles, lower, n, torsion_only=True)
-        if torsion:
-            lifts = _solve_with(s_a, z @ IntMatrix.diagonal(torsion))
-            if lifts is None:
-                raise WellDefinednessError("a torsion cycle is not a boundary")
-            reps = reps.hstack(lifts @ IntMatrix.diagonal([n // g for g in tor_gcds]))
-            gcds += tor_gcds
+    s, lifts, cycles, group = _integral(cx, a, reduced)
+    gcds, reps = _smith_cycles(cycles, group, n)
+    tor = _tor_summands(s, n)
+    reps = reps.hstack(_from_columns([{k: n // g * x for k, x in lifts[i].items()}
+                                      for i, g in tor], cycles.rows))
+    gcds += [g for _, g in tor]
     reps = IntMatrix._of(reps.rows, reps.cols, [x % n for x in reps._entries])
     return HomologyResult(cx, a, n, FgAbelianGroup(len(gcds), IntMatrix.diagonal(gcds)), reps,
-                          s_a)
+                          s, group)
 
 
 def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
@@ -219,8 +210,8 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
         raise ValueError("modulus must be at least 2")
     if modulus is not None:
         return _mod_n(cx, a, modulus, reduced)
-    s, cycles, group = _integral(cx, a, reduced)
-    return HomologyResult(cx, a, None, group, cycles, s)
+    s, _, cycles, group = _integral(cx, a, reduced)
+    return HomologyResult(cx, a, None, group, cycles, s, group)
 
 
 def induced_map(f: ChainMap, a: int, modulus: int | None = None,

@@ -23,9 +23,11 @@ a transform replayed from its log on sparse rows and made dense once;
 it equals, entry for entry, the one that tracking it densely during
 elimination would give.  A solve reads no transform: it replays the
 row log on the sparse rows of its right-hand side and the column log
-on those of the solution.  Coordinates on the kernel basis that
-``_kernel_columns`` reads off a form need no solve at all:
-``_kernel_coordinates`` replays the inverted column log alone.
+on those of the solution.  Coordinates on the columns of ``v``, which
+``_v_columns`` reads off a form (those past the rank span its kernel),
+need no solve at all: ``_cycle_coordinates`` replays the inverted
+column log alone, and the diagonal tells whether each vector is a
+cycle, over Z or modulo n.
 Pivoting always picks the entry of smallest nonzero absolute value,
 breaking ties by (row, col), in one scan that stops at the first ±1,
 which keeps every run bit-for-bit reproducible.
@@ -665,11 +667,7 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """
     if a.rows != b.rows:
         raise ValueError("row counts differ")
-    return _solve_with(snf(a), b)
-
-
-def _solve_with(s: SnfDecomposition, b: IntMatrix) -> IntMatrix | None:
-    """``solve_matrix`` for the matrix whose Smith form is ``s``."""
+    s = snf(a)
     z = _smith_coordinates(s, _replay(_sparse_rows(b), s.row_log))
     if z is None:
         return None
@@ -682,28 +680,34 @@ def solve(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     return None if x is None else x.col(0)
 
 
-def _kernel_columns(s: SnfDecomposition) -> list[dict[int, int]]:
-    """The columns of ``v`` past the rank of the form ``s``, as sparse
-    dicts.  Column k of ``v`` is row k of the column log replayed on
-    the identity, so ``v`` itself is never built."""
-    return _replay(_sparse_identity(s.shape[1]), s.col_log)[s.rank:]
+def _v_columns(s: SnfDecomposition) -> list[dict[int, int]]:
+    """The columns of ``v`` of the form ``s``, as sparse dicts; those
+    past the rank are a basis of the kernel.  Column k of ``v`` is row
+    k of the column log replayed on the identity, so ``v`` itself is
+    never built."""
+    return _replay(_sparse_identity(s.shape[1]), s.col_log)
 
 
-def _kernel_coordinates(s: SnfDecomposition,
-                        rows: list[dict[int, int]]) -> list[dict[int, int]] | None:
-    """The sparse rows of the unique x with ``k @ x`` equal to the matrix
-    whose sparse rows are ``rows`` (replayed in place), ``k`` the kernel
-    columns of ``v`` that ``_kernel_columns`` reads off the form ``s``;
-    None when some column of that matrix is not in the kernel.
+def _cycle_coordinates(s: SnfDecomposition, rows: list[dict[int, int]],
+                       modulus: int = 0) -> list[dict[int, int]] | None:
+    """The sparse rows of ``w = v_inv @ y``, the coordinates of each
+    column of y on the columns of ``v``, where y is the matrix whose
+    sparse rows are ``rows`` (replayed in place); None when some column
+    of ``a @ y`` is nonzero modulo ``modulus`` (at all, when it is 0).
 
-    ``v_inv @ y`` holds the coordinates of each column y on the columns
-    of ``v``, and ``a @ y == u_inv @ d @ v_inv @ y`` vanishes exactly
-    when the first ``rank`` of them do, so the rest are the answer.
-    ``v_inv`` is the column log, inverted and transposed, replayed on
-    the rows of y; nothing is eliminated."""
-    y = _replay(rows, _inverse_transposed(s.col_log))
+    ``a @ y == u_inv @ d @ w`` with ``u_inv`` unimodular, so it vanishes
+    modulo ``modulus`` exactly when d_i·w_i does for every i below the
+    rank; over Z the rows past the rank are then the unique coordinates
+    on the kernel columns of ``v``.  ``v_inv`` is the column log,
+    inverted and transposed, replayed on the rows of y; nothing is
+    eliminated."""
+    w = _replay(rows, _inverse_transposed(s.col_log))
     r = s.rank
-    return None if any(y[:r]) else y[r:]
+    if modulus:
+        off = any(t * x % modulus for t, row in zip(s.diagonal, w[:r]) for x in row.values())
+    else:
+        off = any(w[:r])
+    return None if off else w
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -713,7 +717,8 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Smith decomposition, so it is saturated: it extends to a basis of
     the full ambient lattice Z^cols.
     """
-    return _from_columns(_kernel_columns(snf(a)), a.cols)
+    s = snf(a)
+    return _from_columns(_v_columns(s)[s.rank:], a.cols)
 
 
 def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
@@ -725,7 +730,8 @@ def preimage_generators(a: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     """
     if a.rows != lattice.rows:
         raise ValueError("lattice must live in the codomain of a")
-    return _from_columns(_kernel_columns(snf(a.hstack(lattice))), a.cols)
+    s = snf(a.hstack(lattice))
+    return _from_columns(_v_columns(s)[s.rank:], a.cols)
 
 
 def _preimage_lattice(s: SnfDecomposition, e: SnfDecomposition) -> IntMatrix:

@@ -95,6 +95,27 @@ def moore_complex(k: int) -> DeltaComplex:
     return DeltaComplex(simplices)
 
 
+def moore_document(k: int) -> dict:
+    """``moore_complex(k)`` as a configuration document: components o,
+    a, b, c; the edges and spokes are depth-2 strata (the spokes to one
+    corner are parallel), and the triangles depth-3 strata with explicit
+    facets, so its dual complex has the structure of ``moore_complex(k)``."""
+    ring = ["a", "b", "c"]
+    edges = {("a", "b"): "ab", ("b", "c"): "bc", ("a", "c"): "ac"}
+    strata2 = [{"id": e, "on": list(pair)} for pair, e in edges.items()]
+    strata2 += [{"id": f"s{j}", "on": ["o", ring[j % 3]]} for j in range(3 * k)]
+    strata3 = []
+    for j in range(3 * k):
+        (x, sx), (y, sy) = sorted([(ring[j % 3], j), (ring[(j + 1) % 3], (j + 1) % (3 * k))])
+        strata3.append({"id": f"t{j}", "on": ["o", x, y],
+                        "facets": [edges[x, y], f"s{sy}", f"s{sx}"]})
+    return {
+        "name": f"moore-{k}",
+        "components": [{"id": c} for c in ["o", *ring]],
+        "strata": {"2": strata2, "3": strata3},
+    }
+
+
 def rotation_action(n: int, step: int, order: int) -> FrobeniusAction:
     """Rotate the n-cycle by ``step``; caller supplies the order."""
     return FrobeniusAction(

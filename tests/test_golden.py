@@ -20,7 +20,7 @@ import pytest
 
 from snckit.cli import main
 
-from conftest import dense_document, suspension_document
+from conftest import dense_document, moore_document, suspension_document
 
 GOLDEN = Path(__file__).parent / "golden"
 ELLS = ["--ell", "2", "--ell", "3", "--ell", "5"]
@@ -70,9 +70,10 @@ def test_report_matches_golden(capsys, golden, args):
 # Each representative is a Smith generator's integral cycle, or 6/g
 # times a chain whose boundary is t times one, reduced into [0, 6), so
 # the hashes depend on the pivot sequences of the Smith normal forms of
-# d_a, d_{a-1} and the integral relation matrices.  They were taken when
-# Z/n homology began to be read off those forms; the suspension-2
-# degree-4 group is trivial, and its report is the one first pinned.
+# the boundaries and the integral relation matrices.  They were taken
+# when Z/n homology began to be read off those forms; none of these
+# groups has a Tor summand.  The suspension-2 degree-4 group is trivial,
+# and its report is the one first pinned.
 Z6_HASHES = {
     ("cover-25", ()): "b248afe8aa7be233e1e0ff2cbdc776916e9cca9725b2f943badfba5b4106ab62",
     ("cover-50", ()): "74192a55acbfd2bfec1e568a30124fc256eba33156831cbdf7a32bde744533c0",
@@ -105,6 +106,30 @@ def test_z6_report_hash_is_pinned(capsys, tmp_path, doc, flags):
     assert main(["homology", path, *flags, "--coeff", "z/6", "--json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == Z6_HASHES[doc, flags]
+
+
+# sha256 of ``homology --json`` on ``moore_document(4)``, whose H_1 is
+# Z/4.  In degree 2 over Z/4 and Z/6 the group is the Tor summand, whose
+# representative is (n/g) times column i of v in the Smith form
+# u·d_2·v = D, for the diagonal entry d_i = 4; they were taken when the
+# Tor part began to be read off the form of d_2 alone.  At that change
+# the Z/4 report changed (its representative was 3 times the present
+# one) and the Z/6 one did not.  Degree 1 over Z/6 has no Tor summand
+# and is a control: its report is older than that change.
+MOORE_HASHES = {
+    ("2", "z/4"): "411556acd86045a72d2627ce7affb1572f0f774b2fa2d3280195f17eaa865c9e",
+    ("2", "z/6"): "fcdf880c41540d46d3fa9b7da46ce2330a1d66a223336c0031ad0f3a1b70155c",
+    ("1", "z/6"): "39535a7f4f805052441dd2693dcc17cc1089fb7aef9fe49fc1d2574e557816e6",
+}
+
+
+@pytest.mark.parametrize("degree,coeff", sorted(MOORE_HASHES))
+def test_moore_report_hash_is_pinned(capsys, tmp_path, degree, coeff):
+    path = tmp_path / "moore-4.json"
+    path.write_text(json.dumps(moore_document(4)))
+    assert main(["homology", str(path), "--degree", degree, "--coeff", coeff, "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == MOORE_HASHES[degree, coeff]
 
 
 # sha256 of ``kernel --ell 2 --ell 3 --ell 5 --json`` on the dense g = 32

@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snckit.complexes import ChainMap, DeltaComplex, Simplex, suspend
 from snckit.groups import is_prime
@@ -17,7 +17,7 @@ from snckit.homology import (
 from snckit.matrices import IntMatrix, kernel_basis, snf, solve, solve_matrix
 
 from conftest import agree_mod_relations, cycle_complex, det, graph_complex, moore_complex
-from zn_reference import homology_mod_n
+from zn_reference import coordinates_mod_n, homology_mod_n
 
 
 def class_of(h, chain) -> tuple[int, ...]:
@@ -164,6 +164,30 @@ class TestInducedMap:
         assert len(calls) == 0
         assert det(m.matrix) == -1
 
+    def test_mod_n_map_eliminates_nothing(self, monkeypatch):
+        """Over Z/n, too, a map from precomputed homology eliminates
+        nothing: the coordinates, Tor ones included, are read off the
+        target's form of d_a and the relation form of its H_a, both
+        eliminated already.  H_2 of the Moore complex M(Z/4, 1) over Z/4
+        is its Tor summand, and H_1 of three parallel edges over Z/6 is
+        the tensor part (Z/6)^2."""
+        from snckit import matrices
+
+        from test_cli import _rebind
+
+        multi = graph_complex(["a", "b"], [(f"e{i}", "a", "b") for i in range(3)])
+        cases = [(moore_complex(4), 2, 4, "Z/4"), (multi, 1, 6, "Z/6 ⊕ Z/6")]
+        results = [(cx, a, n, homology_group(cx, a, n)) for cx, a, n, _ in cases]
+        assert [h.group.describe() for *_, h in results] == [want for *_, want in cases]
+        calls = []
+        for original in (matrices._snf_rows, matrices._continue_snf):
+            _rebind(monkeypatch, original,
+                    lambda *args, original=original: calls.append(args) or original(*args))
+        for cx, a, n, h in results:
+            m = induced_map(ChainMap.identity(cx), a, n, source=h, target=h)
+            assert m.matrix.is_identity()
+        assert calls == []
+
     def test_mod_n_induced(self):
         cx = cycle_complex(4)
         m = induced_map(ChainMap.identity(cx), 1, modulus=3)
@@ -293,12 +317,16 @@ class TestModNMatchesReference:
                 product *= g
             assert product == ref.order()
 
-    @given(complexes(), st.integers(2, 12), st.integers(0, 2**32))
+    @given(complexes(), st.integers(2, 12), st.booleans(), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_class_of_reads_coordinates_modulo_orders(self, cx, n, seed):
+    # torsion Z/4 or Z/6 that shares a prime with n without dividing it,
+    # in degree 1 or 2, and its Tor summand one degree up
+    @example(moore_complex(4), 6, False, 1)
+    @example(suspend(moore_complex(6), "N", "S"), 4, True, 3)
+    def test_class_of_reads_coordinates_modulo_orders(self, cx, n, reduced, seed):
         rng = random.Random(seed)
         a = rng.randint(0, cx.dimension)
-        h = homology_group(cx, a, n)
+        h = homology_group(cx, a, n, reduced)
         orders = h.group.relations.diagonal_entries()
         d_next = cx.boundary_matrix(a + 1)
         coeffs = [rng.randint(-20, 20) for _ in orders]
@@ -308,17 +336,62 @@ class TestModNMatchesReference:
         boundary = d_next.apply([rng.randint(-3, 3) for _ in range(d_next.cols)])
         chain = [x + y + n * rng.randint(-2, 2) for x, y in zip(chain, boundary)]
         assert class_of(h, chain) == tuple(c % g for c, g in zip(coeffs, orders))
+        # every column of d_a has entries ±1, so adding a simplex with a
+        # nonzero boundary leaves no cycle mod n
+        d_a = cx.augmentation_matrix() if reduced and a == 0 else cx.boundary_matrix(a)
+        outside = [j for j in range(d_a.cols) if any(d_a.col(j))]
+        if outside:
+            chain[outside[0]] += 1
+            with pytest.raises(ValueError, match="not a cycle"):
+                class_of(h, chain)
+
+    @given(complexes(), st.integers(2, 12), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    @example(moore_complex(4), 6, False, 1)
+    @example(suspend(moore_complex(6), "N", "S"), 4, True, 3)
+    def test_coordinates_match_the_stacked_solve(self, cx, n, reduced, seed):
+        """The coordinates read off the form of d_a equal those of one
+        solve on [representatives | d_{a+1} | n·I]
+        (``zn_reference.coordinates_mod_n``) on combinations of the
+        representatives, boundaries and multiples of n, and a random
+        chain raises exactly where that solve finds no solution.  Z/n
+        maps induced by the identity and by the inclusion into the
+        suspension agree with the solve too."""
+        rng = random.Random(seed)
+
+        def rand(rows, cols, bound):
+            return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
+
+        top = suspend(cx, "P", "Q")
+        inclusion = ChainMap(cx, top, {s.id: (s.id, 1) for s in cx.all_simplices()})
+        for a in range(cx.dimension + 2):
+            h = homology_group(cx, a, n, reduced)
+            reps, d_next = h.cycle_matrix, cx.boundary_matrix(a + 1)
+            rows = reps.rows
+            cycles = (reps @ rand(reps.cols, 3, 20) + d_next @ rand(d_next.cols, 3, 3)
+                      + IntMatrix.diagonal([n] * rows) @ rand(rows, 3, 2))
+            assert h._coordinates(cycles) == coordinates_mod_n(h, cycles)
+            for _ in range(3):
+                chain = rand(rows, 1, n)
+                expected = coordinates_mod_n(h, chain)
+                if expected is None:
+                    with pytest.raises(ValueError, match="not a cycle"):
+                        h._coordinates(chain)
+                else:
+                    assert h._coordinates(chain) == expected
+            for f, target in ((ChainMap.identity(cx), h),
+                              (inclusion, homology_group(top, a, n, reduced))):
+                m = induced_map(f, a, n, reduced, source=h, target=target)
+                assert m.matrix == coordinates_mod_n(target, f.matrix(a) @ reps)
 
     def test_snf_work_is_that_of_integral_homology(self, monkeypatch):
-        """Z/n homology in degree a eliminates what Z homology in degree
-        a eliminates, plus the k x k diagonal of its own presentation,
-        and also what Z homology in degree a - 1 eliminates exactly when
-        some invariant factor t > 1 of d_a has gcd(t, n) > 1, since those
-        factors are the torsion coefficients of H_{a-1}.  It eliminates
-        nothing wider than the widest boundary it reads, which the n·I
-        route exceeds whenever d_{a+1} has columns.  Degree 0 adds no
-        SNF: H_0 and H̃_0 are free, so Tor(H_0, Z/n) = 0 and degree 1
-        does not compute H_0."""
+        """Z/n homology in degree a eliminates exactly what Z homology in
+        degree a eliminates (the form of d_a and the relation form of
+        H_a), plus the k x k diagonal of its own presentation: its Tor
+        summands are read off the form of d_a, so no form of d_{a-1} is
+        eliminated, even where the torsion of H_{a-1} meets n.  Nothing
+        it eliminates is wider than d_a or d_{a+1}, which the n·I route
+        exceeds whenever d_{a+1} has columns."""
         from snckit import matrices
 
         from test_cli import _rebind
@@ -341,30 +414,29 @@ class TestModNMatchesReference:
         cases = [suspend(cycle_complex(4), "O", "inf"), cycle_complex(6), moore_complex(4),
                  suspend(moore_complex(6), "N", "S")]
         cases += [random_complex(rng, max_vertices=6) for _ in range(6)]
-        lower_taken = {}
+        seen = {}
         for index, cx in enumerate(cases):
             for a in range(cx.dimension + 2):
                 for n, reduced in ((4, False), (6, False), (6, True)):
                     got = recorded(lambda: homology_group(cx, a, n, reduced).group.iso_type())
                     k = homology_group(cx, a, n, reduced).group.generator_count
-                    lower = a >= 2 and any(
-                        t > 1 and gcd(t, n) > 1
-                        for t in snf(cx.boundary_matrix(a)).d.diagonal_entries())
-                    lower_taken[index, a, n, reduced] = lower
-                    expected = recorded(lambda: [
-                        homology_group(cx, b, reduced=reduced).group.iso_type()
-                        for b in ([a, a - 1] if lower else [a])])
+                    expected = recorded(
+                        lambda: homology_group(cx, a, reduced=reduced).group.iso_type())
                     assert got == sorted(expected + [(k, k)]), (cx, a, n)
-                    widest = max(cx.boundary_matrix(b).cols for b in (a - 1, a, a + 1) if b >= 0)
+                    widest = max(cx.boundary_matrix(b).cols for b in (a, a + 1))
                     assert max(cols for _, cols in got) <= widest
                     old = recorded(lambda: homology_mod_n(cx, a, n, reduced))
                     if cx.boundary_matrix(a + 1).cols:
                         assert max(cols for _, cols in old) > widest
-        # the Moore complex's Z/4 torsion in H_1 meets 4 and 6, so degree
-        # 2 eliminates d_1; a suspended cycle has free homology, so no
-        # degree takes the lower branch
-        assert all(lower_taken[2, 2, n, reduced] for n, reduced in ((4, False), (6, False)))
-        assert not any(taken for (index, *_), taken in lower_taken.items() if index == 0)
+                    seen[index, a, n, reduced] = got
+        # the Moore complex's Z/4 torsion in H_1 meets 4 and 6, so its H_2
+        # is a Tor summand, and still no form of its 4 x 15 d_1 is made
+        moore = cases[2]
+        assert moore.boundary_matrix(1).rows == 4 and moore.boundary_matrix(1).cols == 15
+        for n in (4, 6):
+            assert homology_group(moore, 2, n).group.invariant_factors == (gcd(4, n),)
+            assert (4, 15) not in seen[2, 2, n, False]
+
 
 class TestSuspensionIsomorphism:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])

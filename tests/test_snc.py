@@ -26,6 +26,8 @@ from snckit.snc import (
 from facets_reference import _resolve_facets as reference_facets
 from conftest import (
     cycle_config,
+    moore_complex,
+    moore_document,
     multigraph_config,
     random_admissible_config,
     reflection_action,
@@ -370,6 +372,11 @@ class TestBuildDualComplex:
             == build_dual_complex(renamed).structure_signature()
         )
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_moore_document_is_the_moore_complex(self, k):
+        cx = build_dual_complex(parse_config(json.dumps(moore_document(k))).config)
+        assert cx.structure_signature() == moore_complex(k).structure_signature()
+
     def test_invalid_raises(self):
         cfg = SncConfiguration("none", ())
         with pytest.raises(ValidationError):
@@ -416,6 +423,7 @@ BUILT_CONFIGS = [
     fermat_bundle(5).config,
     fermat_cover_config(4),
     parse_config(json.dumps(suspension_document(3))).config,
+    parse_config(json.dumps(moore_document(2))).config,
 ]
 
 configurations = (

@@ -7,14 +7,19 @@ and n·I.  Nothing here reads integral homology, so a comparison with
 ``snckit.homology.homology_group``, which reads Z/n homology off the
 integral Smith forms by the universal coefficient theorem, is a real
 cross-check.  ``test_homology.TestModNMatchesReference`` makes it.
-Nothing under ``src/`` imports this module.
+
+``coordinates_mod_n`` is the stacked solve the package first used to
+write a chain on the generators of a Z/n homology result, kept as the
+oracle for ``HomologyResult._coordinates``, which reads them off the
+Smith form of d_a instead.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 from snckit.complexes import DeltaComplex
 from snckit.groups import FgAbelianGroup
-from snckit.matrices import IntMatrix, preimage_generators
+from snckit.homology import HomologyResult
+from snckit.matrices import IntMatrix, preimage_generators, solve_matrix
 
 
 def homology_mod_n(cx: DeltaComplex, a: int, n: int,
@@ -27,3 +32,20 @@ def homology_mod_n(cx: DeltaComplex, a: int, n: int,
     targets = d_next.hstack(IntMatrix.diagonal([n] * d_a.cols))
     relations = preimage_generators(cycles, targets)
     return FgAbelianGroup(cycles.cols, relations), cycles
+
+
+def coordinates_mod_n(h: HomologyResult, chains: IntMatrix) -> IntMatrix | None:
+    """Coordinates, on the generators of the Z/n result ``h``, of the
+    classes of the columns of ``chains``, or None when some column is
+    not a cycle mod n.  The representatives, d_{a+1} and n·I span the
+    cycles mod n, so ``chains`` is solved once on ``[representatives |
+    d_{a+1} | n·I]``, and the representatives' block, reduced modulo
+    each summand's order, is the unique coordinate vector."""
+    n, rows = h.modulus, h.cycle_matrix.rows
+    lattice = h.cycle_matrix.hstack(h.complex.boundary_matrix(h.degree + 1))
+    x = solve_matrix(lattice.hstack(IntMatrix.diagonal([n] * rows)), chains)
+    if x is None:
+        return None
+    orders = h.group.relations.diagonal_entries()
+    return IntMatrix(len(orders), x.cols,
+                     [x[i, j] % g for i, g in enumerate(orders) for j in range(x.cols)])
