@@ -117,7 +117,18 @@ class TestExitCodes:
          "strata['2'][1]", "expected an object"),
         ({"strata": {"2": [{"id": 7, "on": ["A", "B"]}]}},
          "strata['2'][0].id", "expected a string, got int"),
-    ], ids=["bool-degree", "overlong-degree", "stratum-not-object", "stratum-id-not-string"])
+        ({"frobenius": {"order": 2, "components": {"A": "B", "B": 7}}},
+         "frobenius.components['B']", "expected a string, got int"),
+        ({"frobenius": {"order": 2, "components": {"A": 1},
+                        "strata": {"s": None, "t": ["x"]}}},
+         "frobenius.components['A']", "expected a string, got int; "
+         "frobenius.strata['s']: expected a string, got NoneType; "
+         "frobenius.strata['t']: expected a string, got list"),
+        ({"frobenius": {"order": 2, "strata": []}},
+         "frobenius.strata", "expected an object"),
+    ], ids=["bool-degree", "overlong-degree", "stratum-not-object", "stratum-id-not-string",
+            "frobenius-image-not-string", "frobenius-images-not-strings",
+            "frobenius-permutation-not-object"])
     def test_walker_fast_paths_name_the_failing_path(self, capsys, tmp_path,
                                                        doc, where, message):
         """The schema walker takes well-formed lists and items without

@@ -86,6 +86,49 @@ class TestValidation:
             DeltaComplex(below + [tetra])
         assert err.value.problems == ["boundary squared is nonzero in dimension 3"]
 
+    @pytest.mark.parametrize("simplices, problems", [
+        ([], ["complex has no simplices"]),
+        ([Simplex.vertex("v"), Simplex.vertex("w"), Simplex.vertex("v"),
+          Simplex("e", ("v", "w"), ("w", "v")), Simplex.vertex("w")],
+         ["duplicate simplex id 'v'", "duplicate simplex id 'w'"]),
+        ([Simplex("z", ("y",), ("q",))],
+         ["vertex 'z' must list itself as its only vertex",
+          "vertex 'z' must have no facets"]),
+        ([Simplex("e", ("a", "b"), ("b", "a"))],
+         ["simplex 'e' uses unknown vertices ['a', 'b']"]),
+        ([Simplex("v", ("w",)), Simplex("u", ("u",), ("x",)),
+          Simplex.vertex("a"), Simplex.vertex("b"), Simplex.vertex("c"),
+          Simplex("rep", ("a", "a"), ("a", "a")),
+          Simplex("unk", ("a", "x", "y"), ("a", "b", "c")),
+          Simplex("ord", ("b", "a"), ("a", "b")),
+          Simplex("cnt", ("a", "b"), ("a",)),
+          Simplex("ordcnt", ("c", "a"), ("a",)),
+          Simplex("ab", ("a", "b"), ("b", "a")),
+          Simplex("bad", ("a", "c"), ("nope", "ab")),
+          Simplex("span", ("b", "c"), ("b", "c")),
+          Simplex("abc", ("a", "b", "c"), ("span", "bad", "a"))],
+         ["vertex 'v' must list itself as its only vertex",
+          "vertex 'u' must have no facets",
+          "simplex 'rep' repeats a vertex",
+          "simplex 'ord' lists vertices out of the global order",
+          "simplex 'cnt' has 1 facets, expected 2",
+          "simplex 'ordcnt' lists vertices out of the global order",
+          "simplex 'ordcnt' has 1 facets, expected 2",
+          "simplex 'bad' facet 'nope' does not exist",
+          "simplex 'bad' facet 'ab' has dimension 1, expected 0",
+          "simplex 'span' facet 'b' spans ('b',), expected ('c',)",
+          "simplex 'span' facet 'c' spans ('c',), expected ('b',)",
+          "simplex 'unk' uses unknown vertices ['x', 'y']",
+          "simplex 'abc' facet 'a' has dimension 0, expected 1"]),
+    ], ids=["empty", "duplicate-ids", "vertex-conventions", "no-vertices", "every-check"])
+    def test_every_problem_is_named_in_order(self, simplices, problems):
+        """Each construction message, word for word, in the order the
+        checks run: duplicates alone first, then vertices, then each
+        higher dimension in turn, simplex by simplex in listing order."""
+        with pytest.raises(ValidationError) as err:
+            DeltaComplex(simplices)
+        assert err.value.problems == problems
+
 
 class TestStructure:
     def test_counts_and_euler(self):
@@ -154,6 +197,24 @@ class TestChainMap:
         partial = {s.id: (s.id, 1) for s in cx.all_simplices() if s.id != "e1"}
         with pytest.raises(ValidationError, match="no image"):
             ChainMap(cx, cx, partial)
+
+    def test_every_problem_is_named_in_order(self):
+        """Each assignment message, word for word: per source simplex in
+        listing order (a missing image, then its sign, then its target),
+        and the unknown source ids last, sorted."""
+        cx = path_complex()
+        assignment = {"a": ("a", 2), "b": ("zz", 0), "ab": ("a", 1), "bc": ("bc", -1),
+                      "q": ("a", 1), "p": ("a", 1)}
+        with pytest.raises(ValidationError) as err:
+            ChainMap(cx, cx, assignment)
+        assert err.value.problems == [
+            "simplex 'a' has sign 2, expected +1 or -1",
+            "simplex 'b' has sign 0, expected +1 or -1",
+            "simplex 'b' maps to unknown id 'zz'",
+            "simplex 'c' has no image",
+            "simplex 'ab' (dim 1) maps to 'a' (dim 0)",
+            "assignment covers unknown ids ['p', 'q']",
+        ]
 
     def test_must_commute_with_boundary(self):
         cx = graph_complex(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])

@@ -3,6 +3,7 @@ the Frobenius action on homology, and norm maps."""
 
 import contextlib
 import io
+import itertools
 import math
 import random
 import tempfile
@@ -28,7 +29,7 @@ from snckit.galois import (
 )
 from snckit.groups import coinvariants, cokernel
 from snckit.homology import homology_group, induced_map
-from snckit.snc import FrobeniusAction, build_dual_complex
+from snckit.snc import FrobeniusAction, _orbits, build_dual_complex
 
 from conftest import (
     agree_mod_relations,
@@ -44,6 +45,41 @@ def test_sort_parity():
     assert sort_parity([1, 0]) == -1
     assert sort_parity([2, 0, 1]) == 1
     assert sort_parity([]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-20, 20), max_size=6, unique=True))
+def test_sort_parity_is_the_parity_of_the_inversion_count(seq):
+    inversions = sum(1 for x, y in itertools.combinations(seq, 2) if x > y)
+    assert sort_parity(seq) == (-1) ** inversions
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.sampled_from([2, 3, 4, 6]))
+def test_orbits_are_those_of_the_iterated_frobenius(seed, e):
+    """For f in 1..2e, the orbits read off the Frobenius cycles are
+    those found by applying Frobenius f times until the walk closes,
+    each starting at its earliest member and listed by it."""
+    cfg = random_admissible_config(random.Random(seed), e)
+    action = cfg.frobenius
+    for ids, perm in ((cfg.component_ids(), action.component_perm),
+                      ([s.id for s in cfg.strata], action.stratum_perm)):
+        for f in range(1, 2 * e + 1):
+            def step(x):
+                for _ in range(f):
+                    x = perm.get(x, x)
+                return x
+
+            expected, seen = [], set()
+            for x in ids:
+                if x not in seen:
+                    orbit, y = [x], step(x)
+                    while y != x:
+                        orbit.append(y)
+                        y = step(y)
+                    seen.update(orbit)
+                    expected.append(tuple(orbit))
+            assert _orbits(cfg, ids, f) == expected
 
 
 class _CountingPerm(dict):
