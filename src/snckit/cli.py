@@ -4,6 +4,8 @@ Every subcommand reads one JSON configuration document (except
 ``example`` and ``oracle-check``), prints a human summary, and with
 ``--json`` prints a single machine-readable report object instead.
 Exit status: 0 success, 1 semantic/validation failure, 2 usage error.
+A failed write of the output exits 1 as well: with ``error: ...`` on
+stderr, or silently when the reader has closed the pipe.
 
 ``main`` builds its argument parser on first use and keeps it for the
 rest of the process (``build_parser`` still returns a fresh one).  One
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import random
 import sys
 from pathlib import Path
@@ -350,8 +353,8 @@ def _cmd_example(args):
         document = serialize_bundle(ConfigBundle(cover.name, cover, trivial_pi1(), {}))
     else:
         document = serialize_bundle(generate_example(args.kind, args.n))
-    sys.stdout.write(document)
-    return None, None, None
+    # the document ends in the one newline that main writes after each line
+    return None, None, [document[:-1]]
 
 
 def _cmd_oracle_check(args):
@@ -464,14 +467,35 @@ def main(argv=None) -> int:
     except (SnckitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if payload is None:
-        return 0
-    if args.json:
+    if args.json and payload is not None:
         report = {"command": args.command, "input_digest": digest, "results": payload}
-        print(json_text(report))
-    else:
-        for line in lines:
-            print(line)
+        return _write(json_text(report) + "\n")
+    return _write("".join(line + "\n" for line in lines))
+
+
+def _write(text: str) -> int:
+    """Write ``text`` to stdout: 0, or 1 when the write fails.  A closed
+    pipe (a reader such as ``head`` that has stopped) fails silently,
+    any other error with ``error: ...`` on stderr.  The standard stream
+    still holds the unwritten text, which the interpreter would flush
+    again at exit and report as an ignored exception, so its file
+    descriptor is pointed at the null device first."""
+    out = sys.stdout
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as exc:
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # no descriptor behind it, so no flush at exit can fail
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

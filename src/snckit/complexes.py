@@ -46,6 +46,8 @@ _set = object.__setattr__
 def sort_parity(seq: Sequence[int]) -> int:
     """+1 or -1: the sign of the permutation sorting ``seq`` (entries
     distinct)."""
+    if len(seq) < 3:  # every vertex and edge: at most one pair to compare
+        return -1 if len(seq) == 2 and seq[0] > seq[1] else 1
     inversions = sum(
         1
         for i in range(len(seq))
@@ -53,6 +55,17 @@ def sort_parity(seq: Sequence[int]) -> int:
         if seq[i] > seq[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def _increasing(positions: Iterable[int]) -> bool:
+    """Whether the (nonnegative) ``positions`` strictly increase; for a
+    handful of entries a loop beats comparing with ``sorted``."""
+    last = -1
+    for p in positions:
+        if p <= last:
+            return False
+        last = p
+    return True
 
 
 @dataclass(frozen=True)
@@ -117,13 +130,15 @@ class DeltaComplex:
         by_id: dict[str, Simplex] = {}
         problems: list[str] = []
         for s in simplices:
-            if s.id in by_id:
-                problems.append(f"duplicate simplex id {s.id!r}")
+            sid = s.id
+            if sid in by_id:
+                problems.append(f"duplicate simplex id {sid!r}")
                 continue
-            by_id[s.id] = s
-            while len(by_dim) <= s.dim:
+            by_id[sid] = s
+            dim = len(s.vertices) - 1
+            while len(by_dim) <= dim:
                 by_dim.append([])
-            by_dim[s.dim].append(s)
+            by_dim[dim].append(s)
         if problems:
             raise ValidationError(problems)
         if not by_dim:
@@ -136,37 +151,40 @@ class DeltaComplex:
             if s.facets != ():
                 problems.append(f"vertex {s.id!r} must have no facets")
 
+        position = vertex_pos.get
         for a in range(1, len(by_dim)):
             for s in by_dim[a]:
-                if len(set(s.vertices)) != len(s.vertices):
+                vertices = s.vertices
+                if len(set(vertices)) != len(vertices):
                     problems.append(f"simplex {s.id!r} repeats a vertex")
                     continue
-                missing = [v for v in s.vertices if v not in vertex_pos]
-                if missing:
+                pos = list(map(position, vertices))
+                if None in pos:
+                    missing = [v for v in vertices if v not in vertex_pos]
                     problems.append(f"simplex {s.id!r} uses unknown vertices {missing}")
                     continue
-                pos = [vertex_pos[v] for v in s.vertices]
-                if pos != sorted(pos):
+                if not _increasing(pos):
                     problems.append(
                         f"simplex {s.id!r} lists vertices out of the global order"
                     )
-                if len(s.facets) != a + 1:
+                facets = s.facets
+                if len(facets) != a + 1:
                     problems.append(
-                        f"simplex {s.id!r} has {len(s.facets)} facets, expected {a + 1}"
+                        f"simplex {s.id!r} has {len(facets)} facets, expected {a + 1}"
                     )
                     continue
-                for i, fid in enumerate(s.facets):
+                for i, fid in enumerate(facets):
                     f = by_id.get(fid)
                     if f is None:
                         problems.append(f"simplex {s.id!r} facet {fid!r} does not exist")
                         continue
-                    if f.dim != a - 1:
+                    if len(f.vertices) != a:
                         problems.append(
                             f"simplex {s.id!r} facet {fid!r} has dimension {f.dim}, "
                             f"expected {a - 1}"
                         )
                         continue
-                    expected = s.vertices[:i] + s.vertices[i + 1:]
+                    expected = vertices[:i] + vertices[i + 1:]
                     if f.vertices != expected:
                         problems.append(
                             f"simplex {s.id!r} facet {fid!r} spans {f.vertices}, "
@@ -175,12 +193,13 @@ class DeltaComplex:
         if problems:
             raise ValidationError(problems)
 
-        problems = _boundary_squared_problems(
-            {sid: s.facets for sid, s in by_id.items()},
-            [s.id for layer in by_dim[2:] for s in layer])
-        if problems:
-            raise ValidationError(problems)
-        self._set_layers(by_dim, by_id)
+        if len(by_dim) > 2:  # below dimension 2 no facet has facets
+            problems = _boundary_squared_problems(
+                {sid: s.facets for sid, s in by_id.items()},
+                [s.id for layer in by_dim[2:] for s in layer])
+            if problems:
+                raise ValidationError(problems)
+        self._set_layers(by_dim, by_id, vertex_pos)
 
     @classmethod
     def _of(cls, by_dim: Sequence[Sequence[Simplex]]) -> "DeltaComplex":
@@ -190,14 +209,15 @@ class DeltaComplex:
         d∘d = 0; skips the checks that ``__init__`` makes on caller
         data."""
         cx = object.__new__(cls)
-        cx._set_layers(by_dim, {s.id: s for layer in by_dim for s in layer})
+        cx._set_layers(by_dim, {s.id: s for layer in by_dim for s in layer},
+                       {s.id: i for i, s in enumerate(by_dim[0])})
         return cx
 
     def _set_layers(self, by_dim: Sequence[Sequence[Simplex]],
-                    by_id: dict[str, Simplex]) -> None:
+                    by_id: dict[str, Simplex], vertex_pos: dict[str, int]) -> None:
         self._by_dim = tuple(tuple(layer) for layer in by_dim)
         self._by_id = by_id
-        self._vertex_pos = {s.id: i for i, s in enumerate(self._by_dim[0])}
+        self._vertex_pos = vertex_pos
         self._index_in_dim = {
             s.id: j for layer in self._by_dim for j, s in enumerate(layer)
         }
@@ -299,21 +319,23 @@ class ChainMap:
     def __init__(self, source: DeltaComplex, target: DeltaComplex,
                  assignment: Mapping[str, tuple[str, int]]):
         problems: list[str] = []
+        targets = target._by_id
         for s in source.all_simplices():
-            if s.id not in assignment:
+            try:
+                tid, sign = assignment[s.id]
+            except KeyError:
                 problems.append(f"simplex {s.id!r} has no image")
                 continue
-            tid, sign = assignment[s.id]
             if sign not in (1, -1):
                 problems.append(f"simplex {s.id!r} has sign {sign}, expected +1 or -1")
-            if not target.has_simplex(tid):
+            t = targets.get(tid)
+            if t is None:
                 problems.append(f"simplex {s.id!r} maps to unknown id {tid!r}")
-            elif target.simplex(tid).dim != s.dim:
+            elif len(t.vertices) != len(s.vertices):
                 problems.append(
-                    f"simplex {s.id!r} (dim {s.dim}) maps to {tid!r} "
-                    f"(dim {target.simplex(tid).dim})"
+                    f"simplex {s.id!r} (dim {s.dim}) maps to {tid!r} (dim {t.dim})"
                 )
-        extra = set(assignment) - {s.id for s in source.all_simplices()}
+        extra = assignment.keys() - source._by_id.keys()
         if extra:
             problems.append(f"assignment covers unknown ids {sorted(extra)}")
         if problems:
@@ -321,17 +343,26 @@ class ChainMap:
 
         self.source = source
         self.target = target
-        self.assignment = dict(assignment)
+        self.assignment = images = dict(assignment)
         self._matrices: dict[int, IntMatrix] = {}
 
-        for a in range(1, source.dimension + 1):
-            for s in source.simplices(a):
-                tid, sign = assignment[s.id]
+        layers = source._by_dim
+        for a in range(1, len(layers)):
+            for s in layers[a]:
+                tid, sign = images[s.id]
+                t_facets = targets[tid].facets
+                # the usual case, facet i onto facet i of the image with
+                # the image's sign, is one where both sides agree term by term
+                for fid, gid in zip(s.facets, t_facets):
+                    if images[fid] != (gid, sign):
+                        break
+                else:
+                    continue
                 diff: dict[str, int] = {}
-                for i, gid in enumerate(target.simplex(tid).facets):
+                for i, gid in enumerate(t_facets):
                     diff[gid] = diff.get(gid, 0) + (-sign if i % 2 else sign)
                 for i, fid in enumerate(s.facets):
-                    gid, fsign = assignment[fid]
+                    gid, fsign = images[fid]
                     diff[gid] = diff.get(gid, 0) - (-fsign if i % 2 else fsign)
                 if any(diff.values()):
                     raise ValidationError(
@@ -375,9 +406,9 @@ class ChainMap:
         target simplex ``image[id]``, signed by the parity of its image
         vertices' positions in the target vertex order.  Every signed
         simplicial map in the package is built here."""
-        pos = target.vertex_position
+        pos = target._vertex_pos
         return cls(source, target, {
-            s.id: (image[s.id], sort_parity([pos(image[v]) for v in s.vertices]))
+            s.id: (image[s.id], sort_parity([pos[image[v]] for v in s.vertices]))
             for s in source.all_simplices()
         })
 

@@ -393,9 +393,10 @@ def parse_config(text: str) -> ConfigBundle:
                     reader.fail(f"frobenius.{field_name}", "expected an object")
                     continue
                 for k, v in raw.items():
-                    vv = reader.str_value(v, f"frobenius.{field_name}[{k!r}]")
-                    if vv is not None:
-                        store[k] = vv
+                    if isinstance(v, str):
+                        store[k] = v
+                    else:
+                        reader.str_value(v, f"frobenius.{field_name}[{k!r}]")
             if order is not None:
                 if order < 1:
                     reader.fail("frobenius.order", "must be positive")

@@ -8,9 +8,13 @@ keeps its positional facets from the validated dual complex, reordered
 with its vertices.  The collapse maps, from the geometric complex and
 between extension levels, send each simplex to its orbit
 representative; ``ChainMap.induced`` signs them by the parity of the
-image vertices in the quotient's vertex order.  The one from the
-geometric complex (``Extension.sigma``) is built on first read, since
-only the ``extend`` report reads it.
+image vertices in the quotient's vertex order.  An ``Extension`` keeps
+that representative map, built once with the quotient, and both
+collapse maps read it.  The one from the geometric complex
+(``Extension.sigma``) is built on first read, since only the ``extend``
+report reads it.  The quotient is built by the checking
+``DeltaComplex`` constructor and every collapse map by the checking
+``ChainMap`` constructor, so both are validated like caller data.
 
 A configuration stops being simple normal crossing over F when an
 orbit identifies two components of one stratum; that is detected here
@@ -19,11 +23,11 @@ and reported, never silently quotiented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping
 
-from .complexes import ChainMap, DeltaComplex, Simplex
+from .complexes import ChainMap, DeltaComplex, Simplex, _increasing
 from .errors import ExtensionError
 from .groups import FgAbelianGroup, GaloisModule, ModuleMap, image_subgroup
 from .homology import HomologyResult, homology_group, induced_map
@@ -41,16 +45,12 @@ __all__ = [
 ]
 
 
-def _representatives(orbits: Sequence[tuple[str, ...]]) -> dict[str, str]:
-    """Each orbit member mapped to the representative naming its orbit."""
-    return {member: orbit[0] for orbit in orbits for member in orbit}
-
-
 @dataclass(frozen=True)
 class Extension:
     """The degree-f scalar extension: quotient complex, the geometric
     complex ``base`` it collapses, and the orbits themselves (each tuple
-    starts at the representative that names the orbit).
+    starts at the representative that names the orbit).  ``_rep`` maps
+    every component and stratum id to the representative of its orbit.
 
     The collapse chain map ``sigma`` is built, and checked to commute
     with the boundary, on first read: the ``extend`` report reads it,
@@ -62,11 +62,11 @@ class Extension:
     base: DeltaComplex
     component_orbits: tuple[tuple[str, ...], ...]
     stratum_orbits: tuple[tuple[str, ...], ...]
+    _rep: Mapping[str, str] = field(repr=False, compare=False)
 
     @cached_property
     def sigma(self) -> ChainMap:
-        rep = _representatives(self.component_orbits + self.stratum_orbits)
-        return ChainMap.induced(self.base, self.complex, rep)
+        return ChainMap.induced(self.base, self.complex, self._rep)
 
 
 def check_admissible(cfg: SncConfiguration, f: int) -> None:
@@ -75,17 +75,20 @@ def check_admissible(cfg: SncConfiguration, f: int) -> None:
     _admissible_component_orbits(cfg, f)
 
 
-def _admissible_component_orbits(cfg: SncConfiguration, f: int) -> list[tuple[str, ...]]:
-    """The component orbits over the degree-f extension, raising as
+def _admissible_component_orbits(
+        cfg: SncConfiguration, f: int) -> tuple[list[tuple[str, ...]], dict[str, str]]:
+    """The component orbits over the degree-f extension, and each
+    component mapped to its orbit's representative, raising as
     ``check_admissible`` does."""
     ensure_valid(cfg)
     if f < 1:
         raise ValueError("extension degree must be positive")
     orbits = _orbits(cfg, cfg.component_ids(), f)
-    rep = _representatives(orbits)
+    rep = {member: orbit[0] for orbit in orbits for member in orbit}
+    image = rep.__getitem__
     for s in cfg.strata:
-        images = [rep[c] for c in s.on]
-        if len(set(images)) != len(images):
+        if len(set(map(image, s.on))) != len(s.on):
+            images = [rep[c] for c in s.on]
             dup = next(r for r in images if images.count(r) > 1)
             pair = [c for c in s.on if rep[c] == dup]
             raise ExtensionError(
@@ -93,7 +96,7 @@ def _admissible_component_orbits(cfg: SncConfiguration, f: int) -> list[tuple[st
                 f"{pair[0]!r} and {pair[1]!r}, which fall into one Frobenius orbit "
                 f"over the degree-{f} extension"
             )
-    return orbits
+    return orbits, rep
 
 
 def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
@@ -101,23 +104,36 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     from the geometric complex is built on first read of ``sigma``.
     Raises ExtensionError when the quotient would not be simple normal
     crossing."""
-    comp_orbits = _admissible_component_orbits(cfg, f)
+    comp_orbits, rep = _admissible_component_orbits(cfg, f)
     base = build_dual_complex(cfg)
     # Frobenius keeps depths, so no orbit crosses dimensions
     strata = [s.id for a in range(1, base.dimension + 1) for s in base.simplices(a)]
     strat_orbits = _orbits(cfg, strata, f)
-    rep = _representatives(comp_orbits + strat_orbits)
+    for orbit in strat_orbits:
+        for member in orbit:
+            rep[member] = orbit[0]
 
     # a representative keeps its base facets, reordered along with its
-    # vertices into the quotient vertex order
+    # vertices into the quotient vertex order; the sort is skipped when
+    # the image vertices already come in that order, as they do for
+    # every stratum when the components are fixed
     quotient_pos = {orbit[0]: i for i, orbit in enumerate(comp_orbits)}
     simplices = [Simplex.vertex(orbit[0]) for orbit in comp_orbits]
+    image = rep.__getitem__
+    by_id = base._by_id
+    of = Simplex._of
     for orbit in strat_orbits:
-        s = base.simplex(orbit[0])
-        perm = sorted(range(len(s.vertices)), key=lambda i: quotient_pos[rep[s.vertices[i]]])
-        simplices.append(Simplex(s.id, tuple(rep[s.vertices[i]] for i in perm),
-                                 tuple(rep[s.facets[i]] for i in perm)))
-    return Extension(f, DeltaComplex(simplices), base, tuple(comp_orbits), tuple(strat_orbits))
+        s = by_id[orbit[0]]
+        vertices = tuple(map(image, s.vertices))
+        facets = tuple(map(image, s.facets))
+        pos = [quotient_pos[v] for v in vertices]
+        if not _increasing(pos):
+            perm = sorted(range(len(pos)), key=pos.__getitem__)
+            vertices = tuple(vertices[i] for i in perm)
+            facets = tuple(facets[i] for i in perm)
+        simplices.append(of(s.id, vertices, facets))
+    return Extension(f, DeltaComplex(simplices), base, tuple(comp_orbits),
+                     tuple(strat_orbits), rep)
 
 
 def connecting_map(cfg: SncConfiguration, f_fine: int, f_coarse: int,
@@ -132,8 +148,7 @@ def connecting_map(cfg: SncConfiguration, f_fine: int, f_coarse: int,
         fine = extension_complex(cfg, f_fine)
     if coarse is None:
         coarse = extension_complex(cfg, f_coarse)
-    rep = _representatives(coarse.component_orbits + coarse.stratum_orbits)
-    return ChainMap.induced(fine.complex, coarse.complex, rep)
+    return ChainMap.induced(fine.complex, coarse.complex, coarse._rep)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,9 @@ def _orbits(cfg: "SncConfiguration", ids: Sequence[str], f: int) -> list[tuple[s
     Each orbit is read off the cached Frobenius cycle through its first
     member: a cycle x_0, ..., x_{L-1} splits into gcd(f, L) orbits
     x_k, x_{k+f}, x_{k+2f}, ... (indices mod L), so the cost is the
-    orbit lengths, whatever f is.
+    orbit lengths, whatever f is.  When L divides f the orbit is x
+    alone; ``ids`` are distinct, so it is emitted at once and x is not
+    recorded as seen.
     """
     cycles = cfg._frobenius_cycles
     seen: set[str] = set()
@@ -127,6 +129,9 @@ def _orbits(cfg: "SncConfiguration", ids: Sequence[str], f: int) -> list[tuple[s
             continue
         cycle, k = cycles[x]
         length = len(cycle)
+        if not f % length:
+            out.append((x,))
+            continue
         orbit = tuple(cycle[(k + i * f) % length] for i in range(length // gcd(f, length)))
         seen.update(orbit)
         out.append(orbit)

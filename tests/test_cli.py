@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour: exit codes, report shape,
 determinism, and the failure modes that must name their objects."""
 
+import errno
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -362,6 +364,63 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "rulings"
+
+
+class _FailingStdout:
+    """A stdout whose ``write`` (or, with ``on_flush``, whose ``flush``)
+    raises ``error``, and which has no file descriptor."""
+
+    def __init__(self, error: OSError, on_flush: bool = False):
+        self.error = error
+        self.on_flush = on_flush
+
+    def write(self, text: str) -> int:
+        if not self.on_flush:
+            raise self.error
+        return len(text)
+
+    def flush(self) -> None:
+        if self.on_flush:
+            raise self.error
+
+
+@pytest.mark.parametrize("on_flush", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [["--json"], []], ids=["json", "text"])
+def test_failed_report_write_exits_one(capsys, monkeypatch, rulings_path, argv, on_flush):
+    """A closed pipe ends the run with status 1 and no message; any
+    other write error with status 1 and the error on stderr."""
+    full = OSError(errno.ENOSPC, "No space left on device")
+    for error, message in ((BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+                           (full, "error: [Errno 28] No space left on device\n")):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(error, on_flush))
+        assert main(["dual-complex", rulings_path] + argv) == 1
+        assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv", [["homology", "--degree", "0", "--json"], ["validate"]],
+                         ids=["report", "summary"])
+def test_console_write_failures_leave_no_traceback(tmp_path, argv):
+    """``snckit ... | head`` and ``snckit ... > /dev/full`` exit 1 with at
+    most one line on stderr, and the interpreter reports nothing at
+    exit: a report larger than the stream buffer fails in ``write``, a
+    summary line in the flush."""
+    path = tmp_path / "cover.json"
+    with open(path, "w") as fh:
+        subprocess.run([sys.executable, "-m", "snckit.cli", "example", "fermat",
+                        "--n", "200", "--cover"], stdout=fh, check=True)
+    command = [sys.executable, "-m", "snckit.cli", argv[0], str(path)] + argv[1:]
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: [Errno 28] No space left on device\n")
 
 
 def _rebind(monkeypatch, original, wrapper):
