@@ -469,20 +469,24 @@ def main(argv=None) -> int:
         return 1
     if args.json and payload is not None:
         report = {"command": args.command, "input_digest": digest, "results": payload}
-        return _write(json_text(report) + "\n")
-    return _write("".join(line + "\n" for line in lines))
+        lines = [json_text(report)]
+    return _write(lines)
 
 
-def _write(text: str) -> int:
-    """Write ``text`` to stdout: 0, or 1 when the write fails.  A closed
-    pipe (a reader such as ``head`` that has stopped) fails silently,
-    any other error with ``error: ...`` on stderr.  The standard stream
-    still holds the unwritten text, which the interpreter would flush
-    again at exit and report as an ignored exception, so its file
-    descriptor is pointed at the null device first."""
+def _write(lines: list[str]) -> int:
+    """Write each line and a newline after it to stdout, as ``print``
+    does, without copying a long report: 0, or 1 when the write fails.
+    A closed pipe (a reader such as ``head`` that has stopped) fails
+    silently, any other error with ``error: ...`` on stderr.  The
+    standard stream still holds the unwritten text, which the
+    interpreter would flush again at exit and report as an ignored
+    exception, so its file descriptor is pointed at the null device
+    first."""
     out = sys.stdout
     try:
-        out.write(text)
+        for line in lines:
+            out.write(line)
+            out.write("\n")
         out.flush()
     except OSError as exc:
         try:
