@@ -255,10 +255,6 @@ class FgAbelianGroup:
         """The largest invariant factor when the group is finite (1 when
         it is trivial), so that it times Z^n lies in the relation
         lattice; 0 when the group has a free part."""
-        # without relations the group is free, and this spares reading
-        # the SNF
-        if self.relations.is_zero():
-            return 0 if self.generator_count else 1
         iso = self.iso_type()
         if iso.rank:
             return 0

@@ -1,25 +1,25 @@
 """Simplicial homology of Δ-complexes over Z and Z/n, exactly.
 
-Integral homology in degree a is presented on a basis of the kernel of
-the boundary, with one relation per (a+1)-simplex; in degree 0 that
-basis is the identity and the relations are d_1 itself.  Everything
-over Z comes from one Smith form u·d_a·v = D, eliminated on sparse
-rows built from the facets (no dense boundary): the basis is the
-columns of v past the rank, and the relations, and the coordinates of
-any cycle that an induced map writes on the basis, are the rows past
-the rank of v⁻¹ applied to it, replayed from the column log.  No
-second form is eliminated for the cycle basis, and the result keeps
-the form of d_a for its induced maps.  Mod-n homology is read off the
-same form and the relation form of H_a by the universal coefficient
-theorem: the diagonal entries above 1 of D are the torsion
-coefficients of H_{a-1}, and the columns of v inside the rank lift
-them (see ``_mod_n``).  So no boundary of lower degree is eliminated,
-no matrix is stacked with n·I, and the coordinates of a chain mod n,
-which an induced map over Z/n writes, come from the same replay of
-v⁻¹ with no elimination either.  The tests compare it with Z/n
-homology computed from its own presentation (``tests/zn_reference.py``),
-so the universal-coefficient checks there are a real cross-check and
-not a tautology.
+One reader serves both rings: Z is the case n = 0 of Z/n, and H_a is
+presented on one generator per cyclic summand, with diagonal
+relations.  Everything comes from one Smith form u·d_a·v = D,
+eliminated on sparse rows built from the facets (no dense boundary).
+The columns of v past the rank are a basis of the cycles, and the
+relations of H_a over Z on that basis (``HomologyResult._cycle_group``)
+are the rows past the rank of v⁻¹·d_{a+1}, replayed from the column
+log; no second form is eliminated for the cycle basis.  By the
+universal coefficient theorem, H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕
+Tor(H_{a-1}(X), Z/n): the Smith generators of that group give the ⊗
+part, and the diagonal entries above 1 of D, which are the torsion
+coefficients of H_{a-1}, give the Tor part, lifted by the columns of v
+inside the rank (see ``homology_group``).  With n = 0, gcd(t, 0) = t,
+so the ⊗ part is H_a itself on its Smith generators, and Tor(-, Z) = 0.
+So no boundary of lower degree is eliminated, no matrix is stacked with
+n·I, and the coordinates of a cycle, which an induced map writes, come
+from the same replay of v⁻¹ with no elimination either.  The tests
+compare it with Z/n homology computed from its own presentation
+(``tests/zn_reference.py``), so the universal-coefficient checks there
+are a real cross-check and not a tautology.
 
 ``oracle_homology`` is a deliberately separate code path: plain
 Gaussian elimination over a prime field, sharing nothing with the
@@ -38,6 +38,7 @@ from .groups import FgAbelianGroup, ModuleMap, is_prime
 from .matrices import (
     IntMatrix,
     SnfDecomposition,
+    _combination,
     _cycle_coordinates,
     _from_columns,
     _from_rows,
@@ -69,9 +70,9 @@ class HomologyResult:
     modulus: int | None
     group: FgAbelianGroup
     cycle_matrix: IntMatrix
-    # the Smith form of d_a (of the augmentation in reduced degree 0)
-    # that gave the integral cycles, and H_a over Z presented on them
-    # (``group`` itself over Z)
+    # the Smith form of d_a (of the augmentation in reduced degree 0),
+    # and H_a over Z presented on the basis of its kernel, one relation
+    # per (a+1)-simplex
     _boundary_form: SnfDecomposition = field(repr=False, compare=False)
     _cycle_group: FgAbelianGroup = field(repr=False, compare=False)
 
@@ -90,22 +91,20 @@ class HomologyResult:
 
         The coordinates w = v⁻¹·x of a chain x on the columns of v say
         whether it is a cycle (mod n, d_i·w_i ≡ 0 for every i below the
-        rank).  Over Z the rows of w past the rank are its coordinates.
-        Over Z/n those rows times the Smith rows of H_a give its H_a ⊗
-        Z/n part, and w_i / (n/g) its coordinate on the Tor summand Z/g
-        of diagonal entry i (see ``_mod_n``); each is reduced modulo its
-        summand's order, which makes it unique."""
-        s, n = self._boundary_form, self.modulus
-        w = _cycle_coordinates(s, _sparse_rows(chains), n or 0)
+        rank).  The Smith rows of ``_cycle_group`` times the rows of w
+        past the rank give the H_a ⊗ Z/n part, and w_i / (n/g) the
+        coordinate on the Tor summand Z/g of diagonal entry i (see
+        ``homology_group``); each is reduced modulo its summand's order
+        g, which makes it unique, and is exact when g = 0 (a free
+        summand over Z)."""
+        s, n = self._boundary_form, self.modulus or 0
+        w = _cycle_coordinates(s, _sparse_rows(chains), n)
         if w is None:
             raise ValueError("chain is not a cycle for these coefficients")
-        k = chains.cols
-        kernel = _from_rows(w[s.rank:], k)
-        if n is None:
-            return kernel
-        gcds = [gcd(t, n) for t in self._cycle_group._smith_rows()[2]]
-        rows = [[x % g for x in row]
-                for g, row in zip(gcds, self._cycle_group._reduced(kernel)) if g > 1]
+        k, group = chains.cols, self._cycle_group
+        gcds = [gcd(t, n) for t in group._smith_rows()[2]]
+        rows = [[x % g for x in row] if g else row
+                for g, row in zip(gcds, group._reduced(_from_rows(w[s.rank:], k))) if g != 1]
         rows += [[w[i].get(j, 0) // (n // g) % g for j in range(k)] for i, g in _tor_summands(s, n)]
         return IntMatrix._of(len(rows), k, [x for row in rows for x in row])
 
@@ -120,98 +119,74 @@ def _boundary_rows(cx: DeltaComplex, a: int, reduced: bool) -> list[dict[int, in
     return cx._boundary_rows(a)
 
 
-def _integral(cx: DeltaComplex, a: int, reduced: bool
-              ) -> tuple[SnfDecomposition, list[dict[int, int]], IntMatrix, FgAbelianGroup]:
-    """The Smith form u·d_a·v = D of d_a, the columns of v inside its
-    rank as sparse dicts, the basis of its kernel (the columns past the
-    rank), and H_a over Z presented on that basis, one relation per
-    (a+1)-simplex.
-
-    The relations are the coordinates of d_{a+1} on the basis: since
-    d_a·d_{a+1} = 0, the first rank rows of v⁻¹·d_{a+1} vanish and the
-    rest are those coordinates, read by replaying the column log on the
-    sparse rows of d_{a+1}.  The basis is saturated, so they are the
-    unique solution, and no second form is eliminated.  In degree 0,
-    d_0 has no rows, its form logs no operation, and the relations are
-    d_1 itself."""
-    width = len(cx.simplices(a))
-    s = _snf_rows(_boundary_rows(cx, a, reduced), width)
-    relations = _cycle_coordinates(s, cx._boundary_rows(a + 1))
-    if relations is None:
-        raise WellDefinednessError("a boundary is not a cycle")
-    group = FgAbelianGroup(width - s.rank,
-                           _from_rows(relations[s.rank:], len(cx.simplices(a + 1))))
-    columns = _v_columns(s)
-    return s, columns[:s.rank], _from_columns(columns[s.rank:], width), group
-
-
-def _smith_cycles(cycles: IntMatrix, group: FgAbelianGroup,
-                  n: int) -> tuple[list[int], IntMatrix]:
-    """The gcds g = gcd(t, n) > 1 over the orders t of the Smith
-    generators of ``group`` (0 when free) and, as the columns of a
-    matrix, the cycles of those generators: the torsion ones in
-    divisibility order, then the free ones."""
-    s = group.relation_snf()
-    orders = s.diagonal + (0,) * (group.generator_count - len(s.diagonal))
-    picked = [(i, g) for i, g in enumerate(gcd(t, n) for t in orders) if g > 1]
-    # generator i of the Smith form is column i of u_inv, read without
-    # building u_inv
-    generators = IntMatrix.from_columns([_smith_vector(s, i, column=True) for i, _ in picked],
-                                        rows=group.generator_count)
-    return [g for _, g in picked], cycles @ generators
-
-
 def _tor_summands(s: SnfDecomposition, n: int) -> list[tuple[int, int]]:
     """The pairs (i, g) with g = gcd(d_i, n) > 1 over the nonzero
     diagonal entries d_i of the form ``s`` of d_a, in order: the Tor
-    summands Z/g of H_a(X; Z/n) (see ``_mod_n``)."""
-    return [(i, g) for i, g in enumerate(gcd(t, n) for t in s.diagonal[:s.rank]) if g > 1]
-
-
-def _mod_n(cx: DeltaComplex, a: int, n: int, reduced: bool) -> HomologyResult:
-    """H_a with Z/n coefficients by the universal coefficient theorem,
-    H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕ Tor(H_{a-1}(X), Z/n), on one generator
-    per summand of order above 1, with diagonal relations, read off the
-    Smith form u·d_a·v = D of d_a and the relation form of H_a alone.
-
-    A Smith generator z of H_a of order t (0 when free) gives Z/gcd(t, n),
-    represented by z.  The sequence 0 -> H_{a-1} -> coker d_a ->
-    C_{a-1}/Z_{a-1} -> 0 splits, since the quotient embeds in the free
-    C_{a-2}, so the torsion of H_{a-1} is that of coker d_a: the
-    diagonal entries t > 1 of D are its coefficients, and column i of
-    u⁻¹ is a cycle z of order t = d_i.  Since d_a·v = u⁻¹·D, column i of
-    v is a chain c with ∂c = t·z, so t with g = gcd(t, n) > 1 gives Z/g,
-    represented by (n/g)·c: the Bockstein H_a(X; Z/n) -> H_{a-1}(X)
-    sends it to (t/g)·z, of order g.  H_{a-1} is never computed and
-    nothing is solved.  Representatives are reduced into [0, n).
-    """
-    s, lifts, cycles, group = _integral(cx, a, reduced)
-    gcds, reps = _smith_cycles(cycles, group, n)
-    tor = _tor_summands(s, n)
-    reps = reps.hstack(_from_columns([{k: n // g * x for k, x in lifts[i].items()}
-                                      for i, g in tor], cycles.rows))
-    gcds += [g for _, g in tor]
-    reps = IntMatrix._of(reps.rows, reps.cols, [x % n for x in reps._entries])
-    return HomologyResult(cx, a, n, FgAbelianGroup(len(gcds), IntMatrix.diagonal(gcds)), reps,
-                          s, group)
+    summands Z/g of H_a(X; Z/n) (see ``homology_group``).  Over Z (n = 0)
+    there are none: gcd(d_i, 0) = d_i, but Tor(-, Z) = 0, and no g has
+    1 < g <= 0."""
+    return [(i, g) for i, g in enumerate(gcd(t, n) for t in s.diagonal[:s.rank]) if 1 < g <= n]
 
 
 def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
                    reduced: bool = False) -> HomologyResult:
     """H_a of the complex with Z (modulus None) or Z/modulus
-    coefficients.  Degrees above the dimension give the trivial group.
+    coefficients, on one generator per cyclic summand of order other
+    than 1, with diagonal relations.  Degrees above the dimension give
+    the trivial group.
 
     With ``reduced`` the degree-0 boundary is replaced by the
     augmentation, so H̃_0 counts components minus one.
+
+    Z is the case n = 0.  By the universal coefficient theorem,
+    H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕ Tor(H_{a-1}(X), Z/n), and both parts
+    are read off the Smith form u·d_a·v = D of d_a and the relation form
+    of H_a over Z on the kernel basis of d_a (the columns of v past the
+    rank; its relations are the rows past the rank of v⁻¹·d_{a+1}, which
+    vanish inside the rank since d_a·d_{a+1} = 0).
+
+    A Smith generator z of H_a of order t (0 when free) gives
+    Z/gcd(t, n), represented by z: torsion first, in divisibility
+    order, then free.  Over Z that is H_a itself.  The sequence
+    0 -> H_{a-1} -> coker d_a -> C_{a-1}/Z_{a-1} -> 0 splits, since the
+    quotient embeds in the free C_{a-2}, so the torsion of H_{a-1} is
+    that of coker d_a: the diagonal entries t > 1 of D are its
+    coefficients, and column i of u⁻¹ is a cycle z of order t = d_i.
+    Since d_a·v = u⁻¹·D, column i of v is a chain c with ∂c = t·z, so t
+    with g = gcd(t, n) > 1 gives Z/g, represented by (n/g)·c: the
+    Bockstein H_a(X; Z/n) -> H_{a-1}(X) sends it to (t/g)·z, of order
+    g.  H_{a-1} is never computed and nothing is solved.  Each
+    representative is a sparse combination of columns of v, reduced
+    into [0, n) over Z/n.  The group's relations are the diagonal of the
+    orders, in Smith form over Z, and over Z/n unless a Tor summand
+    breaks the divisibility chain, so describing it then eliminates
+    nothing (see ``matrices.snf``).
     """
     if a < 0:
         raise ValueError("degree must be nonnegative")
     if modulus is not None and modulus < 2:
         raise ValueError("modulus must be at least 2")
-    if modulus is not None:
-        return _mod_n(cx, a, modulus, reduced)
-    s, _, cycles, group = _integral(cx, a, reduced)
-    return HomologyResult(cx, a, None, group, cycles, s, group)
+    n = modulus or 0
+    width = len(cx.simplices(a))
+    s = _snf_rows(_boundary_rows(cx, a, reduced), width)
+    relations = _cycle_coordinates(s, cx._boundary_rows(a + 1))
+    if relations is None:
+        raise WellDefinednessError("a boundary is not a cycle")
+    cycle_group = FgAbelianGroup(width - s.rank,
+                                 _from_rows(relations[s.rank:], len(cx.simplices(a + 1))))
+    form = cycle_group.relation_snf()
+    orders = form.diagonal + (0,) * (cycle_group.generator_count - len(form.diagonal))
+    summands = [(i, g) for i, g in enumerate(gcd(t, n) for t in orders) if g != 1]
+    columns = _v_columns(s)
+    # generator i of the Smith form is column i of its u⁻¹, read without
+    # building u⁻¹
+    reps = [_combination(columns[s.rank:], _smith_vector(form, i, column=True, modulus=n), n)
+            for i, _ in summands]
+    tor = _tor_summands(s, n)
+    reps += [_combination([columns[i]], [n // g], n) for i, g in tor]
+    orders = [g for _, g in summands + tor]
+    return HomologyResult(cx, a, modulus, FgAbelianGroup(len(orders), IntMatrix.diagonal(orders)),
+                          _from_columns(reps, width), s, cycle_group)
 
 
 def induced_map(f: ChainMap, a: int, modulus: int | None = None,

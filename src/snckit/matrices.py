@@ -16,12 +16,13 @@ entries, so a row operation costs in proportion to the nonzeros it
 reads.  ``snf`` makes that copy and hands it to ``_snf_rows``, the one
 entry that eliminates a whole matrix, which a caller holding sparse
 rows already (homology, with boundaries built from facets) calls
-directly.  Elimination reduces only its rows, whose diagonal the form
-keeps with its shape, and logs its row and column operations.  ``d``
-and each transform are built from those the first time they are read,
-a transform replayed from its log on sparse rows and made dense once;
-it equals, entry for entry, the one that tracking it densely during
-elimination would give.  A solve reads no transform: it replays the
+directly; a copy in Smith form already is its own form, with empty
+logs, and is not eliminated.  Elimination reduces only its rows, whose
+diagonal the form keeps with its shape, and logs its row and column
+operations.  ``d`` and each transform are built from those the first
+time they are read, a transform replayed from its log on sparse rows
+and made dense once; it equals, entry for entry, the one that tracking
+it densely during elimination would give.  A solve reads no transform: it replays the
 row log on the sparse rows of its right-hand side and the column log
 on those of the solution.  Coordinates on the columns of ``v``, which
 ``_v_columns`` reads off a form (those past the rank span its kernel),
@@ -372,6 +373,17 @@ def _from_columns(columns: list[dict[int, int]], rows: int) -> IntMatrix:
     return IntMatrix._of(rows, width, entries)
 
 
+def _combination(columns: list[dict[int, int]], coefficients: Sequence[int],
+                 modulus: int = 0) -> dict[int, int]:
+    """The sum of the sparse ``columns`` times their ``coefficients``,
+    as a sparse column, reduced into [0, modulus) when a modulus is
+    given and exact when it is 0."""
+    total: dict[int, int] = {}
+    for column, c in zip(columns, coefficients):
+        _add_multiple(total, column, c)
+    return {k: x % modulus for k, x in total.items()} if modulus else total
+
+
 @dataclass(frozen=True)
 class SnfDecomposition:
     """Smith normal form ``u @ a @ v == d`` with unimodular u, v.
@@ -546,8 +558,19 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     of the working block, i.e. ties break by (row, col), and the scan
     stops at the first 1 or -1.  Rows are reduced as sparse dicts, so an
     operation costs in proportion to the nonzeros it reads.
+
+    A matrix in Smith normal form already, such as a group built on its
+    invariant factors, is its own form: elimination would log no
+    operation on it, so none runs.
     """
-    return _snf_rows(_sparse_rows(a), a.cols)
+    rows = _sparse_rows(a)
+    diagonal = tuple(rows[i].get(i, 0) for i in range(min(a.rows, a.cols)))
+    # every nonzero on the diagonal, each entry nonnegative and dividing
+    # the next (gcd(x, y) == x), and zeros trailing (0 divides only 0)
+    if (sum(map(len, rows)) == len(diagonal) - diagonal.count(0)
+            and all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
+        return SnfDecomposition(diagonal, (a.rows, a.cols), (), ())
+    return _snf_rows(rows, a.cols)
 
 
 def _snf_rows(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:

@@ -613,21 +613,24 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 # matrix reduced (rows, cols), peak entry bit length over u, d, v, u_inv
 # and v_inv of every SNF).  An extension of the SNF of a by columns b
 # reduces [d | c], c the Smith coordinates of b, so its shape is that of
-# [a | b].  Z homology in degree 1 eliminates d_1 and its own relation
-# matrix, whose rows it reads off the form of d_1; Z/6 homology in degree
-# 1 eliminates those two and the 1 x 1 diagonal of its own presentation;
-# H_0 is free, so degree 0 adds none.  Z/6 homology in degree 4 of the
-# 3-fold suspension of the 6-cycle eliminates d_4 (120 x 48), its
-# relations and its 1 x 1 diagonal, and no form of d_3 (116 x 120):
-# every invariant factor of d_4 is 1, so H_3 has no torsion to meet 6.
-# A change may lower these counts and pin the lower values; none may
-# rise.
+# [a | b].  Homology eliminates the form of d_a and the relation matrix
+# of H_a on the kernel basis, whose rows it reads off that form, and no
+# matrix that is in Smith form already: a relation matrix with no
+# nonzero entry, and its own diagonal presentation whenever the orders
+# make a divisibility chain.  On the 50-cover H_1 has no relations (the
+# complex is a graph) and its presentation is Z over Z and Z/6 over Z/6,
+# so both rings eliminate d_1 alone, and so does every H_1 of a kernel
+# run.  Z/6 homology in degree 4 of the 3-fold suspension of the 6-cycle
+# eliminates d_4 (120 x 48) alone, and no form of d_3 (116 x 120): H_4
+# has no relations, and every invariant factor of d_4 is 1, so H_3 has
+# no torsion to meet 6.  A change may lower these counts and pin the
+# lower values; none may rise.
 SNF_WORK = {
-    "cover-50": (["homology"], 2, 0, (100, 100), 1),
-    "cover-50-z6": (["homology", "--coeff", "z/6"], 3, 0, (100, 100), 3),
-    "dense-12": (["kernel", "--ell", "3"], 6, 4, (12, 25), 306),
-    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 10, 12, (24, 50), 32948),
-    "suspension-3-z6": (["homology", "--degree", "4", "--coeff", "z/6"], 3, 0, (120, 48), 3),
+    "cover-50": (["homology"], 1, 0, (100, 100), 1),
+    "cover-50-z6": (["homology", "--coeff", "z/6"], 1, 0, (100, 100), 1),
+    "dense-12": (["kernel", "--ell", "3"], 4, 4, (12, 25), 306),
+    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 6, 12, (24, 50), 32948),
+    "suspension-3-z6": (["homology", "--degree", "4", "--coeff", "z/6"], 1, 0, (120, 48), 1),
 }
 DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 

@@ -7,7 +7,9 @@ map stopped building its base level twice and before the Smith normal
 form began replaying its transforms from a log.  The three
 ``homology-z6`` reports were produced when Z/n homology began to be read
 off the integral Smith forms by the universal coefficient theorem, with
-one representative per summand.  Any change to a report byte is a
+one representative per summand.  ``rulings.homology-z0`` was produced
+when Z homology began to be presented the same way, one generator per
+summand; before, H_0 = Z was presented on all four vertices.  Any change to a report byte is a
 behaviour change, not a refactor.  Never regenerate them to make this test pass.
 """
 
@@ -49,6 +51,7 @@ CASES += [
     ("fermat4-cover.norm-f1.out.json", ["norm", "fermat4-cover.json", "--f", "1"]),
     ("fermat4-cover.homology-z6.out.json",
      ["homology", "fermat4-cover.json", "--coeff", "z/6"]),
+    ("rulings.homology-z0.out.json", ["homology", "rulings.json", "--degree", "0"]),
     ("swap.kernel-sweep2.out.json", ["kernel", "swap.json", "--sweep", "2", "--ell", "3"]),
     ("coned.kernel-sweep3.out.json", ["kernel", "coned.json", "--sweep", "3", "--ell", "3"]),
 ]
@@ -88,12 +91,14 @@ Z6_HASHES = {
 }
 
 
-def _z6_document(capsys, tmp_path, doc: str) -> str:
+def _document(capsys, tmp_path, doc: str) -> str:
     kind, size = doc.split("-")
     path = tmp_path / f"{doc}.json"
     if kind == "cover":
         assert main(["example", "fermat", "--n", size, "--cover"]) == 0
         path.write_text(capsys.readouterr().out)
+    elif kind == "moore":
+        path.write_text(json.dumps(moore_document(int(size))))
     else:
         path.write_text(json.dumps(suspension_document(int(size))))
     return str(path)
@@ -102,7 +107,7 @@ def _z6_document(capsys, tmp_path, doc: str) -> str:
 @pytest.mark.parametrize("doc,flags", sorted(Z6_HASHES),
                          ids=[f"{d}{''.join(f)}" for d, f in sorted(Z6_HASHES)])
 def test_z6_report_hash_is_pinned(capsys, tmp_path, doc, flags):
-    path = _z6_document(capsys, tmp_path, doc)
+    path = _document(capsys, tmp_path, doc)
     assert main(["homology", path, *flags, "--coeff", "z/6", "--json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == Z6_HASHES[doc, flags]
@@ -130,6 +135,28 @@ def test_moore_report_hash_is_pinned(capsys, tmp_path, degree, coeff):
     assert main(["homology", str(path), "--degree", degree, "--coeff", coeff, "--json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == MOORE_HASHES[degree, coeff]
+
+
+# sha256 of ``homology --json`` over Z in the given degree, taken when Z
+# homology began to be presented on one Smith generator per summand, as
+# Z/n homology was.  Before, each group was presented on the kernel
+# basis of the boundary: Z/4 on 12 generators (the Moore complex in degree 1),
+# the trivial group on 25 boundaries (the double suspension of the
+# 6-cycle in degree 1) and Z on all 200 vertices (the 100-cover in
+# degree 0).
+Z_HASHES = {
+    ("moore-4", "1"): "228dd49e8f84058c4fd4c53e4077e2abc44b717e9890d66fc9f82668724a5f6f",
+    ("suspension-2", "1"): "18567d7b91c0d78c2c263793f16ea5a111fbd1dee846f0669ca6ca80b67bb825",
+    ("cover-100", "0"): "fbb9614e647dfab2107c82f172f5a51dcaa14419f6e7d389a718a21965da6fa7",
+}
+
+
+@pytest.mark.parametrize("doc,degree", sorted(Z_HASHES))
+def test_z_report_hash_is_pinned(capsys, tmp_path, doc, degree):
+    path = _document(capsys, tmp_path, doc)
+    assert main(["homology", path, "--degree", degree, "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == Z_HASHES[doc, degree]
 
 
 # sha256 of ``kernel --ell 2 --ell 3 --ell 5 --json`` on the dense g = 32

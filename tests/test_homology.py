@@ -26,6 +26,13 @@ def class_of(h, chain) -> tuple[int, ...]:
     return h._coordinates(IntMatrix.from_columns([chain], rows=h.cycle_matrix.rows)).col(0)
 
 
+def disjoint_union(x: DeltaComplex, y: DeltaComplex) -> DeltaComplex:
+    """``x`` beside a copy of ``y`` whose ids all gain the prefix y."""
+    copy = [Simplex(f"y{s.id}", tuple(f"y{v}" for v in s.vertices),
+                    tuple(f"y{f}" for f in s.facets)) for s in y.all_simplices()]
+    return DeltaComplex([*x.all_simplices(), *copy])
+
+
 def multigraph():
     return graph_complex(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
 
@@ -52,15 +59,17 @@ class TestHomologyGroup:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 2))
     def test_h0_relations_are_d1(self, seed, max_dim):
-        """In degree 0 the cycle basis is the identity, so H_0 is
-        presented by d_1 itself: the same cycle matrix and relations, entry
-        for entry, as solving for the relations on the kernel basis."""
+        """In degree 0 the cycle basis is the identity, so H_0 on that
+        basis (``_cycle_group``) is presented by d_1 itself: the same
+        relations, entry for entry, as solving for them on the kernel
+        basis.  The reported group has one generator per component."""
         cx = random_complex(random.Random(seed), max_dim=max_dim)
         h = homology_group(cx, 0)
         cycles = kernel_basis(cx.boundary_matrix(0))
-        assert h.cycle_matrix == cycles == IntMatrix.identity(len(cx.simplices(0)))
-        assert h.group.generator_count == cycles.cols
-        assert h.group.relations == solve_matrix(cycles, cx.boundary_matrix(1))
+        assert h._boundary_form.v == cycles == IntMatrix.identity(len(cx.simplices(0)))
+        assert h._cycle_group.generator_count == cycles.cols
+        assert h._cycle_group.relations == solve_matrix(cycles, cx.boundary_matrix(1))
+        assert h.group.generator_count == h.group.free_rank == oracle_homology(cx, 0, 2)
 
     def test_suspension_of_four_cycle_mod_6(self):
         s = suspend(cycle_complex(4), "O", "inf")
@@ -196,24 +205,38 @@ class TestInducedMap:
 
 
 class TestReadOffTheBoundaryForm:
-    """Over Z the relations of H_a and the coordinates of a cycle are
-    read off the Smith form of d_a; a solve against the cycle basis,
-    which eliminated a second form, is the oracle."""
+    """Over Z the relations of H_a on the kernel basis of d_a and the
+    coordinates of a cycle are read off the Smith form of d_a; a solve
+    against that basis, which eliminated a second form, is the oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
     def test_matches_a_solve_on_the_cycle_basis(self, seed, reduced):
+        """``_cycle_group`` is H_a presented on the columns of v past the
+        rank, with the relations a solve finds for d_{a+1} on them.  The
+        coordinates of a cycle x on the reported generators write the
+        class of its kernel coordinates: x minus the representatives
+        times its coordinates is a relation of ``_cycle_group``, and
+        each coordinate on a torsion generator is reduced below its
+        order."""
         rng = random.Random(seed)
         cx = random_complex(rng, max_vertices=7)
         for a in range(cx.dimension + 2):
             h = homology_group(cx, a, reduced=reduced)
-            cycles, d_next = h.cycle_matrix, cx.boundary_matrix(a + 1)
-            assert h.group.relations == solve_matrix(cycles, d_next)
+            s, d_next = h._boundary_form, cx.boundary_matrix(a + 1)
+            cycles = IntMatrix.from_columns([s.v.col(j) for j in range(s.rank, s.shape[1])],
+                                            rows=s.shape[1])
+            assert h._cycle_group.relations == solve_matrix(cycles, d_next)
             coeffs = IntMatrix(cycles.cols, 3,
                                [rng.randint(-4, 4) for _ in range(3 * cycles.cols)])
             fill = IntMatrix(d_next.cols, 3, [rng.randint(-4, 4) for _ in range(3 * d_next.cols)])
             chains = cycles @ coeffs + d_next @ fill
-            assert h._coordinates(chains) == solve_matrix(cycles, chains)
+            coordinates = h._coordinates(chains)
+            reps = solve_matrix(cycles, h.cycle_matrix)
+            assert not h._cycle_group._outside(solve_matrix(cycles, chains) - reps @ coordinates)
+            orders = h.group.relations.diagonal_entries()
+            assert all(0 <= coordinates[i, j] < t or t == 0
+                       for i, t in enumerate(orders) for j in range(3))
             d_a = cx.augmentation_matrix() if a == 0 and reduced else cx.boundary_matrix(a)
             outside = [j for j in range(d_a.cols) if any(d_a.col(j))]
             if outside:
@@ -386,12 +409,14 @@ class TestModNMatchesReference:
 
     def test_snf_work_is_that_of_integral_homology(self, monkeypatch):
         """Z/n homology in degree a eliminates exactly what Z homology in
-        degree a eliminates (the form of d_a and the relation form of
-        H_a), plus the k x k diagonal of its own presentation: its Tor
-        summands are read off the form of d_a, so no form of d_{a-1} is
-        eliminated, even where the torsion of H_{a-1} meets n.  Nothing
-        it eliminates is wider than d_a or d_{a+1}, which the n·I route
-        exceeds whenever d_{a+1} has columns."""
+        degree a eliminates (the form of d_a, and the relation form of
+        H_a on the kernel basis unless it is in Smith form already),
+        plus the k x k diagonal of its own presentation when that is not
+        in Smith form, which needs a Tor summand after the H_a ⊗ Z/n
+        part.  Its Tor summands are read off the form of d_a, so no form
+        of d_{a-1} is eliminated, even where the torsion of H_{a-1}
+        meets n.  Nothing it eliminates is wider than d_a or d_{a+1},
+        which the n·I route exceeds whenever d_{a+1} has columns."""
         from snckit import matrices
 
         from test_cli import _rebind
@@ -414,15 +439,23 @@ class TestModNMatchesReference:
         cases = [suspend(cycle_complex(4), "O", "inf"), cycle_complex(6), moore_complex(4),
                  suspend(moore_complex(6), "N", "S")]
         cases += [random_complex(rng, max_vertices=6) for _ in range(6)]
+        # H_2 = Z and H_1 = Z/2: over Z/4 and Z/6 the orders of H_2 are
+        # n, then the Tor summand's 2, which is no divisibility chain
+        cases.append(disjoint_union(cases[0], moore_complex(2)))
         seen = {}
         for index, cx in enumerate(cases):
             for a in range(cx.dimension + 2):
                 for n, reduced in ((4, False), (6, False), (6, True)):
                     got = recorded(lambda: homology_group(cx, a, n, reduced).group.iso_type())
-                    k = homology_group(cx, a, n, reduced).group.generator_count
+                    orders = homology_group(cx, a, n, reduced).group.relations.diagonal_entries()
+                    k = len(orders)
                     expected = recorded(
                         lambda: homology_group(cx, a, reduced=reduced).group.iso_type())
-                    assert got == sorted(expected + [(k, k)]), (cx, a, n)
+                    chain = all(y % x == 0 for x, y in zip(orders, orders[1:]))
+                    assert got == sorted(expected + [(k, k)] * (not chain)), (cx, a, n)
+                    iso = homology_group(cx, a, reduced=reduced).group.iso_type()
+                    tensor = iso.rank + sum(1 for t in iso.torsion if gcd(t, n) > 1)
+                    assert chain or k > tensor, (cx, a, n)
                     widest = max(cx.boundary_matrix(b).cols for b in (a, a + 1))
                     assert max(cols for _, cols in got) <= widest
                     old = recorded(lambda: homology_mod_n(cx, a, n, reduced))
@@ -436,6 +469,33 @@ class TestModNMatchesReference:
         for n in (4, 6):
             assert homology_group(moore, 2, n).group.invariant_factors == (gcd(4, n),)
             assert (4, 15) not in seen[2, 2, n, False]
+        union = cases[-1]
+        for n in (4, 6):
+            assert homology_group(union, 2, n).group.relations.diagonal_entries() == (n, 2)
+            assert (2, 2) in seen[len(cases) - 1, 2, n, False]
+
+
+class TestOneGeneratorPerSummand:
+    @given(complexes(), st.sampled_from([None, 2, 3, 4, 6]), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_generators_are_minimal_cycles(self, cx, n, reduced):
+        """Over Z and over Z/n alike, one generator per cyclic summand,
+        each represented by a cycle (mod n) whose coordinates are its
+        own unit vector; for a prime n their count is the F_p dimension
+        of the elimination oracle."""
+        for a in range(cx.dimension + 2):
+            h = homology_group(cx, a, n, reduced)
+            iso = h.group.iso_type()
+            k = h.group.generator_count
+            assert k == len(iso.torsion) + iso.rank
+            assert h.cycle_matrix.cols == k
+            d_a = cx.augmentation_matrix() if reduced and a == 0 else cx.boundary_matrix(a)
+            image = d_a @ h.cycle_matrix
+            assert all(x % n == 0 for x in image._entries) if n else image.is_zero()
+            assert h._coordinates(h.cycle_matrix) == IntMatrix.identity(k)
+            if n is not None and is_prime(n):
+                assert iso.rank == 0
+                assert len(iso.torsion) == oracle_homology(cx, a, n) - (reduced and a == 0)
 
 
 class TestSuspensionIsomorphism:

@@ -18,6 +18,7 @@ from snckit.matrices import (
     _eliminate,
     _least_pivot,
     _smith_vector,
+    _snf_rows,
     _sparse_rows,
     in_column_span,
     kernel_basis,
@@ -151,6 +152,32 @@ class TestSnf:
         theirs = smith_normal_form(sympy.Matrix(m.rows, m.cols, flat))
         sd = [abs(int(theirs[i, i])) for i in range(min(m.rows, m.cols))]
         assert ours == [d for d in sd if d != 0]
+
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 12, -2]), max_size=4),
+           st.integers(0, 2), st.integers(0, 2), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example([1, 2, 12, 0], 1, 0, False)
+    @example([2, 2], 0, 2, False)
+    @example([2, 2], 0, 2, True)
+    @example([], 2, 0, False)
+    def test_a_smith_form_is_its_own_form(self, values, extra_rows, extra_cols, off_diagonal):
+        """``snf`` of a diagonal matrix, with an entry off the diagonal
+        or not, equals the form ``_snf_rows`` eliminates, and it
+        eliminates exactly when that logs an operation: a matrix in
+        Smith form already is its own form."""
+        from test_cli import _rebind
+
+        rows, cols = len(values) + extra_rows, len(values) + extra_cols
+        entries = list(IntMatrix.diagonal(values, rows, cols)._entries)
+        if off_diagonal and rows * cols > 1:
+            entries[1 if cols > 1 else cols] = 5
+        m = IntMatrix(rows, cols, entries)
+        eliminated = _snf_rows(_sparse_rows(m), m.cols)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            _rebind(patch, _snf_rows, lambda *args: calls.append(args) or eliminated)
+            assert snf(m) == eliminated
+        assert len(calls) == (1 if eliminated.row_log or eliminated.col_log else 0)
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])
