@@ -563,14 +563,13 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     invariant factors, is its own form: elimination would log no
     operation on it, so none runs.
     """
-    rows = _sparse_rows(a)
-    diagonal = tuple(rows[i].get(i, 0) for i in range(min(a.rows, a.cols)))
+    diagonal = a.diagonal_entries()
     # every nonzero on the diagonal, each entry nonnegative and dividing
     # the next (gcd(x, y) == x), and zeros trailing (0 divides only 0)
-    if (sum(map(len, rows)) == len(diagonal) - diagonal.count(0)
+    if (a._entries.count(0) == len(a._entries) - len(diagonal) + diagonal.count(0)
             and all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
         return SnfDecomposition(diagonal, (a.rows, a.cols), (), ())
-    return _snf_rows(rows, a.cols)
+    return _snf_rows(_sparse_rows(a), a.cols)
 
 
 def _snf_rows(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
