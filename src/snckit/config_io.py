@@ -292,6 +292,8 @@ def parse_config(text: str) -> ConfigBundle:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise ValidationError([f"invalid JSON: {exc}"]) from exc
+    except RecursionError as exc:  # arrays or objects nested past the decoder's depth
+        raise ValidationError(["invalid JSON: nested too deeply"]) from exc
     if not isinstance(doc, dict):
         raise ValidationError(["top level: expected an object"])
 

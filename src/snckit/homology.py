@@ -2,12 +2,12 @@
 
 One reader serves both rings: Z is the case n = 0 of Z/n, and H_a is
 presented on one generator per cyclic summand, with diagonal
-relations.  Everything comes from one Smith form u·d_a·v = D,
+relations.  Everything comes from the Smith form u·d_a·v = D,
 eliminated on sparse rows built from the facets (no dense boundary).
 The columns of v past the rank are a basis of the cycles, and the
-relations of H_a over Z on that basis (``HomologyResult._cycle_group``)
-are the rows past the rank of v⁻¹·d_{a+1}, replayed from the column
-log; no second form is eliminated for the cycle basis.  By the
+relations of H_a over Z on it are the rows past the rank of
+v⁻¹·d_{a+1}, replayed from the column log and put in Smith form as
+they are, sparse rows (``HomologyResult._cycle_form``).  By the
 universal coefficient theorem, H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕
 Tor(H_{a-1}(X), Z/n): the Smith generators of that group give the ⊗
 part, and the diagonal entries above 1 of D, which are the torsion
@@ -41,7 +41,7 @@ from .matrices import (
     _combination,
     _cycle_coordinates,
     _from_columns,
-    _from_rows,
+    _smith_form,
     _smith_vector,
     _snf_rows,
     _sparse_rows,
@@ -70,11 +70,14 @@ class HomologyResult:
     modulus: int | None
     group: FgAbelianGroup
     cycle_matrix: IntMatrix
-    # the Smith form of d_a (of the augmentation in reduced degree 0),
-    # and H_a over Z presented on the basis of its kernel, one relation
-    # per (a+1)-simplex
+    # the Smith forms of d_a (of the augmentation in reduced degree 0)
+    # and of H_a's relations over Z on its kernel basis, one per
+    # (a+1)-simplex, and the summands (i, g), Z/g (Z when g = 0) on
+    # diagonal entry i of the second form (⊗) and of the first (Tor)
     _boundary_form: SnfDecomposition = field(repr=False, compare=False)
-    _cycle_group: FgAbelianGroup = field(repr=False, compare=False)
+    _cycle_form: SnfDecomposition = field(repr=False, compare=False)
+    _tensor: list[tuple[int, int]] = field(repr=False, compare=False)
+    _tor: list[tuple[int, int]] = field(repr=False, compare=False)
 
     def representative(self, j: int) -> tuple[int, ...]:
         return self.cycle_matrix.col(j)
@@ -91,22 +94,20 @@ class HomologyResult:
 
         The coordinates w = v⁻¹·x of a chain x on the columns of v say
         whether it is a cycle (mod n, d_i·w_i ≡ 0 for every i below the
-        rank).  The Smith rows of ``_cycle_group`` times the rows of w
-        past the rank give the H_a ⊗ Z/n part, and w_i / (n/g) the
-        coordinate on the Tor summand Z/g of diagonal entry i (see
-        ``homology_group``); each is reduced modulo its summand's order
-        g, which makes it unique, and is exact when g = 0 (a free
-        summand over Z)."""
+        rank).  Row i of the u of ``_cycle_form`` combines the rows of w
+        past the rank into the coordinate on the ⊗ summand of diagonal
+        entry i, and w_i / (n/g) is the coordinate on the Tor summand
+        Z/g of diagonal entry i of d_a (see ``homology_group``); each is
+        reduced modulo its summand's order g, which makes it unique, and
+        is exact when g = 0 (a free summand over Z)."""
         s, n = self._boundary_form, self.modulus or 0
         w = _cycle_coordinates(s, _sparse_rows(chains), n)
         if w is None:
             raise ValueError("chain is not a cycle for these coefficients")
-        k, group = chains.cols, self._cycle_group
-        gcds = [gcd(t, n) for t in group._smith_rows()[2]]
-        rows = [[x % g for x in row] if g else row
-                for g, row in zip(gcds, group._reduced(_from_rows(w[s.rank:], k))) if g != 1]
-        rows += [[w[i].get(j, 0) // (n // g) % g for j in range(k)] for i, g in _tor_summands(s, n)]
-        return IntMatrix._of(len(rows), k, [x for row in rows for x in row])
+        k, kernel = chains.cols, w[s.rank:]
+        rows = [_combination(kernel, _smith_vector(self._cycle_form, i), g) for i, g in self._tensor]
+        rows += [{j: x // (n // g) % g for j, x in w[i].items()} for i, g in self._tor]
+        return IntMatrix._of(len(rows), k, [row.get(j, 0) for row in rows for j in range(k)])
 
     def describe(self) -> str:
         return self.group.describe()
@@ -117,15 +118,6 @@ def _boundary_rows(cx: DeltaComplex, a: int, reduced: bool) -> list[dict[int, in
     if a == 0 and reduced:
         return [dict.fromkeys(range(len(cx.simplices(0))), 1)]
     return cx._boundary_rows(a)
-
-
-def _tor_summands(s: SnfDecomposition, n: int) -> list[tuple[int, int]]:
-    """The pairs (i, g) with g = gcd(d_i, n) > 1 over the nonzero
-    diagonal entries d_i of the form ``s`` of d_a, in order: the Tor
-    summands Z/g of H_a(X; Z/n) (see ``homology_group``).  Over Z (n = 0)
-    there are none: gcd(d_i, 0) = d_i, but Tor(-, Z) = 0, and no g has
-    1 < g <= 0."""
-    return [(i, g) for i, g in enumerate(gcd(t, n) for t in s.diagonal[:s.rank]) if 1 < g <= n]
 
 
 def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
@@ -143,7 +135,8 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
     are read off the Smith form u·d_a·v = D of d_a and the relation form
     of H_a over Z on the kernel basis of d_a (the columns of v past the
     rank; its relations are the rows past the rank of v⁻¹·d_{a+1}, which
-    vanish inside the rank since d_a·d_{a+1} = 0).
+    vanish inside the rank since d_a·d_{a+1} = 0), taken from those
+    sparse rows by ``matrices._smith_form``.
 
     A Smith generator z of H_a of order t (0 when free) gives
     Z/gcd(t, n), represented by z: torsion first, in divisibility
@@ -172,21 +165,20 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
     relations = _cycle_coordinates(s, cx._boundary_rows(a + 1))
     if relations is None:
         raise WellDefinednessError("a boundary is not a cycle")
-    cycle_group = FgAbelianGroup(width - s.rank,
-                                 _from_rows(relations[s.rank:], len(cx.simplices(a + 1))))
-    form = cycle_group.relation_snf()
-    orders = form.diagonal + (0,) * (cycle_group.generator_count - len(form.diagonal))
-    summands = [(i, g) for i, g in enumerate(gcd(t, n) for t in orders) if g != 1]
+    form = _smith_form(relations[s.rank:], len(cx.simplices(a + 1)))
+    orders = form.diagonal + (0,) * (width - s.rank - len(form.diagonal))
+    tensor = [(i, g) for i, g in enumerate(gcd(t, n) for t in orders) if g != 1]
+    # over Z (n = 0) there is no Tor summand: no g has 1 < g <= 0
+    tor = [(i, g) for i, g in enumerate(gcd(t, n) for t in s.diagonal[:s.rank]) if 1 < g <= n]
     columns = _v_columns(s)
     # generator i of the Smith form is column i of its u⁻¹, read without
     # building u⁻¹
     reps = [_combination(columns[s.rank:], _smith_vector(form, i, column=True, modulus=n), n)
-            for i, _ in summands]
-    tor = _tor_summands(s, n)
+            for i, _ in tensor]
     reps += [_combination([columns[i]], [n // g], n) for i, g in tor]
-    orders = [g for _, g in summands + tor]
+    orders = [g for _, g in tensor + tor]
     return HomologyResult(cx, a, modulus, FgAbelianGroup(len(orders), IntMatrix.diagonal(orders)),
-                          _from_columns(reps, width), s, cycle_group)
+                          _from_columns(reps, width), s, form, tensor, tor)
 
 
 def induced_map(f: ChainMap, a: int, modulus: int | None = None,

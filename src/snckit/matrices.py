@@ -13,22 +13,22 @@ inverses with ``u @ a @ v`` equal to a nonnegative diagonal matrix
 whose entries form a divisibility chain.  Elimination works on a copy
 of ``a`` held as sparse rows, ``{column: value}`` dicts of the nonzero
 entries, so a row operation costs in proportion to the nonzeros it
-reads.  ``snf`` makes that copy and hands it to ``_snf_rows``, the one
-entry that eliminates a whole matrix, which a caller holding sparse
-rows already (homology, with boundaries built from facets) calls
-directly; a copy in Smith form already is its own form, with empty
-logs, and is not eliminated.  Elimination reduces only its rows, whose
+reads.  ``snf`` hands that copy to ``_smith_form``, as homology
+hands it the relations of H_a: rows in Smith form already are their
+own form, with empty logs, and others go to ``_snf_rows``, the one
+routine that eliminates (homology's boundaries go there directly).
+Elimination reduces only its rows, whose
 diagonal the form keeps with its shape, and logs its row and column
 operations.  ``d`` and each transform are built from those the first
 time they are read, a transform replayed from its log on sparse rows
-and made dense once; it equals, entry for entry, the one that tracking
-it densely during elimination would give.  A solve reads no transform: it replays the
-row log on the sparse rows of its right-hand side and the column log
-on those of the solution.  Coordinates on the columns of ``v``, which
-``_v_columns`` reads off a form (those past the rank span its kernel),
-need no solve at all: ``_cycle_coordinates`` replays the inverted
-column log alone, and the diagonal tells whether each vector is a
-cycle, over Z or modulo n.
+and made dense once, equal entry for entry to the one that tracking
+it densely during elimination would give.  A solve reads no
+transform: it replays the row log on the sparse rows of its
+right-hand side and the column log on those of the solution.
+Coordinates on the columns of ``v``, which ``_v_columns`` reads off a
+form (those past the rank span its kernel), need no solve at all:
+``_cycle_coordinates`` replays the inverted column log alone, and the
+diagonal tells whether each vector is a cycle, over Z or modulo n.
 Pivoting always picks the entry of smallest nonzero absolute value,
 breaking ties by (row, col), in one scan that stops at the first ±1,
 which keeps every run bit-for-bit reproducible.
@@ -557,27 +557,31 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     The pivot is the first entry of minimal |value| in a row-major scan
     of the working block, i.e. ties break by (row, col), and the scan
     stops at the first 1 or -1.  Rows are reduced as sparse dicts, so an
-    operation costs in proportion to the nonzeros it reads.
-
-    A matrix in Smith normal form already, such as a group built on its
-    invariant factors, is its own form: elimination would log no
-    operation on it, so none runs.
+    operation costs in proportion to the nonzeros it reads.  A matrix in
+    Smith normal form already, such as a group built on its invariant
+    factors, is its own form (see ``_smith_form``).
     """
-    diagonal = a.diagonal_entries()
-    # every nonzero on the diagonal, each entry nonnegative and dividing
-    # the next (gcd(x, y) == x), and zeros trailing (0 divides only 0)
-    if (a._entries.count(0) == len(a._entries) - len(diagonal) + diagonal.count(0)
+    return _smith_form(_sparse_rows(a), a.cols)
+
+
+def _smith_form(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
+    """``snf`` of the matrix with ``cols`` columns whose sparse rows are
+    ``rows``.  Rows in Smith form already are their own form, with empty
+    logs, since elimination would log no operation on them; any others
+    ``_snf_rows`` reduces in place."""
+    diagonal = tuple(rows[i].get(i, 0) for i in range(min(len(rows), cols)))
+    # row i holds at most entry i, each diagonal entry is nonnegative and
+    # divides the next (gcd(x, y) == x), and zeros trail (0 divides only 0)
+    if (all(row.keys() <= {i} for i, row in enumerate(rows))
             and all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
-        return SnfDecomposition(diagonal, (a.rows, a.cols), (), ())
-    return _snf_rows(_sparse_rows(a), a.cols)
+        return SnfDecomposition(diagonal, (len(rows), cols), (), ())
+    return _snf_rows(rows, cols)
 
 
 def _snf_rows(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
-    """``snf`` of the matrix with ``cols`` columns whose sparse rows are
-    ``rows``, which elimination reduces in place.  Every full Smith form
-    is made here; a caller that holds a matrix as sparse rows already,
-    such as a boundary built from facets, passes them without a dense
-    round trip."""
+    """The Smith form of the matrix with ``cols`` columns whose sparse
+    rows are ``rows``, reduced in place; every elimination of a whole
+    matrix runs here."""
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
     diagonal = _eliminate(rows, cols, row_log, col_log)

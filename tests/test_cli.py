@@ -83,6 +83,12 @@ class TestExitCodes:
         assert main(["validate", str(bad)]) == 1
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_one(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", str(deep)]) == 1
+        assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
     def test_overlong_decimal_string_names_its_path(self, capsys, tmp_path):
         doc = {"components": [{"id": "A"}],
                "pi1_y0": {"generators": 1, "relations": [["9" * 5000]]}}

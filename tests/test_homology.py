@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from snckit.complexes import ChainMap, DeltaComplex, Simplex, suspend
-from snckit.groups import is_prime
+from snckit.groups import FgAbelianGroup, is_prime
 from snckit.homology import (
     homology_group,
     induced_map,
@@ -60,15 +60,17 @@ class TestHomologyGroup:
     @given(st.integers(0, 10**6), st.integers(0, 2))
     def test_h0_relations_are_d1(self, seed, max_dim):
         """In degree 0 the cycle basis is the identity, so H_0 on that
-        basis (``_cycle_group``) is presented by d_1 itself: the same
-        relations, entry for entry, as solving for them on the kernel
-        basis.  The reported group has one generator per component."""
+        basis is presented by d_1 itself: ``_cycle_form`` is the Smith
+        form of the relations that solving for them on the kernel basis
+        finds, which are d_1 entry for entry.  The reported group has
+        one generator per component."""
         cx = random_complex(random.Random(seed), max_dim=max_dim)
         h = homology_group(cx, 0)
         cycles = kernel_basis(cx.boundary_matrix(0))
         assert h._boundary_form.v == cycles == IntMatrix.identity(len(cx.simplices(0)))
-        assert h._cycle_group.generator_count == cycles.cols
-        assert h._cycle_group.relations == solve_matrix(cycles, cx.boundary_matrix(1))
+        relations = solve_matrix(cycles, cx.boundary_matrix(1))
+        assert relations == cx.boundary_matrix(1)
+        assert h._cycle_form == snf(relations)
         assert h.group.generator_count == h.group.free_rank == oracle_homology(cx, 0, 2)
 
     def test_suspension_of_four_cycle_mod_6(self):
@@ -212,13 +214,13 @@ class TestReadOffTheBoundaryForm:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
     def test_matches_a_solve_on_the_cycle_basis(self, seed, reduced):
-        """``_cycle_group`` is H_a presented on the columns of v past the
-        rank, with the relations a solve finds for d_{a+1} on them.  The
-        coordinates of a cycle x on the reported generators write the
-        class of its kernel coordinates: x minus the representatives
-        times its coordinates is a relation of ``_cycle_group``, and
-        each coordinate on a torsion generator is reduced below its
-        order."""
+        """``_cycle_form`` is the Smith form of H_a presented on the
+        columns of v past the rank, with the relations a solve finds for
+        d_{a+1} on them.  The coordinates of a cycle x on the reported
+        generators write the class of its kernel coordinates: x minus
+        the representatives times its coordinates is a relation of that
+        presentation, and each coordinate on a torsion generator is
+        reduced below its order."""
         rng = random.Random(seed)
         cx = random_complex(rng, max_vertices=7)
         for a in range(cx.dimension + 2):
@@ -226,14 +228,16 @@ class TestReadOffTheBoundaryForm:
             s, d_next = h._boundary_form, cx.boundary_matrix(a + 1)
             cycles = IntMatrix.from_columns([s.v.col(j) for j in range(s.rank, s.shape[1])],
                                             rows=s.shape[1])
-            assert h._cycle_group.relations == solve_matrix(cycles, d_next)
+            relations = solve_matrix(cycles, d_next)
+            assert h._cycle_form == snf(relations)
             coeffs = IntMatrix(cycles.cols, 3,
                                [rng.randint(-4, 4) for _ in range(3 * cycles.cols)])
             fill = IntMatrix(d_next.cols, 3, [rng.randint(-4, 4) for _ in range(3 * d_next.cols)])
             chains = cycles @ coeffs + d_next @ fill
             coordinates = h._coordinates(chains)
             reps = solve_matrix(cycles, h.cycle_matrix)
-            assert not h._cycle_group._outside(solve_matrix(cycles, chains) - reps @ coordinates)
+            cycle_group = FgAbelianGroup(cycles.cols, relations)
+            assert not cycle_group._outside(solve_matrix(cycles, chains) - reps @ coordinates)
             orders = h.group.relations.diagonal_entries()
             assert all(0 <= coordinates[i, j] < t or t == 0
                        for i, t in enumerate(orders) for j in range(3))
@@ -242,6 +246,32 @@ class TestReadOffTheBoundaryForm:
             if outside:
                 with pytest.raises(ValueError, match="not a cycle"):
                     class_of(h, [int(i == outside[0]) for i in range(d_a.cols)])
+
+    @pytest.mark.parametrize("modulus, reduced, want", [
+        (None, False, "Z"), (6, False, "Z/6"), (None, True, "0")], ids=["z", "z6", "reduced"])
+    def test_degree_0_builds_no_quadratic_matrix(self, monkeypatch, modulus, reduced, want):
+        """In degree 0 the relations on the kernel basis are d_1 itself
+        (its V - 1 rows past the augmentation's rank when reduced), V x V
+        on the 360-cycle.  They reach their Smith form as sparse rows, so
+        no ``IntMatrix`` larger than one representative column of V
+        entries is built, and none with V² entries."""
+        cx = cycle_complex(360)
+        sizes = []
+        init, of = IntMatrix.__init__, IntMatrix._of.__func__
+
+        def recording_init(self, rows, cols, entries):
+            init(self, rows, cols, entries)
+            sizes.append(self.rows * self.cols)
+
+        def recording_of(cls, rows, cols, entries):
+            sizes.append(rows * cols)
+            return of(cls, rows, cols, entries)
+
+        monkeypatch.setattr(IntMatrix, "__init__", recording_init)
+        monkeypatch.setattr(IntMatrix, "_of", classmethod(recording_of))
+        h = homology_group(cx, 0, modulus, reduced)
+        assert h.describe() == want
+        assert max(sizes) <= 360
 
 
 class TestOracle:

@@ -16,7 +16,9 @@ from snckit.matrices import (
     SnfDecomposition,
     _continue_snf,
     _eliminate,
+    _from_rows,
     _least_pivot,
+    _smith_form,
     _smith_vector,
     _snf_rows,
     _sparse_rows,
@@ -41,6 +43,28 @@ def matrices_of(entries, max_side: int = 5):
 
 
 matrices = matrices_of(st.integers(-9, 9))
+
+
+@st.composite
+def smith_candidates(draw):
+    """Sparse rows and a column count: random rows, or rows that are
+    almost in Smith form, a diagonal drawn with negative entries, zeros
+    and non-dividing pairs, extra rows or columns and perhaps one entry
+    off the diagonal."""
+    if draw(st.booleans()):
+        cols = draw(st.integers(0, 5))
+        entries = st.integers(-4, 4).filter(bool)
+        return draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entries)
+                             if cols else st.just({}), max_size=5)), cols
+    values = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 12, -2]), max_size=4))
+    rows = [{i: x} if x else {} for i, x in enumerate(values)]
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    cols = len(values) + draw(st.integers(0, 2))
+    if rows and cols > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, cols - 1))
+        if i != j:
+            rows[i][j] = 5
+    return rows, cols
 
 
 class TestIntMatrix:
@@ -153,31 +177,33 @@ class TestSnf:
         sd = [abs(int(theirs[i, i])) for i in range(min(m.rows, m.cols))]
         assert ours == [d for d in sd if d != 0]
 
-    @given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 12, -2]), max_size=4),
-           st.integers(0, 2), st.integers(0, 2), st.booleans())
-    @settings(max_examples=150, deadline=None)
-    @example([1, 2, 12, 0], 1, 0, False)
-    @example([2, 2], 0, 2, False)
-    @example([2, 2], 0, 2, True)
-    @example([], 2, 0, False)
-    def test_a_smith_form_is_its_own_form(self, values, extra_rows, extra_cols, off_diagonal):
-        """``snf`` of a diagonal matrix, with an entry off the diagonal
-        or not, equals the form ``_snf_rows`` eliminates, and it
-        eliminates exactly when that logs an operation: a matrix in
-        Smith form already is its own form."""
+    @given(smith_candidates())
+    @settings(max_examples=200, deadline=None)
+    @example(([{0: 1}, {1: 2}, {2: 12}, {}, {}], 4))
+    @example(([{0: 2}, {1: 2}], 4))
+    @example(([{0: 2, 1: 5}, {1: 2}], 4))
+    @example(([{}, {}], 0))
+    @example(([{0: 1}, {1: -2}], 2))  # a negative diagonal entry
+    @example(([{0: 1, 2: 5}, {1: 2}, {2: 2}], 3))  # one entry off the diagonal
+    @example(([{0: 1}, {}, {2: 2}], 3))  # a zero row between nonzero ones
+    @example(([{0: 2}, {1: 3}], 2))  # a diagonal that is not a divisibility chain
+    @example(([{0: 2}, {1: 4}, {0: 1}], 2))  # more rows than columns
+    def test_a_smith_form_is_its_own_form(self, candidate):
+        """``snf`` of a matrix, and ``_smith_form`` of its sparse rows,
+        equal the form ``_snf_rows`` eliminates from a copy of them, and
+        call it exactly when that logs an operation: rows in Smith form
+        already are their own form."""
         from test_cli import _rebind
 
-        rows, cols = len(values) + extra_rows, len(values) + extra_cols
-        entries = list(IntMatrix.diagonal(values, rows, cols)._entries)
-        if off_diagonal and rows * cols > 1:
-            entries[1 if cols > 1 else cols] = 5
-        m = IntMatrix(rows, cols, entries)
-        eliminated = _snf_rows(_sparse_rows(m), m.cols)
-        calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            _rebind(patch, _snf_rows, lambda *args: calls.append(args) or eliminated)
-            assert snf(m) == eliminated
-        assert len(calls) == (1 if eliminated.row_log or eliminated.col_log else 0)
+        rows, cols = candidate
+        eliminated = _snf_rows([dict(row) for row in rows], cols)
+        for entry, args in ((snf, (_from_rows(rows, cols),)),
+                            (_smith_form, ([dict(row) for row in rows], cols))):
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                _rebind(patch, _snf_rows, lambda *args: calls.append(args) or eliminated)
+                assert entry(*args) == eliminated
+            assert len(calls) == (1 if eliminated.row_log or eliminated.col_log else 0)
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])
