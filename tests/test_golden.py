@@ -9,7 +9,10 @@ form began replaying its transforms from a log.  The three
 off the integral Smith forms by the universal coefficient theorem, with
 one representative per summand.  ``rulings.homology-z0`` was produced
 when Z homology began to be presented the same way, one generator per
-summand; before, H_0 = Z was presented on all four vertices.  Any change to a report byte is a
+summand; before, H_0 = Z was presented on all four vertices.
+``fermat4-cover.extend-f4`` was produced before a split degree (one
+where Frobenius^f fixes every id) began to reuse the geometric complex
+as its quotient, with the identity as its collapse map.  Any change to a report byte is a
 behaviour change, not a refactor.  Never regenerate them to make this test pass.
 """
 
@@ -47,6 +50,7 @@ for _doc in ("rulings", "fermat5"):
     ]
 CASES += [
     ("fermat4-cover.extend-f2.out.json", ["extend", "fermat4-cover.json", "--f", "2"]),
+    ("fermat4-cover.extend-f4.out.json", ["extend", "fermat4-cover.json", "--f", "4"]),
     ("fermat4-cover.norm-f4.out.json", ["norm", "fermat4-cover.json", "--f", "4"]),
     ("fermat4-cover.norm-f1.out.json", ["norm", "fermat4-cover.json", "--f", "1"]),
     ("fermat4-cover.homology-z6.out.json",
