@@ -407,10 +407,15 @@ class ChainMap:
         vertices' positions in the target vertex order.  Every signed
         simplicial map in the package is built here."""
         pos = target._vertex_pos
-        return cls(source, target, {
-            s.id: (image[s.id], sort_parity([pos[image[v]] for v in s.vertices]))
-            for s in source.all_simplices()
-        })
+        layers = source._by_dim
+        # a vertex has one position, and increasing positions are the
+        # identity permutation: both are +1 without a parity count
+        assignment = {v.id: (image[v.id], 1) for v in layers[0]}
+        for layer in layers[1:]:
+            for s in layer:
+                p = [pos[image[v]] for v in s.vertices]
+                assignment[s.id] = (image[s.id], 1 if _increasing(p) else sort_parity(p))
+        return cls(source, target, assignment)
 
     def __repr__(self) -> str:
         return f"<ChainMap {self.source!r} -> {self.target!r}>"

@@ -12,9 +12,14 @@ image vertices in the quotient's vertex order.  An ``Extension`` keeps
 that representative map, built once with the quotient, and both
 collapse maps read it.  The one from the geometric complex
 (``Extension.sigma``) is built on first read, since only the ``extend``
-report reads it.  The quotient is built by the checking
-``DeltaComplex`` constructor and every collapse map by the checking
-``ChainMap`` constructor, so both are validated like caller data.
+report reads it.  At a split degree, where every Frobenius cycle length
+divides f, every orbit is a single id and the quotient would be a copy
+of the geometric complex with the same ids, order and facets: the
+extension is the geometric complex itself, and ``sigma`` is its
+identity.  At any other degree the quotient is built by the checking
+``DeltaComplex`` constructor, and every collapse map, the identity
+included, by the checking ``ChainMap`` constructor, so both are
+validated like caller data.
 
 A configuration stops being simple normal crossing over F when an
 orbit identifies two components of one stratum; that is detected here
@@ -55,7 +60,8 @@ class Extension:
     The collapse chain map ``sigma`` is built, and checked to commute
     with the boundary, on first read: the ``extend`` report reads it,
     while norm maps and kernel reports need only the quotient and the
-    maps between levels (``connecting_map``)."""
+    maps between levels (``connecting_map``).  At a split degree
+    ``complex is base`` and ``sigma`` is the identity."""
 
     f: int
     complex: DeltaComplex
@@ -66,6 +72,8 @@ class Extension:
 
     @cached_property
     def sigma(self) -> ChainMap:
+        if self.complex is self.base:
+            return ChainMap.identity(self.base)
         return ChainMap.induced(self.base, self.complex, self._rep)
 
 
@@ -101,9 +109,9 @@ def _admissible_component_orbits(
 
 def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     """Quotient complex over the degree-f extension, whose collapse map
-    from the geometric complex is built on first read of ``sigma``.
-    Raises ExtensionError when the quotient would not be simple normal
-    crossing."""
+    from the geometric complex is built on first read of ``sigma``; at a
+    split degree the geometric complex itself.  Raises ExtensionError
+    when the quotient would not be simple normal crossing."""
     comp_orbits, rep = _admissible_component_orbits(cfg, f)
     base = build_dual_complex(cfg)
     # Frobenius keeps depths, so no orbit crosses dimensions
@@ -112,6 +120,10 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
     for orbit in strat_orbits:
         for member in orbit:
             rep[member] = orbit[0]
+    if len(comp_orbits) == len(base.simplices(0)) and len(strat_orbits) == len(strata):
+        # a split degree: Frobenius^f fixes every id, so the quotient
+        # would be a copy of the geometric complex, simplex for simplex
+        return Extension(f, base, base, tuple(comp_orbits), tuple(strat_orbits), rep)
 
     # a representative keeps its base facets, reordered along with its
     # vertices into the quotient vertex order; the sort is skipped when
@@ -170,11 +182,14 @@ class NormMapResult:
 def norm_map(cfg: SncConfiguration, f: int, a: int,
              modulus: int | None = None) -> NormMapResult:
     fine = extension_complex(cfg, f)
-    # at f == 1 the two levels coincide, so build and compute them once
+    # at f == 1 the two levels coincide, so build them once; when both
+    # are split, both complexes are the geometric one, so its homology
+    # is computed once
     coarse = fine if f == 1 else extension_complex(cfg, 1)
     chain = connecting_map(cfg, f, 1, fine=fine, coarse=coarse)
     source = homology_group(fine.complex, a, modulus)
-    target = source if coarse is fine else homology_group(coarse.complex, a, modulus)
+    target = (source if coarse.complex is fine.complex
+              else homology_group(coarse.complex, a, modulus))
     m = induced_map(chain, a, modulus, source=source, target=target)
     image, inclusion = image_subgroup(m)
     return NormMapResult(f, a, modulus, m, image, inclusion, source, target)

@@ -376,10 +376,12 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     Frobenius^f on the torsion of theta and the coinvariants test) is
     done once per degree class gcd(f, P) (see
     ``_period``), at the first requested degree of the class, so an
-    ExtensionError names that degree.  Each report keeps its own f.
+    ExtensionError names that degree.  A split class, whose quotient is
+    the geometric complex itself, takes its H₁ from alpha's cycles.
+    Each report keeps its own f.
     """
     period = _period(cfg, pi1)
-    cycles: tuple[HomologyResult, IntMatrix] | None = None
+    cycles = _label_cycles(cfg, pi1, labels)
     geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
     classes: dict[int, tuple[dict[str, bool], HomologyResult, dict[int, tuple[bool, bool]]]] = {}
     reports = []
@@ -388,14 +390,15 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
         if g not in classes:
             ext = extension_complex(cfg, f)
             flags = rational_point_flags(cfg, f, ext=ext)
-            h1_quotient = homology_group(ext.complex, 1)
+            # a split class's quotient is the geometric complex, whose
+            # H₁ alpha's cycles already hold
+            h1_quotient = (cycles[0] if ext.complex is ext.base
+                           else homology_group(ext.complex, 1))
             # per prime: Frobenius^f trivial on the torsion of theta, and
             # that torsion injecting into the Frobenius^f coinvariants
             arithmetic: dict[int, tuple[bool, bool]] = {}
             for ell in ells:
                 if ell not in geometric:
-                    if cycles is None:
-                        cycles = _label_cycles(cfg, pi1, labels)
                     alpha = _alpha_at(pi1, *cycles, ell)
                     geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
                 alpha, torsion_module, torsion_incl = geometric[ell]

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from snckit.fixtures import fermat_bundle, rulings_bundle
 from snckit.groups import PRIME_BOUND
 
 from conftest import det, suspension_document
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -467,27 +470,34 @@ def _count_complexes(monkeypatch, counts):
         monkeypatch.setattr(module, "_boundary_squared_problems", checking)
 
 
-def test_sweep_runs_each_stage_once(capsys, monkeypatch, fermat_path):
+@pytest.mark.parametrize("doc,argv,built", [
+    ("fermat5.json", ["--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"], 1),
+    ("swap.json", ["--sweep", "2", "--ell", "3"], 2),
+], ids=["fermat5", "swap"])
+def test_sweep_runs_each_stage_once(capsys, monkeypatch, doc, argv, built):
     """One sweep builds the geometric complex once plus one quotient per
-    degree class gcd(f, P) (fermat-5 has P = 1, so one class), evaluates
-    alpha and its surjectivity once per prime, and keeps SNF work
-    bounded."""
-    from snckit import groups, matrices, reciprocity
+    degree class gcd(f, P) that is not split, evaluates alpha and its
+    surjectivity once per prime, and computes H₁ once per complex built.
+    fermat-5 has P = 1, so its one class is split: Frobenius fixes every
+    id and the class reuses the geometric complex and its H₁.  swap has
+    P = 2: its class 1 swaps two components and builds a quotient, its
+    class 2 is split."""
+    from snckit import groups, homology, matrices, reciprocity
 
-    counts = {"complex": 0, "dd": 0, "alpha": 0, "surjective": 0, "snf": 0}
+    counts = {"complex": 0, "dd": 0, "alpha": 0, "surjective": 0, "snf": 0, "h1": 0}
     _count_complexes(monkeypatch, counts)
     surjective = groups.ModuleMap.is_surjective
     monkeypatch.setattr(groups.ModuleMap, "is_surjective",
                         _counting(counts, "surjective", surjective))
-    for key, original in (("alpha", reciprocity._alpha_at), ("snf", matrices._snf_rows)):
+    for key, original in (("alpha", reciprocity._alpha_at), ("snf", matrices._snf_rows),
+                          ("h1", homology.homology_group)):
         _rebind(monkeypatch, original, _counting(counts, key, original))
 
-    argv = ["kernel", fermat_path, "--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"]
-    assert main(argv + ["--json"]) == 0
+    ells = argv.count("--ell")
+    assert main(["kernel", str(GOLDEN / doc), *argv, "--json"]) == 0
     capsys.readouterr()
-    assert counts["complex"] == 2
-    assert counts["alpha"] == 3
-    assert counts["surjective"] == 3
+    assert counts["complex"] == counts["h1"] == built
+    assert counts["alpha"] == counts["surjective"] == ells
     assert counts["snf"] <= 27
 
 
@@ -634,8 +644,8 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 SNF_WORK = {
     "cover-50": (["homology"], 1, 0, (100, 100), 1),
     "cover-50-z6": (["homology", "--coeff", "z/6"], 1, 0, (100, 100), 1),
-    "dense-12": (["kernel", "--ell", "3"], 4, 4, (12, 25), 306),
-    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 6, 12, (24, 50), 32948),
+    "dense-12": (["kernel", "--ell", "3"], 3, 4, (12, 25), 306),
+    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 5, 12, (24, 50), 32948),
     "suspension-3-z6": (["homology", "--degree", "4", "--coeff", "z/6"], 1, 0, (120, 48), 1),
 }
 DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}

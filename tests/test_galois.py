@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from snckit import galois
 from snckit.cli import main
-from snckit.complexes import ChainMap, sort_parity
+from snckit.complexes import ChainMap, DeltaComplex, sort_parity
 from snckit.config_io import ConfigBundle, serialize_bundle
 from snckit.errors import ExtensionError
 from snckit.fixtures import fermat_cover_config, rulings_bundle, trivial_pi1
@@ -223,6 +223,38 @@ def test_sigma_builds_whenever_the_extension_does(seed, e, f):
     assert {sid: tid for sid, (tid, _) in sigma.assignment.items()} == reps
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.sampled_from([1, 2, 3, 4, 6]),
+       f=st.integers(1, 12))
+def test_a_split_degree_is_the_geometric_level(seed, e, f):
+    """Every Frobenius cycle of an order-e configuration has length
+    dividing e, and some component cycle has length e, so Frobenius^f
+    fixes every id exactly when e | f (at every f when e = 1).  There
+    the degree-f level is the geometric complex itself: no
+    ``DeltaComplex.__init__`` runs, and the collapse map sends every id
+    to itself with sign +1.  At any other f the quotient is a new
+    complex, built by the checking constructor."""
+    cfg = random_admissible_config(random.Random(seed), e)
+    base = build_dual_complex(cfg)
+    built = []
+    init = DeltaComplex.__init__
+
+    def building(self, simplices):
+        built.append(self)
+        init(self, simplices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DeltaComplex, "__init__", building)
+        ext = extension_complex(cfg, f)
+        sigma = ext.sigma
+    if f % e:
+        assert built == [ext.complex] and ext.complex is not base
+    else:
+        assert built == [] and ext.complex is base
+        assert sigma.assignment == {s.id: (s.id, 1) for s in base.all_simplices()}
+    assert sigma.source is base and sigma.target is ext.complex
+
+
 def _maps_onto_quotients(argv: list[str]) -> tuple[int, int]:
     """Run ``argv`` and count the chain maps it builds onto an extension
     quotient, and among them the collapse maps from the geometric
@@ -258,13 +290,16 @@ def _maps_onto_quotients(argv: list[str]) -> tuple[int, int]:
 def test_only_extend_builds_the_collapse_map(seed, e, f):
     """``norm`` builds one chain map onto a quotient, the connecting map
     between levels, and ``kernel --sweep`` none; ``extend`` builds
-    exactly one, the collapse map from the geometric complex."""
+    exactly one, the collapse map from the geometric complex.  At a
+    split degree (e | f) the degree-f level is the geometric complex, so
+    ``norm``'s connecting map starts there too."""
     cfg = random_admissible_config(random.Random(seed), e)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(serialize_bundle(ConfigBundle(cfg.name, cfg, trivial_pi1(), {})))
         path = str(path)
-        assert _maps_onto_quotients(["norm", path, "--f", str(f)]) == (1, 0)
+        split = f % e == 0
+        assert _maps_onto_quotients(["norm", path, "--f", str(f)]) == (1, int(split))
         assert _maps_onto_quotients(["kernel", path, "--ell", "2", "--sweep", str(f)]) == (0, 0)
         assert _maps_onto_quotients(["extend", path, "--f", str(f)]) == (1, 1)
 
