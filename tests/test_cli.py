@@ -470,11 +470,7 @@ def _count_complexes(monkeypatch, counts):
         monkeypatch.setattr(module, "_boundary_squared_problems", checking)
 
 
-@pytest.mark.parametrize("doc,argv,built", [
-    ("fermat5.json", ["--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"], 1),
-    ("swap.json", ["--sweep", "2", "--ell", "3"], 2),
-], ids=["fermat5", "swap"])
-def test_sweep_runs_each_stage_once(capsys, monkeypatch, doc, argv, built):
+def test_sweep_runs_each_stage_once(capsys, monkeypatch):
     """One sweep builds the geometric complex once plus one quotient per
     degree class gcd(f, P) that is not split, evaluates alpha and its
     surjectivity once per prime, and computes H₁ once per complex built.
@@ -484,21 +480,24 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch, doc, argv, built):
     class 2 is split."""
     from snckit import groups, homology, matrices, reciprocity
 
-    counts = {"complex": 0, "dd": 0, "alpha": 0, "surjective": 0, "snf": 0, "h1": 0}
-    _count_complexes(monkeypatch, counts)
-    surjective = groups.ModuleMap.is_surjective
-    monkeypatch.setattr(groups.ModuleMap, "is_surjective",
-                        _counting(counts, "surjective", surjective))
-    for key, original in (("alpha", reciprocity._alpha_at), ("snf", matrices._snf_rows),
-                          ("h1", homology.homology_group)):
-        _rebind(monkeypatch, original, _counting(counts, key, original))
-
-    ells = argv.count("--ell")
-    assert main(["kernel", str(GOLDEN / doc), *argv, "--json"]) == 0
-    capsys.readouterr()
-    assert counts["complex"] == counts["h1"] == built
-    assert counts["alpha"] == counts["surjective"] == ells
-    assert counts["snf"] <= 27
+    for doc, argv, built in (
+            ("fermat5.json", ["--sweep", "10", "--ell", "2", "--ell", "3", "--ell", "5"], 1),
+            ("swap.json", ["--sweep", "2", "--ell", "3"], 2)):
+        counts = {"complex": 0, "dd": 0, "alpha": 0, "surjective": 0, "snf": 0, "h1": 0}
+        with monkeypatch.context() as patch:
+            _count_complexes(patch, counts)
+            surjective = groups.ModuleMap.is_surjective
+            patch.setattr(groups.ModuleMap, "is_surjective",
+                          _counting(counts, "surjective", surjective))
+            for key, original in (("alpha", reciprocity._alpha_at),
+                                  ("snf", matrices._snf_rows),
+                                  ("h1", homology.homology_group)):
+                _rebind(patch, original, _counting(counts, key, original))
+            assert main(["kernel", str(GOLDEN / doc), *argv, "--json"]) == 0
+        capsys.readouterr()
+        assert counts["complex"] == counts["h1"] == built, doc
+        assert counts["alpha"] == counts["surjective"] == argv.count("--ell"), doc
+        assert counts["snf"] <= 27, doc
 
 
 def test_validate_builds_no_complex(capsys, monkeypatch, tmp_path):
