@@ -72,8 +72,6 @@ class Extension:
 
     @cached_property
     def sigma(self) -> ChainMap:
-        if self.complex is self.base:
-            return ChainMap.identity(self.base)
         return ChainMap.induced(self.base, self.complex, self._rep)
 
 

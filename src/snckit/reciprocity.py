@@ -371,7 +371,8 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     """One KernelReport per extension degree, from checked inputs.
 
     Alpha, theta and the torsion of theta are geometric: alpha's cycles
-    are computed once, and the rest once per prime.  The
+    are computed once, when a split class or a prime first needs them,
+    and the rest once per prime.  The
     degree-dependent work (the extension, its rational points and H₁,
     Frobenius^f on the torsion of theta and the coinvariants test) is
     done once per degree class gcd(f, P) (see
@@ -381,7 +382,14 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     Each report keeps its own f.
     """
     period = _period(cfg, pi1)
-    cycles = _label_cycles(cfg, pi1, labels)
+    cycles: tuple[HomologyResult, IntMatrix] | None = None
+
+    def label_cycles() -> tuple[HomologyResult, IntMatrix]:
+        nonlocal cycles
+        if cycles is None:
+            cycles = _label_cycles(cfg, pi1, labels)
+        return cycles
+
     geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
     classes: dict[int, tuple[dict[str, bool], HomologyResult, dict[int, tuple[bool, bool]]]] = {}
     reports = []
@@ -391,15 +399,15 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
             ext = extension_complex(cfg, f)
             flags = rational_point_flags(cfg, f, ext=ext)
             # a split class's quotient is the geometric complex, whose
-            # H₁ alpha's cycles already hold
-            h1_quotient = (cycles[0] if ext.complex is ext.base
+            # H₁ alpha's cycles hold
+            h1_quotient = (label_cycles()[0] if ext.complex is ext.base
                            else homology_group(ext.complex, 1))
             # per prime: Frobenius^f trivial on the torsion of theta, and
             # that torsion injecting into the Frobenius^f coinvariants
             arithmetic: dict[int, tuple[bool, bool]] = {}
             for ell in ells:
                 if ell not in geometric:
-                    alpha = _alpha_at(pi1, *cycles, ell)
+                    alpha = _alpha_at(pi1, *label_cycles(), ell)
                     geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
                 alpha, torsion_module, torsion_incl = geometric[ell]
                 trivial = torsion_module.power(f).acts_trivially()

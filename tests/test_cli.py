@@ -500,6 +500,37 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch):
         assert counts["snf"] <= 27, doc
 
 
+def test_kernel_takes_alpha_cycles_only_when_needed(capsys, monkeypatch, tmp_path):
+    """Alpha's cycles are computed when a split class or a prime first
+    needs them: ``kernel`` at a degree that is not admissible raises
+    before any H₁, and a prediction at a degree that is not split and no
+    prime computes only the quotient's H₁."""
+    from snckit import homology, reciprocity
+    from snckit.config_io import parse_config
+
+    doc = {
+        "components": [{"id": "A"}, {"id": "B"}],
+        "strata": {"2": [{"id": "s", "on": ["A", "B"]}]},
+        "frobenius": {"order": 2, "components": {"A": "B", "B": "A"},
+                      "strata": {"s": "s"}},
+    }
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(doc))
+    counts = {"cycles": 0, "h1": 0}
+    with monkeypatch.context() as patch:
+        for key, original in (("cycles", reciprocity._label_cycles),
+                              ("h1", homology.homology_group)):
+            _rebind(patch, original, _counting(counts, key, original))
+        assert main(["kernel", str(path), "--ell", "3", "--f", "3"]) == 1
+        assert "not SNC after extension" in capsys.readouterr().err
+        assert counts == {"cycles": 0, "h1": 0}
+
+        bundle = parse_config(GOLDEN.joinpath("swap.json").read_text())
+        report = reciprocity.predict_kernel(bundle.config, bundle.pi1, bundle.labels, (), f=1)
+        assert report.primes == {}
+        assert counts == {"cycles": 0, "h1": 1}
+
+
 def test_validate_builds_no_complex(capsys, monkeypatch, tmp_path):
     """``validate`` on the 4-fold suspension of the 6-cycle builds no
     dual complex, since the document has no edge labels to check, and
