@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .complexes import suspend
-from .config_io import ConfigBundle, json_text, parse_config, serialize_bundle
+from .config_io import ConfigBundle, SharedDict, json_text, parse_config, serialize_bundle
 from .errors import SnckitError, ValidationError
 from .fixtures import fermat_cover_config, generate_example, trivial_pi1
 from .galois import extension_complex, norm_map
@@ -33,6 +33,7 @@ from .groups import FgAbelianGroup, cokernel
 from .homology import ORACLE_SIZE_BOUND, homology_group, oracle_homology, random_complex
 from .reciprocity import (
     KernelReport,
+    PrimeReport,
     _alpha_at,
     _kernel_reports,
     _label_cycles,
@@ -281,30 +282,46 @@ def _cmd_alpha(args):
     return digest, {"primes": per_ell}, lines
 
 
-def _kernel_report_payload(report: KernelReport) -> dict:
-    primes = {}
-    for ell, pr in sorted(report.primes.items()):
-        primes[str(ell)] = {
-            "theta": _group_payload(pr.theta.group),
-            "theta_torsion": _group_payload(pr.theta_torsion),
+def _kernel_payloads(reports: tuple[KernelReport, ...]) -> list[dict]:
+    """The payload of each report.  The reports of one run share their
+    group objects, and across degrees their prime reports, so each
+    group's payload is built once per group object and each prime block
+    once per prime report.  Both are ``SharedDict`` objects, whose text
+    ``json_text`` writes once."""
+    built: dict[int, SharedDict] = {}
+
+    def once(obj, build) -> SharedDict:
+        # keyed by id: every object stays alive in the reports meanwhile
+        payload = built.get(id(obj))
+        if payload is None:
+            payload = built[id(obj)] = SharedDict(build(obj))
+        return payload
+
+    def group(g: FgAbelianGroup) -> SharedDict:
+        return once(g, _group_payload)
+
+    def block(pr: PrimeReport) -> dict:
+        return {
+            "theta": group(pr.theta.group),
+            "theta_torsion": group(pr.theta_torsion),
             "frobenius_trivial_on_torsion": pr.frobenius_trivial_on_torsion,
-            "alpha_image": _group_payload(pr.alpha.image_group),
+            "alpha_image": group(pr.alpha.image_group),
             "alpha_surjective": pr.alpha.surjective,
             "verdict": pr.verdict,
             "predicted_kernel": (
-                _group_payload(pr.predicted_kernel)
-                if pr.predicted_kernel is not None else None
+                group(pr.predicted_kernel) if pr.predicted_kernel is not None else None
             ),
-            "kernel_bound": _group_payload(pr.kernel_bound),
+            "kernel_bound": group(pr.kernel_bound),
             "warnings": list(pr.warnings),
         }
-    return {
+
+    return [{
         "f": report.f,
         "rational_point_flags": dict(sorted(report.rational_point_flags.items())),
         "assumption_rational_points": report.assumption_rational_points,
-        "h1_quotient": _group_payload(report.h1_quotient.group),
-        "primes": primes,
-    }
+        "h1_quotient": group(report.h1_quotient.group),
+        "primes": {str(ell): once(pr, block) for ell, pr in sorted(report.primes.items())},
+    } for report in reports]
 
 
 def _kernel_report_lines(report: KernelReport) -> list[str]:
@@ -326,21 +343,21 @@ def _kernel_report_lines(report: KernelReport) -> list[str]:
 def _cmd_kernel(args):
     bundle, digest = _load(args)
     # parse_config checked the pi1 data and labels
-    if args.sweep is not None:
+    if args.sweep is None:
+        reports = _kernel_reports(bundle.config, bundle.pi1, bundle.labels, args.ell, (args.f,))
+        trends = []
+    else:
         result = _sweep(bundle.config, bundle.pi1, bundle.labels, args.ell, args.sweep)
-        payload = {
-            "sweep": [_kernel_report_payload(r) for r in result.reports],
-            "trends": {str(ell): t for ell, t in sorted(result.trends.items())},
-        }
-        lines = []
-        for rep in result.reports:
-            lines.extend(_kernel_report_lines(rep))
-        lines.extend(
-            f"trend at ell={ell}: {t}" for ell, t in sorted(result.trends.items())
-        )
-        return digest, payload, lines
-    report = _kernel_reports(bundle.config, bundle.pi1, bundle.labels, args.ell, (args.f,))[0]
-    return digest, _kernel_report_payload(report), _kernel_report_lines(report)
+        reports, trends = result.reports, sorted(result.trends.items())
+    # main prints the payload under --json and the lines otherwise
+    if not args.json:
+        lines = [line for report in reports for line in _kernel_report_lines(report)]
+        lines.extend(f"trend at ell={ell}: {t}" for ell, t in trends)
+        return digest, None, lines
+    payloads = _kernel_payloads(reports)
+    if args.sweep is None:
+        return digest, payloads[0], []
+    return digest, {"sweep": payloads, "trends": {str(ell): t for ell, t in trends}}, []
 
 
 def _cmd_example(args):

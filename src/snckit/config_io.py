@@ -68,6 +68,13 @@ def encode_json_value(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+class SharedDict(dict):
+    """A dict that a report holds in more than one place, whose text
+    ``json_text`` writes once per indent and then reuses."""
+
+    __slots__ = ()
+
+
 def json_text(value: Any) -> str:
     """``json.dumps(encode_json_value(value), indent=2,
     ensure_ascii=False)``, written in one pass.
@@ -77,31 +84,30 @@ def json_text(value: Any) -> str:
     value.  Here strings and keys go through the C routine
     ``json.encoder.encode_basestring``, integers through
     ``int.__repr__`` (past 64 bits, quoted, as ``encode_json_value``
-    renders them) and floats through ``json.dumps``.
+    renders them) and floats through ``json.dumps``.  A shared subtree,
+    a ``SharedDict`` object that the value holds more than once, is
+    written once at each indent it sits at: its text depends only on the
+    object and the indent, so every later place reuses that text.
     """
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out, {})
     return "".join(out)
 
 
-def _write_json(value: Any, newline: str, out: list[str]) -> None:
+def _write_json(value: Any, newline: str, out: list[str],
+                shared: dict[tuple[int, str], str]) -> None:
     """Append the text of ``value``, whose closing bracket, if any,
-    goes after ``newline`` (the line break and indent it sits at)."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(_int_text(value) if -_I64 < value < _I64 else _quote(str(value)))
-    elif isinstance(value, float):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
+    goes after ``newline`` (the line break and indent it sits at).
+    ``shared`` holds the text of each ``SharedDict`` already written,
+    keyed by the object's id and ``newline``."""
+    # containers first: the loops below write small integers and strings
+    # themselves, so most values that reach here are dicts and lists
+    if isinstance(value, dict):
         if not value:
             out.append("{}")
+            return
+        if type(value) is SharedDict:
+            _write_shared(value, newline, out, shared)
             return
         if not all(type(k) is str for k in value):
             # as encode_json_value: keys that collide as strings keep the last value
@@ -117,7 +123,7 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
                 out.append(head + _quote(v))
             else:
                 out.append(head)
-                _write_json(v, inner, out)
+                _write_json(v, inner, out, shared)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -133,11 +139,39 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
                 out.append(sep + _quote(v))
             else:
                 out.append(sep)
-                _write_json(v, inner, out)
+                _write_json(v, inner, out, shared)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_int_text(value) if -_I64 < value < _I64 else _quote(str(value)))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _write_shared(value: SharedDict, newline: str, out: list[str],
+                  shared: dict[tuple[int, str], str]) -> None:
+    """``_write_json`` of a ``SharedDict``: the first time at this
+    indent, the text of a plain copy, which ``shared`` then keeps; after
+    that, the kept text."""
+    key = (id(value), newline)
+    text = shared.get(key)
+    if text is None:
+        start = len(out)
+        _write_json(dict(value), newline, out, shared)
+        text = shared[key] = "".join(out[start:])
+        out[start:] = [text]
+    else:
+        out.append(text)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,10 @@ pipeline forms
 Alpha itself is geometric and stays fixed as the extension degree f
 varies; only the arithmetic inputs (orbits, rational points, the f-th
 Frobenius power) move, and they depend on f only through the degree
-class gcd(f, P), P the lcm of the Frobenius orders and point degrees.
-So a sweep over f evaluates each class once and relabels its reports.
+class gcd(f, P), P the lcm of the Frobenius orders and point degrees;
+the Frobenius tests at ell depend on f only through gcd(f, theta's
+order).  So a sweep over f evaluates each class, and each test, once and
+relabels its reports.
 """
 
 from __future__ import annotations
@@ -372,14 +374,18 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
 
     Alpha, theta and the torsion of theta are geometric: alpha's cycles
     are computed once, when a split class or a prime first needs them,
-    and the rest once per prime.  The
-    degree-dependent work (the extension, its rational points and H₁,
-    Frobenius^f on the torsion of theta and the coinvariants test) is
-    done once per degree class gcd(f, P) (see
-    ``_period``), at the first requested degree of the class, so an
-    ExtensionError names that degree.  A split class, whose quotient is
-    the geometric complex itself, takes its H₁ from alpha's cycles.
-    Each report keeps its own f.
+    and the rest once per prime.  The extension, its rational points and
+    H₁ are computed once per degree class gcd(f, P) (see ``_period``),
+    at the first requested degree of the class, so an ExtensionError
+    names that degree.  A split class, whose quotient is the geometric
+    complex itself, takes its H₁ from alpha's cycles.  The two Frobenius
+    tests at ell (Frobenius^f trivial on the torsion of theta, and that
+    torsion injecting into the Frobenius^f coinvariants) read only the
+    group that Frobenius^f generates, which is that of
+    Frobenius^gcd(f, theta's order), so they run once per
+    (ell, gcd(f, theta's order)).  Each report keeps its own f; a
+    prime's report is one object, shared by every degree where it is the
+    same, unless its warning names f.
     """
     period = _period(cfg, pi1)
     cycles: tuple[HomologyResult, IntMatrix] | None = None
@@ -391,7 +397,9 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
         return cycles
 
     geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
+    tests: dict[tuple[int, int], tuple[bool, bool]] = {}
     classes: dict[int, tuple[dict[str, bool], HomologyResult, dict[int, tuple[bool, bool]]]] = {}
+    shared: dict[tuple, PrimeReport] = {}
     reports = []
     for f in degrees:
         g = gcd(f, period)
@@ -410,34 +418,40 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
                     alpha = _alpha_at(pi1, *label_cycles(), ell)
                     geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
                 alpha, torsion_module, torsion_incl = geometric[ell]
-                trivial = torsion_module.power(f).acts_trivially()
-                _, proj = coinvariants(alpha.theta.power(f))
-                arithmetic[ell] = (trivial, proj.compose(torsion_incl).is_injective())
+                key = (ell, gcd(f, alpha.theta.order))
+                if key not in tests:
+                    trivial = torsion_module.power(f).acts_trivially()
+                    _, proj = coinvariants(alpha.theta.power(f))
+                    tests[key] = (trivial, proj.compose(torsion_incl).is_injective())
+                arithmetic[ell] = tests[key]
             classes[g] = (flags, h1_quotient, arithmetic)
         flags, h1_quotient, arithmetic = classes[g]
         assumption_i = all(flags.values())
 
         primes: dict[int, PrimeReport] = {}
         for ell, (assumption_ii, injective) in arithmetic.items():
-            alpha, torsion_module, _ = geometric[ell]
-            warnings = list(alpha.warnings)
-            if not injective:
-                warnings.append(
-                    f"ell={ell}, f={f}: torsion of theta does not inject into the "
-                    f"coinvariants (expected only for non-geometric inputs)"
+            key = (ell, assumption_i, assumption_ii, None if injective else f)
+            if key not in shared:
+                alpha, torsion_module, _ = geometric[ell]
+                warnings = list(alpha.warnings)
+                if not injective:
+                    warnings.append(
+                        f"ell={ell}, f={f}: torsion of theta does not inject into the "
+                        f"coinvariants (expected only for non-geometric inputs)"
+                    )
+                exact = assumption_i and assumption_ii
+                shared[key] = PrimeReport(
+                    ell=ell,
+                    theta=alpha.theta,
+                    theta_torsion=torsion_module.group,
+                    frobenius_trivial_on_torsion=assumption_ii,
+                    alpha=alpha,
+                    verdict="exact" if exact else "bound",
+                    predicted_kernel=alpha.image_group if exact else None,
+                    kernel_bound=torsion_module.group,
+                    warnings=tuple(warnings),
                 )
-            exact = assumption_i and assumption_ii
-            primes[ell] = PrimeReport(
-                ell=ell,
-                theta=alpha.theta,
-                theta_torsion=torsion_module.group,
-                frobenius_trivial_on_torsion=assumption_ii,
-                alpha=alpha,
-                verdict="exact" if exact else "bound",
-                predicted_kernel=alpha.image_group if exact else None,
-                kernel_bound=torsion_module.group,
-                warnings=tuple(warnings),
-            )
+            primes[ell] = shared[key]
         reports.append(KernelReport(f, dict(flags), assumption_i, h1_quotient, primes))
     return tuple(reports)
 

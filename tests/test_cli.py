@@ -531,6 +531,111 @@ def test_kernel_takes_alpha_cycles_only_when_needed(capsys, monkeypatch, tmp_pat
         assert counts == {"cycles": 0, "h1": 1}
 
 
+def test_sweep_builds_each_group_payload_once(capsys, monkeypatch):
+    """A sweep report builds the payload of each group object at most
+    once, however many degrees and prime blocks show it."""
+    from snckit import cli
+
+    for doc, argv in (("fermat5.json", ["--sweep", "12", "--ell", "2", "--ell", "3", "--ell", "5"]),
+                      ("swap.json", ["--sweep", "4", "--ell", "3"]),
+                      ("coned.json", ["--sweep", "6", "--ell", "3"])):
+        seen = []
+        original = cli._group_payload
+
+        def recording(g):
+            seen.append(g)  # kept alive, so no id is reused
+            return original(g)
+
+        with monkeypatch.context() as patch:
+            _rebind(patch, original, recording)
+            report = run_json(capsys, ["kernel", str(GOLDEN / doc), *argv])
+        assert len(report["results"]["sweep"]) == int(argv[1]), doc
+        assert seen and len({id(g) for g in seen}) == len(seen), doc
+
+
+@pytest.mark.parametrize("doc, sweep, ells, tests", [
+    # P = 2 and theta of order 2: one test per f mod 2
+    ("swap.json", 4, (3,), 2),
+    # P = 3 but theta of order 1: one test per prime, where a test per
+    # degree class gcd(f, 3) made two
+    ("coned.json", 6, (2, 3), 2),
+])
+def test_frobenius_tests_run_once_per_theta_order_class(capsys, monkeypatch, doc, sweep,
+                                                         ells, tests):
+    """The Frobenius tests at ell read only the group Frobenius^f
+    generates, so a sweep runs ``coinvariants`` once per
+    (ell, gcd(f, theta's order))."""
+    from snckit import groups
+
+    counts = {"coinvariants": 0}
+    argv = ["kernel", str(GOLDEN / doc), "--sweep", str(sweep)]
+    for ell in ells:
+        argv += ["--ell", str(ell)]
+    with monkeypatch.context() as patch:
+        _rebind(patch, groups.coinvariants, _counting(counts, "coinvariants", groups.coinvariants))
+        run_json(capsys, argv)
+    assert counts["coinvariants"] == tests
+
+
+def test_a_warning_that_names_f_is_not_shared(capsys):
+    """swap's torsion of theta does not inject into the coinvariants at
+    odd f, and the warning names f, so those blocks stay one per degree;
+    the blocks of even f are one shared object."""
+    from snckit.cli import _kernel_payloads
+    from snckit.config_io import parse_config
+    from snckit.reciprocity import _sweep
+
+    bundle = parse_config(GOLDEN.joinpath("swap.json").read_text())
+    result = _sweep(bundle.config, bundle.pi1, bundle.labels, (3,), 4)
+    blocks = [p["primes"]["3"] for p in _kernel_payloads(result.reports)]
+    for f, block in enumerate(blocks, 1):
+        assert block["warnings"] == ([
+            f"ell=3, f={f}: torsion of theta does not inject into the coinvariants "
+            f"(expected only for non-geometric inputs)"] if f % 2 else []), f
+    assert blocks[0] is not blocks[2]
+    assert blocks[1] is blocks[3]
+    # the theta payload is one object in every block
+    assert len({id(block["theta"]) for block in blocks}) == 1
+
+
+@pytest.mark.parametrize("exponent", [7, 1000])
+@pytest.mark.parametrize("where", ["frobenius", "pi1_y0"])
+def test_huge_frobenius_orders_stay_cheap(capsys, monkeypatch, tmp_path, where, exponent):
+    """A declared Frobenius order of 10^7 or 10^1000, on the
+    configuration or on y0, costs nothing proportional to the order:
+    ``validate``, ``theta`` and a kernel sweep exit 0, and each power
+    ``groups._power_on`` takes makes at most 2 · order.bit_length()
+    matrix products (square-and-multiply)."""
+    from snckit import groups
+    from snckit.matrices import IntMatrix
+
+    doc = json.loads(GOLDEN.joinpath("swap.json").read_text())
+    order = 10 ** exponent  # even, as both swap's permutation and y0 need
+    doc[where]["order"] = order
+    path = tmp_path / "huge-order.json"
+    path.write_text(json.dumps(doc))
+
+    products = {"count": 0}
+    per_call = []
+    power_on = groups._power_on
+
+    def counting_power_on(group, m, k):
+        before = products["count"]
+        result = power_on(group, m, k)
+        per_call.append(products["count"] - before)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMatrix, "__matmul__",
+                      _counting(products, "count", IntMatrix.__matmul__))
+        patch.setattr(groups, "_power_on", counting_power_on)
+        for argv in (["validate"], ["theta", "--ell", "3"],
+                     ["kernel", "--ell", "3", "--sweep", "3"]):
+            assert main([argv[0], str(path), *argv[1:], "--json"]) == 0, argv
+            capsys.readouterr()
+    assert per_call and max(per_call) <= 2 * order.bit_length()
+
+
 def test_validate_builds_no_complex(capsys, monkeypatch, tmp_path):
     """``validate`` on the 4-fold suspension of the 6-cycle builds no
     dual complex, since the document has no edge labels to check, and

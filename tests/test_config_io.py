@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from snckit.config_io import (
     MAX_GENERATORS,
     ConfigBundle,
+    SharedDict,
     encode_json_value,
     json_text,
     parse_config,
@@ -235,14 +236,51 @@ _report_values = st.recursive(
 )
 
 
+def _shared(value):
+    return SharedDict(value) if isinstance(value, dict) else value
+
+
+def _aliasing(pieces):
+    """Trees whose leaves are drawn from ``pieces``, the same objects
+    each time, so one dict or list sits in several places: at the same
+    depth, at different depths and inside lists."""
+    return st.recursive(
+        st.sampled_from(pieces),
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2), inner,
+                                         max_size=4)
+                       | st.dictionaries(st.text(max_size=2), inner, max_size=4).map(SharedDict)),
+        max_leaves=12,
+    )
+
+
+_containers = st.one_of(
+    st.lists(_report_values, max_size=3),
+    st.dictionaries(st.text(max_size=3) | st.integers(-2, 2), _report_values, max_size=3),
+)
+_aliased_values = st.lists(_containers | _containers.map(_shared), min_size=1,
+                           max_size=4).flatmap(_aliasing)
+
+_PIECE = {"a": [1, 2 ** 63], "b": {"c": None}}
+_LIST = [True, "x", {"d": -0.0}]
+_SHARED = SharedDict({"description": "Z/3", "invariant_factors": [3], "free_rank": 0})
+_INT_KEYS = SharedDict({1: "int key", "1": "string key", 2: [_SHARED]})
+
+
 class TestJsonText:
     """The one-pass writer against its oracle, ``json.dumps`` of
     ``encode_json_value``."""
 
-    @given(_report_values)
+    @given(_report_values | _aliased_values)
     @settings(max_examples=400, deadline=None)
     @example({1: "int key", "1": "string key", True: [], "": {}})
     @example({"ключ": ["é\u2028\"\\\n", 2 ** 63, -(2 ** 63) + 1, float("nan"), -0.0]})
+    # one object at the same depth, at different depths and in lists
+    @example([_PIECE, _PIECE, {"x": _PIECE, "y": [_PIECE, _LIST]}, _LIST, [[_LIST]]])
+    # a shared dict at the same depth, at different depths, inside
+    # another shared dict, and with keys that are not strings
+    @example({"a": _SHARED, "b": _SHARED, "c": [_SHARED, {"d": _SHARED}], "e": _INT_KEYS,
+              "f": [_INT_KEYS, _INT_KEYS], "g": SharedDict(), "h": SharedDict({"i": _SHARED})})
     def test_matches_json_dumps(self, value):
         expected = json.dumps(encode_json_value(value), indent=2, ensure_ascii=False)
         assert json_text(value) == expected
