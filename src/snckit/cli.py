@@ -284,10 +284,11 @@ def _cmd_alpha(args):
 
 def _kernel_payloads(reports: tuple[KernelReport, ...]) -> list[dict]:
     """The payload of each report.  The reports of one run share their
-    group objects, and across degrees their prime reports, so each
-    group's payload is built once per group object and each prime block
-    once per prime report.  Both are ``SharedDict`` objects, whose text
-    ``json_text`` writes once."""
+    group objects, and across degrees their prime reports and the flags
+    of their degree class, so each group's payload is built once per
+    group object, each prime block once per prime report and each flags
+    payload once per flags dict.  All are ``SharedDict`` objects, whose
+    text ``json_text`` writes once."""
     built: dict[int, SharedDict] = {}
 
     def once(obj, build) -> SharedDict:
@@ -317,7 +318,8 @@ def _kernel_payloads(reports: tuple[KernelReport, ...]) -> list[dict]:
 
     return [{
         "f": report.f,
-        "rational_point_flags": dict(sorted(report.rational_point_flags.items())),
+        "rational_point_flags": once(report.rational_point_flags,
+                                     lambda flags: dict(sorted(flags.items()))),
         "assumption_rational_points": report.assumption_rational_points,
         "h1_quotient": group(report.h1_quotient.group),
         "primes": {str(ell): once(pr, block) for ell, pr in sorted(report.primes.items())},
@@ -444,9 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kernel", _cmd_kernel, help="kernel prediction of the reciprocity map")
     p.add_argument("--ell", type=_prime, action="append", required=True)
-    p.add_argument("--f", type=_at_least(1), default=1, help="extension degree (default 1)")
-    p.add_argument("--sweep", type=_at_least(1), default=None, metavar="F_MAX",
-                   help="report every extension degree 1..F_MAX")
+    degree = p.add_mutually_exclusive_group()
+    degree.add_argument("--f", type=_at_least(1), default=1, help="extension degree (default 1)")
+    degree.add_argument("--sweep", type=_at_least(1), default=None, metavar="F_MAX",
+                        help="report every extension degree 1..F_MAX")
 
     p = add("example", _cmd_example, needs_config=False,
             help="emit a bundled example document")

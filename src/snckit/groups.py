@@ -19,12 +19,13 @@ those rows with the block of vectors, and no caller replays a whole
 
 A group made from another by adding relation columns (a cokernel,
 coinvariants, a localization, theta over y0) continues that group's
-Smith normal form (``matrices._continue_snf``) over the Smith
-coordinates of the added columns, reduced the same way, instead of
-eliminating its whole relation matrix again.  That is the form of a
-presentation ``[a | b']`` with ``b'`` congruent to the added ``b``
-modulo the parent's relation lattice: the same lattice, so the same
-diagonal, the same membership tests and the same preimages.  A derived
+Smith normal form (``matrices._continue_snf``) over the sparse rows of
+the Smith coordinates of the added columns, reduced the same way
+(``_smith_block``), instead of eliminating its whole relation matrix
+again.  That is the form of a presentation ``[a | b']`` with ``b'``
+congruent to the added ``b`` modulo the parent's relation lattice: the
+same lattice, so the same diagonal, the same membership tests and the
+same preimages.  A derived
 group's ``relations`` is still the parent's with the exact new columns
 appended, ``[a | b]``; only its ``relation_snf()`` is that of the
 congruent presentation.  A map makes that continuation of its target's
@@ -203,7 +204,8 @@ class FgAbelianGroup:
                 self._snf = snf(self.relations)
             else:
                 base, columns = self._base
-                self._snf = _continue_snf(base.relation_snf(), base._smith_block(columns))
+                self._snf = _continue_snf(base.relation_snf(), base._smith_block(columns),
+                                          columns.cols)
                 self._base = None
         return self._snf
 
@@ -240,16 +242,15 @@ class FgAbelianGroup:
         reduced = self._reduced(block)
         return [j for j in range(block.cols) if any(row[j] for row in reduced)]
 
-    def _smith_block(self, columns: IntMatrix) -> IntMatrix:
-        """Smith coordinates of ``columns`` that are congruent to ``u @
-        columns`` modulo the column span of ``d``: row i reduced into
-        [0, d_i), exact when free, and zero when d_i == 1."""
-        idx = self._smith_rows()[0]
-        k = columns.cols
-        entries = [0] * (self.generator_count * k)
-        for i, row in zip(idx, self._reduced(columns)):
-            entries[i * k:(i + 1) * k] = row
-        return IntMatrix._of(self.generator_count, k, entries)
+    def _smith_block(self, columns: IntMatrix) -> list[dict[int, int]]:
+        """The sparse rows of Smith coordinates of ``columns`` that are
+        congruent to ``u @ columns`` modulo the column span of ``d``: row
+        i reduced into [0, d_i), exact when free, and zero when d_i ==
+        1."""
+        block: list[dict[int, int]] = [{} for _ in range(self.generator_count)]
+        for i, row in zip(self._smith_rows()[0], self._reduced(columns)):
+            block[i] = {j: x for j, x in enumerate(row) if x}
+        return block
 
     def _exponent(self) -> int:
         """The largest invariant factor when the group is finite (1 when

@@ -2,17 +2,18 @@
 
 One reader serves both rings: Z is the case n = 0 of Z/n, and H_a is
 presented on one generator per cyclic summand, with diagonal
-relations.  Everything comes from the Smith form u·d_a·v = D,
-eliminated on sparse rows built from the facets (no dense boundary).
-The columns of v past the rank are a basis of the cycles, and the
-relations of H_a over Z on it are the rows past the rank of
-v⁻¹·d_{a+1}, replayed from the column log and put in Smith form as
-they are, sparse rows (``HomologyResult._cycle_form``).  By the
-universal coefficient theorem, H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕
-Tor(H_{a-1}(X), Z/n): the Smith generators of that group give the ⊗
-part, and the diagonal entries above 1 of D, which are the torsion
-coefficients of H_{a-1}, give the Tor part, lifted by the columns of v
-inside the rank (see ``homology_group``).  With n = 0, gcd(t, 0) = t,
+relations.  Everything comes from the Smith form u·d_a·v = D, made
+by ``matrices._smith_form`` from sparse rows built from the facets (no
+dense boundary).  The columns of v past the rank are a basis of the
+cycles, and the relations of H_a over Z on it are the rows past the
+rank of v⁻¹·d_{a+1}, replayed from the column log and put in Smith
+form by the same routine as they are, sparse rows
+(``HomologyResult._cycle_form``).  By the universal coefficient
+theorem, H_a(X; Z/n) = H_a(X) ⊗ Z/n ⊕ Tor(H_{a-1}(X), Z/n): the Smith
+generators of that group give the ⊗ part, and the diagonal entries
+above 1 of D, which are the torsion coefficients of H_{a-1}, give the
+Tor part, lifted by the columns of v inside the rank (see
+``homology_group``).  With n = 0, gcd(t, 0) = t,
 so the ⊗ part is H_a itself on its Smith generators, and Tor(-, Z) = 0.
 So no boundary of lower degree is eliminated, no matrix is stacked with
 n·I, and the coordinates of a cycle, which an induced map writes, come
@@ -43,7 +44,6 @@ from .matrices import (
     _from_columns,
     _smith_form,
     _smith_vector,
-    _snf_rows,
     _sparse_rows,
     _v_columns,
 )
@@ -161,7 +161,7 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
         raise ValueError("modulus must be at least 2")
     n = modulus or 0
     width = len(cx.simplices(a))
-    s = _snf_rows(_boundary_rows(cx, a, reduced), width)
+    s = _smith_form(_boundary_rows(cx, a, reduced), width)
     relations = _cycle_coordinates(s, cx._boundary_rows(a + 1))
     if relations is None:
         raise WellDefinednessError("a boundary is not a cycle")

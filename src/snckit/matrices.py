@@ -13,16 +13,17 @@ inverses with ``u @ a @ v`` equal to a nonnegative diagonal matrix
 whose entries form a divisibility chain.  Elimination works on a copy
 of ``a`` held as sparse rows, ``{column: value}`` dicts of the nonzero
 entries, so a row operation costs in proportion to the nonzeros it
-reads.  ``snf`` hands that copy to ``_smith_form``, as homology
-hands it the relations of H_a: rows in Smith form already are their
-own form, with empty logs, and others go to ``_snf_rows``, the one
-routine that eliminates (homology's boundaries go there directly).
-Elimination reduces only its rows, whose
-diagonal the form keeps with its shape, and logs its row and column
-operations.  ``d`` and each transform are built from those the first
-time they are read, a transform replayed from its log on sparse rows
-and made dense once, equal entry for entry to the one that tracking
-it densely during elimination would give.  A solve reads no
+reads.  One routine, ``_smith_form``, makes every Smith form from
+sparse rows: ``snf`` hands it that copy, homology its boundaries and
+the relations of H_a, and ``_continue_snf`` the rows of a continued
+form.  Rows in Smith form already are their own form, with empty
+logs; others go to ``_eliminate``, which nothing else calls.
+Elimination reduces only its rows, whose diagonal the form keeps with
+its shape, and logs its row and column operations.  ``d`` and each
+transform are built from those the first time they are read, a
+transform replayed from its log on sparse rows and made dense once,
+equal entry for entry to the one that tracking it densely during
+elimination would give.  A solve reads no
 transform: it replays the row log on the sparse rows of its
 right-hand side and the column log on those of the solution.
 Coordinates on the columns of ``v``, which ``_v_columns`` reads off a
@@ -35,14 +36,15 @@ which keeps every run bit-for-bit reproducible.
 
 A matrix that only adds columns ``b`` to one whose form is known gets
 its form from ``_continue_snf``, not from ``snf``: ``u @ [a | b] @
-diag(v, I)`` is ``[d | u @ b]``, built from the diagonal and reduced
-by the same elimination loop, so the work is that of a nearly diagonal
-matrix.  The diagonal is the one ``snf`` would give; ``u`` and ``v``
-may differ.  The Smith coordinates ``c`` of the added columns need
-only be right modulo the column span of ``d``; the form is then that
-of ``[a | b']`` for some ``b'`` congruent to ``b`` modulo the column
-span of ``a``, with the same diagonal, and exactly that of ``[a | b]``
-when ``c == u @ b``.  Groups continue their forms this way, over
+diag(v, I)`` is ``[d | u @ b]``, built from the diagonal and the
+sparse rows of the added Smith coordinates and put in Smith form by
+``_smith_form``, so the work is that of a nearly diagonal matrix, and
+none when those coordinates are zero.  The diagonal is the one ``snf``
+would give; ``u`` and ``v`` may differ.  The Smith coordinates ``c``
+of the added columns need only be right modulo the column span of
+``d``; the form is then that of ``[a | b']`` for some ``b'`` congruent
+to ``b`` modulo the column span of ``a``, with the same diagonal, and
+exactly that of ``[a | b]`` when ``c == u @ b``.  Groups continue their forms this way, over
 reduced coordinates.
 
 A caller that needs a few Smith coordinates, not a whole transform,
@@ -246,9 +248,6 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix._of(self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)])
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols, [-a for a in self._entries])
 
     def power(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -557,67 +556,55 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     The pivot is the first entry of minimal |value| in a row-major scan
     of the working block, i.e. ties break by (row, col), and the scan
     stops at the first 1 or -1.  Rows are reduced as sparse dicts, so an
-    operation costs in proportion to the nonzeros it reads.  A matrix in
-    Smith normal form already, such as a group built on its invariant
-    factors, is its own form (see ``_smith_form``).
+    operation costs in proportion to the nonzeros it reads.  The form
+    is ``_smith_form``'s of those rows, so a matrix in Smith normal form
+    already, such as a group built on its invariant factors, is its own
+    form.
     """
     return _smith_form(_sparse_rows(a), a.cols)
 
 
 def _smith_form(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
     """``snf`` of the matrix with ``cols`` columns whose sparse rows are
-    ``rows``.  Rows in Smith form already are their own form, with empty
-    logs, since elimination would log no operation on them; any others
-    ``_snf_rows`` reduces in place."""
+    ``rows``, reduced in place; every Smith form is made here.  Rows in
+    Smith form already are their own form, with empty logs, since
+    elimination would log no operation on them; any others
+    ``_eliminate`` reduces."""
     diagonal = tuple(rows[i].get(i, 0) for i in range(min(len(rows), cols)))
-    # row i holds at most entry i, each diagonal entry is nonnegative and
-    # divides the next (gcd(x, y) == x), and zeros trail (0 divides only 0)
-    if (all(row.keys() <= {i} for i, row in enumerate(rows))
-            and all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
-        return SnfDecomposition(diagonal, (len(rows), cols), (), ())
-    return _snf_rows(rows, cols)
-
-
-def _snf_rows(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
-    """The Smith form of the matrix with ``cols`` columns whose sparse
-    rows are ``rows``, reduced in place; every elimination of a whole
-    matrix runs here."""
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
-    diagonal = _eliminate(rows, cols, row_log, col_log)
+    # row i holds at most entry i, each diagonal entry is nonnegative and
+    # divides the next (gcd(x, y) == x), and zeros trail (0 divides only 0)
+    if not (all(row.keys() <= {i} for i, row in enumerate(rows))
+            and all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
+        diagonal = _eliminate(rows, cols, row_log, col_log)
     return SnfDecomposition(diagonal, (len(rows), cols), tuple(row_log), tuple(col_log))
 
 
-def _continue_snf(s: SnfDecomposition, c: IntMatrix) -> SnfDecomposition:
+def _continue_snf(s: SnfDecomposition, rows: list[dict[int, int]],
+                  width: int) -> SnfDecomposition:
     """A Smith normal form of ``[a | b]``, where ``s`` is the form of
-    ``a`` and ``c`` holds the Smith coordinates ``u @ b`` of the added
-    columns, each row i needed only modulo d_i (0 for a free row).
+    ``a`` and ``rows`` are the sparse rows of the Smith coordinates ``c
+    = u @ b`` of the ``width`` added columns, each row i needed only
+    modulo d_i (0 for a free row).
 
     ``[d | c]`` is ``u @ [a | b'] @ diag(v, I)`` with ``b' = u_inv @
     c``, and ``u @ b - c`` lies in the column span of ``d``, so ``b' -
     b`` lies in that of ``a``: ``[a | b']`` and ``[a | b]`` span one
-    lattice and share the diagonal.  Eliminating ``[d | c]``, built from
-    the diagonal and the sparse rows of ``c``, continues ``s``: the logs
-    are the parent's operations followed by those that reduce it, read
-    on the wider matrix (the parent's column operations touch only the
-    columns of ``a``).  The transforms are those of ``[a | b']``,
-    exactly ``[a | b]``'s when ``c == u @ b``.
+    lattice and share the diagonal.  The Smith form of ``[d | c]``,
+    built from the diagonal and ``rows`` (its own form when ``c`` is
+    zero), continues ``s``: the logs are the parent's operations
+    followed by those that reduce it, read on the wider matrix (the
+    parent's column operations touch only the columns of ``a``).  The
+    transforms are those of ``[a | b']``, exactly ``[a | b]``'s when
+    ``c == u @ b``.
     """
     (m, n), diag = s.shape, s.diagonal
-    width = n + c.cols
-    if c.is_zero():
-        # [d | 0] is in Smith form already: eliminating it logs nothing
-        diag += (0,) * (min(m, width) - len(diag))
-        return SnfDecomposition(diag, (m, width), s.row_log, s.col_log)
-    k, e = c.cols, c._entries
     w = [{i: diag[i]} if i < len(diag) and diag[i] else {} for i in range(m)]
-    for i, row in enumerate(w):
-        row.update((n + j, x) for j, x in enumerate(e[i * k:(i + 1) * k]) if x)
-    row_log: list[tuple[int, ...]] = []
-    col_log: list[tuple[int, ...]] = []
-    diagonal = _eliminate(w, width, row_log, col_log)
-    return SnfDecomposition(diagonal, (m, width), s.row_log + tuple(row_log),
-                            s.col_log + tuple(col_log))
+    for row, added in zip(w, rows):
+        row.update((n + j, x) for j, x in added.items())
+    e = _smith_form(w, n + width)
+    return SnfDecomposition(e.diagonal, e.shape, s.row_log + e.row_log, s.col_log + e.col_log)
 
 
 def _smith_vector(s: SnfDecomposition, i: int, column: bool = False,

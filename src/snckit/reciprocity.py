@@ -383,9 +383,10 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     torsion injecting into the Frobenius^f coinvariants) read only the
     group that Frobenius^f generates, which is that of
     Frobenius^gcd(f, theta's order), so they run once per
-    (ell, gcd(f, theta's order)).  Each report keeps its own f; a
-    prime's report is one object, shared by every degree where it is the
-    same, unless its warning names f.
+    (ell, gcd(f, theta's order)).  Each report keeps its own f; the
+    reports of a degree class share its one flags dict, and a prime's
+    report is one object, shared by every degree where it is the same,
+    unless its warning names f.
     """
     period = _period(cfg, pi1)
     cycles: tuple[HomologyResult, IntMatrix] | None = None
@@ -398,7 +399,8 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
 
     geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
     tests: dict[tuple[int, int], tuple[bool, bool]] = {}
-    classes: dict[int, tuple[dict[str, bool], HomologyResult, dict[int, tuple[bool, bool]]]] = {}
+    classes: dict[int, tuple[dict[str, bool], bool, HomologyResult,
+                             dict[int, tuple[bool, bool]]]] = {}
     shared: dict[tuple, PrimeReport] = {}
     reports = []
     for f in degrees:
@@ -424,9 +426,8 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
                     _, proj = coinvariants(alpha.theta.power(f))
                     tests[key] = (trivial, proj.compose(torsion_incl).is_injective())
                 arithmetic[ell] = tests[key]
-            classes[g] = (flags, h1_quotient, arithmetic)
-        flags, h1_quotient, arithmetic = classes[g]
-        assumption_i = all(flags.values())
+            classes[g] = (flags, all(flags.values()), h1_quotient, arithmetic)
+        flags, assumption_i, h1_quotient, arithmetic = classes[g]
 
         primes: dict[int, PrimeReport] = {}
         for ell, (assumption_ii, injective) in arithmetic.items():
@@ -452,7 +453,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
                     warnings=tuple(warnings),
                 )
             primes[ell] = shared[key]
-        reports.append(KernelReport(f, dict(flags), assumption_i, h1_quotient, primes))
+        reports.append(KernelReport(f, flags, assumption_i, h1_quotient, primes))
     return tuple(reports)
 
 

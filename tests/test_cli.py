@@ -52,6 +52,11 @@ class TestExitCodes:
         assert main(["norm", rulings_path, "--f", "0"]) == 2
         assert main(["kernel", rulings_path, "--ell", "2", "--f", "-2"]) == 2
         assert main(["kernel", rulings_path, "--ell", "2", "--sweep", "0"]) == 2
+        capsys.readouterr()
+        # one degree or a sweep, never both
+        assert main(["kernel", str(GOLDEN / "fermat5.json"), "--ell", "5", "--f", "3",
+                     "--sweep", "2"]) == 2
+        assert "argument --sweep: not allowed with argument --f" in capsys.readouterr().err
         assert main(["homology", rulings_path, "--degree", "-1"]) == 2
         assert main(["example", "fermat", "--n", "1"]) == 2
         assert main(["oracle-check", "--max-vertices", "0"]) == 2
@@ -490,7 +495,7 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch):
             patch.setattr(groups.ModuleMap, "is_surjective",
                           _counting(counts, "surjective", surjective))
             for key, original in (("alpha", reciprocity._alpha_at),
-                                  ("snf", matrices._snf_rows),
+                                  ("snf", matrices._smith_form),
                                   ("h1", homology.homology_group)):
                 _rebind(patch, original, _counting(counts, key, original))
             assert main(["kernel", str(GOLDEN / doc), *argv, "--json"]) == 0
@@ -596,6 +601,33 @@ def test_a_warning_that_names_f_is_not_shared(capsys):
     assert blocks[1] is blocks[3]
     # the theta payload is one object in every block
     assert len({id(block["theta"]) for block in blocks}) == 1
+
+
+@pytest.mark.parametrize("doc, ells, f_max", [("fermat5.json", (2, 3, 5), 10),
+                                               ("swap.json", (3,), 4)])
+def test_a_degree_class_shares_its_flags_payload(doc, ells, f_max):
+    """Every degree of a class gcd(f, P) has the same rational-point
+    flags, so within a class every entry's flags payload is one object,
+    which ``json_text`` writes once.  fermat-5 has P = 1, one class;
+    swap has P = 2, two."""
+    from math import gcd
+
+    from snckit.cli import _kernel_payloads
+    from snckit.config_io import parse_config
+    from snckit.reciprocity import _period, _sweep
+
+    bundle = parse_config(GOLDEN.joinpath(doc).read_text())
+    result = _sweep(bundle.config, bundle.pi1, bundle.labels, ells, f_max)
+    period = _period(bundle.config, bundle.pi1)
+    payloads = _kernel_payloads(result.reports)
+    classes: dict[int, list] = {}
+    for report, payload in zip(result.reports, payloads):
+        flags = payload["rational_point_flags"]
+        assert flags == dict(sorted(report.rational_point_flags.items()))
+        classes.setdefault(gcd(report.f, period), []).append(flags)
+    assert len(classes) == period
+    for flags in classes.values():
+        assert all(entry is flags[0] for entry in flags)
 
 
 @pytest.mark.parametrize("exponent", [7, 1000])
@@ -762,13 +794,15 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 
 # (command and flags, full SNF calls, SNF extension calls, largest
 # matrix reduced (rows, cols), peak entry bit length over u, d, v, u_inv
-# and v_inv of every SNF).  An extension of the SNF of a by columns b
-# reduces [d | c], c the Smith coordinates of b, so its shape is that of
-# [a | b].  Homology eliminates the form of d_a and the relation matrix
-# of H_a on the kernel basis, whose rows it reads off that form, and no
-# matrix that is in Smith form already: a relation matrix with no
-# nonzero entry, and its own diagonal presentation whenever the orders
-# make a divisibility chain.  On the 50-cover H_1 has no relations (the
+# and v_inv of every SNF).  Every form comes from ``_smith_form``; a full
+# SNF is a call that eliminates, outside ``_continue_snf``.  An
+# extension of the SNF of a by columns b takes the form of [d | c], c
+# the Smith coordinates of b, so its shape is that of [a | b].  Homology
+# eliminates the form of d_a and the relation matrix of H_a on the
+# kernel basis, whose rows it reads off that form, and no matrix that
+# is in Smith form already: a relation matrix with no nonzero entry, and
+# its own diagonal presentation whenever the orders make a
+# divisibility chain.  On the 50-cover H_1 has no relations (the
 # complex is a graph) and its presentation is Z over Z and Z/6 over Z/6,
 # so both rings eliminate d_1 alone, and so does every H_1 of a kernel
 # run.  Z/6 homology in degree 4 of the 3-fold suspension of the 6-cycle
@@ -787,13 +821,16 @@ DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
 
 
 def _measure_snf_work(monkeypatch):
-    """Wrap ``_snf_rows`` and ``_continue_snf``, the only routines that
-    eliminate (``snf`` delegates to ``_snf_rows``), at every binding
-    site; returns the dict the wrappers fill in, so every full SNF and
-    every extension is counted once."""
+    """Wrap ``_smith_form``, which makes every Smith form, and
+    ``_continue_snf``, which continues one through it, at every binding
+    site; returns the dict the wrappers fill in.  A ``_smith_form`` call
+    is a full SNF when it logs an operation (rows in Smith form already
+    are their own form) and ``_continue_snf`` did not make it, so every
+    full SNF and every extension is counted once."""
     from snckit import matrices
 
     seen = {"calls": 0, "extensions": 0, "shape": (0, 0), "bits": 0, "rows": []}
+    extending = False
 
     def record(key, shape, s):
         seen[key] += 1
@@ -804,16 +841,26 @@ def _measure_snf_work(monkeypatch):
                 seen["bits"] = max(seen["bits"], x.bit_length())
         return s
 
-    snf_rows, extend = matrices._snf_rows, matrices._continue_snf
+    smith_form, extend = matrices._smith_form, matrices._continue_snf
 
     def measuring(rows, cols):
-        seen["rows"].append(len(rows))
-        return record("calls", (len(rows), cols), snf_rows(rows, cols))
+        shape = (len(rows), cols)
+        s = smith_form(rows, cols)
+        if extending or not (s.row_log or s.col_log):
+            return s
+        seen["rows"].append(shape[0])
+        return record("calls", shape, s)
 
-    def measuring_extension(s, c):
-        return record("extensions", (c.rows, s.shape[1] + c.cols), extend(s, c))
+    def measuring_extension(s, rows, width):
+        nonlocal extending
+        extending = True
+        try:
+            e = extend(s, rows, width)
+        finally:
+            extending = False
+        return record("extensions", (len(rows), s.shape[1] + width), e)
 
-    _rebind(monkeypatch, snf_rows, measuring)
+    _rebind(monkeypatch, smith_form, measuring)
     _rebind(monkeypatch, extend, measuring_extension)
     return seen
 

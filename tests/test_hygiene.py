@@ -1,6 +1,7 @@
 """Source hygiene of the package: every import is used, every private
-function has a caller, every module compiles without a warning, and
-importing it loads only the standard library."""
+function has a caller, one routine makes every Smith form, every module
+compiles without a warning, and importing it loads only the standard
+library."""
 
 from __future__ import annotations
 
@@ -88,6 +89,28 @@ def test_every_private_function_has_a_caller():
         and refs[node.name] == _referenced(ast.walk(node))[node.name]
     ]
     assert unused == [], f"private functions without a caller: {unused}"
+
+
+def _call_sites(name: str) -> list[tuple[str, str]]:
+    """(module, enclosing top-level function or class) of every call of
+    ``name`` in the package, read as a name or an attribute."""
+    sites = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            sites += [(path.stem, owner) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return sites
+
+
+def test_one_routine_makes_every_smith_form():
+    """Elimination runs only inside ``matrices._smith_form``, and only
+    ``matrices`` builds an ``SnfDecomposition``: every Smith form, of a
+    matrix, a boundary or a continuation, comes from that one routine."""
+    assert _call_sites("_eliminate") == [("matrices", "_smith_form")]
+    assert {module for module, _ in _call_sites("SnfDecomposition")} == {"matrices"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -20,7 +20,6 @@ from snckit.matrices import (
     _least_pivot,
     _smith_form,
     _smith_vector,
-    _snf_rows,
     _sparse_rows,
     in_column_span,
     kernel_basis,
@@ -190,20 +189,23 @@ class TestSnf:
     @example(([{0: 2}, {1: 4}, {0: 1}], 2))  # more rows than columns
     def test_a_smith_form_is_its_own_form(self, candidate):
         """``snf`` of a matrix, and ``_smith_form`` of its sparse rows,
-        equal the form ``_snf_rows`` eliminates from a copy of them, and
-        call it exactly when that logs an operation: rows in Smith form
+        equal the form ``_eliminate`` reduces a copy of them to, and call
+        it exactly when that logs an operation: rows in Smith form
         already are their own form."""
         from test_cli import _rebind
 
         rows, cols = candidate
-        eliminated = _snf_rows([dict(row) for row in rows], cols)
+        row_log, col_log = [], []
+        diagonal = _eliminate([dict(row) for row in rows], cols, row_log, col_log)
+        eliminated = SnfDecomposition(diagonal, (len(rows), cols), tuple(row_log),
+                                      tuple(col_log))
         for entry, args in ((snf, (_from_rows(rows, cols),)),
                             (_smith_form, ([dict(row) for row in rows], cols))):
             calls = []
             with pytest.MonkeyPatch.context() as patch:
-                _rebind(patch, _snf_rows, lambda *args: calls.append(args) or eliminated)
+                _rebind(patch, _eliminate, lambda *args: calls.append(args) or _eliminate(*args))
                 assert entry(*args) == eliminated
-            assert len(calls) == (1 if eliminated.row_log or eliminated.col_log else 0)
+            assert len(calls) == (1 if row_log or col_log else 0)
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])
@@ -228,7 +230,7 @@ def extensions(draw):
 def _extended(s: SnfDecomposition, b: IntMatrix) -> SnfDecomposition:
     """The form ``s`` of ``a`` continued to one of ``[a | b]`` over the
     exact Smith coordinates ``u @ b`` of the added columns."""
-    return _continue_snf(s, s.u @ b)
+    return _continue_snf(s, _sparse_rows(s.u @ b), b.cols)
 
 
 def _block_diagonal(a: IntMatrix, n: int) -> IntMatrix:
@@ -281,9 +283,9 @@ class TestExtendSnf:
     @given(matrices_of(st.integers(-9, 9), max_side=5), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
     def test_zero_block_matches_the_full_elimination(self, r, width):
-        """A zero block is returned at once; eliminating ``[d | u @ 0]``
-        as for any other block logs no operation and gives the same
-        form and transforms."""
+        """``[d | u @ 0]`` is its own form; eliminating it as for any
+        other block logs no operation and gives the same form and
+        transforms."""
         parent = snf(r)
         b = IntMatrix.zeros(r.rows, width)
         cols = r.cols + width
@@ -335,10 +337,12 @@ class TestSmithCoordinates:
         u_inv @ c]`` and has the diagonal of ``[R | B1 | B2]``."""
         r, b1, b2 = case
         s = snf(r)
-        e = _continue_snf(s, _reduced_coordinates(s, b1))
-        assert_snf_contract(r.hstack(s.u_inv @ _reduced_coordinates(s, b1)), e)
+        c1 = _reduced_coordinates(s, b1)
+        e = _continue_snf(s, _sparse_rows(c1), c1.cols)
+        assert_snf_contract(r.hstack(s.u_inv @ c1), e)
         assert e.diagonal == reference_snf(r.hstack(b1)).d.diagonal_entries()
-        e2 = _continue_snf(e, _reduced_coordinates(e, b2))
+        c2 = _reduced_coordinates(e, b2)
+        e2 = _continue_snf(e, _sparse_rows(c2), c2.cols)
         assert e2.diagonal == reference_snf(r.hstack(b1).hstack(b2)).d.diagonal_entries()
 
     def test_walk_keeps_torsion_rows_small(self):
