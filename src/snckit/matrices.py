@@ -570,13 +570,17 @@ def _smith_form(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
     Smith form already are their own form, with empty logs, since
     elimination would log no operation on them; any others
     ``_eliminate`` reduces."""
-    diagonal = tuple(rows[i].get(i, 0) for i in range(min(len(rows), cols)))
+    bound = min(len(rows), cols)
+    entries = sum(map(len, rows))
     row_log: list[tuple[int, ...]] = []
     col_log: list[tuple[int, ...]] = []
-    # row i holds at most entry i, each diagonal entry is nonnegative and
-    # divides the next (gcd(x, y) == x), and zeros trail (0 divides only 0)
-    if not (all(row.keys() <= {i} for i, row in enumerate(rows))
-            and all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
+    # Rows in Smith form hold no entry off the diagonal: no more entries
+    # than it has places, and as many as it has nonzero entries.  Each
+    # diagonal entry is nonnegative and divides the next (gcd(x, y) ==
+    # x), and zeros trail (0 divides only 0).
+    diagonal = tuple(rows[i].get(i, 0) for i in range(bound)) if entries <= bound else ()
+    if (entries != len(diagonal) - diagonal.count(0)
+            or not all(gcd(x, y) == x for x, y in zip(diagonal, diagonal[1:] + (0,)))):
         diagonal = _eliminate(rows, cols, row_log, col_log)
     return SnfDecomposition(diagonal, (len(rows), cols), tuple(row_log), tuple(col_log))
 
