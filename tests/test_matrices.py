@@ -184,6 +184,7 @@ class TestSnf:
     @example(([{}, {}], 0))
     @example(([{0: 1}, {1: -2}], 2))  # a negative diagonal entry
     @example(([{0: 1, 2: 5}, {1: 2}, {2: 2}], 3))  # one entry off the diagonal
+    @example(([{1: 3}, {}], 2))  # off the diagonal, with fewer entries than places
     @example(([{0: 1}, {}, {2: 2}], 3))  # a zero row between nonzero ones
     @example(([{0: 2}, {1: 3}], 2))  # a diagonal that is not a divisibility chain
     @example(([{0: 2}, {1: 4}, {0: 1}], 2))  # more rows than columns
