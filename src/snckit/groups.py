@@ -25,13 +25,17 @@ the Smith coordinates of the added columns, reduced the same way
 again.  That is the form of a presentation ``[a | b']`` with ``b'``
 congruent to the added ``b`` modulo the parent's relation lattice: the
 same lattice, so the same diagonal, the same membership tests and the
-same preimages.  A derived
-group's ``relations`` is still the parent's with the exact new columns
-appended, ``[a | b]``; only its ``relation_snf()`` is that of the
-congruent presentation.  A map makes that continuation of its target's
-form by its matrix once, as the form of its cokernel, and its image,
-its cokernel and both of ``is_injective`` and ``is_surjective`` read
-the same one.
+same preimages.  A derived group keeps its parent and the added
+columns, and pays only for what they add: its Smith rows and columns
+are the parent's, which it reads from the parent's cache, combined
+with those of the row operations its form adds, so it never walks the
+parent's row log again (``_smith_rows``, ``_smith_columns``).  Its
+``relations`` is the parent's with the exact new columns appended,
+``[a | b]``, built only when read; only its ``relation_snf()`` is that
+of the congruent presentation.  A map makes that continuation of its
+target's form by its matrix once, as the form of its cokernel, and its
+image, its cokernel and both of ``is_injective`` and
+``is_surjective`` read the same one.
 
 ``GaloisModule`` pairs a group with a finite-order automorphism, the
 Frobenius of a ground field acting on an invariant of the geometric
@@ -56,6 +60,7 @@ from .matrices import (
     IntMatrix,
     SnfDecomposition,
     _continue_snf,
+    _power,
     _preimage_lattice,
     _smith_vector,
     snf,
@@ -137,10 +142,19 @@ class IsoType:
         return self.rank == 0 and not self.torsion
 
 
+def _rows_mod(y: IntMatrix, moduli: Sequence[int]) -> list[list[int]]:
+    """The rows of ``y``, row r reduced into [0, moduli[r]) and exact
+    where that modulus is 0."""
+    e, k = y._entries, y.cols
+    return [[x % m for x in e[r * k:(r + 1) * k]] if m else list(e[r * k:(r + 1) * k])
+            for r, m in enumerate(moduli)]
+
+
 class FgAbelianGroup:
     """Z^n modulo the column span of ``relations`` (an n-row matrix)."""
 
-    __slots__ = ("generator_count", "relations", "_snf", "_smith", "_base", "_rows", "_iso")
+    __slots__ = ("generator_count", "_relations", "_snf", "_smith", "_base", "_rows",
+                 "_columns", "_iso")
 
     def __init__(self, generator_count: int, relations: IntMatrix | None = None):
         if generator_count < 0:
@@ -151,22 +165,40 @@ class FgAbelianGroup:
             raise ValueError(
                 f"relations have {relations.rows} rows for {generator_count} generators"
             )
+        self._start(generator_count, relations, None)
+
+    def _start(self, generator_count: int, relations: IntMatrix | None,
+               base: "tuple[FgAbelianGroup, IntMatrix] | None") -> None:
+        """Set the fields: a derived group has a ``base``, its parent and
+        the added columns, and builds its relations only when read."""
         self.generator_count = generator_count
-        self.relations = relations
+        self._relations = relations
+        self._base = base
         self._snf: SnfDecomposition | None = None
         self._smith: "SmithForm | None" = None
-        self._base: "tuple[FgAbelianGroup, IntMatrix] | None" = None
         self._rows: "tuple[tuple[int, ...], IntMatrix, tuple[int, ...]] | None" = None
+        self._columns: IntMatrix | None = None
         self._iso: IsoType | None = None
 
     @classmethod
     def _extended(cls, base: "FgAbelianGroup", columns: IntMatrix) -> "FgAbelianGroup":
         """``base`` with the relation ``columns`` added.  Its Smith form
         is ``base``'s continued over the reduced Smith coordinates of the
-        new columns, on first use."""
-        g = cls(base.generator_count, base.relations.hstack(columns))
-        g._base = (base, columns)
+        new columns, and its relations ``[a | b]`` are built, on first
+        use."""
+        g = object.__new__(cls)
+        g._start(base.generator_count, None, (base, columns))
         return g
+
+    @property
+    def relations(self) -> IntMatrix:
+        """The relation columns; a derived group's are its parent's with
+        the added columns appended, built the first time they are
+        read."""
+        if self._relations is None:
+            base, columns = self._base
+            self._relations = base.relations.hstack(columns)
+        return self._relations
 
     # -- constructors -------------------------------------------------
 
@@ -206,32 +238,88 @@ class FgAbelianGroup:
                 base, columns = self._base
                 self._snf = _continue_snf(base.relation_snf(), base._smith_block(columns),
                                           columns.cols)
-                self._base = None
         return self._snf
+
+    def _parent(self) -> "FgAbelianGroup | None":
+        """The group this one adds relations to, when that group's form
+        logs a row operation; otherwise None, since a walk of this
+        group's whole row log then reads only the operations it adds."""
+        if self._base is None:
+            return None
+        parent = self._base[0]
+        return parent if parent.relation_snf().row_log else None
+
+    def _block_vectors(self, parent: "FgAbelianGroup", idx: Sequence[int], column: bool,
+                       modulus: int = 0) -> IntMatrix:
+        """The rows i in ``idx`` of the ``u`` that the operations of this
+        group's form past its ``parent``'s log build (with ``column``,
+        the columns i of its inverse, as rows), cut to the parent's
+        non-unit coordinates: those operations touch no row before
+        them."""
+        s, start = self.relation_snf(), len(parent.relation_snf().row_log)
+        k = len(parent._smith_rows()[0])
+        r = self.generator_count - k
+        return IntMatrix._of(len(idx), k, [
+            x for i in idx for x in _smith_vector(s, i, column, modulus, start)[r:]])
 
     def _smith_rows(self) -> tuple[tuple[int, ...], IntMatrix, tuple[int, ...]]:
         """The Smith coordinates this group reads: the indices i of the
         rows of its form's ``u`` with d_i != 1, in order (torsion, then
         free), those rows as a matrix, row i reduced into [0, d_i) and
-        exact when free, and the moduli d_i, 0 for a free row."""
+        exact when free, and the moduli d_i, 0 for a free row.
+
+        A derived group's ``u`` is the block's times its parent's, and
+        the rows it reads lie past the parent's unit rows, so where the
+        parent's ``u`` is not the identity (``_parent``) each is the
+        block's row times the parent's Smith rows, reduced modulo d_i:
+        reducing a parent row k modulo its d_k changes the product by a
+        multiple of (block u)_ik·d_k, which d_i divides, since block u
+        times the parent's diagonal is d times the inverse of the
+        block's v."""
         if self._rows is None:
             s = self.relation_snf()
             diag = s.diagonal
             n = self.generator_count
             idx = tuple(i for i in range(n) if i >= len(diag) or diag[i] != 1)
             moduli = tuple(diag[i] if i < len(diag) else 0 for i in idx)
-            rows = IntMatrix._of(len(idx), n, [x for i in idx for x in _smith_vector(s, i)])
+            parent = self._parent()
+            if parent is None:
+                rows = IntMatrix._of(len(idx), n, [x for i in idx for x in _smith_vector(s, i)])
+            else:
+                y = self._block_vectors(parent, idx, False) @ parent._smith_rows()[1]
+                rows = IntMatrix._of(len(idx), n, [x for row in _rows_mod(y, moduli) for x in row])
             self._rows = (idx, rows, moduli)
         return self._rows
+
+    def _smith_columns(self) -> IntMatrix:
+        """The columns i of its form's ``u_inv`` that this group reads,
+        for the indices i of ``_smith_rows``, reduced into [0, e) for the
+        exponent e of a finite group and exact when it has a free part.
+        A derived group's are, the same way, its parent's times the
+        block's columns: its exponent divides the parent's, which is 0
+        only when its own is."""
+        if self._columns is None:
+            idx = self._smith_rows()[0]
+            e, n = self._exponent(), self.generator_count
+            parent = self._parent()
+            if parent is None:
+                s = self.relation_snf()
+                columns = IntMatrix.from_columns(
+                    [_smith_vector(s, i, column=True, modulus=e) for i in idx], rows=n)
+            else:
+                block = self._block_vectors(parent, idx, True, e).transpose()
+                columns = parent._smith_columns() @ block
+                if e:
+                    columns = IntMatrix._of(n, len(idx), [x % e for x in columns._entries])
+            self._columns = columns
+        return self._columns
 
     def _reduced(self, block: IntMatrix) -> list[list[int]]:
         """The rows of ``_smith_rows`` times ``block``, row i reduced
         into [0, d_i): zero exactly where a column of ``block`` has a
         coordinate outside the relation lattice."""
         _, rows, moduli = self._smith_rows()
-        y, k = (rows @ block)._entries, block.cols
-        return [[x % m for x in y[r * k:(r + 1) * k]] if m else list(y[r * k:(r + 1) * k])
-                for r, m in enumerate(moduli)]
+        return _rows_mod(rows @ block, moduli)
 
     def _outside(self, block: IntMatrix) -> list[int]:
         """The indices of the columns of ``block`` that do not lie in
@@ -333,7 +421,9 @@ class SmithForm:
     presentation.  Their matrices hold what the group needs of its
     form's ``u`` and ``u_inv``: rows of ``u`` reduced modulo their
     invariant factors, and columns of ``u_inv`` reduced modulo the
-    exponent of a finite group, exact where there is a free part.
+    exponent of a finite group, exact where there is a free part.  Both
+    are the group's cached ``_smith_rows`` and ``_smith_columns``, so a
+    derived group's are read off its parent's.
     """
 
     __slots__ = ("group", "to_smith", "from_smith", "torsion_orders", "torsion_count", "free_count")
@@ -348,13 +438,11 @@ class SmithForm:
 
     @classmethod
     def _build(cls, g: FgAbelianGroup) -> "SmithForm":
-        kept, to_mat, moduli = g._smith_rows()
+        _, to_mat, moduli = g._smith_rows()
         orders = tuple(m for m in moduli if m)
         free_count = len(moduli) - len(orders)
         smith_group = FgAbelianGroup.from_invariants(orders, free_count)
-        s, e = g.relation_snf(), g._exponent()
-        from_mat = IntMatrix.from_columns(
-            [_smith_vector(s, i, column=True, modulus=e) for i in kept], rows=g.generator_count)
+        from_mat = g._smith_columns()
         # u carries the relation lattice onto the diagonal one and u_inv
         # carries it back, so both maps are well defined; reducing row i
         # of u modulo d_i, and u_inv modulo the exponent e of a finite
@@ -492,21 +580,7 @@ def _power_on(group: FgAbelianGroup, m: IntMatrix, k: int) -> IntMatrix:
     group has a free part, and otherwise by square-and-multiply with
     every product reduced into [0, e), e the exponent, since e times Z^n
     lies in the relation lattice."""
-    e = group._exponent()
-    if not e:
-        return m.power(k)
-
-    def reduced(x: IntMatrix) -> IntMatrix:
-        return IntMatrix._of(x.rows, x.cols, [v % e for v in x._entries])
-
-    result, base = reduced(IntMatrix.identity(m.rows)), reduced(m)
-    while k:
-        if k & 1:
-            result = reduced(result @ base)
-        k >>= 1
-        if k:
-            base = reduced(base @ base)
-    return result
+    return _power(m, k, group._exponent())
 
 
 class GaloisModule:

@@ -37,21 +37,25 @@ which keeps every run bit-for-bit reproducible.
 A matrix that only adds columns ``b`` to one whose form is known gets
 its form from ``_continue_snf``, not from ``snf``: ``u @ [a | b] @
 diag(v, I)`` is ``[d | u @ b]``, built from the diagonal and the
-sparse rows of the added Smith coordinates and put in Smith form by
-``_smith_form``, so the work is that of a nearly diagonal matrix, and
-none when those coordinates are zero.  The diagonal is the one ``snf``
-would give; ``u`` and ``v`` may differ.  The Smith coordinates ``c``
-of the added columns need only be right modulo the column span of
-``d``; the form is then that of ``[a | b']`` for some ``b'`` congruent
-to ``b`` modulo the column span of ``a``, with the same diagonal, and
-exactly that of ``[a | b]`` when ``c == u @ b``.  Groups continue their forms this way, over
-reduced coordinates.
+sparse rows of the added Smith coordinates.  Its rows with d_i == 1
+are finished pivots: each of their added entries costs one logged
+column operation, and only the other rows are put in Smith form by
+``_smith_form``, so the work is that of a nearly diagonal matrix of
+those rows, and none when their coordinates are zero.  The diagonal
+and both logs are those of eliminating every row; the diagonal is the
+one ``snf`` would give, while ``u`` and ``v`` may differ.  The Smith
+coordinates ``c`` of the added columns need only be right modulo the
+column span of ``d``; the form is then that of ``[a | b']`` for some
+``b'`` congruent to ``b`` modulo the column span of ``a``, with the
+same diagonal, and exactly that of ``[a | b]`` when ``c == u @ b``.
+Groups continue their forms this way, over reduced coordinates.
 
 A caller that needs a few Smith coordinates, not a whole transform,
 reads them with ``_smith_vector``: row i of ``u`` reduced modulo d_i
 (every multiple of d_i in coordinate i is a relation), or column i of
 ``u_inv``, exactly or modulo a given modulus, each by one backward walk
-over the row log.  Every decomposition keeps the exact unimodular
+over the row log, or over the part of it past a parent's log.  Every
+decomposition keeps the exact unimodular
 contract ``u @ a @ v == d`` (for ``_continue_snf``, with ``a`` the
 congruent ``[a | b']``); reducing coordinates is left to the callers.
 """
@@ -255,14 +259,7 @@ class IntMatrix:
         k = _as_int(k)
         if k < 0:
             raise ValueError("negative powers are not supported")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
+        return _power(self, k)
 
     # -- predicates ---------------------------------------------------
 
@@ -284,6 +281,29 @@ class IntMatrix:
         if self.rows * self.cols <= 36:
             return f"IntMatrix.from_rows({self.to_rows()!r}, cols={self.cols})"
         return f"<IntMatrix {self.rows}x{self.cols}>"
+
+
+def _power(m: IntMatrix, k: int, modulus: int = 0) -> IntMatrix:
+    """The square matrix ``m`` to the power ``k`` >= 0, exact, or with
+    every product reduced into [0, modulus) when a modulus is given.
+    Square-and-multiply starts at the lowest set bit of ``k`` and stops
+    at the highest, so it makes no product with the identity and no
+    square past the last one it uses: k.bit_length() - 1 squares and one
+    product fewer than k has set bits."""
+
+    def reduced(x: IntMatrix) -> IntMatrix:
+        return IntMatrix._of(x.rows, x.cols, [v % modulus for v in x._entries]) if modulus else x
+
+    if not k:
+        return reduced(IntMatrix.identity(m.rows))
+    base, result = reduced(m), None
+    while True:
+        if k & 1:
+            result = base if result is None else reduced(result @ base)
+        k >>= 1
+        if not k:
+            return result
+        base = reduced(base @ base)
 
 
 # An elimination log is a list of row operations, each a tuple:
@@ -595,28 +615,52 @@ def _continue_snf(s: SnfDecomposition, rows: list[dict[int, int]],
     ``[d | c]`` is ``u @ [a | b'] @ diag(v, I)`` with ``b' = u_inv @
     c``, and ``u @ b - c`` lies in the column span of ``d``, so ``b' -
     b`` lies in that of ``a``: ``[a | b']`` and ``[a | b]`` span one
-    lattice and share the diagonal.  The Smith form of ``[d | c]``,
-    built from the diagonal and ``rows`` (its own form when ``c`` is
-    zero), continues ``s``: the logs are the parent's operations
-    followed by those that reduce it, read on the wider matrix (the
-    parent's column operations touch only the columns of ``a``).  The
-    transforms are those of ``[a | b']``, exactly ``[a | b]``'s when
-    ``c == u @ b``.
+    lattice and share the diagonal.  The Smith form of ``[d | c]``
+    continues ``s``: the logs are the parent's operations followed by
+    those that reduce it, read on the wider matrix (the parent's column
+    operations touch only the columns of ``a``).  The transforms are
+    those of ``[a | b']``, exactly ``[a | b]``'s when ``c == u @ b``.
+
+    Only the rows past the parent's r leading unit factors are reduced.
+    Row i < r of ``[d | c]`` is a finished pivot 1, alone in its
+    column, so eliminating all of ``[d | c]`` would clear each entry
+    c_ij of it by the one column operation ``(n + j, i, -c_ij)``, which
+    changes no other row, and then reduce rows r and after.  Those
+    column operations are logged first, then the operations of the
+    block of rows and columns r and after (its own form when it is in
+    Smith form already, as when ``c`` is zero), with indices raised by
+    r: the diagonal and both logs are those of the whole elimination.
     """
     (m, n), diag = s.shape, s.diagonal
-    w = [{i: diag[i]} if i < len(diag) and diag[i] else {} for i in range(m)]
-    for row, added in zip(w, rows):
-        row.update((n + j, x) for j, x in added.items())
-    e = _smith_form(w, n + width)
-    return SnfDecomposition(e.diagonal, e.shape, s.row_log + e.row_log, s.col_log + e.col_log)
+    # the unit factors lead a divisibility chain
+    r = diag.count(1)
+    units = [(n + j, i, -x) for i, added in zip(range(r), rows) for j, x in sorted(added.items())]
+    w = [{i - r: diag[i]} if i < len(diag) and diag[i] else {} for i in range(r, m)]
+    for row, added in zip(w, rows[r:]):
+        row.update((n - r + j, x) for j, x in added.items())
+    e = _smith_form(w, n - r + width)
+    return SnfDecomposition(diag[:r] + e.diagonal, (m, n + width),
+                            s.row_log + _shifted(e.row_log, r),
+                            s.col_log + tuple(units) + _shifted(e.col_log, r))
+
+
+def _shifted(log: tuple[tuple[int, ...], ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """``log`` with every row or column index raised by r."""
+    if not (r and log):
+        return log
+    return tuple((op[0] + r, op[1] + r, op[2]) if len(op) == 3 else tuple(k + r for k in op)
+                 for op in log)
 
 
 def _smith_vector(s: SnfDecomposition, i: int, column: bool = False,
-                  modulus: int = 0) -> list[int]:
+                  modulus: int = 0, start: int = 0) -> list[int]:
     """Row i of ``u``, reduced into [0, d_i) when d_i > 0 and exact
     when d_i == 0 or i is at or past the rank; with ``column``, column
     i of ``u_inv``, exact, or reduced into [0, modulus) when a modulus
-    is given.  No transform is replayed.
+    is given.  No transform is replayed.  The walk skips the first
+    ``start`` operations of the row log: on a continued form, with
+    ``start`` the length of its parent's row log, it reads the ``u``
+    that the continuation's own row operations build.
 
     ``u`` is the logged row operations applied in order to the
     identity, so its row i is e_i times their product, which is e_i
@@ -624,14 +668,14 @@ def _smith_vector(s: SnfDecomposition, i: int, column: bool = False,
     row j to row i becomes adding q times entry i to entry j.
     ``u_inv`` is the inverse operations in reverse order, so its column
     i is e_i acted on by the inverses, last first: subtracting q times
-    entry j from entry i.  Either walk costs one step per logged
-    operation.
+    entry j from entry i.  Either walk costs one step per operation it
+    reads.
     """
     diag = s.diagonal
     m = modulus if column else diag[i] if i < len(diag) else 0
     x = [0] * s.shape[0]
     x[i] = 1 % m if m else 1
-    for op in reversed(s.row_log):
+    for op in reversed(s.row_log[start:]):
         if len(op) == 3:
             a, b, q = op
             if column:

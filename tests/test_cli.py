@@ -898,6 +898,42 @@ def test_snf_work_is_pinned(capsys, monkeypatch, tmp_path, doc):
         assert 116 not in seen["rows"]
 
 
+def test_derived_groups_pay_only_for_what_they_add(capsys, monkeypatch, tmp_path):
+    """On the dense-24 kernel run, theta, its localizations, alpha's
+    image and cokernel and the coinvariants continue y0's form over the
+    rows past its unit invariant factors only (33 rows reach
+    ``_eliminate``, y0's 24 among them), read their Smith rows and
+    columns off their parent's, so ``_smith_vector`` walks no more steps
+    than y0's own two walks of its row log, and build no ``[a | b]``
+    relation matrix, which nothing reads."""
+    import inspect
+
+    from snckit import matrices
+    from snckit.matrices import IntMatrix
+
+    counts = {"rows": 0, "steps": 0, "hstack": 0}
+    eliminate, vector = matrices._eliminate, matrices._smith_vector
+    signature = inspect.signature(vector)
+
+    def counting_eliminate(d, n, row_log, col_log):
+        counts["rows"] += len(d)
+        return eliminate(d, n, row_log, col_log)
+
+    def counting_vector(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        counts["steps"] += len(bound["s"].row_log) - bound.get("start", 0)
+        return vector(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_eliminate", counting_eliminate)
+    _rebind(monkeypatch, vector, counting_vector)
+    monkeypatch.setattr(IntMatrix, "hstack", _counting(counts, "hstack", IntMatrix.hstack))
+    argv = ["kernel", _dense_path(tmp_path, "dense-24"), "--ell", "2", "--ell", "3",
+            "--ell", "5", "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts["rows"] <= 33 and counts["steps"] <= 2658 and counts["hstack"] == 0, counts
+
+
 def test_dense_kernel_replays_no_transform(capsys, monkeypatch, tmp_path):
     """The groups read single Smith coordinates, so a dense-24 kernel
     run replays no ``u``, ``u_inv``, ``v`` or ``v_inv`` of any form."""

@@ -11,12 +11,13 @@ from snckit.groups import (
     IsoType,
     ModuleMap,
     coinvariants,
+    _power_on,
     cokernel,
     image_subgroup,
     is_prime,
     torsion_and_primary,
 )
-from snckit.matrices import IntMatrix, preimage_generators, snf, solve
+from snckit.matrices import IntMatrix, _smith_vector, preimage_generators, snf, solve
 
 from conftest import agree_mod_relations, det
 from snf_reference import snf as reference_snf
@@ -362,6 +363,64 @@ def test_smith_coordinates_match_an_exact_solve(case):
         assert iso == _stacked_iso_type(n, g.relations)
 
 
+def _walked_smith_data(g: FgAbelianGroup) -> tuple[IntMatrix, IntMatrix]:
+    """The Smith rows and columns of ``g`` by walking the whole row log
+    of its form: rows i of ``u`` with d_i != 1, reduced modulo d_i, and
+    those columns of ``u_inv``, reduced modulo the exponent."""
+    s, n = g.relation_snf(), g.generator_count
+    diag = s.diagonal
+    idx = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
+    rows = IntMatrix.from_rows([_smith_vector(s, i) for i in idx], cols=n)
+    columns = IntMatrix.from_columns(
+        [_smith_vector(s, i, column=True, modulus=g._exponent()) for i in idx], rows=n)
+    return rows, columns
+
+
+def _stacked(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """``[a | b]``, built column by column."""
+    return IntMatrix.from_columns([a.col(j) for j in range(a.cols)] +
+                                  [b.col(j) for j in range(b.cols)], rows=a.rows)
+
+
+@st.composite
+def derivations(draw):
+    """Relations of a group with unit factors, torsion or a free part,
+    and two blocks of columns that a chain of two groups derived from it
+    adds."""
+    n = draw(st.integers(0, 5))
+
+    def block(cols):
+        return IntMatrix.from_rows(
+            [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+             for _ in range(n)], cols=cols)
+
+    return block(draw(st.integers(0, n + 1))), block(draw(st.integers(0, 3))), block(
+        draw(st.integers(0, 3)))
+
+
+@given(derivations())
+@example((IntMatrix.from_rows([[2], [4]]), IntMatrix.from_rows([[0], [3]]),
+          IntMatrix.from_rows([[1], [1]])))
+@settings(max_examples=200, deadline=None)
+def test_derived_smith_data_matches_walks_of_the_merged_form(case):
+    """A derived group reads its Smith rows and columns off its parent's
+    and the block's operations alone; they equal full walks of its
+    merged form.  Its relations are built on first read and are ``[a |
+    b]``.  The example derives a finite group from a parent with a free
+    part, whose exponent is 0, and derives a group from that one."""
+    relations, b1, b2 = case
+    base = FgAbelianGroup(relations.rows, relations)
+    first = FgAbelianGroup._extended(base, b1)
+    second = FgAbelianGroup._extended(first, b2)
+    for g in (base, first, second):
+        rows, columns = _walked_smith_data(g)
+        assert g._smith_rows()[1] == rows
+        assert g.smith().from_smith.matrix == columns
+    for g, added in ((first, b1), (second, b2)):
+        assert g._relations is None
+        assert g.relations == _stacked(g._base[0].relations, added)
+
+
 def _exact_order_check(group: FgAbelianGroup, frobenius: IntMatrix, order: int) -> bool:
     """Whether the module constructor should accept: Frobenius keeps the
     relations and its exact order-th power is the identity modulo them."""
@@ -404,6 +463,30 @@ def test_order_check_matches_the_exact_power(case):
     except WellDefinednessError:
         accepted = False
     assert accepted == _exact_order_check(group, frobenius, order)
+
+
+def test_a_first_power_makes_no_product(monkeypatch):
+    """Square-and-multiply makes no product with the identity: the order
+    check of a module of order 1 takes the matrix itself, reduced modulo
+    the exponent of a finite group, and 13 = 0b1101 takes three squares
+    and two products, exactly or modulo the exponent."""
+    m = IntMatrix.from_rows([[1, 2], [0, 5]])
+    exact = {1: m, 13: m.power(13)}
+    products = {"count": 0}
+    product = IntMatrix.__matmul__
+
+    def counting(x, y):
+        products["count"] += 1
+        return product(x, y)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    for group, e in ((FgAbelianGroup.from_invariants([4], 1), 0),
+                     (FgAbelianGroup.from_invariants([4, 12], 0), 12)):
+        for k, count in ((1, 0), (13, 5)):
+            products["count"] = 0
+            power = _power_on(group, m, k)
+            assert products["count"] == count
+            assert power._entries == tuple(x % e if e else x for x in exact[k]._entries)
 
 
 def test_order_check_works_modulo_the_exponent(monkeypatch):

@@ -101,6 +101,29 @@ class TestIntMatrix:
         assert a.power(5).to_rows() == [[1, 5], [0, 1]]
         assert a.power(0).is_identity()
 
+    def test_power_makes_no_product_with_the_identity(self, monkeypatch):
+        """Square-and-multiply from the lowest set bit: k.bit_length() - 1
+        squares and one product fewer than k has set bits, so a first
+        power makes none; the result is the repeated product."""
+        a = IntMatrix.from_rows([[1, 2, 0], [0, 1, -1], [3, 0, 1]])
+        expected = [IntMatrix.identity(3)]
+        for _ in range(70):
+            expected.append(expected[-1] @ a)
+        products = {"count": 0}
+        product = IntMatrix.__matmul__
+
+        def counting(x, y):
+            products["count"] += 1
+            return product(x, y)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        for k, power in enumerate(expected):
+            products["count"] = 0
+            assert a.power(k) == power
+            assert products["count"] == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+        products["count"] = 0
+        assert a.power(1) == a and products["count"] == 0
+
     def test_det(self):
         assert det(IntMatrix.from_rows([[2, 0], [1, 3]])) == 6
         assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
@@ -300,6 +323,81 @@ class TestExtendSnf:
         for name in ("u", "u_inv", "v", "v_inv"):
             assert getattr(s, name) == getattr(full, name), name
         self.assert_extends(r.hstack(b), s)
+
+
+def _eliminated_continuation(s: SnfDecomposition, rows: list[dict[int, int]],
+                             width: int) -> SnfDecomposition:
+    """``s`` continued by eliminating every row of ``[d | c]``, ``c``
+    the ``width`` columns with sparse rows ``rows``, and putting the
+    parent's logs in front."""
+    (m, n), diag = s.shape, s.diagonal
+    w = [{i: diag[i]} if i < len(diag) and diag[i] else {} for i in range(m)]
+    for row, added in zip(w, rows):
+        row.update((n + j, x) for j, x in added.items())
+    row_log, col_log = [], []
+    diagonal = _eliminate(w, n + width, row_log, col_log)
+    return SnfDecomposition(diagonal, (m, n + width), s.row_log + tuple(row_log),
+                            s.col_log + tuple(col_log))
+
+
+@st.composite
+def coordinate_blocks(draw):
+    """A matrix R and two blocks of Smith coordinates as sparse rows, R's
+    row count of them: zero blocks, or random entries in any row, the
+    unit rows of the form included, so the coordinates are not
+    reduced."""
+    r = draw(matrices_of(st.sampled_from([-3, -1, 0, 0, 1, 1, 2, 6]), max_side=5))
+    blocks = []
+    for _ in range(2):
+        width = draw(st.integers(0, 3))
+        if width and draw(st.integers(0, 3)):
+            entries = st.integers(-9, 9).filter(bool)
+            rows = [draw(st.dictionaries(st.integers(0, width - 1), entries))
+                    for _ in range(r.rows)]
+        else:
+            rows = [{} for _ in range(r.rows)]
+        blocks.append((rows, width))
+    return r, blocks
+
+
+class TestContinuationBlock:
+    """``_continue_snf`` eliminates only the rows of ``[d | c]`` past the
+    parent's unit invariant factors, and gives the diagonal, row log and
+    column log of eliminating all of them."""
+
+    @given(coordinate_blocks())
+    @example((IntMatrix.from_rows([[1, 0], [0, 2]]), [([{0: 5, 1: -1}, {0: 3}], 2)] * 2))
+    @example((IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), [([{0: 2}, {1: 4}], 2)] * 2))
+    @example((IntMatrix.from_rows([[1], [2], [4]]), [([{}, {}, {}], 1), ([{0: 7}, {}, {0: 3}], 1)]))
+    @example((IntMatrix.from_rows([[6, 0], [0, 6]]), [([{0: 4}, {0: 6}], 1)] * 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eliminating_every_row(self, case):
+        r, blocks = case
+        s = snf(r)
+        for rows, width in blocks:
+            expected = _eliminated_continuation(s, rows, width)
+            s = _continue_snf(s, rows, width)
+            assert s == expected
+
+    def test_unit_rows_reach_no_elimination(self, monkeypatch):
+        """Entries in unit rows cost one column operation each, logged
+        first, and only the rows past the units are eliminated."""
+        from snckit import matrices
+
+        parent = snf(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 4]]))
+        assert parent.diagonal == (1, 1, 4)
+        rows_in = []
+        eliminate = matrices._eliminate
+
+        def counting(d, n, row_log, col_log):
+            rows_in.append(len(d))
+            return eliminate(d, n, row_log, col_log)
+
+        monkeypatch.setattr(matrices, "_eliminate", counting)
+        s = _continue_snf(parent, [{0: 3, 1: 5}, {1: -2}, {0: 6}], 2)
+        assert rows_in == [1]
+        assert s.col_log[:3] == ((3, 0, -3), (4, 0, -5), (4, 1, 2))
+        assert s.diagonal == (1, 1, 2)
 
 
 def _reduced_coordinates(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
