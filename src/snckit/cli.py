@@ -236,7 +236,7 @@ def _cmd_theta(args):
     bundle, digest = _load(args)
     per_ell = {}
     lines = []
-    for ell in args.ell:
+    for ell in dict.fromkeys(args.ell):
         theta = compute_theta(bundle.pi1, ell)
         torsion, _ = theta.torsion_submodule()
         trivial = theta.acts_trivially()
@@ -261,7 +261,7 @@ def _cmd_alpha(args):
     # parse_config checked the pi1 data and labels, and H₁'s cycles do
     # not depend on the prime
     cycles = _label_cycles(bundle.config, bundle.pi1, bundle.labels)
-    for ell in args.ell:
+    for ell in dict.fromkeys(args.ell):
         res = _alpha_at(bundle.pi1, *cycles, ell)
         surjective = res.surjective
         per_ell[str(ell)] = {

@@ -152,6 +152,8 @@ def connecting_map(cfg: SncConfiguration, f_fine: int, f_coarse: int,
     """The collapse map between extension levels, from the finer
     (larger-degree) quotient down to the coarser; requires
     f_coarse | f_fine.  Precomputed extensions may be passed in."""
+    if f_coarse < 1:
+        raise ValueError("extension degree must be positive")
     if f_fine % f_coarse != 0:
         raise ValueError(f"{f_coarse} does not divide {f_fine}")
     if fine is None:

@@ -26,21 +26,25 @@ again.  That is the form of a presentation ``[a | b']`` with ``b'``
 congruent to the added ``b`` modulo the parent's relation lattice: the
 same lattice, so the same diagonal, the same membership tests and the
 same preimages.  A derived group keeps its parent and the added
-columns, and pays only for what they add: its Smith rows and columns
-are the parent's, which it reads from the parent's cache, combined
-with those of the row operations its form adds, so it never walks the
-parent's row log again (``_smith_rows``, ``_smith_columns``).  Its
-``relations`` is the parent's with the exact new columns appended,
-``[a | b]``, built only when read; only its ``relation_snf()`` is that
-of the congruent presentation.  A map makes that continuation of its
-target's form by its matrix once, as the form of its cokernel, and its
-image, its cokernel and both of ``is_injective`` and
-``is_surjective`` read the same one.
+columns, and pays only for what they add.  One walker, ``_walked``,
+reads every group's Smith rows and columns off its form's row log: a
+derived group whose parent's form logs a row operation walks only the
+operations its own form adds, and ``_smith_rows`` and
+``_smith_columns`` combine those with the parent's cached rows and
+columns, so no group walks its parent's log again; every other group
+walks its whole log.  Its ``relations`` is the parent's with the exact
+new columns appended, ``[a | b]``, built only when read; only its
+``relation_snf()`` is that of the congruent presentation.  A map makes
+that continuation of its target's form by its matrix once, as the form
+of its cokernel, and its image, its cokernel and both of
+``is_injective`` and ``is_surjective`` read the same one.
 
 ``GaloisModule`` pairs a group with a finite-order automorphism, the
 Frobenius of a ground field acting on an invariant of the geometric
 object; ``coinvariants``, torsion restriction and localization at a
-prime all live here because they are pure group theory.
+prime all live here because they are pure group theory.  Torsion and
+localization read the group's cached Smith rows and columns; the
+public ``smith()`` view is for callers, and no package code reads it.
 
 The ``ModuleMap`` and ``GaloisModule`` constructors always check
 well-definedness (and, for a module, the declared order), so every
@@ -240,27 +244,23 @@ class FgAbelianGroup:
                                           columns.cols)
         return self._snf
 
-    def _parent(self) -> "FgAbelianGroup | None":
-        """The group this one adds relations to, when that group's form
-        logs a row operation; otherwise None, since a walk of this
-        group's whole row log then reads only the operations it adds."""
-        if self._base is None:
-            return None
-        parent = self._base[0]
-        return parent if parent.relation_snf().row_log else None
-
-    def _block_vectors(self, parent: "FgAbelianGroup", idx: Sequence[int], column: bool,
-                       modulus: int = 0) -> IntMatrix:
-        """The rows i in ``idx`` of the ``u`` that the operations of this
-        group's form past its ``parent``'s log build (with ``column``,
-        the columns i of its inverse, as rows), cut to the parent's
-        non-unit coordinates: those operations touch no row before
-        them."""
-        s, start = self.relation_snf(), len(parent.relation_snf().row_log)
-        k = len(parent._smith_rows()[0])
-        r = self.generator_count - k
+    def _walked(self, idx: Sequence[int], column: bool = False,
+                modulus: int = 0) -> "tuple[IntMatrix, FgAbelianGroup | None]":
+        """The rows i in ``idx`` of this group's form's ``u`` (with
+        ``column``, the columns i of ``u_inv``, as rows, exact or reduced
+        into [0, modulus)), and the group they are relative to.  A
+        derived group whose parent's form logs a row operation walks only
+        the operations past the parent's log, which touch no row before
+        the parent's non-unit coordinates, and cuts its rows to those
+        coordinates; every other group walks its whole log and has no
+        parent."""
+        s, n = self.relation_snf(), self.generator_count
+        parent, start, k = None, 0, n
+        if self._base is not None and self._base[0].relation_snf().row_log:
+            parent = self._base[0]
+            start, k = len(parent.relation_snf().row_log), len(parent._smith_rows()[0])
         return IntMatrix._of(len(idx), k, [
-            x for i in idx for x in _smith_vector(s, i, column, modulus, start)[r:]])
+            x for i in idx for x in _smith_vector(s, i, column, modulus, start)[n - k:]]), parent
 
     def _smith_rows(self) -> tuple[tuple[int, ...], IntMatrix, tuple[int, ...]]:
         """The Smith coordinates this group reads: the indices i of the
@@ -268,25 +268,19 @@ class FgAbelianGroup:
         free), those rows as a matrix, row i reduced into [0, d_i) and
         exact when free, and the moduli d_i, 0 for a free row.
 
-        A derived group's ``u`` is the block's times its parent's, and
-        the rows it reads lie past the parent's unit rows, so where the
-        parent's ``u`` is not the identity (``_parent``) each is the
-        block's row times the parent's Smith rows, reduced modulo d_i:
-        reducing a parent row k modulo its d_k changes the product by a
-        multiple of (block u)_ik·d_k, which d_i divides, since block u
-        times the parent's diagonal is d times the inverse of the
-        block's v."""
+        The rows are ``_walked``; those relative to a parent are times
+        the parent's cached Smith rows, reduced modulo d_i: a derived
+        group's ``u`` is the block's times its parent's, and reducing a
+        parent row k modulo its d_k changes the product by a multiple of
+        (block u)_ik·d_k, which d_i divides, since block u times the
+        parent's diagonal is d times the inverse of the block's v."""
         if self._rows is None:
-            s = self.relation_snf()
-            diag = s.diagonal
-            n = self.generator_count
+            diag, n = self.relation_snf().diagonal, self.generator_count
             idx = tuple(i for i in range(n) if i >= len(diag) or diag[i] != 1)
             moduli = tuple(diag[i] if i < len(diag) else 0 for i in idx)
-            parent = self._parent()
-            if parent is None:
-                rows = IntMatrix._of(len(idx), n, [x for i in idx for x in _smith_vector(s, i)])
-            else:
-                y = self._block_vectors(parent, idx, False) @ parent._smith_rows()[1]
+            rows, parent = self._walked(idx)
+            if parent is not None:
+                y = rows @ parent._smith_rows()[1]
                 rows = IntMatrix._of(len(idx), n, [x for row in _rows_mod(y, moduli) for x in row])
             self._rows = (idx, rows, moduli)
         return self._rows
@@ -295,20 +289,15 @@ class FgAbelianGroup:
         """The columns i of its form's ``u_inv`` that this group reads,
         for the indices i of ``_smith_rows``, reduced into [0, e) for the
         exponent e of a finite group and exact when it has a free part.
-        A derived group's are, the same way, its parent's times the
-        block's columns: its exponent divides the parent's, which is 0
-        only when its own is."""
+        They are ``_walked``; those relative to a parent are, the same
+        way, the parent's cached columns times them: the group's exponent
+        divides the parent's, which is 0 only when its own is."""
         if self._columns is None:
-            idx = self._smith_rows()[0]
-            e, n = self._exponent(), self.generator_count
-            parent = self._parent()
-            if parent is None:
-                s = self.relation_snf()
-                columns = IntMatrix.from_columns(
-                    [_smith_vector(s, i, column=True, modulus=e) for i in idx], rows=n)
-            else:
-                block = self._block_vectors(parent, idx, True, e).transpose()
-                columns = parent._smith_columns() @ block
+            idx, e, n = self._smith_rows()[0], self._exponent(), self.generator_count
+            walked, parent = self._walked(idx, True, e)
+            columns = walked.transpose()
+            if parent is not None:
+                columns = parent._smith_columns() @ columns
                 if e:
                     columns = IntMatrix._of(n, len(idx), [x % e for x in columns._entries])
             self._columns = columns
@@ -413,7 +402,8 @@ class FgAbelianGroup:
 
 
 class SmithForm:
-    """Diagonalized picture of a group with the change of basis.
+    """Diagonalized picture of a group with the change of basis, the
+    public view that ``FgAbelianGroup.smith`` builds for callers.
 
     ``group`` is presented on ``torsion_count + free_count`` generators
     (torsion first, in divisibility order) and ``to_smith`` /
@@ -422,8 +412,9 @@ class SmithForm:
     form's ``u`` and ``u_inv``: rows of ``u`` reduced modulo their
     invariant factors, and columns of ``u_inv`` reduced modulo the
     exponent of a finite group, exact where there is a free part.  Both
-    are the group's cached ``_smith_rows`` and ``_smith_columns``, so a
-    derived group's are read off its parent's.
+    are the group's cached ``_smith_rows`` and ``_smith_columns``, which
+    ``_walked`` reads; the package reads those directly and never builds
+    this view.
     """
 
     __slots__ = ("group", "to_smith", "from_smith", "torsion_orders", "torsion_count", "free_count")
@@ -636,31 +627,21 @@ class GaloisModule:
     def torsion_submodule(self) -> tuple["GaloisModule", ModuleMap]:
         """The torsion subgroup with the restricted action, plus its
         inclusion into the full module."""
-        sm = self.group.smith()
-        t = sm.torsion_count
-        full = sm.to_smith.matrix @ self.frobenius @ sm.from_smith.matrix
-        # torsion is characteristic, so the free coordinates of the
-        # image of a torsion generator vanish identically
-        for i in range(t, t + sm.free_count):
-            for j in range(t):
-                if full[i, j] != 0:
-                    raise WellDefinednessError(
-                        "frobenius does not preserve the torsion subgroup"
-                    )
-        block = IntMatrix.from_rows(
-            [[full[i, j] for j in range(t)] for i in range(t)], cols=t
-        )
-        tors_group = (
-            FgAbelianGroup.from_invariants(sm.torsion_orders, 0)
-            if t else FgAbelianGroup.trivial()
-        )
-        incl_mat = IntMatrix.from_columns(
-            [sm.from_smith.matrix.col(i) for i in range(t)],
-            rows=self.group.generator_count,
-        )
-        # torsion is characteristic (checked above), so the restricted
+        _, to_smith, moduli = self.group._smith_rows()
+        orders = tuple(d for d in moduli if d)
+        t, n = len(orders), self.group.generator_count
+        # the torsion Smith coordinates come first
+        columns = self.group._smith_columns()
+        incl_mat = IntMatrix.from_columns([columns.col(i) for i in range(t)], rows=n)
+        image = to_smith @ (self.frobenius @ incl_mat)
+        # torsion is characteristic: the free coordinates of the image of
+        # a torsion generator vanish identically, and then the restricted
         # action keeps the order bound and the inclusion is well defined
+        if any(image._entries[t * t:]):
+            raise WellDefinednessError("frobenius does not preserve the torsion subgroup")
+        tors_group = FgAbelianGroup.from_invariants(orders, 0) if t else FgAbelianGroup.trivial()
         incl = ModuleMap._of(tors_group, self.group, incl_mat)
+        block = IntMatrix._of(t, t, image._entries[:t * t])
         return GaloisModule._of(tors_group, block, self.order), incl
 
     def localized(self, ell: int) -> tuple["GaloisModule", ModuleMap]:
@@ -668,16 +649,13 @@ class GaloisModule:
         torsion plus the free part survive.  Returns the localized
         module and the projection."""
         _require_prime(ell)
-        sm = self.group.smith()
         extra = []
-        for i, d in enumerate(sm.torsion_orders):
+        for i, d in enumerate(self.group._smith_rows()[2]):
             m = d
-            while m % ell == 0:
+            while m > 1 and m % ell == 0:
                 m //= ell
             if m > 1:
-                lpart = d // m
-                col = sm.from_smith.matrix.col(i)
-                extra.append([lpart * x for x in col])
+                extra.append([d // m * x for x in self.group._smith_columns().col(i)])
         quotient = FgAbelianGroup._extended(
             self.group, IntMatrix.from_columns(extra, rows=self.group.generator_count)
         ) if extra else self.group

@@ -256,6 +256,21 @@ class TestKernelCommand:
         assert report["results"]["primes"]["5"]["predicted_kernel"]["description"] == "Z/5"
         assert report["results"]["primes"]["2"]["predicted_kernel"]["description"] == "0"
 
+    @pytest.mark.parametrize("command", ["theta", "alpha"])
+    def test_repeated_ell_runs_once(self, capsys, fermat_path, command):
+        """A prime given twice is computed and printed once, in the
+        order of its first mention, and the JSON report is the one of
+        the distinct primes."""
+        repeated = [command, fermat_path, "--ell", "5", "--ell", "2", "--ell", "5"]
+        assert main(repeated) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if "ell=" in line] == [
+            f"{command} at ell=5", f"{command} at ell=2"]
+        assert main(repeated + ["--json"]) == 0
+        once = capsys.readouterr().out
+        assert main([command, fermat_path, "--ell", "5", "--ell", "2", "--json"]) == 0
+        assert once == capsys.readouterr().out
+
     def test_sweep_trends(self, capsys, fermat_path):
         report = run_json(capsys, ["kernel", fermat_path, "--ell", "5", "--sweep", "4"])
         assert len(report["results"]["sweep"]) == 4

@@ -310,6 +310,11 @@ class TestConnectingMap:
         with pytest.raises(ValueError, match="does not divide"):
             connecting_map(cfg, 3, 2)
 
+    @pytest.mark.parametrize("f_coarse", [0, -2])
+    def test_rejects_a_coarse_degree_below_one(self, f_coarse):
+        with pytest.raises(ValueError, match="extension degree must be positive"):
+            connecting_map(fermat_cover_config(4), 4, f_coarse)
+
     def test_top_level_is_sigma(self):
         cfg = fermat_cover_config(4)
         chain = connecting_map(cfg, 4, 1)

@@ -1,5 +1,7 @@
 """Presented abelian groups, maps, and Frobenius modules."""
 
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -401,13 +403,18 @@ def derivations(draw):
 @given(derivations())
 @example((IntMatrix.from_rows([[2], [4]]), IntMatrix.from_rows([[0], [3]]),
           IntMatrix.from_rows([[1], [1]])))
+@example((IntMatrix.from_rows([[2, 0], [0, 4]]), IntMatrix.from_rows([[1], [2]]),
+          IntMatrix.from_rows([[0], [1]])))
 @settings(max_examples=200, deadline=None)
 def test_derived_smith_data_matches_walks_of_the_merged_form(case):
     """A derived group reads its Smith rows and columns off its parent's
     and the block's operations alone; they equal full walks of its
     merged form.  Its relations are built on first read and are ``[a |
-    b]``.  The example derives a finite group from a parent with a free
-    part, whose exponent is 0, and derives a group from that one."""
+    b]``.  The first example derives a finite group from a parent with
+    a free part, whose exponent is 0, and derives a group from that one.
+    The second derives a group from Z/2 ⊕ Z/4 in Smith form, whose form
+    logs no row operation, so ``_walked`` walks the derived group's
+    whole log and returns no parent."""
     relations, b1, b2 = case
     base = FgAbelianGroup(relations.rows, relations)
     first = FgAbelianGroup._extended(base, b1)
@@ -419,6 +426,72 @@ def test_derived_smith_data_matches_walks_of_the_merged_form(case):
     for g, added in ((first, b1), (second, b2)):
         assert g._relations is None
         assert g.relations == _stacked(g._base[0].relations, added)
+
+
+@st.composite
+def checked_modules(draw):
+    """A checked module on a root group, whose relations are already a
+    Smith form (its form logs no operation) or are random (its form
+    logs some), or on one or two groups derived from such a root, with
+    or without a free part.  Frobenius is k times the identity plus
+    combinations of the relations, so it acts as k: it has the order of
+    k modulo the exponent of a finite group, and k is ±1 on one with a
+    free part."""
+    n = draw(st.integers(0, 4))
+
+    def block(rows, cols, lo=-6, hi=6):
+        return IntMatrix.from_rows(
+            [draw(st.lists(st.integers(lo, hi), min_size=cols, max_size=cols))
+             for _ in range(rows)], cols=cols)
+
+    if draw(st.booleans()):
+        factors, d = [], 1
+        for step in draw(st.lists(st.integers(1, 4), max_size=n)):
+            d *= step
+            factors.append(d)
+        group = FgAbelianGroup(n, IntMatrix.diagonal(factors, rows=n))
+        assert not group.relation_snf().row_log
+    else:
+        group = FgAbelianGroup(n, block(n, draw(st.integers(0, n + 1))))
+    for _ in range(draw(st.integers(0, 2))):
+        group = FgAbelianGroup._extended(group, block(n, draw(st.integers(0, 2))))
+    e = group._exponent()
+    if e:
+        k = draw(st.integers(-6, 6).filter(lambda k: gcd(k, e) == 1))
+        order, x = 1, k % e
+        while x != 1 % e:
+            order, x = order + 1, x * k % e
+    else:
+        k = draw(st.sampled_from([1, -1]))
+        order = 2
+    relations = group.relations
+    frobenius = IntMatrix.diagonal([k] * n) + relations @ block(relations.cols, n, -2, 2)
+    return GaloisModule(group, frobenius, order)
+
+
+@given(checked_modules())
+@settings(max_examples=200, deadline=None)
+def test_torsion_and_localization_match_the_smith_view(module):
+    """The torsion submodule, read off the cached Smith rows and
+    columns, is the one the public ``smith()`` view gives: its action is
+    the torsion corner of ``to_smith @ frobenius @ from_smith`` and its
+    inclusion the torsion columns of ``from_smith``.  The localizations
+    have the iso types of full eliminations of the stacked relations."""
+    sm = module.group.smith()
+    t, n = sm.torsion_count, module.group.generator_count
+    torsion, incl = module.torsion_submodule()
+    full = sm.to_smith.matrix @ module.frobenius @ sm.from_smith.matrix
+    assert torsion.frobenius == IntMatrix.from_rows(
+        [[full[i, j] for j in range(t)] for i in range(t)], cols=t)
+    assert incl.matrix == IntMatrix.from_columns(
+        [sm.from_smith.matrix.col(j) for j in range(t)], rows=n)
+    assert torsion.group.invariant_factors == sm.torsion_orders
+    assert torsion.group.free_rank == 0 and torsion.order == module.order
+    assert incl.source is torsion.group and incl.target is module.group
+    for ell in (2, 3, 5):
+        localized, proj = module.localized(ell)
+        assert localized.group.iso_type() == _stacked_localized(module.group, ell)
+        assert localized.frobenius is module.frobenius and proj.matrix.is_identity()
 
 
 def _exact_order_check(group: FgAbelianGroup, frobenius: IntMatrix, order: int) -> bool:

@@ -1,7 +1,7 @@
 """Source hygiene of the package: every import is used, every private
-function has a caller, one routine makes every Smith form, every module
-compiles without a warning, and importing it loads only the standard
-library."""
+function has a caller, one routine makes every Smith form, one path
+reads a group's Smith data, every module compiles without a warning,
+and importing it loads only the standard library."""
 
 from __future__ import annotations
 
@@ -93,13 +93,18 @@ def test_every_private_function_has_a_caller():
 
 def _call_sites(name: str) -> list[tuple[str, str]]:
     """(module, enclosing top-level function or class) of every call of
-    ``name`` in the package, read as a name or an attribute."""
+    ``name`` in the package, read as a name or an attribute; a call in a
+    method of a top-level class is reported as ``Class.method``."""
     sites = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for top in tree.body:
             owner = getattr(top, "name", "<module>")
-            sites += [(path.stem, owner) for node in ast.walk(top)
+            methods = top.body if isinstance(top, ast.ClassDef) else []
+            inner = {id(node): f"{owner}.{item.name}" for item in methods
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(item)}
+            sites += [(path.stem, inner.get(id(node), owner)) for node in ast.walk(top)
                       if isinstance(node, ast.Call)
                       and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
     return sites
@@ -111,6 +116,17 @@ def test_one_routine_makes_every_smith_form():
     matrix, a boundary or a continuation, comes from that one routine."""
     assert _call_sites("_eliminate") == [("matrices", "_smith_form")]
     assert {module for module, _ in _call_sites("SnfDecomposition")} == {"matrices"}
+
+
+def test_one_path_reads_a_groups_smith_data():
+    """In ``groups`` only ``FgAbelianGroup._walked`` walks a row log, the
+    package reads Smith data from the cached rows and columns and never
+    from the public ``smith()`` view, and only ``smith()`` builds that
+    view."""
+    assert [site for site in _call_sites("_smith_vector") if site[0] == "groups"] == [
+        ("groups", "FgAbelianGroup._walked")]
+    assert _call_sites("smith") == []
+    assert _call_sites("_build") == [("groups", "FgAbelianGroup.smith")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
