@@ -25,7 +25,14 @@ import sys
 from pathlib import Path
 
 from .complexes import suspend
-from .config_io import ConfigBundle, SharedDict, json_text, parse_config, serialize_bundle
+from .config_io import (
+    ConfigBundle,
+    SharedDict,
+    SharedList,
+    json_text,
+    parse_config,
+    serialize_bundle,
+)
 from .errors import SnckitError, ValidationError
 from .fixtures import fermat_cover_config, generate_example, trivial_pi1
 from .galois import extension_complex, norm_map
@@ -43,6 +50,11 @@ from .reciprocity import (
 from .snc import build_dual_complex
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """Flags that argparse accepts but that do not apply together: a
+    usage error, exit status 2."""
 
 
 def _coeff(text: str):
@@ -236,14 +248,21 @@ def _cmd_theta(args):
     bundle, digest = _load(args)
     per_ell = {}
     lines = []
+    # every prime's theta acts by y0's Frobenius matrix: one payload per
+    # matrix object, a shared list that json_text writes once (keyed by
+    # id, so the matrix is kept with it)
+    rows: dict[int, tuple[object, SharedList]] = {}
     for ell in dict.fromkeys(args.ell):
         theta = compute_theta(bundle.pi1, ell)
         torsion, _ = theta.torsion_submodule()
         trivial = theta.acts_trivially()
+        frobenius = theta.frobenius
+        if id(frobenius) not in rows:
+            rows[id(frobenius)] = (frobenius, SharedList(frobenius.to_rows()))
         per_ell[str(ell)] = {
             "theta": _group_payload(theta.group),
             "torsion": _group_payload(torsion.group),
-            "frobenius_matrix": theta.frobenius.to_rows(),
+            "frobenius_matrix": rows[id(frobenius)][1],
             "frobenius_trivial": trivial,
         }
         lines.append(
@@ -363,11 +382,12 @@ def _cmd_kernel(args):
 
 
 def _cmd_example(args):
+    if args.kind != "fermat" and (args.n is not None or args.cover):
+        flag = "--n" if args.n is not None else "--cover"
+        raise _UsageError(f"{flag} only applies to the fermat example")
     if args.kind == "fermat" and args.n is None:
         raise SnckitError("example fermat requires --n")
     if args.cover:
-        if args.kind != "fermat":
-            raise SnckitError("--cover only applies to the fermat example")
         cover = fermat_cover_config(args.n)
         document = serialize_bundle(ConfigBundle(cover.name, cover, trivial_pi1(), {}))
     else:
@@ -484,6 +504,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         digest, payload, lines = args.handler(args)
+    except _UsageError as exc:
+        print(f"snckit {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except (SnckitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

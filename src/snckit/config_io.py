@@ -75,6 +75,13 @@ class SharedDict(dict):
     __slots__ = ()
 
 
+class SharedList(list):
+    """A list that a report holds in more than one place, whose text
+    ``json_text`` writes once per indent and then reuses."""
+
+    __slots__ = ()
+
+
 def json_text(value: Any) -> str:
     """``json.dumps(encode_json_value(value), indent=2,
     ensure_ascii=False)``, written in one pass.
@@ -85,9 +92,10 @@ def json_text(value: Any) -> str:
     ``json.encoder.encode_basestring``, integers through
     ``int.__repr__`` (past 64 bits, quoted, as ``encode_json_value``
     renders them) and floats through ``json.dumps``.  A shared subtree,
-    a ``SharedDict`` object that the value holds more than once, is
-    written once at each indent it sits at: its text depends only on the
-    object and the indent, so every later place reuses that text.
+    a ``SharedDict`` or ``SharedList`` object that the value holds more
+    than once, is written once at each indent it sits at: its text
+    depends only on the object and the indent, so every later place
+    reuses that text.
     """
     out: list[str] = []
     _write_json(value, "\n", out, {})
@@ -98,7 +106,7 @@ def _write_json(value: Any, newline: str, out: list[str],
                 shared: dict[tuple[int, str], str]) -> None:
     """Append the text of ``value``, whose closing bracket, if any,
     goes after ``newline`` (the line break and indent it sits at).
-    ``shared`` holds the text of each ``SharedDict`` already written,
+    ``shared`` holds the text of each shared subtree already written,
     keyed by the object's id and ``newline``."""
     # containers first: the loops below write small integers and strings
     # themselves, so most values that reach here are dicts and lists
@@ -130,6 +138,9 @@ def _write_json(value: Any, newline: str, out: list[str],
         if not value:
             out.append("[]")
             return
+        if type(value) is SharedList:
+            _write_shared(value, newline, out, shared)
+            return
         inner = newline + "  "
         sep = "[" + inner
         for v in value:
@@ -158,16 +169,17 @@ def _write_json(value: Any, newline: str, out: list[str],
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _write_shared(value: SharedDict, newline: str, out: list[str],
+def _write_shared(value: SharedDict | SharedList, newline: str, out: list[str],
                   shared: dict[tuple[int, str], str]) -> None:
-    """``_write_json`` of a ``SharedDict``: the first time at this
-    indent, the text of a plain copy, which ``shared`` then keeps; after
-    that, the kept text."""
+    """``_write_json`` of a ``SharedDict`` or ``SharedList``: the first
+    time at this indent, the text of a plain copy, which ``shared`` then
+    keeps; after that, the kept text."""
     key = (id(value), newline)
     text = shared.get(key)
     if text is None:
         start = len(out)
-        _write_json(dict(value), newline, out, shared)
+        _write_json(dict(value) if type(value) is SharedDict else list(value),
+                    newline, out, shared)
         text = shared[key] = "".join(out[start:])
         out[start:] = [text]
     else:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The command line maps any :class:`SnckitError` to exit status 1; bad
-usage (unknown flags, malformed numbers) stays with argparse and exit
-status 2.
+usage (unknown flags, malformed numbers, a flag that does not apply to
+the command) exits with status 2.
 """
 
 from __future__ import annotations

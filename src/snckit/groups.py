@@ -45,6 +45,12 @@ object; ``coinvariants``, torsion restriction and localization at a
 prime all live here because they are pure group theory.  Torsion and
 localization read the group's cached Smith rows and columns; the
 public ``smith()`` view is for callers, and no package code reads it.
+Every module's order bound holds, so Frobenius is the identity on a
+module of order 1: ``acts_trivially`` answers True there without a
+test, and the kernel predictions take both of their Frobenius tests as
+holding.  ``frobenius − 1``, which the order check, ``acts_trivially``
+and ``coinvariants`` read, is Frobenius with its diagonal decremented
+(``_minus_identity``); no identity matrix is built for it.
 
 The ``ModuleMap`` and ``GaloisModule`` constructors always check
 well-definedness (and, for a module, the declared order), so every
@@ -566,6 +572,15 @@ def torsion_and_primary(g: FgAbelianGroup, ell: int) -> tuple[FgAbelianGroup, Fg
     return torsion, primary
 
 
+def _minus_identity(m: IntMatrix) -> IntMatrix:
+    """The square matrix ``m`` minus the identity, made by decrementing
+    its diagonal, with no identity matrix built."""
+    entries = list(m._entries)
+    for i in range(0, len(entries), m.cols + 1):
+        entries[i] -= 1
+    return IntMatrix._of(m.rows, m.cols, entries)
+
+
 def _power_on(group: FgAbelianGroup, m: IntMatrix, k: int) -> IntMatrix:
     """``m`` to the power ``k``, as a map of ``group``: exact when the
     group has a free part, and otherwise by square-and-multiply with
@@ -591,7 +606,7 @@ class GaloisModule:
         if frobenius.rows != n or frobenius.cols != n:
             raise ValueError(f"frobenius must be {n}x{n}")
         ModuleMap(group, group, frobenius)  # raises if ill-defined
-        if group._outside(_power_on(group, frobenius, order) - IntMatrix.identity(n)):
+        if group._outside(_minus_identity(_power_on(group, frobenius, order))):
             raise WellDefinednessError(
                 f"frobenius is not an automorphism whose order divides {order}"
             )
@@ -621,8 +636,12 @@ class GaloisModule:
         return GaloisModule._of(self.group, mat, self.order // gcd(self.order, f))
 
     def acts_trivially(self) -> bool:
-        return not self.group._outside(
-            self.frobenius - IntMatrix.identity(self.group.generator_count))
+        # the order bound holds on every module (checked where it
+        # entered, kept by every derived one), so at order 1 Frobenius is
+        # the identity on the group
+        if self.order == 1:
+            return True
+        return not self.group._outside(_minus_identity(self.frobenius))
 
     def torsion_submodule(self) -> tuple["GaloisModule", ModuleMap]:
         """The torsion subgroup with the restricted action, plus its
@@ -681,6 +700,5 @@ class GaloisModule:
 def coinvariants(m: GaloisModule) -> tuple[FgAbelianGroup, ModuleMap]:
     """Coinvariants of the action: the group modulo (frobenius - id),
     with the projection."""
-    delta = m.frobenius - IntMatrix.identity(m.group.generator_count)
     # frobenius - id is a difference of endomorphisms of a checked module
-    return cokernel(ModuleMap._of(m.group, m.group, delta))
+    return cokernel(ModuleMap._of(m.group, m.group, _minus_identity(m.frobenius)))

@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import index as _as_int
+from operator import index as _as_int, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -216,18 +216,15 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self._entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                tbase = i * other.cols
-                for j in range(other.cols):
-                    out[tbase + j] += a * other._entries[obase + j]
-        return IntMatrix._of(self.rows, other.cols, out)
+        n, k, m = self.rows, self.cols, other.cols
+        if not (n and k and m):
+            return IntMatrix._of(n, m, [0] * (n * m))
+        # each entry is one dot product of a row slice and a column
+        # slice of the flat tuples, summed in C
+        a, b = self._entries, other._entries
+        columns = [b[j::m] for j in range(m)]
+        return IntMatrix._of(n, m, [sum(map(mul, a[i:i + k], column))
+                                    for i in range(0, n * k, k) for column in columns])
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""

@@ -368,6 +368,21 @@ def _period(cfg: SncConfiguration, pi1: Pi1Input) -> int:
     return lcm(_action(cfg).order, pi1.y0.order, *degrees)
 
 
+def _frobenius_tests(theta: GaloisModule, torsion: GaloisModule, incl: ModuleMap,
+                     f: int) -> tuple[bool, bool]:
+    """Whether Frobenius^f is trivial on the torsion of theta, and
+    whether that torsion, with inclusion ``incl``, injects into the
+    Frobenius^f coinvariants."""
+    if theta.order == 1:
+        # Frobenius^f is the identity on theta (its order was checked on
+        # y0): it is trivial on the torsion, and the coinvariants are
+        # theta itself, into which the torsion's inclusion injects
+        return True, True
+    trivial = torsion.power(f).acts_trivially()
+    _, proj = coinvariants(theta.power(f))
+    return trivial, proj.compose(incl).is_injective()
+
+
 def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
                     ells: Sequence[int], degrees: Sequence[int]) -> tuple[KernelReport, ...]:
     """One KernelReport per extension degree, from checked inputs.
@@ -383,7 +398,8 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     torsion injecting into the Frobenius^f coinvariants) read only the
     group that Frobenius^f generates, which is that of
     Frobenius^gcd(f, theta's order), so they run once per
-    (ell, gcd(f, theta's order)).  Each report keeps its own f; the
+    (ell, gcd(f, theta's order)), and at order 1 not at all
+    (``_frobenius_tests``).  Each report keeps its own f; the
     reports of a degree class share its one flags dict, and a prime's
     report is one object, shared by every degree where it is the same,
     unless its warning names f.
@@ -422,9 +438,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
                 alpha, torsion_module, torsion_incl = geometric[ell]
                 key = (ell, gcd(f, alpha.theta.order))
                 if key not in tests:
-                    trivial = torsion_module.power(f).acts_trivially()
-                    _, proj = coinvariants(alpha.theta.power(f))
-                    tests[key] = (trivial, proj.compose(torsion_incl).is_injective())
+                    tests[key] = _frobenius_tests(alpha.theta, torsion_module, torsion_incl, f)
                 arithmetic[ell] = tests[key]
             classes[g] = (flags, all(flags.values()), h1_quotient, arithmetic)
         flags, assumption_i, h1_quotient, arithmetic = classes[g]

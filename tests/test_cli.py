@@ -361,6 +361,15 @@ class TestExampleAndPipelines:
         assert main(["example", "fermat"]) == 1
         assert "requires --n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--n", "3"], ["--cover"]], ids=["n", "cover"])
+    def test_fermat_flags_are_usage_errors_on_rulings(self, capsys, flags):
+        """``--n`` and ``--cover`` apply only to the fermat example; on
+        rulings either is a usage error that names the flag."""
+        assert main(["example", "rulings", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flags[0]} only applies to the fermat example" in captured.err
+
     def test_cover_pipes_into_extend_and_norm(self, capsys, tmp_path):
         assert main(["example", "fermat", "--n", "4", "--cover"]) == 0
         path = tmp_path / "cover.json"
@@ -576,15 +585,15 @@ def test_sweep_builds_each_group_payload_once(capsys, monkeypatch):
 @pytest.mark.parametrize("doc, sweep, ells, tests", [
     # P = 2 and theta of order 2: one test per f mod 2
     ("swap.json", 4, (3,), 2),
-    # P = 3 but theta of order 1: one test per prime, where a test per
-    # degree class gcd(f, 3) made two
-    ("coned.json", 6, (2, 3), 2),
+    # P = 3 but theta of order 1: Frobenius is the identity on theta, so
+    # no test runs, where a test per prime made two
+    ("coned.json", 6, (2, 3), 0),
 ])
 def test_frobenius_tests_run_once_per_theta_order_class(capsys, monkeypatch, doc, sweep,
                                                          ells, tests):
     """The Frobenius tests at ell read only the group Frobenius^f
     generates, so a sweep runs ``coinvariants`` once per
-    (ell, gcd(f, theta's order))."""
+    (ell, gcd(f, theta's order)), and never when theta has order 1."""
     from snckit import groups
 
     counts = {"coinvariants": 0}
@@ -828,8 +837,8 @@ def _dense_relation_document(g: int, seed: int) -> dict:
 SNF_WORK = {
     "cover-50": (["homology"], 1, 0, (100, 100), 1),
     "cover-50-z6": (["homology", "--coeff", "z/6"], 1, 0, (100, 100), 1),
-    "dense-12": (["kernel", "--ell", "3"], 3, 4, (12, 25), 306),
-    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 5, 12, (24, 50), 32948),
+    "dense-12": (["kernel", "--ell", "3"], 3, 2, (12, 14), 306),
+    "dense-24": (["kernel", "--ell", "2", "--ell", "3", "--ell", "5"], 5, 6, (24, 26), 32948),
     "suspension-3-z6": (["homology", "--degree", "4", "--coeff", "z/6"], 1, 0, (120, 48), 1),
 }
 DENSE_SEEDS = {"dense-12": (12, 12), "dense-24": (24, 6)}
@@ -983,6 +992,50 @@ def test_no_command_reads_a_dense_smith_form(capsys, monkeypatch, tmp_path, argv
     assert main([command, path, *rest, "--json"]) == 0
     capsys.readouterr()
     assert counts == {"d": 0}
+
+
+def test_order_one_runs_build_no_identity_for_frobenius_minus_one(capsys, monkeypatch,
+                                                                  tmp_path):
+    """frobenius − 1 is made by decrementing the diagonal, and an order-1
+    module skips its tests: dense-12 ``theta`` and ``kernel`` runs build
+    no identity matrix in the module's order check, ``acts_trivially``
+    or ``coinvariants``."""
+    from snckit import groups
+    from snckit.matrices import IntMatrix
+
+    sites = {groups.GaloisModule.__init__.__code__,
+             groups.GaloisModule.acts_trivially.__code__, groups.coinvariants.__code__}
+    built = []
+    identity = IntMatrix.identity.__func__
+
+    def recording(cls, n):
+        if sys._getframe(1).f_code in sites:
+            built.append(n)
+        return identity(cls, n)
+
+    monkeypatch.setattr(IntMatrix, "identity", classmethod(recording))
+    path = _dense_path(tmp_path, "dense-12")
+    for command in ("theta", "kernel"):
+        assert main([command, path, "--ell", "2", "--ell", "3", "--ell", "5", "--json"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_theta_shares_one_frobenius_payload(tmp_path):
+    """Every prime's theta acts by y0's Frobenius matrix, so every
+    prime's block holds one ``SharedList`` of its rows, which
+    ``json_text`` writes once."""
+    from snckit.cli import _cmd_theta, build_parser
+    from snckit.config_io import SharedList
+
+    args = build_parser().parse_args(["theta", _dense_path(tmp_path, "dense-12"), "--ell", "2",
+                                      "--ell", "3", "--ell", "5"])
+    blocks = _cmd_theta(args)[1]["primes"].values()
+    payloads = {id(block["frobenius_matrix"]) for block in blocks}
+    assert len(payloads) == 1
+    payload = next(iter(blocks))["frobenius_matrix"]
+    assert type(payload) is SharedList and payload == [
+        [int(i == j) for j in range(12)] for i in range(12)]
 
 
 def test_kernel_checks_only_input_modules(capsys, monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ from snckit.config_io import (
     MAX_GENERATORS,
     ConfigBundle,
     SharedDict,
+    SharedList,
     encode_json_value,
     json_text,
     parse_config,
@@ -237,7 +238,7 @@ _report_values = st.recursive(
 
 
 def _shared(value):
-    return SharedDict(value) if isinstance(value, dict) else value
+    return SharedDict(value) if isinstance(value, dict) else SharedList(value)
 
 
 def _aliasing(pieces):
@@ -249,7 +250,8 @@ def _aliasing(pieces):
         lambda inner: (st.lists(inner, max_size=4)
                        | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2), inner,
                                          max_size=4)
-                       | st.dictionaries(st.text(max_size=2), inner, max_size=4).map(SharedDict)),
+                       | st.dictionaries(st.text(max_size=2), inner, max_size=4).map(SharedDict)
+                       | st.lists(inner, max_size=4).map(SharedList)),
         max_leaves=12,
     )
 
@@ -265,6 +267,7 @@ _PIECE = {"a": [1, 2 ** 63], "b": {"c": None}}
 _LIST = [True, "x", {"d": -0.0}]
 _SHARED = SharedDict({"description": "Z/3", "invariant_factors": [3], "free_rank": 0})
 _INT_KEYS = SharedDict({1: "int key", "1": "string key", 2: [_SHARED]})
+_ROWS = SharedList([[1, 0], [0, 2 ** 63], _SHARED])
 
 
 class TestJsonText:
@@ -281,6 +284,10 @@ class TestJsonText:
     # another shared dict, and with keys that are not strings
     @example({"a": _SHARED, "b": _SHARED, "c": [_SHARED, {"d": _SHARED}], "e": _INT_KEYS,
               "f": [_INT_KEYS, _INT_KEYS], "g": SharedDict(), "h": SharedDict({"i": _SHARED})})
+    # a shared list at the same depth and at different depths, empty,
+    # and holding a shared dict
+    @example({"a": _ROWS, "b": _ROWS, "c": [_ROWS, {"d": _ROWS}], "e": SharedList(),
+              "f": SharedList([_ROWS, _ROWS])})
     def test_matches_json_dumps(self, value):
         expected = json.dumps(encode_json_value(value), indent=2, ensure_ascii=False)
         assert json_text(value) == expected

@@ -429,14 +429,14 @@ def test_derived_smith_data_matches_walks_of_the_merged_form(case):
 
 
 @st.composite
-def checked_modules(draw):
+def checked_modules(draw, order_one: bool = False):
     """A checked module on a root group, whose relations are already a
     Smith form (its form logs no operation) or are random (its form
     logs some), or on one or two groups derived from such a root, with
     or without a free part.  Frobenius is k times the identity plus
     combinations of the relations, so it acts as k: it has the order of
     k modulo the exponent of a finite group, and k is ±1 on one with a
-    free part."""
+    free part.  With ``order_one``, k is 1 and the declared order 1."""
     n = draw(st.integers(0, 4))
 
     def block(rows, cols, lo=-6, hi=6):
@@ -456,7 +456,9 @@ def checked_modules(draw):
     for _ in range(draw(st.integers(0, 2))):
         group = FgAbelianGroup._extended(group, block(n, draw(st.integers(0, 2))))
     e = group._exponent()
-    if e:
+    if order_one:
+        k, order = 1, 1
+    elif e:
         k = draw(st.integers(-6, 6).filter(lambda k: gcd(k, e) == 1))
         order, x = 1, k % e
         while x != 1 % e:
@@ -492,6 +494,21 @@ def test_torsion_and_localization_match_the_smith_view(module):
         localized, proj = module.localized(ell)
         assert localized.group.iso_type() == _stacked_localized(module.group, ell)
         assert localized.frobenius is module.frobenius and proj.matrix.is_identity()
+
+
+@given(checked_modules() | checked_modules(order_one=True))
+@settings(max_examples=200, deadline=None)
+def test_acts_trivially_is_the_lattice_test_of_frobenius_minus_one(module):
+    """At order 1 ``acts_trivially`` answers True without a test, and
+    that is what the lattice test of frobenius − 1, column by column on
+    the eager oracle SNF, gives on every checked order-1 module; at any
+    other order it makes that test."""
+    n = module.group.generator_count
+    delta = module.frobenius - IntMatrix.identity(n)
+    expected = all(_reference_member(module.group.relations, delta.col(j)) for j in range(n))
+    assert module.acts_trivially() == expected
+    if module.order == 1:
+        assert expected
 
 
 def _exact_order_check(group: FgAbelianGroup, frobenius: IntMatrix, order: int) -> bool:

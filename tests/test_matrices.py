@@ -45,6 +45,20 @@ matrices = matrices_of(st.integers(-9, 9))
 
 
 @st.composite
+def products(draw):
+    """Two matrices that can be multiplied, any side 0 to 4, with small
+    entries and entries past 64 bits."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = st.integers(-9, 9) | st.integers(-(2 ** 70), 2 ** 70)
+
+    def matrix(rows: int, cols: int) -> IntMatrix:
+        return IntMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                                   max_size=rows * cols)))
+
+    return matrix(n, k), matrix(k, m)
+
+
+@st.composite
 def smith_candidates(draw):
     """Sparse rows and a column count: random rows, or rows that are
     almost in Smith form, a diagonal drawn with negative entries, zeros
@@ -95,6 +109,22 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert (a @ b).to_rows() == [[2, 1], [4, 3]]
         assert a.apply([1, 1]) == (3, 7)
+
+    @given(products())
+    @settings(max_examples=200, deadline=None)
+    @example((IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 3)))
+    @example((IntMatrix.zeros(0, 3), IntMatrix.from_rows([[1, 2]] * 3)))
+    @example((IntMatrix.from_rows([[2 ** 64, -1]] * 3), IntMatrix.zeros(2, 0)))
+    def test_matmul_matches_the_triple_loop(self, pair):
+        """Every shape, zero rows, zero inner width and zero columns
+        among them, and entries past 64 bits give the exact product of
+        the triple loop."""
+        a, b = pair
+        product = a @ b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.to_rows() == [
+            [sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)]
 
     def test_power(self):
         a = IntMatrix.from_rows([[1, 1], [0, 1]])

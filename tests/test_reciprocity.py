@@ -5,6 +5,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,6 +41,7 @@ from snckit.snc import (
 
 from conftest import (
     cycle_config,
+    dense_document,
     random_admissible_config,
     reflection_action,
     swap_upgrade_fixture,
@@ -615,3 +617,30 @@ def test_sweep_reports_match_direct_evaluation(seed, e, vary_degrees):
         assert named == ([] if proj.compose(incl).is_injective() else [
             f"ell=3, f={f}: torsion of theta does not inject into the coinvariants "
             f"(expected only for non-geometric inputs)"])
+
+
+@pytest.mark.parametrize("name", ["fermat5", "coned", "dense-10"])
+def test_order_one_frobenius_tests_match_a_direct_computation(name):
+    """An order-1 theta records both Frobenius tests as holding without
+    making them; made here directly, at every prime and degree,
+    Frobenius^f is trivial on the torsion of theta (a lattice test of
+    Frobenius^f − 1) and that torsion injects into the coinvariants."""
+    if name == "dense-10":
+        text = json.dumps(dense_document(random.Random(1), 10, name))
+    else:
+        text = (Path(__file__).parent / "golden" / f"{name}.json").read_text()
+    bundle = parse_config(text)
+    assert bundle.pi1.y0.order == 1
+    reports = reciprocity._kernel_reports(bundle.config, bundle.pi1, bundle.labels,
+                                          (2, 3, 5), (1, 2, 3, 6))
+    for report in reports:
+        for ell, pr in report.primes.items():
+            theta = compute_theta(bundle.pi1, ell)
+            torsion, incl = theta.torsion_submodule()
+            t = torsion.group.generator_count
+            delta = torsion.frobenius.power(report.f) - IntMatrix.identity(t)
+            trivial = all(torsion.group.in_relation_lattice(delta.col(j)) for j in range(t))
+            _, proj = coinvariants(theta.power(report.f))
+            injective = proj.compose(incl).is_injective()
+            reported = not any("does not inject" in w for w in pr.warnings)
+            assert (pr.frobenius_trivial_on_torsion, reported) == (trivial, injective)
