@@ -249,20 +249,18 @@ def _cmd_theta(args):
     per_ell = {}
     lines = []
     # every prime's theta acts by y0's Frobenius matrix: one payload per
-    # matrix object, a shared list that json_text writes once (keyed by
-    # id, so the matrix is kept with it)
-    rows: dict[int, tuple[object, SharedList]] = {}
+    # matrix, a shared list that json_text writes once
+    payloads: dict[object, SharedList] = {}
     for ell in dict.fromkeys(args.ell):
         theta = compute_theta(bundle.pi1, ell)
         torsion, _ = theta.torsion_submodule()
         trivial = theta.acts_trivially()
-        frobenius = theta.frobenius
-        if id(frobenius) not in rows:
-            rows[id(frobenius)] = (frobenius, SharedList(frobenius.to_rows()))
+        if theta.frobenius not in payloads:
+            payloads[theta.frobenius] = SharedList(theta.frobenius.to_rows())
         per_ell[str(ell)] = {
             "theta": _group_payload(theta.group),
             "torsion": _group_payload(torsion.group),
-            "frobenius_matrix": rows[id(frobenius)][1],
+            "frobenius_matrix": payloads[theta.frobenius],
             "frobenius_trivial": trivial,
         }
         lines.append(
