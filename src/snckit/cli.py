@@ -384,7 +384,7 @@ def _cmd_example(args):
         flag = "--n" if args.n is not None else "--cover"
         raise _UsageError(f"{flag} only applies to the fermat example")
     if args.kind == "fermat" and args.n is None:
-        raise SnckitError("example fermat requires --n")
+        raise _UsageError("the fermat example requires --n")
     if args.cover:
         cover = fermat_cover_config(args.n)
         document = serialize_bundle(ConfigBundle(cover.name, cover, trivial_pi1(), {}))

@@ -63,7 +63,7 @@ congruent ``[a | b']``); reducing coordinates is left to the callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import index as _as_int, mul
 from typing import Iterable, Sequence
@@ -154,8 +154,10 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        """The n x n identity: one shared matrix per size up to
+        ``_SHARED_IDENTITY_MAX``, and a new one past it."""
         n, _ = _shape(n, n)
-        return cls._of(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return _shared_identity(n) if n <= _SHARED_IDENTITY_MAX else _identity(n)
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -219,6 +221,13 @@ class IntMatrix:
         n, k, m = self.rows, self.cols, other.cols
         if not (n and k and m):
             return IntMatrix._of(n, m, [0] * (n * m))
+        # I @ B is B and A @ I is A, exactly: a square factor costs one
+        # comparison with the identity, which stops at the first entry
+        # that differs
+        if n == k and self.is_identity():
+            return other
+        if k == m and other.is_identity():
+            return self
         # each entry is one dot product of a row slice and a column
         # slice of the flat tuples, summed in C
         a, b = self._entries, other._entries
@@ -264,7 +273,10 @@ class IntMatrix:
         return all(x == 0 for x in self._entries)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
+        if self.rows != self.cols:
+            return False
+        identity = IntMatrix.identity(self.rows)
+        return self is identity or self._entries == identity._entries
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -278,6 +290,24 @@ class IntMatrix:
         if self.rows * self.cols <= 36:
             return f"IntMatrix.from_rows({self.to_rows()!r}, cols={self.cols})"
         return f"<IntMatrix {self.rows}x{self.cols}>"
+
+
+#: identities of at most this many rows are shared, and the cache keeps
+#: at most ``_SHARED_IDENTITIES`` of them, so it pins no more than
+#: _SHARED_IDENTITIES * _SHARED_IDENTITY_MAX² entries; a larger
+#: identity (``config_io.MAX_GENERATORS`` allows 1,000 rows, a
+#: million-entry tuple) is built per call and freed with its last user
+_SHARED_IDENTITY_MAX = 64
+_SHARED_IDENTITIES = 16
+
+
+def _identity(n: int) -> IntMatrix:
+    entries = [0] * (n * n)
+    entries[::n + 1] = [1] * n
+    return IntMatrix._of(n, n, entries)
+
+
+_shared_identity = lru_cache(maxsize=_SHARED_IDENTITIES)(_identity)
 
 
 def _power(m: IntMatrix, k: int, modulus: int = 0) -> IntMatrix:

@@ -373,10 +373,14 @@ def _frobenius_tests(theta: GaloisModule, torsion: GaloisModule, incl: ModuleMap
     """Whether Frobenius^f is trivial on the torsion of theta, and
     whether that torsion, with inclusion ``incl``, injects into the
     Frobenius^f coinvariants."""
-    if theta.order == 1:
-        # Frobenius^f is the identity on theta (its order was checked on
-        # y0): it is trivial on the torsion, and the coinvariants are
-        # theta itself, into which the torsion's inclusion injects
+    if theta.order == 1 or not torsion.group.generator_count:
+        # at order 1 Frobenius^f is the identity on theta (its order was
+        # checked on y0): it is trivial on the torsion, and the
+        # coinvariants are theta itself, into which the torsion's
+        # inclusion injects.  A torsion with no generators (it is
+        # presented on its invariant factors) is the zero group:
+        # Frobenius^f is trivial on it, and the zero group injects into
+        # anything
         return True, True
     trivial = torsion.power(f).acts_trivially()
     _, proj = coinvariants(theta.power(f))
@@ -398,11 +402,11 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     torsion injecting into the Frobenius^f coinvariants) read only the
     group that Frobenius^f generates, which is that of
     Frobenius^gcd(f, theta's order), so they run once per
-    (ell, gcd(f, theta's order)), and at order 1 not at all
-    (``_frobenius_tests``).  Each report keeps its own f; the
-    reports of a degree class share its one flags dict, and a prime's
-    report is one object, shared by every degree where it is the same,
-    unless its warning names f.
+    (ell, gcd(f, theta's order)), and at order 1 or on a trivial
+    torsion not at all (``_frobenius_tests``).  Each report keeps its
+    own f; the reports of a degree class share its one flags dict, and a
+    prime's report is one object, shared by every degree where it is the
+    same, unless its warning names f.
     """
     period = _period(cfg, pi1)
     cycles: tuple[HomologyResult, IntMatrix] | None = None

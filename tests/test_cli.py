@@ -358,7 +358,7 @@ class TestExampleAndPipelines:
         assert out == serialize_bundle(rulings_bundle())
 
     def test_fermat_needs_n(self, capsys):
-        assert main(["example", "fermat"]) == 1
+        assert main(["example", "fermat"]) == 2
         assert "requires --n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--n", "3"], ["--cover"]], ids=["n", "cover"])
@@ -588,12 +588,16 @@ def test_sweep_builds_each_group_payload_once(capsys, monkeypatch):
     # P = 3 but theta of order 1: Frobenius is the identity on theta, so
     # no test runs, where a test per prime made two
     ("coned.json", 6, (2, 3), 0),
+    # theta of order 2 but with no torsion at 2 and 5: Frobenius^f is
+    # trivial on the zero group, which injects into anything
+    ("swap.json", 4, (2, 5), 0),
 ])
 def test_frobenius_tests_run_once_per_theta_order_class(capsys, monkeypatch, doc, sweep,
                                                          ells, tests):
     """The Frobenius tests at ell read only the group Frobenius^f
     generates, so a sweep runs ``coinvariants`` once per
-    (ell, gcd(f, theta's order)), and never when theta has order 1."""
+    (ell, gcd(f, theta's order)), and never when theta has order 1 or
+    its torsion is trivial."""
     from snckit import groups
 
     counts = {"coinvariants": 0}
@@ -1019,6 +1023,44 @@ def test_order_one_runs_build_no_identity_for_frobenius_minus_one(capsys, monkey
         assert main([command, path, "--ell", "2", "--ell", "3", "--ell", "5", "--json"]) == 0
     capsys.readouterr()
     assert built == []
+
+
+def test_identity_factors_reach_no_dot_product(capsys, monkeypatch, tmp_path):
+    """y0's Frobenius is the identity in the dense-12 document, so its
+    well-definedness check, the label equivariance test and theta's
+    torsion inclusion multiply by an identity: ``theta`` and ``kernel``
+    runs make such products, and none of them reaches the dot-product
+    loop."""
+    from snckit import matrices
+    from snckit.matrices import IntMatrix
+
+    product, dot = IntMatrix.__matmul__, matrices.mul
+    state = {"identity_factor": False, "identity_products": 0, "dots": 0}
+
+    def is_identity(m):
+        return m.to_rows() == [[int(i == j) for j in range(m.cols)] for i in range(m.rows)]
+
+    def recording(a, b):
+        outer = state["identity_factor"]
+        state["identity_factor"] = is_identity(a) or is_identity(b)
+        state["identity_products"] += state["identity_factor"]
+        try:
+            return product(a, b)
+        finally:
+            state["identity_factor"] = outer
+
+    def counting(x, y):
+        state["dots"] += state["identity_factor"]
+        return dot(x, y)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", recording)
+    monkeypatch.setattr(matrices, "mul", counting)
+    path = _dense_path(tmp_path, "dense-12")
+    for command in ("theta", "kernel"):
+        assert main([command, path, "--ell", "2", "--ell", "3", "--ell", "5", "--json"]) == 0
+    capsys.readouterr()
+    assert state["identity_products"] >= 3
+    assert state["dots"] == 0
 
 
 def test_theta_shares_one_frobenius_payload(tmp_path):

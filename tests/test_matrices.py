@@ -59,6 +59,31 @@ def products(draw):
 
 
 @st.composite
+def identity_products(draw):
+    """Two matrices that can be multiplied, one of them an n x n identity
+    (the shared one, or an equal copy) or an identity with one entry
+    changed, on either side of a partner of any shape, with small
+    entries and entries past 64 bits."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.integers(-9, 9) | st.integers(-(2 ** 70), 2 ** 70)
+    identity = IntMatrix.identity(n)
+    entries_of_square = list(identity._entries)
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n * n - 1))
+        entries_of_square[i] = draw(entries.filter(lambda x: x != identity._entries[i]))
+        square = IntMatrix(n, n, entries_of_square)
+    else:
+        square = identity if draw(st.booleans()) else IntMatrix(n, n, entries_of_square)
+    partner = IntMatrix(n, m, draw(st.lists(entries, min_size=n * m, max_size=n * m)))
+    return (square, partner) if draw(st.booleans()) else (partner.transpose(), square)
+
+
+def _triple_loop(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
+    return [[sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+@st.composite
 def smith_candidates(draw):
     """Sparse rows and a column count: random rows, or rows that are
     almost in Smith form, a diagonal drawn with negative entries, zeros
@@ -122,9 +147,48 @@ class TestIntMatrix:
         a, b = pair
         product = a @ b
         assert (product.rows, product.cols) == (a.rows, b.cols)
-        assert product.to_rows() == [
-            [sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)]
-            for i in range(a.rows)]
+        assert product.to_rows() == _triple_loop(a, b)
+
+    @given(identity_products())
+    @settings(max_examples=300, deadline=None)
+    @example((IntMatrix.identity(0), IntMatrix.zeros(0, 3)))
+    @example((IntMatrix.zeros(3, 0), IntMatrix.identity(0)))
+    @example((IntMatrix.identity(3), IntMatrix.zeros(3, 0)))
+    @example((IntMatrix.zeros(0, 2), IntMatrix.identity(2)))
+    @example((IntMatrix.identity(2), IntMatrix.from_rows([[2 ** 64, -1, 5], [3, -(2 ** 70), 0]])))
+    @example((IntMatrix.from_rows([[1, 0], [0, 2]]), IntMatrix.from_rows([[2 ** 64], [7]])))
+    @example((IntMatrix.from_rows([[2 ** 64, 1]]), IntMatrix.from_rows([[1, 0], [0, 0]])))
+    def test_identity_factors_match_the_triple_loop(self, pair):
+        """A product with an identity factor returns the other factor,
+        and one with an identity that differs in a single entry, the last
+        one included, is multiplied out: either way the result is the
+        triple loop's, for every partner shape and for entries past 64
+        bits."""
+        a, b = pair
+        product = a @ b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.to_rows() == _triple_loop(a, b)
+
+    def test_identity_is_shared_and_its_cache_is_bounded(self):
+        """``IntMatrix.identity(n)`` is one object per size up to
+        ``_SHARED_IDENTITY_MAX``; the cache keeps at most
+        ``_SHARED_IDENTITIES`` of them, so building identities of many
+        sizes pins no more than that many small matrices, and a larger
+        identity is not kept at all."""
+        from snckit.matrices import _SHARED_IDENTITIES, _SHARED_IDENTITY_MAX, _shared_identity
+
+        for n in (0, 1, 7, _SHARED_IDENTITY_MAX):
+            assert IntMatrix.identity(n) is IntMatrix.identity(n)
+            assert IntMatrix.identity(n).to_rows() == [
+                [int(i == j) for j in range(n)] for i in range(n)]
+        for n in range(3 * _SHARED_IDENTITIES + _SHARED_IDENTITY_MAX + 10):
+            assert IntMatrix.identity(n).is_identity()
+        cached = _shared_identity.cache_info()
+        assert cached.maxsize == _SHARED_IDENTITIES
+        assert cached.currsize <= _SHARED_IDENTITIES
+        large = _SHARED_IDENTITY_MAX + 1
+        assert IntMatrix.identity(large) is not IntMatrix.identity(large)
+        assert _shared_identity.cache_info().currsize <= _SHARED_IDENTITIES
 
     def test_power(self):
         a = IntMatrix.from_rows([[1, 1], [0, 1]])

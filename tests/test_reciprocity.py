@@ -644,3 +644,20 @@ def test_order_one_frobenius_tests_match_a_direct_computation(name):
             injective = proj.compose(incl).is_injective()
             reported = not any("does not inject" in w for w in pr.warnings)
             assert (pr.frobenius_trivial_on_torsion, reported) == (trivial, injective)
+
+
+@pytest.mark.parametrize("ell", [2, 5])
+def test_trivial_torsion_frobenius_tests_match_a_direct_computation(ell):
+    """swap's theta has order 2 but no torsion at ell = 2 or 5, so
+    ``_frobenius_tests`` takes both tests as holding without making
+    them; made here directly at every degree of two periods, they give
+    the same pair."""
+    bundle = parse_config((Path(__file__).parent / "golden" / "swap.json").read_text())
+    theta = compute_theta(bundle.pi1, ell)
+    torsion, incl = theta.torsion_submodule()
+    assert theta.order == 2 and torsion.group.is_trivial()
+    for f in range(1, 5):
+        trivial = torsion.power(f).acts_trivially()
+        _, proj = coinvariants(theta.power(f))
+        injective = proj.compose(incl).is_injective()
+        assert reciprocity._frobenius_tests(theta, torsion, incl, f) == (trivial, injective)
