@@ -50,7 +50,13 @@ module of order 1: ``acts_trivially`` answers True there without a
 test, and the kernel predictions take both of their Frobenius tests as
 holding.  ``frobenius − 1``, which the order check, ``acts_trivially``
 and ``coinvariants`` read, is Frobenius with its diagonal decremented
-(``_minus_identity``); no identity matrix is built for it.
+(``_minus_identity``); no identity matrix is built for it.  An identity
+Frobenius, the default for a module given without one, costs no
+product: ``IntMatrix.__matmul__`` returns the other factor of a product
+with an identity, so the well-definedness check of ``frobenius @
+relations`` and the torsion's ``frobenius @ incl`` multiply nothing,
+and the identity projections of ``cokernel`` and ``localized`` are the
+one shared identity of their size.
 
 The ``ModuleMap`` and ``GaloisModule`` constructors always check
 well-definedness (and, for a module, the declared order), so every

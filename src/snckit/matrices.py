@@ -5,7 +5,12 @@ integers; no floating point is ever involved.  ``IntMatrix`` is
 immutable and stores its entries row-major in one flat tuple.  Shapes
 with zero rows or zero columns are legal everywhere and stand for zero
 objects, so degenerate inputs flow through every routine without
-special casing by the caller.
+special casing by the caller.  ``IntMatrix.identity(n)`` is one shared
+matrix per size up to ``_SHARED_IDENTITY_MAX``, kept in a cache of at
+most ``_SHARED_IDENTITIES`` sizes, so no large identity stays pinned.
+A product with a square factor equal to the identity returns the other
+factor, exactly, after one tuple comparison with the identity that
+stops at the first entry that differs; no dot product runs for it.
 
 The Smith normal form here is the engine behind all homology and group
 computations: ``snf(a)`` returns unimodular ``u``, ``v`` and their
@@ -273,10 +278,7 @@ class IntMatrix:
         return all(x == 0 for x in self._entries)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        identity = IntMatrix.identity(self.rows)
-        return self is identity or self._entries == identity._entries
+        return self.rows == self.cols and self._entries == IntMatrix.identity(self.rows)._entries
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
