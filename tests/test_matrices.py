@@ -188,7 +188,8 @@ class TestIntMatrix:
         assert cached.currsize <= _SHARED_IDENTITIES
         large = _SHARED_IDENTITY_MAX + 1
         assert IntMatrix.identity(large) is not IntMatrix.identity(large)
-        assert _shared_identity.cache_info().currsize <= _SHARED_IDENTITIES
+        assert IntMatrix.identity(large).is_identity()
+        assert _shared_identity.cache_info() == cached
 
     def test_power(self):
         a = IntMatrix.from_rows([[1, 1], [0, 1]])
