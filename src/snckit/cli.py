@@ -4,6 +4,9 @@ Every subcommand reads one JSON configuration document (except
 ``example`` and ``oracle-check``), prints a human summary, and with
 ``--json`` prints a single machine-readable report object instead.
 Exit status: 0 success, 1 semantic/validation failure, 2 usage error.
+A run that fails after its arguments parse prints its error on stderr,
+and under ``--json`` also one object on stdout with the command, the
+exit status and the list of problems.
 A failed write of the output exits 1 as well: with ``error: ...`` on
 stderr, or silently when the reader has closed the pipe.
 
@@ -502,12 +505,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         digest, payload, lines = args.handler(args)
-    except _UsageError as exc:
-        print(f"snckit {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except (SnckitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (_UsageError, SnckitError, OSError) as exc:
+        status = 2 if isinstance(exc, _UsageError) else 1
+        prefix = f"snckit {args.command}: " if status == 2 else ""
+        print(f"{prefix}error: {exc}", file=sys.stderr)
+        if args.json:
+            problems = exc.problems if isinstance(exc, ValidationError) else [str(exc)]
+            _write([json_text({"command": args.command, "exit_status": status,
+                               "problems": problems})])
+        return status
     if args.json and payload is not None:
         report = {"command": args.command, "input_digest": digest, "results": payload}
         lines = [json_text(report)]

@@ -45,18 +45,18 @@ object; ``coinvariants``, torsion restriction and localization at a
 prime all live here because they are pure group theory.  Torsion and
 localization read the group's cached Smith rows and columns; the
 public ``smith()`` view is for callers, and no package code reads it.
-Every module's order bound holds, so Frobenius is the identity on a
-module of order 1: ``acts_trivially`` answers True there without a
-test, and the kernel predictions take both of their Frobenius tests as
-holding.  ``frobenius − 1``, which the order check, ``acts_trivially``
+The torsion's action reads only the torsion rows of the Smith data: an
+endomorphism sends torsion to torsion, whose free Smith coordinates are
+exactly 0.  ``frobenius − 1``, which the order check, ``acts_trivially``
 and ``coinvariants`` read, is Frobenius with its diagonal decremented
-(``_minus_identity``); no identity matrix is built for it.  An identity
+(``_minus_identity``); no identity matrix is built for it.  Every
+module's order bound holds, so at order 1 that block lies in the
+relation lattice, and for an identity Frobenius it is zero, which the
+lattice test answers without reading the Smith form.  An identity
 Frobenius, the default for a module given without one, costs no
 product: ``IntMatrix.__matmul__`` returns the other factor of a product
 with an identity, so the well-definedness check of ``frobenius @
-relations`` and the torsion's ``frobenius @ incl`` multiply nothing,
-and the identity projections of ``cokernel`` and ``localized`` are the
-one shared identity of their size.
+relations`` and the torsion's ``frobenius @ incl`` multiply nothing.
 
 The ``ModuleMap`` and ``GaloisModule`` constructors always check
 well-definedness (and, for a module, the declared order), so every
@@ -495,9 +495,6 @@ class ModuleMap:
     def identity(cls, g: FgAbelianGroup) -> "ModuleMap":
         return cls._of(g, g, IntMatrix.identity(g.generator_count))
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return self.matrix.apply(vec)
-
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
         if other.target.generator_count != self.source.generator_count:
@@ -524,15 +521,6 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         return self._cokernel_group().is_trivial()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleMap):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.matrix == other.matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.matrix))
 
     def __repr__(self) -> str:
         return f"<ModuleMap {self.source.describe()} -> {self.target.describe()}>"
@@ -636,17 +624,12 @@ class GaloisModule:
         (the Frobenius of the degree-f scalar extension)."""
         if f < 1:
             raise ValueError("extension degree must be positive")
-        mat = _power_on(self.group, self.frobenius, f % self.order if self.order > 1 else 0)
+        mat = _power_on(self.group, self.frobenius, f % self.order)
         # a power of an automorphism of order dividing n has order
         # dividing n / gcd(n, f)
         return GaloisModule._of(self.group, mat, self.order // gcd(self.order, f))
 
     def acts_trivially(self) -> bool:
-        # the order bound holds on every module (checked where it
-        # entered, kept by every derived one), so at order 1 Frobenius is
-        # the identity on the group
-        if self.order == 1:
-            return True
         return not self.group._outside(_minus_identity(self.frobenius))
 
     def torsion_submodule(self) -> tuple["GaloisModule", ModuleMap]:
@@ -658,15 +641,13 @@ class GaloisModule:
         # the torsion Smith coordinates come first
         columns = self.group._smith_columns()
         incl_mat = IntMatrix.from_columns([columns.col(i) for i in range(t)], rows=n)
-        image = to_smith @ (self.frobenius @ incl_mat)
-        # torsion is characteristic: the free coordinates of the image of
-        # a torsion generator vanish identically, and then the restricted
-        # action keeps the order bound and the inclusion is well defined
-        if any(image._entries[t * t:]):
-            raise WellDefinednessError("frobenius does not preserve the torsion subgroup")
+        # an endomorphism sends torsion to torsion, whose free Smith
+        # coordinates are exactly 0, so only the torsion rows are read;
+        # the restricted action keeps the order bound and the inclusion
+        # is well defined
+        block = IntMatrix._of(t, n, to_smith._entries[:t * n]) @ (self.frobenius @ incl_mat)
         tors_group = FgAbelianGroup.from_invariants(orders, 0) if t else FgAbelianGroup.trivial()
         incl = ModuleMap._of(tors_group, self.group, incl_mat)
-        block = IntMatrix._of(t, t, image._entries[:t * t])
         return GaloisModule._of(tors_group, block, self.order), incl
 
     def localized(self, ell: int) -> tuple["GaloisModule", ModuleMap]:
@@ -689,15 +670,6 @@ class GaloisModule:
         # the prime-to-ell torsion is characteristic, so Frobenius and its
         # order bound descend to the quotient of this checked module
         return GaloisModule._of(quotient, self.frobenius, self.order), proj
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaloisModule):
-            return NotImplemented
-        return (self.group == other.group and self.frobenius == other.frobenius
-                and self.order == other.order)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.frobenius, self.order))
 
     def __repr__(self) -> str:
         return f"<GaloisModule {self.group.describe()}, order {self.order}>"

@@ -5,12 +5,12 @@ integers; no floating point is ever involved.  ``IntMatrix`` is
 immutable and stores its entries row-major in one flat tuple.  Shapes
 with zero rows or zero columns are legal everywhere and stand for zero
 objects, so degenerate inputs flow through every routine without
-special casing by the caller.  ``IntMatrix.identity(n)`` is one shared
-matrix per size up to ``_SHARED_IDENTITY_MAX``, kept in a cache of at
-most ``_SHARED_IDENTITIES`` sizes, so no large identity stays pinned.
-A product with a square factor equal to the identity returns the other
-factor, exactly, after one tuple comparison with the identity that
-stops at the first entry that differs; no dot product runs for it.
+special casing by the caller.  ``IntMatrix.identity(n)`` builds a new
+matrix on every call.  A product with a square factor equal to the
+identity returns the other factor, exactly: ``is_identity`` counts the
+ones on the diagonal and the zeros of the whole entry tuple in C,
+without building an identity to compare with, and no dot product runs
+for such a product.
 
 The Smith normal form here is the engine behind all homology and group
 computations: ``snf(a)`` returns unimodular ``u``, ``v`` and their
@@ -68,7 +68,7 @@ congruent ``[a | b']``); reducing coordinates is left to the callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from operator import index as _as_int, mul
 from typing import Iterable, Sequence
@@ -159,10 +159,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        """The n x n identity: one shared matrix per size up to
-        ``_SHARED_IDENTITY_MAX``, and a new one past it."""
+        """The n x n identity, a new matrix on every call."""
         n, _ = _shape(n, n)
-        return _shared_identity(n) if n <= _SHARED_IDENTITY_MAX else _identity(n)
+        entries = [0] * (n * n)
+        entries[::n + 1] = [1] * n
+        return cls._of(n, n, entries)
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -226,9 +227,8 @@ class IntMatrix:
         n, k, m = self.rows, self.cols, other.cols
         if not (n and k and m):
             return IntMatrix._of(n, m, [0] * (n * m))
-        # I @ B is B and A @ I is A, exactly: a square factor costs one
-        # comparison with the identity, which stops at the first entry
-        # that differs
+        # I @ B is B and A @ I is A, exactly: a square factor costs two
+        # counts in C, of the ones on its diagonal and of its zeros
         if n == k and self.is_identity():
             return other
         if k == m and other.is_identity():
@@ -275,10 +275,11 @@ class IntMatrix:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._entries)
+        return not any(self._entries)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self._entries == IntMatrix.identity(self.rows)._entries
+        n, e = self.rows, self._entries
+        return n == self.cols and e[::n + 1].count(1) == n and e.count(0) == n * n - n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -292,24 +293,6 @@ class IntMatrix:
         if self.rows * self.cols <= 36:
             return f"IntMatrix.from_rows({self.to_rows()!r}, cols={self.cols})"
         return f"<IntMatrix {self.rows}x{self.cols}>"
-
-
-#: identities of at most this many rows are shared, and the cache keeps
-#: at most ``_SHARED_IDENTITIES`` of them, so it pins no more than
-#: _SHARED_IDENTITIES * _SHARED_IDENTITY_MAX² entries; a larger
-#: identity (``config_io.MAX_GENERATORS`` allows 1,000 rows, a
-#: million-entry tuple) is built per call and freed with its last user
-_SHARED_IDENTITY_MAX = 64
-_SHARED_IDENTITIES = 16
-
-
-def _identity(n: int) -> IntMatrix:
-    entries = [0] * (n * n)
-    entries[::n + 1] = [1] * n
-    return IntMatrix._of(n, n, entries)
-
-
-_shared_identity = lru_cache(maxsize=_SHARED_IDENTITIES)(_identity)
 
 
 def _power(m: IntMatrix, k: int, modulus: int = 0) -> IntMatrix:

@@ -35,6 +35,7 @@ relabels its reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -372,7 +373,10 @@ def _frobenius_tests(theta: GaloisModule, torsion: GaloisModule, incl: ModuleMap
                      f: int) -> tuple[bool, bool]:
     """Whether Frobenius^f is trivial on the torsion of theta, and
     whether that torsion, with inclusion ``incl``, injects into the
-    Frobenius^f coinvariants."""
+    Frobenius^f coinvariants.  Both read only the group Frobenius^f
+    generates, which Frobenius^gcd(f, theta's order) generates too, so
+    ``_kernel_reports`` passes that gcd as f.  An order-1 theta and a
+    zero torsion settle both tests without a power or coinvariants."""
     if theta.order == 1 or not torsion.group.generator_count:
         # at order 1 Frobenius^f is the identity on theta (its order was
         # checked on y0): it is trivial on the torsion, and the
@@ -402,23 +406,30 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     torsion injecting into the Frobenius^f coinvariants) read only the
     group that Frobenius^f generates, which is that of
     Frobenius^gcd(f, theta's order), so they run once per
-    (ell, gcd(f, theta's order)), and at order 1 or on a trivial
-    torsion not at all (``_frobenius_tests``).  Each report keeps its
+    (ell, gcd(f, theta's order)), at that gcd, and at order 1 or on a
+    trivial torsion not at all (``_frobenius_tests``).  The cycles, the
+    geometric pieces at each prime and the tests are cached local
+    functions, each computed at its first use.  Each report keeps its
     own f; the reports of a degree class share its one flags dict, and a
     prime's report is one object, shared by every degree where it is the
     same, unless its warning names f.
     """
     period = _period(cfg, pi1)
-    cycles: tuple[HomologyResult, IntMatrix] | None = None
 
+    @cache
     def label_cycles() -> tuple[HomologyResult, IntMatrix]:
-        nonlocal cycles
-        if cycles is None:
-            cycles = _label_cycles(cfg, pi1, labels)
-        return cycles
+        return _label_cycles(cfg, pi1, labels)
 
-    geometric: dict[int, tuple[AlphaResult, GaloisModule, ModuleMap]] = {}
-    tests: dict[tuple[int, int], tuple[bool, bool]] = {}
+    @cache
+    def geometric(ell: int) -> tuple[AlphaResult, GaloisModule, ModuleMap]:
+        alpha = _alpha_at(pi1, *label_cycles(), ell)
+        return (alpha, *alpha.theta.torsion_submodule())
+
+    @cache
+    def tests(ell: int, k: int) -> tuple[bool, bool]:
+        alpha, torsion_module, torsion_incl = geometric(ell)
+        return _frobenius_tests(alpha.theta, torsion_module, torsion_incl, k)
+
     classes: dict[int, tuple[dict[str, bool], bool, HomologyResult,
                              dict[int, tuple[bool, bool]]]] = {}
     shared: dict[tuple, PrimeReport] = {}
@@ -434,16 +445,8 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
                            else homology_group(ext.complex, 1))
             # per prime: Frobenius^f trivial on the torsion of theta, and
             # that torsion injecting into the Frobenius^f coinvariants
-            arithmetic: dict[int, tuple[bool, bool]] = {}
-            for ell in ells:
-                if ell not in geometric:
-                    alpha = _alpha_at(pi1, *label_cycles(), ell)
-                    geometric[ell] = (alpha, *alpha.theta.torsion_submodule())
-                alpha, torsion_module, torsion_incl = geometric[ell]
-                key = (ell, gcd(f, alpha.theta.order))
-                if key not in tests:
-                    tests[key] = _frobenius_tests(alpha.theta, torsion_module, torsion_incl, f)
-                arithmetic[ell] = tests[key]
+            arithmetic = {ell: tests(ell, gcd(f, geometric(ell)[0].theta.order))
+                          for ell in ells}
             classes[g] = (flags, all(flags.values()), h1_quotient, arithmetic)
         flags, assumption_i, h1_quotient, arithmetic = classes[g]
 
@@ -451,7 +454,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
         for ell, (assumption_ii, injective) in arithmetic.items():
             key = (ell, assumption_i, assumption_ii, None if injective else f)
             if key not in shared:
-                alpha, torsion_module, _ = geometric[ell]
+                alpha, torsion_module, _ = geometric(ell)
                 warnings = list(alpha.warnings)
                 if not injective:
                     warnings.append(

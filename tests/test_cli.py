@@ -58,6 +58,8 @@ class TestExitCodes:
                      "--sweep", "2"]) == 2
         assert "argument --sweep: not allowed with argument --f" in capsys.readouterr().err
         assert main(["homology", rulings_path, "--degree", "-1"]) == 2
+        assert main(["homology", rulings_path, "--coeff", "z/abc"]) == 2
+        assert main(["extend", rulings_path, "--f", "abc"]) == 2
         assert main(["example", "fermat", "--n", "1"]) == 2
         assert main(["oracle-check", "--max-vertices", "0"]) == 2
         # past ORACLE_SIZE_BOUND // 4 a random complex could outgrow the oracle
@@ -142,14 +144,31 @@ class TestExitCodes:
          "frobenius.strata['t']: expected a string, got list"),
         ({"frobenius": {"order": 2, "strata": []}},
          "frobenius.strata", "expected an object"),
+        ({"strata": {"2": {}}},
+         "strata['2']", "expected a list"),
+        ({"pi1_y0": {"generators": 2, "frobenius": 5}},
+         "pi1_y0.frobenius", "expected a matrix (list of rows), got int"),
+        ({"pi1_y0": {"generators": 2, "frobenius": [[1, 0], [1]]}},
+         "pi1_y0.frobenius", "rows have different lengths"),
+        ({"pi1_y0": {"generators": 2, "frobenius": [[1], [1]]}},
+         "pi1_y0.frobenius", "expected 2 columns, got 1"),
+        ({"pi1_y0": {"generators": 2, "relations": 5}},
+         "pi1_y0.relations", "expected a list of relation vectors"),
+        ({"components": [{"id": "C1"}, {"id": "B"}], "pi1_y0": {"generators": 1},
+          "component_maps": {"C1": {"generators": 1, "relations": [[2]], "matrix": [[1]]}}},
+         "component_maps['C1'].matrix",
+         "source relation #0 is not sent into the target relation lattice"),
     ], ids=["bool-degree", "overlong-degree", "stratum-not-object", "stratum-id-not-string",
             "frobenius-image-not-string", "frobenius-images-not-strings",
-            "frobenius-permutation-not-object"])
+            "frobenius-permutation-not-object", "strata-depth-not-list",
+            "matrix-not-list", "ragged-matrix", "matrix-columns", "relations-not-list",
+            "component-map-ill-defined"])
     def test_walker_fast_paths_name_the_failing_path(self, capsys, tmp_path,
                                                        doc, where, message):
         """The schema walker takes well-formed lists and items without
         formatting their paths, and still names the exact path of the
-        one that is not."""
+        one that is not, matrices and relation lists of the pi1 data and
+        an ill-defined component map included."""
         path = tmp_path / "walker.json"
         path.write_text(json.dumps({"components": [{"id": "A"}, {"id": "B"}], **doc}))
         assert main(["validate", str(path)]) == 1
@@ -188,6 +207,32 @@ class TestExitCodes:
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, status, problems", [
+        (["validate", "{bad}"], 1,
+         ["name: expected a string, got int",
+          "components: required list is missing or not a list"]),
+        (["validate", "{absent}"], 1, None),
+        (["example", "rulings", "--n", "3"], 2, ["--n only applies to the fermat example"]),
+    ], ids=["malformed", "missing-file", "usage"])
+    def test_a_failed_json_run_prints_one_error_object(self, capsys, tmp_path,
+                                                       argv, status, problems):
+        """After its arguments parse, a failing ``--json`` run prints one
+        JSON object on stdout, with the command, the exit status and the
+        problems, and the same stderr and exit status as without
+        ``--json``, which prints nothing on stdout."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": 5}')
+        argv = [a.format(bad=bad, absent=tmp_path / "absent.json") for a in argv]
+        assert main(argv) == status
+        plain = capsys.readouterr()
+        assert plain.out == ""
+        assert main(argv + ["--json"]) == status
+        captured = capsys.readouterr()
+        assert captured.err == plain.err
+        report = json.loads(captured.out)  # one object, with nothing after it
+        assert report == {"command": argv[0], "exit_status": status,
+                          "problems": problems or [plain.err.removeprefix("error: ").rstrip()]}
+
     def test_success_exits_zero(self, capsys, rulings_path):
         assert main(["validate", rulings_path]) == 0
         assert capsys.readouterr().out.startswith("OK: rulings")
@@ -223,6 +268,11 @@ class TestJsonReports:
             capsys, ["homology", rulings_path, "--degree", "0", "--coeff", "z/6"])
         assert report["results"]["coefficients"] == "Z/6"
         assert report["results"]["group"]["invariant_factors"] == [6]
+        # 'z' names the default coefficients
+        assert main(["homology", rulings_path, "--coeff", "z", "--json"]) == 0
+        with_z = capsys.readouterr().out
+        assert main(["homology", rulings_path, "--json"]) == 0
+        assert capsys.readouterr().out == with_z
 
     def test_suspend_counts(self, capsys, rulings_path):
         report = run_json(capsys, ["suspend", rulings_path])
@@ -275,6 +325,22 @@ class TestKernelCommand:
         report = run_json(capsys, ["kernel", fermat_path, "--ell", "5", "--sweep", "4"])
         assert len(report["results"]["sweep"]) == 4
         assert report["results"]["trends"] == {"5": "stable"}
+
+    @pytest.mark.parametrize("command", ["alpha", "kernel"])
+    def test_alpha_outside_the_torsion_warns(self, capsys, tmp_path, command):
+        """With y0 = Z the image of alpha at ell = 5 is free, not inside
+        the torsion of theta, and both commands say so."""
+        doc = json.loads(GOLDEN.joinpath("fermat5.json").read_text())
+        doc["pi1_y0"] = {"generators": 1}
+        path = tmp_path / "free-y0.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--ell", "5"]) == 0
+        assert ("warning: image of alpha at ell=5 is not contained in the torsion of theta "
+                "(expected only for non-geometric inputs)") in capsys.readouterr().out
+
+    def test_bound_verdict_names_the_bound(self, capsys):
+        assert main(["kernel", str(GOLDEN / "swap.json"), "--ell", "3"]) == 0
+        assert "  ell=3: verdict bound, kernel bounded by Z/3\n" in capsys.readouterr().out
 
     def test_alpha_and_theta_commands(self, capsys, fermat_path):
         theta = run_json(capsys, ["theta", fermat_path, "--ell", "5"])

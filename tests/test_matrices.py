@@ -61,19 +61,16 @@ def products(draw):
 @st.composite
 def identity_products(draw):
     """Two matrices that can be multiplied, one of them an n x n identity
-    (the shared one, or an equal copy) or an identity with one entry
-    changed, on either side of a partner of any shape, with small
-    entries and entries past 64 bits."""
+    or an identity with one entry changed, on either side of a partner of
+    any shape, with small entries and entries past 64 bits."""
     n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     entries = st.integers(-9, 9) | st.integers(-(2 ** 70), 2 ** 70)
-    identity = IntMatrix.identity(n)
-    entries_of_square = list(identity._entries)
+    square = IntMatrix.identity(n)
     if n and draw(st.booleans()):
         i = draw(st.integers(0, n * n - 1))
-        entries_of_square[i] = draw(entries.filter(lambda x: x != identity._entries[i]))
-        square = IntMatrix(n, n, entries_of_square)
-    else:
-        square = identity if draw(st.booleans()) else IntMatrix(n, n, entries_of_square)
+        changed = list(square._entries)
+        changed[i] = draw(entries.filter(lambda x: x != square._entries[i]))
+        square = IntMatrix(n, n, changed)
     partner = IntMatrix(n, m, draw(st.lists(entries, min_size=n * m, max_size=n * m)))
     return (square, partner) if draw(st.booleans()) else (partner.transpose(), square)
 
@@ -169,27 +166,27 @@ class TestIntMatrix:
         assert (product.rows, product.cols) == (a.rows, b.cols)
         assert product.to_rows() == _triple_loop(a, b)
 
-    def test_identity_is_shared_and_its_cache_is_bounded(self):
-        """``IntMatrix.identity(n)`` is one object per size up to
-        ``_SHARED_IDENTITY_MAX``; the cache keeps at most
-        ``_SHARED_IDENTITIES`` of them, so building identities of many
-        sizes pins no more than that many small matrices, and a larger
-        identity is not kept at all."""
-        from snckit.matrices import _SHARED_IDENTITIES, _SHARED_IDENTITY_MAX, _shared_identity
-
-        for n in (0, 1, 7, _SHARED_IDENTITY_MAX):
-            assert IntMatrix.identity(n) is IntMatrix.identity(n)
-            assert IntMatrix.identity(n).to_rows() == [
-                [int(i == j) for j in range(n)] for i in range(n)]
-        for n in range(3 * _SHARED_IDENTITIES + _SHARED_IDENTITY_MAX + 10):
-            assert IntMatrix.identity(n).is_identity()
-        cached = _shared_identity.cache_info()
-        assert cached.maxsize == _SHARED_IDENTITIES
-        assert cached.currsize <= _SHARED_IDENTITIES
-        large = _SHARED_IDENTITY_MAX + 1
-        assert IntMatrix.identity(large) is not IntMatrix.identity(large)
-        assert IntMatrix.identity(large).is_identity()
-        assert _shared_identity.cache_info() == cached
+    @given(st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(-1, 2), min_size=n * n,
+                                                 max_size=n * n))))
+    @settings(max_examples=300, deadline=None)
+    @example((3, [1, 0, 0, 0, 1, 0, 0, 0, 1]))
+    @example((2, [1, 0, 1, 1]))
+    @example((2, [1, 1, 0, 1]))
+    def test_is_identity_and_is_zero_match_their_definitions(self, case):
+        """``is_identity`` counts the diagonal ones and the zeros of the
+        entry tuple, and ``is_zero`` asks whether any entry is nonzero:
+        both agree with the entry-by-entry definitions, at every size
+        from 0 and on non-square shapes."""
+        n, entries = case
+        a = IntMatrix(n, n, entries)
+        assert a.is_identity() == (a.to_rows() == [[int(i == j) for j in range(n)]
+                                                   for i in range(n)])
+        assert a.is_zero() == all(x == 0 for x in entries)
+        wide = IntMatrix(n, n + 1, entries + [0] * n)
+        assert not wide.is_identity()
+        assert wide.is_zero() == a.is_zero()
+        assert IntMatrix.identity(n).is_identity()
 
     def test_power(self):
         a = IntMatrix.from_rows([[1, 1], [0, 1]])
