@@ -32,6 +32,8 @@ validation takes it on its own positional facets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, starmap
+from operator import gt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
@@ -45,27 +47,8 @@ _set = object.__setattr__
 
 def sort_parity(seq: Sequence[int]) -> int:
     """+1 or -1: the sign of the permutation sorting ``seq`` (entries
-    distinct)."""
-    if len(seq) < 3:  # every vertex and edge: at most one pair to compare
-        return -1 if len(seq) == 2 and seq[0] > seq[1] else 1
-    inversions = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _increasing(positions: Iterable[int]) -> bool:
-    """Whether the (nonnegative) ``positions`` strictly increase; for a
-    handful of entries a loop beats comparing with ``sorted``."""
-    last = -1
-    for p in positions:
-        if p <= last:
-            return False
-        last = p
-    return True
+    distinct), the parity of its count of inversions."""
+    return -1 if sum(starmap(gt, combinations(seq, 2))) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -163,7 +146,7 @@ class DeltaComplex:
                     missing = [v for v in vertices if v not in vertex_pos]
                     problems.append(f"simplex {s.id!r} uses unknown vertices {missing}")
                     continue
-                if not _increasing(pos):
+                if pos != sorted(pos):
                     problems.append(
                         f"simplex {s.id!r} lists vertices out of the global order"
                     )
@@ -239,12 +222,6 @@ class DeltaComplex:
 
     def simplex(self, sid: str) -> Simplex:
         return self._by_id[sid]
-
-    def has_simplex(self, sid: str) -> bool:
-        return sid in self._by_id
-
-    def vertex_position(self, vid: str) -> int:
-        return self._vertex_pos[vid]
 
     def index_in_dimension(self, sid: str) -> int:
         return self._index_in_dim[sid]
@@ -407,15 +384,9 @@ class ChainMap:
         vertices' positions in the target vertex order.  Every signed
         simplicial map in the package is built here."""
         pos = target._vertex_pos
-        layers = source._by_dim
-        # a vertex has one position, and increasing positions are the
-        # identity permutation: both are +1 without a parity count
-        assignment = {v.id: (image[v.id], 1) for v in layers[0]}
-        for layer in layers[1:]:
-            for s in layer:
-                p = [pos[image[v]] for v in s.vertices]
-                assignment[s.id] = (image[s.id], 1 if _increasing(p) else sort_parity(p))
-        return cls(source, target, assignment)
+        return cls(source, target, {
+            s.id: (image[s.id], sort_parity([pos[image[v]] for v in s.vertices]))
+            for s in source.all_simplices()})
 
     def __repr__(self) -> str:
         return f"<ChainMap {self.source!r} -> {self.target!r}>"

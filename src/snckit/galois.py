@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .complexes import ChainMap, DeltaComplex, Simplex, _increasing
+from .complexes import ChainMap, DeltaComplex, Simplex
 from .errors import ExtensionError
 from .groups import FgAbelianGroup, GaloisModule, ModuleMap, image_subgroup
 from .homology import HomologyResult, homology_group, induced_map
@@ -137,7 +137,7 @@ def extension_complex(cfg: SncConfiguration, f: int) -> Extension:
         vertices = tuple(map(image, s.vertices))
         facets = tuple(map(image, s.facets))
         pos = [quotient_pos[v] for v in vertices]
-        if not _increasing(pos):
+        if pos != sorted(pos):
             perm = sorted(range(len(pos)), key=pos.__getitem__)
             vertices = tuple(vertices[i] for i in perm)
             facets = tuple(facets[i] for i in perm)

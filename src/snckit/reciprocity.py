@@ -29,7 +29,7 @@ Frobenius power) move, and they depend on f only through the degree
 class gcd(f, P), P the lcm of the Frobenius orders and point degrees;
 the Frobenius tests at ell depend on f only through gcd(f, theta's
 order).  So a sweep over f evaluates each class, and each test, once and
-relabels its reports.
+relabels its reports, and reads its per-prime trend off P.
 """
 
 from __future__ import annotations
@@ -492,24 +492,16 @@ class SweepResult:
     trends: dict[int, str]
 
 
-def _trend(types: list) -> str:
-    if all(t == types[0] for t in types):
-        return "stable"
-    if types[-1].is_trivial:
-        return "eventually trivial"
-    orders = [t.order() for t in types]
-    if all(o is not None for o in orders) and all(
-        a >= b for a, b in zip(orders, orders[1:])
-    ):
-        return "shrinking"
-    return "varies"
-
-
 def sweep_extensions(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
                      ells: Sequence[int], f_max: int) -> SweepResult:
-    """Kernel predictions for f = 1..f_max with a per-prime trend
-    summary over the predicted kernels (the bound, where no exact
-    prediction is available)."""
+    """Kernel predictions for f = 1..f_max with a per-prime trend over
+    the predicted kernels (the bound, where no exact prediction is
+    available).  Every report depends on f only through gcd(f, P)
+    (``_period``), so the kernels are periodic in f with period P: the
+    trend is "periodic with period P" when they differ, "stable" when
+    they agree and the window reaches P, where every class g | P has
+    occurred (at f = g), and otherwise says that the window is shorter
+    than the period, claiming nothing."""
     if f_max < 1:
         raise ValueError("f_max must be positive")
     _check_inputs(cfg, pi1, labels)
@@ -520,12 +512,16 @@ def _sweep(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
            ells: Sequence[int], f_max: int) -> SweepResult:
     """``sweep_extensions`` on checked inputs."""
     reports = _kernel_reports(cfg, pi1, labels, ells, range(1, f_max + 1))
+    period = _period(cfg, pi1)
     trends: dict[int, str] = {}
     for ell in ells:
-        types = []
-        for rep in reports:
-            pr = rep.primes[ell]
-            group = pr.predicted_kernel if pr.predicted_kernel is not None else pr.kernel_bound
-            types.append(group.iso_type())
-        trends[ell] = _trend(types)
+        kernels = {(pr.predicted_kernel or pr.kernel_bound).iso_type()
+                   for pr in (rep.primes[ell] for rep in reports)}
+        if len(kernels) > 1:
+            trends[ell] = f"periodic with period {period}"
+        elif f_max >= period:
+            trends[ell] = "stable"
+        else:
+            trends[ell] = (f"undetermined: the window 1..{f_max} is shorter than "
+                           f"the period {period}")
     return SweepResult(reports, trends)

@@ -22,11 +22,12 @@ def vertex_order(cx: DeltaComplex) -> tuple[str, ...]:
 def chain_vector(cx: DeltaComplex, coeffs: dict[str, int], a: int) -> tuple[int, ...]:
     """A chain given as {simplex id: coefficient} in dimension a, as a
     coordinate vector on the simplices of that dimension in order."""
-    vec = [0] * len(cx.simplices(a))
+    ids = [s.id for s in cx.simplices(a)]
+    vec = [0] * len(ids)
     for sid, c in coeffs.items():
-        if not cx.has_simplex(sid) or cx.simplex(sid).dim != a:
+        if sid not in ids:
             raise KeyError(f"no {a}-simplex with id {sid!r}")
-        vec[cx.index_in_dimension(sid)] += c
+        vec[ids.index(sid)] += c
     return tuple(vec)
 
 
@@ -349,17 +350,18 @@ def complex_with_assignment(draw):
         simplices = [s for s in simplices if s.dim < 3]
     cx = DeltaComplex(simplices)
     verts = vertex_order(cx)
+    position = {v: i for i, v in enumerate(verts)}
     images = st.permutations(verts) | st.lists(
         st.sampled_from(verts), min_size=len(verts), max_size=len(verts))
     vmap = dict(zip(verts, draw(images)))
     assignment = {}
     for s in cx.all_simplices():
         image = [vmap[v] for v in s.vertices]
-        span = tuple(sorted(image, key=cx.vertex_position))
+        span = tuple(sorted(image, key=position.__getitem__))
         on = [t.id for t in cx.simplices(s.dim) if t.vertices == span]
         if on and len(set(span)) == len(span):
             tid = draw(st.sampled_from(on))
-            sign = sort_parity([cx.vertex_position(v) for v in image])
+            sign = sort_parity([position[v] for v in image])
         else:
             tid = draw(st.sampled_from([t.id for t in cx.simplices(s.dim)]))
             sign = 1

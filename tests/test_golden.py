@@ -12,7 +12,11 @@ when Z homology began to be presented the same way, one generator per
 summand; before, H_0 = Z was presented on all four vertices.
 ``fermat4-cover.extend-f4`` was produced before a split degree (one
 where Frobenius^f fixes every id) began to reuse the geometric complex
-as its quotient, with the identity as its collapse map.  Any change to a report byte is a
+as its quotient, with the identity as its collapse map.
+``swap.kernel-sweep2`` was regenerated when a sweep's trend began to be
+read off the period P: its trend at ell = 3 reads "periodic with period
+2", where the old sequence rule printed "eventually trivial" although
+every odd f bounds the kernel by Z/3 again.  Any change to a report byte is a
 behaviour change, not a refactor.  Never regenerate them to make this test pass.
 """
 

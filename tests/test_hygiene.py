@@ -1,11 +1,15 @@
 """Source hygiene of the package: every import is used, every private
 function has a caller, one routine makes every Smith form, one path
 reads a group's Smith data, every module compiles without a warning,
-and importing it loads only the standard library."""
+importing it loads only the standard library, and every dotted name the
+README quotes still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted((SRC / "snckit").glob("*.py"))
 
 
@@ -150,3 +155,85 @@ def test_imports_only_the_standard_library():
     done = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether ``path`` defines ``names[0]`` at top level (a function,
+    class or assignment) and each later name inside the one before."""
+    body = ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+    for name in names:
+        found = None
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+                found = node
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == name for t in node.targets):
+                found = node
+        if found is None:
+            return False
+        body = getattr(found, "body", [])
+    return True
+
+
+def _has(obj, attr: str) -> bool:
+    return (hasattr(obj, attr) or attr in getattr(obj, "__dataclass_fields__", {})
+            or attr in getattr(obj, "__slots__", ()))
+
+
+def _python_name(dotted: str) -> bool:
+    """Whether ``dotted`` names a module of the package or of the
+    standard library, or an attribute reached from one, with the
+    package's modules and their top-level names as starting points."""
+    first, *rest = dotted.split(".")
+    if first == "snckit":
+        first, *rest = rest
+    modules = {path.stem: importlib.import_module(f"snckit.{path.stem}")
+               for path in MODULES if path.stem != "__init__"}
+    starts = ([modules[first]] if first in modules
+              else [getattr(m, first) for m in modules.values() if _has(m, first)])
+    if not starts and first in sys.stdlib_module_names:
+        starts = [importlib.import_module(first)]
+    for obj in starts:
+        for attr in rest:
+            if not _has(obj, attr):
+                break
+            obj = getattr(obj, attr, None)
+        else:
+            return True
+    return False
+
+
+def _resolves(name: str) -> bool:
+    """A quoted dotted name is a test or module-level name in a file
+    (``path::name``), a file, a benchmark metric, a key path of a golden
+    document, or a Python name."""
+    if "::" in name:
+        path, *names = name.split("::")
+        return (ROOT / path).is_file() and _defines(ROOT / path, names)
+    if "/" in name or name.endswith((".py", ".json", ".md", ".yml", ".toml")):
+        return any((base / name).is_file()
+                   for base in (ROOT, SRC / "snckit", ROOT / "tests" / "golden"))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if name in {m["name"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}:
+        return True
+    document = json.loads((ROOT / "tests" / "golden" / "fermat5.json").read_text())
+    for key in name.split("."):
+        if not isinstance(document, dict) or key not in document:
+            break
+        document = document[key]
+    else:
+        return True
+    return _python_name(name)
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    """Every backquoted name with a dot or a ``::`` in README.md, such
+    as ``matrices._smith_form``, ``tests/test_cli.py::SNF_WORK`` or
+    ``BENCH_36.json``, still names something, so the README cannot keep
+    describing code, tests or files that are gone."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = sorted({name for name in re.findall(r"`([^`\s]+)`", text)
+                    if re.fullmatch(r"[\w/.:-]*[\w](\.|::)[\w.:/-]+", name)})
+    assert names
+    missing = [name for name in names if not _resolves(name)]
+    assert missing == [], f"README names what does not exist: {missing}"

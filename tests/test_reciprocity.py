@@ -541,21 +541,29 @@ class TestSweep:
                                  [2, 3, 5], 3)
         assert sweep.trends == {2: "stable", 3: "stable", 5: "stable"}
 
-    def test_swap_eventually_trivial(self):
+    def test_swap_is_periodic(self):
+        """swap has P = 2: odd f bounds the kernel by Z/3 and even f
+        gives 0, so no window is "eventually trivial"; the trend names
+        the period, and a window shorter than it claims nothing."""
         cfg, pi1, labels = swap_upgrade_fixture()
         sweep = sweep_extensions(cfg, pi1, labels, [3], 2)
-        assert sweep.trends[3] == "eventually trivial"
+        assert sweep.trends[3] == "periodic with period 2"
+        assert sweep_extensions(cfg, pi1, labels, [3], 1).trends[3] == (
+            "undetermined: the window 1..1 is shorter than the period 2")
 
-    def test_reflection_shrinks_then_varies(self):
+    def test_reflection_is_periodic(self):
+        """The reflection bundle's kernel is bounded at odd f and exactly
+        Z/2 at even f: periodic with period 2 in every window past 1,
+        never "shrinking"."""
         cfg, pi1, labels = _reflection_bundle()
         assert validate_labels(cfg, pi1, labels) == []
         two = sweep_extensions(cfg, pi1, labels, [2], 2)
         assert [r.primes[2].verdict for r in two.reports] == ["bound", "exact"]
         kernel = two.reports[1].primes[2].predicted_kernel
         assert kernel.iso_type() == FgAbelianGroup.cyclic(2).iso_type()
-        assert two.trends[2] == "shrinking"
+        assert two.trends[2] == "periodic with period 2"
         three = sweep_extensions(cfg, pi1, labels, [2], 3)
-        assert three.trends[2] == "varies"
+        assert three.trends[2] == "periodic with period 2"
 
     def test_bad_f_max(self):
         cfg, pi1, labels = swap_upgrade_fixture()
@@ -661,3 +669,57 @@ def test_trivial_torsion_frobenius_tests_match_a_direct_computation(ell):
         _, proj = coinvariants(theta.power(f))
         injective = proj.compose(incl).is_injective()
         assert reciprocity._frobenius_tests(theta, torsion, incl, f) == (trivial, injective)
+
+
+def _sweep_case(case):
+    """A configuration, pi1 data, labels and primes: the swap or the
+    reflection fixture, or a random admissible configuration (random
+    point degrees when asked) with swap's y0 = Z/3, on which Frobenius
+    acts by -1, so that the kernel at ell = 3 alternates with f."""
+    if case == "swap":
+        return (*swap_upgrade_fixture(), (3,))
+    if case == "reflection":
+        return (*_reflection_bundle(), (2,))
+    seed, e, vary_degrees = case
+    rng = random.Random(seed)
+    cfg = random_admissible_config(rng, e)
+    if vary_degrees:
+        cfg = _random_degrees(rng, cfg)
+    _, pi1, labels = swap_upgrade_fixture()
+    return cfg, pi1, labels, (2, 3)
+
+
+@given(st.sampled_from(["swap", "reflection"])
+       | st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans()))
+@example(case="swap")
+@example(case="reflection")
+@settings(max_examples=25, deadline=None)
+def test_sweep_trend_is_read_off_the_period(case):
+    """Every report depends on f only through gcd(f, P), so the trend
+    of a sweep over 1..F is the same for every F from P on, and is
+    "stable" exactly when the kernels of the degree classes g | P,
+    evaluated at f = g, agree.  A window shorter than P never says
+    "stable": it names the period when its own kernels differ and
+    claims nothing otherwise."""
+    cfg, pi1, labels, ells = _sweep_case(case)
+    period = reciprocity._period(cfg, pi1)
+    divisors = [g for g in range(1, period + 1) if period % g == 0]
+    classes = reciprocity._kernel_reports(cfg, pi1, labels, ells, divisors)
+
+    def kernel(pr):
+        return (pr.predicted_kernel or pr.kernel_bound).iso_type()
+
+    expected = {}
+    for ell in ells:
+        kernels = {kernel(rep.primes[ell]) for rep in classes}
+        expected[ell] = "stable" if len(kernels) == 1 else f"periodic with period {period}"
+    for f_max in range(period, period + 4):
+        assert reciprocity._sweep(cfg, pi1, labels, ells, f_max).trends == expected
+    for f_max in range(1, period):
+        sweep = reciprocity._sweep(cfg, pi1, labels, ells, f_max)
+        for ell, trend in sweep.trends.items():
+            window = {kernel(rep.primes[ell]) for rep in sweep.reports}
+            assert "stable" not in trend
+            assert trend == (expected[ell] if len(window) > 1 else
+                             f"undetermined: the window 1..{f_max} is shorter than "
+                             f"the period {period}")
