@@ -16,9 +16,9 @@ over the facets of each simplex's facets, and d f = f d for a chain map
 by comparing the signed boundary of each simplex's image with the
 signed images of its facets.  Each simplex is one column of the
 products d_{a-1} d_a and d f, f d, so the checks are exact.  A
-chain-map matrix is built on first use and a dense boundary on each
-read; homology reads each boundary as sparse rows built from the
-facets (``_boundary_rows``), with no dense matrix.
+chain-map matrix and a dense boundary are built on each read; homology
+reads each boundary as sparse rows built from the facets
+(``_boundary_rows``), with no dense matrix.
 
 ``DeltaComplex`` checks everything about simplices a caller gives it.
 The dual complex of a validated configuration is built with the private
@@ -291,7 +291,7 @@ class ChainMap:
     boundary, exactly and per source simplex: the signed boundary of its
     image equals the signed images of its facets."""
 
-    __slots__ = ("source", "target", "assignment", "_matrices")
+    __slots__ = ("source", "target", "assignment")
 
     def __init__(self, source: DeltaComplex, target: DeltaComplex,
                  assignment: Mapping[str, tuple[str, int]]):
@@ -321,7 +321,6 @@ class ChainMap:
         self.source = source
         self.target = target
         self.assignment = images = dict(assignment)
-        self._matrices: dict[int, IntMatrix] = {}
 
         layers = source._by_dim
         for a in range(1, len(layers)):
@@ -347,19 +346,16 @@ class ChainMap:
                     )
 
     def matrix(self, a: int) -> IntMatrix:
-        """The induced map on a-chains (target rows, source columns).
-        Built on first use; construction never needs it."""
-        m = self._matrices.get(a)
-        if m is None:
-            rows = len(self.target.simplices(a))
-            src = self.source.simplices(a)
-            cols = len(src)
-            entries = [0] * (rows * cols)
-            for j, s in enumerate(src):
-                tid, sign = self.assignment[s.id]
-                entries[self.target.index_in_dimension(tid) * cols + j] += sign
-            m = self._matrices[a] = IntMatrix._of(rows, cols, entries)
-        return m
+        """The induced map on a-chains (target rows, source columns),
+        built on each call; construction never needs it."""
+        rows = len(self.target.simplices(a))
+        src = self.source.simplices(a)
+        cols = len(src)
+        entries = [0] * (rows * cols)
+        for j, s in enumerate(src):
+            tid, sign = self.assignment[s.id]
+            entries[self.target.index_in_dimension(tid) * cols + j] += sign
+        return IntMatrix._of(rows, cols, entries)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""

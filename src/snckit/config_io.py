@@ -89,7 +89,8 @@ def json_text(value: Any) -> str:
     ``json.dumps`` falls back to its pure-Python encoder whenever
     ``indent`` is set, and ``encode_json_value`` first copies the whole
     value.  Here strings and keys go through the C routine
-    ``json.encoder.encode_basestring``, integers through
+    ``json.encoder.encode_basestring``, so every key must be a string
+    (any other raises ``TypeError``), integers through
     ``int.__repr__`` (past 64 bits, quoted, as ``encode_json_value``
     renders them) and floats through ``json.dumps``.  A shared subtree,
     a ``SharedDict`` or ``SharedList`` object that the value holds more
@@ -117,9 +118,6 @@ def _write_json(value: Any, newline: str, out: list[str],
         if type(value) is SharedDict:
             _write_shared(value, newline, out, shared)
             return
-        if not all(type(k) is str for k in value):
-            # as encode_json_value: keys that collide as strings keep the last value
-            value = {str(k): v for k, v in value.items()}
         inner = newline + "  "
         sep = "{" + inner
         for k, v in value.items():

@@ -169,8 +169,8 @@ def _rows_mod(y: IntMatrix, moduli: Sequence[int]) -> list[list[int]]:
 class FgAbelianGroup:
     """Z^n modulo the column span of ``relations`` (an n-row matrix)."""
 
-    __slots__ = ("generator_count", "_relations", "_snf", "_smith", "_base", "_rows",
-                 "_columns", "_iso")
+    __slots__ = ("generator_count", "_relations", "_snf", "_base", "_rows", "_columns",
+                 "_iso")
 
     def __init__(self, generator_count: int, relations: IntMatrix | None = None):
         if generator_count < 0:
@@ -191,7 +191,6 @@ class FgAbelianGroup:
         self._relations = relations
         self._base = base
         self._snf: SnfDecomposition | None = None
-        self._smith: "SmithForm | None" = None
         self._rows: "tuple[tuple[int, ...], IntMatrix, tuple[int, ...]] | None" = None
         self._columns: IntMatrix | None = None
         self._iso: IsoType | None = None
@@ -332,14 +331,12 @@ class FgAbelianGroup:
         return [j for j in range(block.cols) if any(row[j] for row in reduced)]
 
     def _smith_block(self, columns: IntMatrix) -> list[dict[int, int]]:
-        """The sparse rows of Smith coordinates of ``columns`` that are
-        congruent to ``u @ columns`` modulo the column span of ``d``: row
-        i reduced into [0, d_i), exact when free, and zero when d_i ==
-        1."""
-        block: list[dict[int, int]] = [{} for _ in range(self.generator_count)]
-        for i, row in zip(self._smith_rows()[0], self._reduced(columns)):
-            block[i] = {j: x for j, x in enumerate(row) if x}
-        return block
+        """The sparse rows of the non-unit Smith coordinates of
+        ``columns``, which ``_continue_snf`` takes: row i of ``u @
+        columns`` reduced into [0, d_i), exact when free, for each i with
+        d_i != 1.  Those are the coordinates past the unit factors, which
+        lead the divisibility chain."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self._reduced(columns)]
 
     def _exponent(self) -> int:
         """The largest invariant factor when the group is finite (1 when
@@ -381,9 +378,9 @@ class FgAbelianGroup:
         return not self._outside(IntMatrix.from_columns([vec], rows=self.generator_count))
 
     def smith(self) -> "SmithForm":
-        if self._smith is None:
-            self._smith = SmithForm._build(self)
-        return self._smith
+        """The public Smith view, built on each call; no package code
+        reads it."""
+        return SmithForm._build(self)
 
     def element_order(self, vec: Sequence[int]) -> int | None:
         """Order of the class of ``vec``; None when infinite."""

@@ -41,19 +41,18 @@ which keeps every run bit-for-bit reproducible.
 
 A matrix that only adds columns ``b`` to one whose form is known gets
 its form from ``_continue_snf``, not from ``snf``: ``u @ [a | b] @
-diag(v, I)`` is ``[d | u @ b]``, built from the diagonal and the
-sparse rows of the added Smith coordinates.  Its rows with d_i == 1
-are finished pivots: each of their added entries costs one logged
-column operation, and only the other rows are put in Smith form by
-``_smith_form``, so the work is that of a nearly diagonal matrix of
-those rows, and none when their coordinates are zero.  The diagonal
-and both logs are those of eliminating every row; the diagonal is the
-one ``snf`` would give, while ``u`` and ``v`` may differ.  The Smith
-coordinates ``c`` of the added columns need only be right modulo the
-column span of ``d``; the form is then that of ``[a | b']`` for some
-``b'`` congruent to ``b`` modulo the column span of ``a``, with the
-same diagonal, and exactly that of ``[a | b]`` when ``c == u @ b``.
-Groups continue their forms this way, over reduced coordinates.
+diag(v, I)`` is ``[d | u @ b]``, and the Smith coordinates ``c`` of
+the added columns need only be right modulo the column span of ``d``.
+Coordinate i is then needed only modulo d_i, so those of the leading
+d_i == 1 are zero, and their rows of ``[d | c]`` are finished pivots.
+A continuation takes the sparse rows of the other coordinates alone,
+and ``_smith_form`` puts that block in Smith form, so the work is that
+of a nearly diagonal matrix of those rows, and none when their
+coordinates are zero.  The diagonal is the one ``snf`` would give,
+while ``u`` and ``v`` may differ.  The form is that of ``[a | b']``
+for some ``b'`` congruent to ``b`` modulo the column span of ``a``:
+the same lattice, the same diagonal.  Groups continue their forms this
+way, over reduced coordinates.
 
 A caller that needs a few Smith coordinates, not a whole transform,
 reads them with ``_smith_vector``: row i of ``u`` reduced modulo d_i
@@ -617,43 +616,37 @@ def _smith_form(rows: list[dict[int, int]], cols: int) -> SnfDecomposition:
     return SnfDecomposition(diagonal, (len(rows), cols), tuple(row_log), tuple(col_log))
 
 
-def _continue_snf(s: SnfDecomposition, rows: list[dict[int, int]],
+def _continue_snf(s: SnfDecomposition, block: list[dict[int, int]],
                   width: int) -> SnfDecomposition:
-    """A Smith normal form of ``[a | b]``, where ``s`` is the form of
-    ``a`` and ``rows`` are the sparse rows of the Smith coordinates ``c
-    = u @ b`` of the ``width`` added columns, each row i needed only
-    modulo d_i (0 for a free row).
+    """A Smith normal form of ``[a | b']``, where ``s`` is the form of
+    ``a``, ``b'`` is congruent to the ``width`` added columns ``b``
+    modulo the column span of ``a``, and ``block`` holds the sparse rows
+    of the Smith coordinates ``c`` of ``b`` past the parent's r unit
+    invariant factors: row k is coordinate r + k of ``u @ b``, needed
+    only modulo d_{r+k} (0 for a free row).
 
-    ``[d | c]`` is ``u @ [a | b'] @ diag(v, I)`` with ``b' = u_inv @
-    c``, and ``u @ b - c`` lies in the column span of ``d``, so ``b' -
-    b`` lies in that of ``a``: ``[a | b']`` and ``[a | b]`` span one
-    lattice and share the diagonal.  The Smith form of ``[d | c]``
-    continues ``s``: the logs are the parent's operations followed by
-    those that reduce it, read on the wider matrix (the parent's column
-    operations touch only the columns of ``a``).  The transforms are
-    those of ``[a | b']``, exactly ``[a | b]``'s when ``c == u @ b``.
-
-    Only the rows past the parent's r leading unit factors are reduced.
-    Row i < r of ``[d | c]`` is a finished pivot 1, alone in its
-    column, so eliminating all of ``[d | c]`` would clear each entry
-    c_ij of it by the one column operation ``(n + j, i, -c_ij)``, which
-    changes no other row, and then reduce rows r and after.  Those
-    column operations are logged first, then the operations of the
-    block of rows and columns r and after (its own form when it is in
-    Smith form already, as when ``c`` is zero), with indices raised by
-    r: the diagonal and both logs are those of the whole elimination.
+    ``[d | c]``, with the first r rows of ``c`` zero, is ``u @ [a | b']
+    @ diag(v, I)`` with ``b' = u_inv @ c``, and ``u @ b - c`` lies in
+    the column span of ``d``, so ``b' - b`` lies in that of ``a``:
+    ``[a | b']`` and ``[a | b]`` span one lattice and share the
+    diagonal.  Its first r rows are finished pivots 1, alone in their
+    columns, so its form continues ``s`` by that of the block of rows
+    and columns r and after (its own form when it is in Smith form
+    already, as when ``c`` is zero): the logs are the parent's
+    operations followed by the block's, with indices raised by r, read
+    on the wider matrix (the parent's column operations touch only the
+    columns of ``a``).
     """
     (m, n), diag = s.shape, s.diagonal
     # the unit factors lead a divisibility chain
     r = diag.count(1)
-    units = [(n + j, i, -x) for i, added in zip(range(r), rows) for j, x in sorted(added.items())]
     w = [{i - r: diag[i]} if i < len(diag) and diag[i] else {} for i in range(r, m)]
-    for row, added in zip(w, rows[r:]):
+    for row, added in zip(w, block):
         row.update((n - r + j, x) for j, x in added.items())
     e = _smith_form(w, n - r + width)
     return SnfDecomposition(diag[:r] + e.diagonal, (m, n + width),
                             s.row_log + _shifted(e.row_log, r),
-                            s.col_log + tuple(units) + _shifted(e.col_log, r))
+                            s.col_log + _shifted(e.col_log, r))
 
 
 def _shifted(log: tuple[tuple[int, ...], ...], r: int) -> tuple[tuple[int, ...], ...]:

@@ -342,6 +342,31 @@ class TestKernelCommand:
         assert main(["kernel", str(GOLDEN / "swap.json"), "--ell", "3"]) == 0
         assert "  ell=3: verdict bound, kernel bounded by Z/3\n" in capsys.readouterr().out
 
+    def test_component_map_closed_form(self, capsys):
+        """``cmaps``: y0 = (Z/4)² with Frobenius swapping e1 and e2, and
+        C1's Z/4 mapped onto (1, 1).  theta at 2 is y0/(1, 1) ≅ Z/4 on e1
+        (e2 = −e1), where Frobenius acts as −1; at 3 it is 0.  H_1 of two
+        components crossing at P1 and P2 is Z on P1 − P2, whose labels
+        give e1 − e2 = 2e1, so alpha's image is Z/2.  Frobenius swaps P1
+        and P2: at f = 1 it is −1 on theta, whose coinvariants Z/2 the
+        torsion does not inject into, so Z/4 is only a bound; at f = 2 it
+        is the identity and the kernel is Z/4 / Z/2 = Z/2."""
+        path = str(GOLDEN / "cmaps.json")
+        ells = ["--ell", "2", "--ell", "3"]
+        theta = run_json(capsys, ["theta", path, *ells])["results"]["primes"]
+        assert (theta["2"]["theta"]["description"], theta["2"]["frobenius_trivial"]) == (
+            "Z/4", False)
+        assert theta["3"]["theta"]["description"] == "0"
+        alpha = run_json(capsys, ["alpha", path, *ells])["results"]["primes"]
+        assert alpha["2"]["image"]["description"] == "Z/2"
+        kernel = run_json(capsys, ["kernel", path, *ells, "--sweep", "2"])["results"]
+        f1, f2 = (report["primes"]["2"] for report in kernel["sweep"])
+        assert (f1["verdict"], f1["kernel_bound"]["description"]) == ("bound", "Z/4")
+        assert f1["warnings"] == ["ell=2, f=1: torsion of theta does not inject into the "
+                                  "coinvariants (expected only for non-geometric inputs)"]
+        assert (f2["verdict"], f2["predicted_kernel"]["description"]) == ("exact", "Z/2")
+        assert kernel["trends"] == {"2": "periodic with period 2", "3": "stable"}
+
     def test_alpha_and_theta_commands(self, capsys, fermat_path):
         theta = run_json(capsys, ["theta", fermat_path, "--ell", "5"])
         assert theta["results"]["primes"]["5"]["theta"]["description"] == "Z/5"
@@ -945,14 +970,14 @@ def _measure_snf_work(monkeypatch):
         seen["rows"].append(shape[0])
         return record("calls", shape, s)
 
-    def measuring_extension(s, rows, width):
+    def measuring_extension(s, block, width):
         nonlocal extending
         extending = True
         try:
-            e = extend(s, rows, width)
+            e = extend(s, block, width)
         finally:
             extending = False
-        return record("extensions", (len(rows), s.shape[1] + width), e)
+        return record("extensions", e.shape, e)
 
     _rebind(monkeypatch, smith_form, measuring)
     _rebind(monkeypatch, extend, measuring_extension)
@@ -1026,6 +1051,31 @@ def test_derived_groups_pay_only_for_what_they_add(capsys, monkeypatch, tmp_path
     assert main(argv) == 0
     capsys.readouterr()
     assert counts["rows"] <= 33 and counts["steps"] <= 2658 and counts["hstack"] == 0, counts
+
+
+@pytest.mark.parametrize("doc,argv", [
+    ("dense-24", ["--ell", "2", "--ell", "3", "--ell", "5"]),
+    ("coned.json", ["--sweep", "3", "--ell", "3"]),
+    ("cmaps.json", ["--ell", "2", "--ell", "3", "--sweep", "2"]),
+], ids=["dense-24", "coned-sweep3", "cmaps-sweep2"])
+def test_continuations_take_only_the_non_unit_block(capsys, monkeypatch, tmp_path, doc, argv):
+    """Every ``_continue_snf`` call of a kernel run passes the rows of
+    its parent's non-unit coordinates alone: m − r rows for a parent of
+    m rows whose first r invariant factors are 1."""
+    from snckit import matrices
+
+    passed = []
+    extend = matrices._continue_snf
+
+    def recording(s, block, width):
+        passed.append((len(block), s.shape[0] - s.diagonal.count(1)))
+        return extend(s, block, width)
+
+    _rebind(monkeypatch, extend, recording)
+    path = _dense_path(tmp_path, doc) if doc in DENSE_SEEDS else str(GOLDEN / doc)
+    assert main(["kernel", path, *argv, "--json"]) == 0
+    capsys.readouterr()
+    assert passed and all(rows == expected for rows, expected in passed), passed
 
 
 def test_dense_kernel_replays_no_transform(capsys, monkeypatch, tmp_path):

@@ -225,14 +225,13 @@ class TestEncodeJsonValue:
 
 
 # every kind of value a report holds, with integers on both sides of
-# ±2^63 and keys that are not strings, some equal as strings
+# ±2^63; report keys are strings
 _edge_ints = st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63 - 1), -(2 ** 63)])
 _report_values = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text()
     | st.integers(-(2 ** 64), 2 ** 64) | _edge_ints,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(max_size=4) | st.integers(-2, 2), inner,
-                                     max_size=4)),
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=30,
 )
 
@@ -248,8 +247,7 @@ def _aliasing(pieces):
     return st.recursive(
         st.sampled_from(pieces),
         lambda inner: (st.lists(inner, max_size=4)
-                       | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2), inner,
-                                         max_size=4)
+                       | st.dictionaries(st.text(max_size=2), inner, max_size=4)
                        | st.dictionaries(st.text(max_size=2), inner, max_size=4).map(SharedDict)
                        | st.lists(inner, max_size=4).map(SharedList)),
         max_leaves=12,
@@ -258,7 +256,7 @@ def _aliasing(pieces):
 
 _containers = st.one_of(
     st.lists(_report_values, max_size=3),
-    st.dictionaries(st.text(max_size=3) | st.integers(-2, 2), _report_values, max_size=3),
+    st.dictionaries(st.text(max_size=3), _report_values, max_size=3),
 )
 _aliased_values = st.lists(_containers | _containers.map(_shared), min_size=1,
                            max_size=4).flatmap(_aliasing)
@@ -266,7 +264,7 @@ _aliased_values = st.lists(_containers | _containers.map(_shared), min_size=1,
 _PIECE = {"a": [1, 2 ** 63], "b": {"c": None}}
 _LIST = [True, "x", {"d": -0.0}]
 _SHARED = SharedDict({"description": "Z/3", "invariant_factors": [3], "free_rank": 0})
-_INT_KEYS = SharedDict({1: "int key", "1": "string key", 2: [_SHARED]})
+_NESTED = SharedDict({"1": "string key", "2": [_SHARED]})
 _ROWS = SharedList([[1, 0], [0, 2 ** 63], _SHARED])
 
 
@@ -276,14 +274,14 @@ class TestJsonText:
 
     @given(_report_values | _aliased_values)
     @settings(max_examples=400, deadline=None)
-    @example({1: "int key", "1": "string key", True: [], "": {}})
+    @example({"1": "string key", "true": [], "": {}})
     @example({"ключ": ["é\u2028\"\\\n", 2 ** 63, -(2 ** 63) + 1, float("nan"), -0.0]})
     # one object at the same depth, at different depths and in lists
     @example([_PIECE, _PIECE, {"x": _PIECE, "y": [_PIECE, _LIST]}, _LIST, [[_LIST]]])
-    # a shared dict at the same depth, at different depths, inside
-    # another shared dict, and with keys that are not strings
-    @example({"a": _SHARED, "b": _SHARED, "c": [_SHARED, {"d": _SHARED}], "e": _INT_KEYS,
-              "f": [_INT_KEYS, _INT_KEYS], "g": SharedDict(), "h": SharedDict({"i": _SHARED})})
+    # a shared dict at the same depth, at different depths and inside
+    # another shared dict
+    @example({"a": _SHARED, "b": _SHARED, "c": [_SHARED, {"d": _SHARED}], "e": _NESTED,
+              "f": [_NESTED, _NESTED], "g": SharedDict(), "h": SharedDict({"i": _SHARED})})
     # a shared list at the same depth and at different depths, empty,
     # and holding a shared dict
     @example({"a": _ROWS, "b": _ROWS, "c": [_ROWS, {"d": _ROWS}], "e": SharedList(),
@@ -295,6 +293,10 @@ class TestJsonText:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError, match="cannot serialize set"):
             json_text({"a": [{1, 2}]})
+
+    def test_rejects_keys_that_are_not_strings(self):
+        with pytest.raises(TypeError, match="must be a string"):
+            json_text({"a": {1: "int key"}})
 
 # Integers stay small, so no document can ask for a huge group; the
 # string forms include digits outside ASCII and past the digit limit.

@@ -16,7 +16,9 @@ as its quotient, with the identity as its collapse map.
 ``swap.kernel-sweep2`` was regenerated when a sweep's trend began to be
 read off the period P: its trend at ell = 3 reads "periodic with period
 2", where the old sequence rule printed "eventually trivial" although
-every odd f bounds the kernel by Z/3 again.  Any change to a report byte is a
+every odd f bounds the kernel by Z/3 again.  The three ``cmaps``
+reports were produced when that document was added, the first whose
+component map adds a relation to y0.  Any change to a report byte is a
 behaviour change, not a refactor.  Never regenerate them to make this test pass.
 """
 
@@ -62,6 +64,12 @@ CASES += [
     ("rulings.homology-z0.out.json", ["homology", "rulings.json", "--degree", "0"]),
     ("swap.kernel-sweep2.out.json", ["kernel", "swap.json", "--sweep", "2", "--ell", "3"]),
     ("coned.kernel-sweep3.out.json", ["kernel", "coned.json", "--sweep", "3", "--ell", "3"]),
+    # the one document with a component map: theta adds its image to
+    # y0's relations, and the map and its Frobenius equivariance are checked
+    ("cmaps.theta.out.json", ["theta", "cmaps.json", "--ell", "2", "--ell", "3"]),
+    ("cmaps.alpha.out.json", ["alpha", "cmaps.json", "--ell", "2", "--ell", "3"]),
+    ("cmaps.kernel-sweep2.out.json",
+     ["kernel", "cmaps.json", "--ell", "2", "--ell", "3", "--sweep", "2"]),
 ]
 
 

@@ -344,9 +344,18 @@ def extensions(draw):
 
 
 def _extended(s: SnfDecomposition, b: IntMatrix) -> SnfDecomposition:
-    """The form ``s`` of ``a`` continued to one of ``[a | b]`` over the
-    exact Smith coordinates ``u @ b`` of the added columns."""
-    return _continue_snf(s, _sparse_rows(s.u @ b), b.cols)
+    """The form ``s`` of ``a`` continued over the exact Smith
+    coordinates ``u @ b`` of the added columns past its unit factors, a
+    form of ``[a | _congruent(s, b)]``."""
+    return _continue_snf(s, _sparse_rows(s.u @ b)[s.diagonal.count(1):], b.cols)
+
+
+def _congruent(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
+    """``b' = u_inv @ c``, with ``c`` the Smith coordinates ``u @ b``
+    whose rows at the unit factors of ``s`` are zeroed: congruent to
+    ``b`` modulo the column span of ``a``."""
+    c, r = s.u @ b, s.diagonal.count(1)
+    return s.u_inv @ IntMatrix._of(c.rows, c.cols, (0,) * (r * c.cols) + c._entries[r * c.cols:])
 
 
 def _block_diagonal(a: IntMatrix, n: int) -> IntMatrix:
@@ -357,26 +366,31 @@ def _block_diagonal(a: IntMatrix, n: int) -> IntMatrix:
 
 
 class TestExtendSnf:
-    """``_continue_snf(snf(R), u @ B)`` is a Smith normal form of ``[R |
-    B]``, and so is a continuation of a continuation."""
+    """``_continue_snf`` of ``snf(R)`` over the non-unit rows of ``u @
+    B`` is a Smith normal form of ``[R | B']``, ``B'`` congruent to
+    ``B``, with the diagonal of ``[R | B]``, and so is a continuation of
+    a continuation."""
 
     @staticmethod
-    def assert_extends(stacked: IntMatrix, s: SnfDecomposition):
-        assert_snf_contract(stacked, s)
+    def assert_extends(stacked: IntMatrix, congruent: IntMatrix, s: SnfDecomposition):
+        assert_snf_contract(congruent, s)
         assert s.diagonal == reference_snf(stacked).d.diagonal_entries()
 
     @given(extensions())
     @settings(max_examples=150, deadline=None)
     def test_one_step(self, case):
         r, b, _ = case
-        self.assert_extends(r.hstack(b), _extended(snf(r), b))
+        s = snf(r)
+        self.assert_extends(r.hstack(b), r.hstack(_congruent(s, b)), _extended(s, b))
 
     @given(extensions())
     @settings(max_examples=150, deadline=None)
     def test_two_steps(self, case):
         r, b1, b2 = case
-        s = _extended(_extended(snf(r), b1), b2)
-        self.assert_extends(r.hstack(b1).hstack(b2), s)
+        s = snf(r)
+        e = _extended(s, b1)
+        congruent = r.hstack(_congruent(s, b1)).hstack(_congruent(e, b2))
+        self.assert_extends(r.hstack(b1).hstack(b2), congruent, _extended(e, b2))
 
     def test_transforms_continue_the_parents(self):
         """A continued form's logs begin with the parent's, so its
@@ -414,17 +428,18 @@ class TestExtendSnf:
         assert s == full
         for name in ("u", "u_inv", "v", "v_inv"):
             assert getattr(s, name) == getattr(full, name), name
-        self.assert_extends(r.hstack(b), s)
+        self.assert_extends(r.hstack(b), r.hstack(b), s)
 
 
 def _eliminated_continuation(s: SnfDecomposition, rows: list[dict[int, int]],
                              width: int) -> SnfDecomposition:
     """``s`` continued by eliminating every row of ``[d | c]``, ``c``
-    the ``width`` columns with sparse rows ``rows``, and putting the
-    parent's logs in front."""
+    the ``width`` columns with sparse rows ``rows`` in its rows past the
+    unit factors of ``s`` and empty unit rows, and putting the parent's
+    logs in front."""
     (m, n), diag = s.shape, s.diagonal
     w = [{i: diag[i]} if i < len(diag) and diag[i] else {} for i in range(m)]
-    for row, added in zip(w, rows):
+    for row, added in zip(w[diag.count(1):], rows):
         row.update((n + j, x) for j, x in added.items())
     row_log, col_log = [], []
     diagonal = _eliminate(w, n + width, row_log, col_log)
@@ -435,9 +450,9 @@ def _eliminated_continuation(s: SnfDecomposition, rows: list[dict[int, int]],
 @st.composite
 def coordinate_blocks(draw):
     """A matrix R and two blocks of Smith coordinates as sparse rows, R's
-    row count of them: zero blocks, or random entries in any row, the
-    unit rows of the form included, so the coordinates are not
-    reduced."""
+    row count of them: zero blocks, or random entries in any row, so the
+    coordinates are not reduced.  A continuation takes the rows past its
+    parent's unit factors."""
     r = draw(matrices_of(st.sampled_from([-3, -1, 0, 0, 1, 1, 2, 6]), max_side=5))
     blocks = []
     for _ in range(2):
@@ -454,8 +469,9 @@ def coordinate_blocks(draw):
 
 class TestContinuationBlock:
     """``_continue_snf`` eliminates only the rows of ``[d | c]`` past the
-    parent's unit invariant factors, and gives the diagonal, row log and
-    column log of eliminating all of them."""
+    parent's unit invariant factors, the block it is given, and gives
+    the diagonal, row log and column log of eliminating all of them with
+    the unit rows of ``c`` empty."""
 
     @given(coordinate_blocks())
     @example((IntMatrix.from_rows([[1, 0], [0, 2]]), [([{0: 5, 1: -1}, {0: 3}], 2)] * 2))
@@ -467,29 +483,10 @@ class TestContinuationBlock:
         r, blocks = case
         s = snf(r)
         for rows, width in blocks:
-            expected = _eliminated_continuation(s, rows, width)
-            s = _continue_snf(s, rows, width)
+            block = rows[s.diagonal.count(1):]
+            expected = _eliminated_continuation(s, block, width)
+            s = _continue_snf(s, block, width)
             assert s == expected
-
-    def test_unit_rows_reach_no_elimination(self, monkeypatch):
-        """Entries in unit rows cost one column operation each, logged
-        first, and only the rows past the units are eliminated."""
-        from snckit import matrices
-
-        parent = snf(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 4]]))
-        assert parent.diagonal == (1, 1, 4)
-        rows_in = []
-        eliminate = matrices._eliminate
-
-        def counting(d, n, row_log, col_log):
-            rows_in.append(len(d))
-            return eliminate(d, n, row_log, col_log)
-
-        monkeypatch.setattr(matrices, "_eliminate", counting)
-        s = _continue_snf(parent, [{0: 3, 1: 5}, {1: -2}, {0: 6}], 2)
-        assert rows_in == [1]
-        assert s.col_log[:3] == ((3, 0, -3), (4, 0, -5), (4, 1, 2))
-        assert s.diagonal == (1, 1, 2)
 
 
 def _reduced_coordinates(s: SnfDecomposition, b: IntMatrix) -> IntMatrix:
@@ -529,11 +526,11 @@ class TestSmithCoordinates:
         r, b1, b2 = case
         s = snf(r)
         c1 = _reduced_coordinates(s, b1)
-        e = _continue_snf(s, _sparse_rows(c1), c1.cols)
+        e = _continue_snf(s, _sparse_rows(c1)[s.diagonal.count(1):], c1.cols)
         assert_snf_contract(r.hstack(s.u_inv @ c1), e)
         assert e.diagonal == reference_snf(r.hstack(b1)).d.diagonal_entries()
         c2 = _reduced_coordinates(e, b2)
-        e2 = _continue_snf(e, _sparse_rows(c2), c2.cols)
+        e2 = _continue_snf(e, _sparse_rows(c2)[e.diagonal.count(1):], c2.cols)
         assert e2.diagonal == reference_snf(r.hstack(b1).hstack(b2)).d.diagonal_entries()
 
     def test_walk_keeps_torsion_rows_small(self):
