@@ -220,9 +220,6 @@ class DeltaComplex:
         for layer in self._by_dim:
             yield from layer
 
-    def simplex(self, sid: str) -> Simplex:
-        return self._by_id[sid]
-
     def index_in_dimension(self, sid: str) -> int:
         return self._index_in_dim[sid]
 
@@ -257,11 +254,6 @@ class DeltaComplex:
             for i, fid in enumerate(s.facets):
                 rows[index[fid]][j] = -1 if i % 2 else 1
         return rows
-
-    def augmentation_matrix(self) -> IntMatrix:
-        """The map C_0 -> Z sending every vertex to 1 (for reduced
-        homology in degree 0)."""
-        return IntMatrix.from_rows([[1] * len(self._by_dim[0])], cols=len(self._by_dim[0]))
 
     # -- comparison --------------------------------------------------------
 
@@ -358,19 +350,19 @@ class ChainMap:
         return IntMatrix._of(rows, cols, entries)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
+        """self after other; the images of ``other`` must be simplex ids
+        of ``self.source``."""
         if other.target is not self.source and other.target.structure_signature() \
                 != self.source.structure_signature():
             raise ValueError("chain maps are not composable")
         combined = {}
         for sid, (mid, sign1) in other.assignment.items():
+            if mid not in self.assignment:
+                # same shape, other ids
+                raise ValueError("chain maps are not composable")
             tid, sign2 = self.assignment[mid]
             combined[sid] = (tid, sign1 * sign2)
         return ChainMap(other.source, self.target, combined)
-
-    @classmethod
-    def identity(cls, cx: DeltaComplex) -> "ChainMap":
-        return cls(cx, cx, {s.id: (s.id, 1) for s in cx.all_simplices()})
 
     @classmethod
     def induced(cls, source: DeltaComplex, target: DeltaComplex,

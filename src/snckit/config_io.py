@@ -37,8 +37,7 @@ from .matrices import IntMatrix
 from .reciprocity import ComponentPi1, Pi1Input, validate_labels, validate_pi1
 from .snc import Component, FrobeniusAction, SncConfiguration, Stratum, validate_config
 
-__all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "encode_json_value",
-           "json_text"]
+__all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "json_text"]
 
 _I64 = 2 ** 63
 # generators of one group (y0 or a component's); the Frobenius identity
@@ -52,20 +51,6 @@ def _is_decimal(text: str) -> bool:
     """Whether ``text`` is a nonempty run of the ASCII digits 0-9;
     ``str.isdigit`` alone also accepts digits such as ``²`` and ``١``."""
     return text.isascii() and text.isdigit()
-
-
-def encode_json_value(value: Any) -> Any:
-    """Recursively convert to JSON-safe data, rendering integers past
-    64 bits as decimal strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) >= _I64 else value
-    if isinstance(value, dict):
-        return {str(k): encode_json_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode_json_value(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 class SharedDict(dict):
@@ -83,16 +68,16 @@ class SharedList(list):
 
 
 def json_text(value: Any) -> str:
-    """``json.dumps(encode_json_value(value), indent=2,
-    ensure_ascii=False)``, written in one pass.
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, with
+    integers past 64 bits quoted as decimal strings, written in one
+    pass.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever
-    ``indent`` is set, and ``encode_json_value`` first copies the whole
-    value.  Here strings and keys go through the C routine
+    ``indent`` is set.  Here strings and keys go through the C routine
     ``json.encoder.encode_basestring``, so every key must be a string
     (any other raises ``TypeError``), integers through
-    ``int.__repr__`` (past 64 bits, quoted, as ``encode_json_value``
-    renders them) and floats through ``json.dumps``.  A shared subtree,
+    ``int.__repr__`` (quoted past 64 bits) and floats through
+    ``json.dumps``; any other type raises ``TypeError``.  A shared subtree,
     a ``SharedDict`` or ``SharedList`` object that the value holds more
     than once, is written once at each indent it sits at: its text
     depends only on the object and the indent, so every later place

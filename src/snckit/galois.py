@@ -174,7 +174,6 @@ class NormMapResult:
     modulus: int | None
     map: ModuleMap
     image_group: FgAbelianGroup
-    image_inclusion: ModuleMap
     source_homology: HomologyResult
     target_homology: HomologyResult
 
@@ -191,8 +190,8 @@ def norm_map(cfg: SncConfiguration, f: int, a: int,
     target = (source if coarse.complex is fine.complex
               else homology_group(coarse.complex, a, modulus))
     m = induced_map(chain, a, modulus, source=source, target=target)
-    image, inclusion = image_subgroup(m)
-    return NormMapResult(f, a, modulus, m, image, inclusion, source, target)
+    image, _ = image_subgroup(m)
+    return NormMapResult(f, a, modulus, m, image, source, target)
 
 
 def frobenius_chain_map(cfg: SncConfiguration) -> ChainMap:

@@ -218,10 +218,6 @@ class FgAbelianGroup:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def free(cls, n: int) -> "FgAbelianGroup":
-        return cls(n)
-
-    @classmethod
     def trivial(cls) -> "FgAbelianGroup":
         return cls(0)
 
@@ -487,10 +483,6 @@ class ModuleMap:
         m.matrix = matrix
         m._cokernel = None
         return m
-
-    @classmethod
-    def identity(cls, g: FgAbelianGroup) -> "ModuleMap":
-        return cls._of(g, g, IntMatrix.identity(g.generator_count))
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""

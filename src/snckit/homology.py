@@ -79,9 +79,6 @@ class HomologyResult:
     _tensor: list[tuple[int, int]] = field(repr=False, compare=False)
     _tor: list[tuple[int, int]] = field(repr=False, compare=False)
 
-    def representative(self, j: int) -> tuple[int, ...]:
-        return self.cycle_matrix.col(j)
-
     def representative_chain(self, j: int) -> dict[str, int]:
         col = self.cycle_matrix.col(j)
         layer = self.complex.simplices(self.degree)
@@ -108,9 +105,6 @@ class HomologyResult:
         rows = [_combination(kernel, _smith_vector(self._cycle_form, i), g) for i, g in self._tensor]
         rows += [{j: x // (n // g) % g for j, x in w[i].items()} for i, g in self._tor]
         return IntMatrix._of(len(rows), k, [row.get(j, 0) for row in rows for j in range(k)])
-
-    def describe(self) -> str:
-        return self.group.describe()
 
 
 def _boundary_rows(cx: DeltaComplex, a: int, reduced: bool) -> list[dict[int, int]]:
@@ -182,19 +176,19 @@ def homology_group(cx: DeltaComplex, a: int, modulus: int | None = None,
 
 
 def induced_map(f: ChainMap, a: int, modulus: int | None = None,
-                reduced: bool = False,
                 source: HomologyResult | None = None,
                 target: HomologyResult | None = None) -> ModuleMap:
     """The map on degree-a homology induced by a chain map, expressed
     on the generators chosen by ``homology_group``.
 
     Precomputed source/target results may be passed in; they must come
-    from the same complexes, degree and coefficients.
+    from the same complexes, degree and coefficients.  Homology is
+    unreduced unless they are reduced results.
     """
     if source is None:
-        source = homology_group(f.source, a, modulus, reduced)
+        source = homology_group(f.source, a, modulus)
     if target is None:
-        target = homology_group(f.target, a, modulus, reduced)
+        target = homology_group(f.target, a, modulus)
     matrix = target._coordinates(f.matrix(a) @ source.cycle_matrix)
     return ModuleMap(source.group, target.group, matrix)
 

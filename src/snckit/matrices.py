@@ -198,9 +198,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self._entries[i * self.cols + i] for i in range(min(self.rows, self.cols)))
-
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
@@ -249,27 +246,12 @@ class IntMatrix:
             for i in range(self.rows)
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix._of(self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)])
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix._of(self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)])
-
-    def power(self, k: int) -> "IntMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power needs a square matrix")
-        k = _as_int(k)
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        return _power(self, k)
 
     # -- predicates ---------------------------------------------------
 

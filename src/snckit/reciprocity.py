@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .complexes import DeltaComplex
 from .errors import LabelError, ValidationError, WellDefinednessError
-from .galois import Extension, extension_complex, frobenius_chain_map
+from .galois import _admissible_component_orbits, extension_complex, frobenius_chain_map
 from .groups import (
     FgAbelianGroup,
     GaloisModule,
@@ -54,6 +54,7 @@ from .matrices import IntMatrix
 from .snc import (
     SncConfiguration,
     _action,
+    _orbits,
     build_dual_complex,
     ensure_valid,
     has_rational_point,
@@ -235,7 +236,6 @@ class AlphaResult:
     ell: int
     map: ModuleMap
     image_group: FgAbelianGroup
-    image_inclusion: ModuleMap
     surjective: bool
     torsion_contained: bool
     h1: HomologyResult
@@ -285,7 +285,7 @@ def _alpha_at(pi1: Pi1Input, h1: HomologyResult, matrix: IntMatrix,
     # validate_labels checked descent over every 2-simplex, which is
     # exactly this map's well-definedness
     amap = ModuleMap._of(h1.group, theta.group, matrix)
-    image, inclusion = image_subgroup(amap)
+    image, _ = image_subgroup(amap)
     surjective = amap.is_surjective()
 
     warnings: list[str] = []
@@ -298,29 +298,36 @@ def _alpha_at(pi1: Pi1Input, h1: HomologyResult, matrix: IntMatrix,
             f"image of alpha at ell={ell} is not contained in the torsion of theta "
             f"(expected only for non-geometric inputs)"
         )
-    return AlphaResult(ell, amap, image, inclusion, surjective, contained, h1, theta,
-                       tuple(warnings))
+    return AlphaResult(ell, amap, image, surjective, contained, h1, theta, tuple(warnings))
 
 
-def rational_point_flags(cfg: SncConfiguration, f: int,
-                         ext: Extension | None = None) -> dict[str, bool]:
+def rational_point_flags(cfg: SncConfiguration, f: int) -> dict[str, bool]:
     """Rational-point availability over the degree-f extension for
     each connected piece of the double locus of the doubled surface:
     two horizontal copies per component of D and one vertical ruled
-    piece per depth-2 stratum.  Orbits pool their point degrees."""
-    if ext is None:
-        ext = extension_complex(cfg, f)
+    piece per depth-2 stratum.  Orbits pool their point degrees.  The
+    orbits of Frobenius^f are read off its cycles, with no quotient
+    complex; raises ExtensionError, as ``extension_complex`` does, when
+    the degree-f quotient is not simple normal crossing."""
+    components = _admissible_component_orbits(cfg, f)[0]
+    return _point_flags(cfg, f, components, _orbits(cfg, [s.id for s in cfg.strata], f))
+
+
+def _point_flags(cfg: SncConfiguration, f: int, component_orbits: Sequence[tuple[str, ...]],
+                 stratum_orbits: Sequence[tuple[str, ...]]) -> dict[str, bool]:
+    """``rational_point_flags`` from the orbits of Frobenius^f on the
+    components and on the strata, which a kernel report takes from its
+    extension instead of walking them again."""
     flags: dict[str, bool] = {}
-    for orbit in ext.component_orbits:
+    for orbit in component_orbits:
         degs: list[int] = []
         for cid in orbit:
             degs.extend(cfg.component(cid).point_degrees)
         ok = has_rational_point(degs, f)
         flags[f"{orbit[0]} x O"] = ok
         flags[f"{orbit[0]} x inf"] = ok
-    for orbit in ext.stratum_orbits:
-        rep = cfg.stratum(orbit[0])
-        if rep.depth != 2:
+    for orbit in stratum_orbits:
+        if cfg.stratum(orbit[0]).depth != 2:
             continue
         degs = []
         for sid in orbit:
@@ -438,7 +445,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
         g = gcd(f, period)
         if g not in classes:
             ext = extension_complex(cfg, f)
-            flags = rational_point_flags(cfg, f, ext=ext)
+            flags = _point_flags(cfg, f, ext.component_orbits, ext.stratum_orbits)
             # a split class's quotient is the geometric complex, whose
             # H₁ alpha's cycles hold
             h1_quotient = (label_cycles()[0] if ext.complex is ext.base

@@ -158,11 +158,15 @@ class TestExitCodes:
           "component_maps": {"C1": {"generators": 1, "relations": [[2]], "matrix": [[1]]}}},
          "component_maps['C1'].matrix",
          "source relation #0 is not sent into the target relation lattice"),
+        ({"pi1_y0": {"generators": 1, "order": "x"}},
+         "pi1_y0.order", "not a decimal integer: 'x'"),
+        ({"pi1_y0": {"generators": 1, "order": 0}},
+         "pi1_y0.order", "must be positive"),
     ], ids=["bool-degree", "overlong-degree", "stratum-not-object", "stratum-id-not-string",
             "frobenius-image-not-string", "frobenius-images-not-strings",
             "frobenius-permutation-not-object", "strata-depth-not-list",
             "matrix-not-list", "ragged-matrix", "matrix-columns", "relations-not-list",
-            "component-map-ill-defined"])
+            "component-map-ill-defined", "order-not-integer", "order-not-positive"])
     def test_walker_fast_paths_name_the_failing_path(self, capsys, tmp_path,
                                                        doc, where, message):
         """The schema walker takes well-formed lists and items without

@@ -12,7 +12,7 @@ from snckit.homology import homology_group, random_complex
 from snckit.matrices import IntMatrix
 
 from chain_reference import boundary_squared_failure, commutation_failure
-from conftest import cycle_complex, graph_complex
+from conftest import cycle_complex, graph_complex, identity_map
 
 
 def vertex_order(cx: DeltaComplex) -> tuple[str, ...]:
@@ -190,7 +190,7 @@ class TestStructure:
 class TestChainMap:
     def test_identity(self):
         cx = cycle_complex(3)
-        m = ChainMap.identity(cx)
+        m = identity_map(cx)
         assert m.matrix(1).is_identity()
 
     def test_totality_enforced(self):
@@ -253,6 +253,16 @@ class TestChainMap:
         assert f2.assignment["v0"] == ("v2", 1)
         assert f2.assignment["e1"] == ("e3", -1)
         assert f2.assignment["e2"] == ("e0", 1)
+
+    def test_compose_needs_the_ids_of_the_source(self):
+        """Two complexes of one shape with other ids compare equal by
+        structure, but the images of the first map are no simplices of
+        the second map's source, so the maps are not composable."""
+        ab = graph_complex(["a", "b"], [("ab", "a", "b")])
+        xy = graph_complex(["x", "y"], [("xy", "x", "y")])
+        assert ab.structure_signature() == xy.structure_signature()
+        with pytest.raises(ValueError, match="chain maps are not composable"):
+            identity_map(xy).compose(identity_map(ab))
 
     def test_induced_signs_follow_image_vertex_order(self):
         cx = cycle_complex(4)
@@ -429,13 +439,13 @@ def test_suspension_tower_construction_multiplies_no_matrices(monkeypatch):
     cx = cycle_complex(6)
     for k in range(1, 5):
         cx = suspend(cx, f"O{k}", f"I{k}")
-    ChainMap.identity(cx)
+    identity_map(cx)
     assert counts == {"matmul": 0, "boundary": 0, "map": 0}
     assert cx.counts() == (14, 78, 224, 352, 288, 96)
 
     h5 = homology_group(cx, 5)
-    assert h5.describe() == "Z"
-    assert "".join("+" if c > 0 else "-" for c in h5.representative(0)) == (
+    assert h5.group.describe() == "Z"
+    assert "".join("+" if c > 0 else "-" for c in h5.cycle_matrix.col(0)) == (
         "-----++++++-+++++------++++++------+-----++++++-"
         "+++++------+-----++++++------++++++-+++++------+"
     )

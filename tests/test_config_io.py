@@ -1,16 +1,17 @@
 """Parsing, validation messages with JSON paths, and serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from snckit.cli import main
 from snckit.config_io import (
     MAX_GENERATORS,
     ConfigBundle,
     SharedDict,
     SharedList,
-    encode_json_value,
     json_text,
     parse_config,
     serialize_bundle,
@@ -18,6 +19,9 @@ from snckit.config_io import (
 from snckit.errors import ValidationError
 from snckit.fixtures import fermat_bundle, rulings_bundle
 
+from json_reference import encode_json_value
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MINIMAL = {
     "name": "pair",
@@ -184,6 +188,25 @@ class TestRoundTrip:
         text = serialize_bundle(bundle)
         again = parse_config(text)
         assert serialize_bundle(again) == text
+
+    def test_set_fields_round_trip(self, capsys, tmp_path):
+        """cmaps sets the three fields that are written only when set: a
+        y0 Frobenius other than the identity, an order other than 1 and a
+        component map.  Parse, serialize, parse, serialize is a fixed
+        point, and the re-parsed bundle's document gives theta's golden
+        report, byte for byte."""
+        text = serialize_bundle(parse_config((GOLDEN / "cmaps.json").read_text(encoding="utf-8")))
+        again = parse_config(text)
+        assert serialize_bundle(again) == text
+        doc = json.loads(text)
+        assert doc["pi1_y0"]["frobenius"] == [[0, 1], [1, 0]]
+        assert doc["pi1_y0"]["order"] == 2
+        assert list(doc["component_maps"]) == ["C1"]
+        path = tmp_path / "cmaps.json"
+        path.write_text(serialize_bundle(again), encoding="utf-8")
+        assert main(["theta", str(path), "--ell", "2", "--ell", "3", "--json"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (
+            GOLDEN / "cmaps.theta.out.json").read_bytes()
 
     def test_defaults_are_omitted(self):
         doc = json.loads(serialize_bundle(rulings_bundle()))

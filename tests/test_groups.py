@@ -19,9 +19,9 @@ from snckit.groups import (
     is_prime,
     torsion_and_primary,
 )
-from snckit.matrices import IntMatrix, _smith_vector, preimage_generators, snf, solve
+from snckit.matrices import IntMatrix, _power, _smith_vector, preimage_generators, snf, solve
 
-from conftest import agree_mod_relations, det
+from conftest import agree_mod_relations, det, diagonal_entries, matrix_sum
 from snf_reference import snf as reference_snf
 
 
@@ -33,7 +33,7 @@ def group_of(*relations, generators=None):
 class TestFgAbelianGroup:
     def test_trivial_and_free(self):
         assert FgAbelianGroup.trivial().is_trivial()
-        g = FgAbelianGroup.free(3)
+        g = FgAbelianGroup(3)
         assert g.free_rank == 3 and g.invariant_factors == ()
         assert g.describe() == "Z^3"
 
@@ -68,16 +68,16 @@ class TestFgAbelianGroup:
         assert g.element_order([1, 0]) == 2
         assert g.element_order([0, 1]) == 4
         assert g.element_order([1, 2]) == 2
-        free = FgAbelianGroup.free(1)
+        free = FgAbelianGroup(1)
         assert free.element_order([1]) is None
 
     def test_smith_form_maps_are_inverse_isomorphisms(self):
         g = group_of([4, 2], [0, 6], generators=2)
         sm = g.smith()
         both = sm.from_smith.compose(sm.to_smith)
-        assert agree_mod_relations(both, ModuleMap.identity(g))
+        assert agree_mod_relations(both, ModuleMap(g, g, IntMatrix.identity(g.generator_count)))
         back = sm.to_smith.compose(sm.from_smith)
-        assert agree_mod_relations(back, ModuleMap.identity(sm.group))
+        assert agree_mod_relations(back, ModuleMap(sm.group, sm.group, IntMatrix.identity(sm.group.generator_count)))
 
 
 class TestModuleMap:
@@ -97,14 +97,14 @@ class TestModuleMap:
         assert g.compose(f).matrix.to_rows() == [[1]]
 
     def test_cokernel(self):
-        z = FgAbelianGroup.free(1)
+        z = FgAbelianGroup(1)
         times3 = ModuleMap(z, z, IntMatrix.from_rows([[3]]))
         coker, proj = cokernel(times3)
         assert coker.invariant_factors == (3,)
         assert proj.matrix.is_identity()
 
     def test_image_subgroup(self):
-        z = FgAbelianGroup.free(1)
+        z = FgAbelianGroup(1)
         z12 = FgAbelianGroup.cyclic(12)
         f = ModuleMap(z, z12, IntMatrix.from_rows([[4]]))
         image, incl = image_subgroup(f)
@@ -112,7 +112,7 @@ class TestModuleMap:
         assert incl.matrix.to_rows() == [[4]]
 
     def test_injective_surjective(self):
-        z = FgAbelianGroup.free(1)
+        z = FgAbelianGroup(1)
         z6 = FgAbelianGroup.cyclic(6)
         onto = ModuleMap(z, z6, IntMatrix.from_rows([[1]]))
         assert onto.is_surjective() and not onto.is_injective()
@@ -180,7 +180,7 @@ class TestGaloisModule:
         assert at5.group.iso_type().torsion == ()
 
     def test_coinvariants(self):
-        z = FgAbelianGroup.free(1)
+        z = FgAbelianGroup(1)
         m = GaloisModule(z, IntMatrix.from_rows([[-1]]), 2)
         coinv, _ = coinvariants(m)
         assert coinv.invariant_factors == (2,)
@@ -307,7 +307,7 @@ def _reference_member(relations: IntMatrix, vec) -> bool:
     """Whether ``vec`` lies in the column span of ``relations``, by an
     exact solve on the eager oracle SNF."""
     s = reference_snf(relations)
-    diag = s.d.diagonal_entries()
+    diag = diagonal_entries(s.d)
     for i, c in enumerate(s.u.apply(vec)):
         d = diag[i] if i < len(diag) else 0
         if (c % d if d else c) != 0:
@@ -354,7 +354,7 @@ def test_smith_coordinates_match_an_exact_solve(case):
         assert [g.in_relation_lattice(v) for v in vectors] == expected
         block = IntMatrix.from_columns(vectors, rows=n)
         assert g._outside(block) == [j for j, ok in enumerate(expected) if not ok]
-        assert g.relation_snf().diagonal == reference_snf(g.relations).d.diagonal_entries()
+        assert g.relation_snf().diagonal == diagonal_entries(reference_snf(g.relations).d)
         _, rows, moduli = g._smith_rows()
         for r, m in enumerate(moduli):
             assert m != 1
@@ -467,7 +467,7 @@ def checked_modules(draw, order_one: bool = False):
         k = draw(st.sampled_from([1, -1]))
         order = 2
     relations = group.relations
-    frobenius = IntMatrix.diagonal([k] * n) + relations @ block(relations.cols, n, -2, 2)
+    frobenius = matrix_sum(IntMatrix.diagonal([k] * n), relations @ block(relations.cols, n, -2, 2))
     return GaloisModule(group, frobenius, order)
 
 
@@ -517,7 +517,7 @@ def _exact_order_check(group: FgAbelianGroup, frobenius: IntMatrix, order: int) 
     images = frobenius @ group.relations
     if not all(_reference_member(group.relations, images.col(j)) for j in range(images.cols)):
         return False
-    power = frobenius.power(order) - IntMatrix.identity(group.generator_count)
+    power = _power(frobenius, order) - IntMatrix.identity(group.generator_count)
     return all(_reference_member(group.relations, power.col(j)) for j in range(power.cols))
 
 
@@ -561,7 +561,7 @@ def test_a_first_power_makes_no_product(monkeypatch):
     the exponent of a finite group, and 13 = 0b1101 takes three squares
     and two products, exactly or modulo the exponent."""
     m = IntMatrix.from_rows([[1, 2], [0, 5]])
-    exact = {1: m, 13: m.power(13)}
+    exact = {1: m, 13: _power(m, 13)}
     products = {"count": 0}
     product = IntMatrix.__matmul__
 

@@ -1,8 +1,9 @@
 """Source hygiene of the package: every import is used, every private
-function has a caller, one routine makes every Smith form, one path
-reads a group's Smith data, every module compiles without a warning,
-importing it loads only the standard library, and every dotted name the
-README quotes still exists."""
+function has a caller, every public name has a reader, every exported
+name exists, one routine makes every Smith form, one path reads a
+group's Smith data, every module compiles without a warning, importing
+it loads only the standard library, and every dotted name the README
+quotes still exists."""
 
 from __future__ import annotations
 
@@ -94,6 +95,87 @@ def test_every_private_function_has_a_caller():
         and refs[node.name] == _referenced(ast.walk(node))[node.name]
     ]
     assert unused == [], f"private functions without a caller: {unused}"
+
+
+def _loaded(nodes) -> Counter:
+    """How often each name is loaded, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    decorators = (getattr(d, "func", d) for d in cls.decorator_list)
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name, node) of every public module-level
+    function, every public method or property of a top-level class, and
+    every public field of a top-level dataclass; dunders are private
+    here."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+            yield top.name, top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and _is_dataclass(top):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{top.name}.{name}", name, item
+
+
+def _readme_names() -> set[str]:
+    """The last part of every dotted name that README.md quotes, alone
+    or called, as in ``FgAbelianGroup.smith()``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return {name.split(".")[-1]
+            for name in re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", text)}
+
+
+def test_every_public_name_has_a_reader():
+    """A public function, method, property or dataclass field of the
+    package has a reader: a package module loads it outside its own
+    definition, ``tests/test_acceptance.py`` loads it, a file under
+    ``bench/`` loads it or names it in a string (the tracer's tables),
+    it is a module-level name in ``snckit.__all__``, or README.md quotes
+    it.  So no API lives on for the unit tests alone.  Names are
+    matched, not bindings, as for private functions."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in MODULES}
+    package = _loaded(node for tree in trees.values() for node in ast.walk(tree))
+    readers = set(_loaded(ast.walk(ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))))
+    for path in (ROOT / "bench").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        readers |= set(_loaded(ast.walk(tree)))
+        readers |= {n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    readers |= _readme_names()
+    exported = _exported(trees["__init__"])
+    unread = [
+        f"{stem}.{qualified} (line {node.lineno})"
+        for stem, tree in trees.items() for qualified, name, node in _public_definitions(tree)
+        if package[name] == _loaded(ast.walk(node))[name] and name not in readers
+        and not (qualified == name and name in exported)
+    ]
+    assert unread == [], f"public names without a reader: {unread}"
+
+
+def test_every_export_resolves():
+    """Every name in a module's ``__all__``, and in ``snckit.__all__``,
+    exists, so no export outlives what it names."""
+    missing = []
+    for path in MODULES:
+        name = "snckit" if path.stem == "__init__" else f"snckit.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
+    assert missing == [], f"exported names that do not exist: {missing}"
 
 
 def _call_sites(name: str) -> list[tuple[str, str]]:

@@ -18,7 +18,7 @@ from snckit.fixtures import fermat_bundle, rulings_bundle, trivial_pi1
 from snckit.galois import extension_complex, frobenius_chain_map
 from snckit.groups import FgAbelianGroup, GaloisModule, ModuleMap, coinvariants
 from snckit.homology import homology_group
-from snckit.matrices import IntMatrix
+from snckit.matrices import IntMatrix, _power
 from snckit.reciprocity import (
     ComponentPi1,
     Pi1Input,
@@ -74,7 +74,7 @@ class TestComputeTheta:
         assert compute_theta(pi1, 2).group.is_trivial()
 
     def test_free_part_survives_localization(self):
-        pi1 = Pi1Input(_module(FgAbelianGroup.free(1)))
+        pi1 = Pi1Input(_module(FgAbelianGroup(1)))
         for ell in (2, 7):
             theta = compute_theta(pi1, ell)
             assert theta.group.iso_type().rank == 1
@@ -94,8 +94,8 @@ class TestComputeTheta:
     def test_rejects_image_not_frobenius_stable(self):
         # Frobenius swaps the generators of Z^2, so the image of the
         # first one is not stable and theta has no Frobenius
-        y0 = _module(FgAbelianGroup.free(2), IntMatrix.from_rows([[0, 1], [1, 0]]), 2)
-        comp = _map(_module(FgAbelianGroup.free(1)), y0, [[1], [0]])
+        y0 = _module(FgAbelianGroup(2), IntMatrix.from_rows([[0, 1], [1, 0]]), 2)
+        comp = _map(_module(FgAbelianGroup(1)), y0, [[1], [0]])
         with pytest.raises(WellDefinednessError, match="source relation #0"):
             compute_theta(Pi1Input(y0, {"C1": comp}), 2)
 
@@ -117,6 +117,15 @@ class TestValidatePi1:
         )
         problems = validate_pi1(cfg, Pi1Input(y0, {"v0": bad}))
         assert any("source is not its module" in p for p in problems)
+
+    def test_target_mismatch(self):
+        cfg = cycle_config(3)
+        y0 = _module(FgAbelianGroup.cyclic(2))
+        source = _module(FgAbelianGroup(1))
+        bad = ComponentPi1(source, ModuleMap(source.group, FgAbelianGroup(1),
+                                             IntMatrix.identity(1)))
+        problems = validate_pi1(cfg, Pi1Input(y0, {"v0": bad}))
+        assert problems == ["component 'v0': map target is not y0"]
 
     def test_equivariance(self):
         cfg = cycle_config(3)
@@ -165,7 +174,7 @@ class TestValidateLabels:
             "pairs to a nonzero class"
         ]
         # the same boundary sum is fine once a component map absorbs it
-        comp = _map(_module(FgAbelianGroup.free(1)), y0, [[1]])
+        comp = _map(_module(FgAbelianGroup(1)), y0, [[1]])
         pi1 = Pi1Input(y0, {"A": comp})
         assert validate_labels(cfg, pi1, {"AB": (1,)}) == []
 
@@ -646,7 +655,7 @@ def test_order_one_frobenius_tests_match_a_direct_computation(name):
             theta = compute_theta(bundle.pi1, ell)
             torsion, incl = theta.torsion_submodule()
             t = torsion.group.generator_count
-            delta = torsion.frobenius.power(report.f) - IntMatrix.identity(t)
+            delta = _power(torsion.frobenius, report.f) - IntMatrix.identity(t)
             trivial = all(torsion.group.in_relation_lattice(delta.col(j)) for j in range(t))
             _, proj = coinvariants(theta.power(report.f))
             injective = proj.compose(incl).is_injective()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from conftest import (
     random_admissible_config,
     reflection_action,
     rotation_action,
+    simplex,
     suspension_document,
     triangle_config,
 )
@@ -262,6 +264,18 @@ class TestValidateConfig:
         cfg = SncConfiguration("x", tuple(Component(c) for c in components), tuple(strata))
         assert validate_config(cfg) == problems
 
+    def test_resolved_facets_of_a_valid_configuration(self):
+        """On coned, whose depth-3 strata have inferred facets, every
+        stratum gets the facets the reference resolution gives, which are
+        its simplex's facets in the dual complex."""
+        text = (Path(__file__).parent / "golden" / "coned.json").read_text(encoding="utf-8")
+        cfg = parse_config(text).config
+        facets = resolved_facets(cfg)
+        assert facets == reference_facets(cfg)[0]
+        cx = build_dual_complex(cfg)
+        assert facets == {s.id: s.facets for s in cx.all_simplices() if s.dim}
+        assert max(len(f) for f in facets.values()) == 3
+
     def test_resolved_facets_names_a_stratum_on_unknown_components(self):
         cfg = SncConfiguration("x", (Component("A"),), (Stratum("s", ("A", "Z")),))
         with pytest.raises(ValidationError) as info:
@@ -345,7 +359,7 @@ class TestBuildDualComplex:
     def test_triangle_with_face(self):
         cx = build_dual_complex(triangle_config())
         assert cx.counts() == (3, 3, 1)
-        t = cx.simplex("T")
+        t = simplex(cx, "T")
         assert t.vertices == ("A", "B", "C")
         assert t.facets == ("BC", "AC", "AB")
 
@@ -356,7 +370,7 @@ class TestBuildDualComplex:
             (Stratum("s", ("A", "Z")),),
         )
         cx = build_dual_complex(cfg)
-        assert cx.simplex("s").vertices == ("Z", "A")
+        assert simplex(cx, "s").vertices == ("Z", "A")
 
     def test_renaming_preserves_structure(self):
         cfg = cycle_config(5)

@@ -25,8 +25,11 @@ from snckit.matrices import IntMatrix, preimage_generators, solve_matrix
 def homology_mod_n(cx: DeltaComplex, a: int, n: int,
                    reduced: bool = False) -> tuple[FgAbelianGroup, IntMatrix]:
     """H_a(cx; Z/n) presented on generators of the cycles mod n, and
-    those generators as the columns of a matrix in chain coordinates."""
-    d_a = cx.augmentation_matrix() if a == 0 and reduced else cx.boundary_matrix(a)
+    those generators as the columns of a matrix in chain coordinates.
+    Reduced degree 0 takes the augmentation, the 1 x V row of ones."""
+    vertices = len(cx.simplices(0))
+    d_a = (IntMatrix.from_rows([[1] * vertices], cols=vertices) if a == 0 and reduced
+           else cx.boundary_matrix(a))
     d_next = cx.boundary_matrix(a + 1)
     cycles = preimage_generators(d_a, IntMatrix.diagonal([n] * d_a.rows))
     targets = d_next.hstack(IntMatrix.diagonal([n] * d_a.cols))
@@ -46,6 +49,7 @@ def coordinates_mod_n(h: HomologyResult, chains: IntMatrix) -> IntMatrix | None:
     x = solve_matrix(lattice.hstack(IntMatrix.diagonal([n] * rows)), chains)
     if x is None:
         return None
-    orders = h.group.relations.diagonal_entries()
+    relations = h.group.relations
+    orders = [relations[i, i] for i in range(min(relations.rows, relations.cols))]
     return IntMatrix(len(orders), x.cols,
                      [x[i, j] % g for i, g in enumerate(orders) for j in range(x.cols)])
