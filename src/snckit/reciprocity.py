@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .complexes import DeltaComplex
 from .errors import LabelError, ValidationError, WellDefinednessError
-from .galois import _admissible_component_orbits, extension_complex, frobenius_chain_map
+from .galois import Extension, extension_complex, frobenius_chain_map
 from .groups import (
     FgAbelianGroup,
     GaloisModule,
@@ -54,7 +54,6 @@ from .matrices import IntMatrix
 from .snc import (
     SncConfiguration,
     _action,
-    _orbits,
     build_dual_complex,
     ensure_valid,
     has_rational_point,
@@ -301,33 +300,24 @@ def _alpha_at(pi1: Pi1Input, h1: HomologyResult, matrix: IntMatrix,
     return AlphaResult(ell, amap, image, surjective, contained, h1, theta, tuple(warnings))
 
 
-def rational_point_flags(cfg: SncConfiguration, f: int) -> dict[str, bool]:
-    """Rational-point availability over the degree-f extension for
-    each connected piece of the double locus of the doubled surface:
+def rational_point_flags(cfg: SncConfiguration, ext: Extension) -> dict[str, bool]:
+    """Rational-point availability over the degree-``ext.f`` extension
+    for each connected piece of the double locus of the doubled surface:
     two horizontal copies per component of D and one vertical ruled
-    piece per depth-2 stratum.  Orbits pool their point degrees.  The
-    orbits of Frobenius^f are read off its cycles, with no quotient
-    complex; raises ExtensionError, as ``extension_complex`` does, when
-    the degree-f quotient is not simple normal crossing."""
-    components = _admissible_component_orbits(cfg, f)[0]
-    return _point_flags(cfg, f, components, _orbits(cfg, [s.id for s in cfg.strata], f))
-
-
-def _point_flags(cfg: SncConfiguration, f: int, component_orbits: Sequence[tuple[str, ...]],
-                 stratum_orbits: Sequence[tuple[str, ...]]) -> dict[str, bool]:
-    """``rational_point_flags`` from the orbits of Frobenius^f on the
-    components and on the strata, which a kernel report takes from its
-    extension instead of walking them again."""
+    piece per depth-2 stratum.  Orbits pool their point degrees; they
+    are those of ``ext = extension_complex(cfg, f)``."""
+    f = ext.f
     flags: dict[str, bool] = {}
-    for orbit in component_orbits:
+    for orbit in ext.component_orbits:
         degs: list[int] = []
         for cid in orbit:
             degs.extend(cfg.component(cid).point_degrees)
         ok = has_rational_point(degs, f)
         flags[f"{orbit[0]} x O"] = ok
         flags[f"{orbit[0]} x inf"] = ok
-    for orbit in stratum_orbits:
-        if cfg.stratum(orbit[0]).depth != 2:
+    for orbit in ext.stratum_orbits:
+        rep = cfg.stratum(orbit[0])
+        if rep.depth != 2:
             continue
         degs = []
         for sid in orbit:
@@ -445,7 +435,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
         g = gcd(f, period)
         if g not in classes:
             ext = extension_complex(cfg, f)
-            flags = _point_flags(cfg, f, ext.component_orbits, ext.stratum_orbits)
+            flags = rational_point_flags(cfg, ext)
             # a split class's quotient is the geometric complex, whose
             # H₁ alpha's cycles hold
             h1_quotient = (label_cycles()[0] if ext.complex is ext.base

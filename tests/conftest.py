@@ -68,11 +68,6 @@ def identity_map(cx: DeltaComplex) -> ChainMap:
     return ChainMap.induced(cx, cx, {s.id: s.id for s in cx.all_simplices()})
 
 
-def simplex(cx: DeltaComplex, sid: str) -> Simplex:
-    """The simplex of ``cx`` with id ``sid``."""
-    return next(s for s in cx.all_simplices() if s.id == sid)
-
-
 def augmentation_matrix(cx: DeltaComplex) -> IntMatrix:
     """The map C_0 -> Z sending every vertex to 1, the degree-0
     boundary of reduced homology."""
@@ -83,13 +78,6 @@ def augmentation_matrix(cx: DeltaComplex) -> IntMatrix:
 def diagonal_entries(m: IntMatrix) -> tuple[int, ...]:
     """The entries (i, i) of ``m``, for i below min(rows, cols)."""
     return tuple(m[i, i] for i in range(min(m.rows, m.cols)))
-
-
-def matrix_sum(*terms: IntMatrix) -> IntMatrix:
-    """The entrywise sum of matrices of one shape."""
-    rows, cols = terms[0].rows, terms[0].cols
-    assert all((t.rows, t.cols) == (rows, cols) for t in terms)
-    return IntMatrix._of(rows, cols, [sum(e) for e in zip(*(t._entries for t in terms))])
 
 
 def agree_mod_relations(f: ModuleMap, g: ModuleMap) -> bool:

@@ -38,7 +38,6 @@ from conftest import (
     random_admissible_config,
     reflection_action,
     rotation_action,
-    simplex,
 )
 
 
@@ -115,8 +114,8 @@ class TestExtension:
         assert ext.stratum_orbits == (("e0", "e2"), ("e1", "e3"))
         assert ext.complex.counts() == (2, 2)
         # both quotient edges run between the two vertex orbits
-        for eid in ("e0", "e1"):
-            assert simplex(ext.complex, eid).vertices == ("v0", "v1")
+        assert {e.id: e.vertices for e in ext.complex.simplices(1)} == {
+            "e0": ("v0", "v1"), "e1": ("v0", "v1")}
         # e1 goes v1 -> v2, whose image v1 -> v0 reverses orientation;
         # e3 = (v0, v3) maps to (v0, v1), orientation kept
         assert ext.sigma.assignment["e0"] == ("e0", 1)

@@ -24,7 +24,6 @@ from conftest import (
     diagonal_entries,
     graph_complex,
     identity_map,
-    matrix_sum,
     moore_complex,
 )
 from zn_reference import coordinates_mod_n, homology_mod_n
@@ -243,7 +242,7 @@ class TestReadOffTheBoundaryForm:
             coeffs = IntMatrix(cycles.cols, 3,
                                [rng.randint(-4, 4) for _ in range(3 * cycles.cols)])
             fill = IntMatrix(d_next.cols, 3, [rng.randint(-4, 4) for _ in range(3 * d_next.cols)])
-            chains = matrix_sum(cycles @ coeffs, d_next @ fill)
+            chains = cycles @ coeffs - d_next @ fill
             coordinates = h._coordinates(chains)
             reps = solve_matrix(cycles, h.cycle_matrix)
             cycle_group = FgAbelianGroup(cycles.cols, relations)
@@ -431,8 +430,8 @@ class TestModNMatchesReference:
             h = homology_group(cx, a, n, reduced)
             reps, d_next = h.cycle_matrix, cx.boundary_matrix(a + 1)
             rows = reps.rows
-            cycles = matrix_sum(reps @ rand(reps.cols, 3, 20), d_next @ rand(d_next.cols, 3, 3),
-                                IntMatrix.diagonal([n] * rows) @ rand(rows, 3, 2))
+            cycles = (reps @ rand(reps.cols, 3, 20) - d_next @ rand(d_next.cols, 3, 3)
+                      - IntMatrix.diagonal([n] * rows) @ rand(rows, 3, 2))
             assert h._coordinates(cycles) == coordinates_mod_n(h, cycles)
             for _ in range(3):
                 chain = rand(rows, 1, n)

@@ -129,40 +129,61 @@ def _public_definitions(tree: ast.Module):
                     yield f"{top.name}.{name}", name, item
 
 
-def _readme_names() -> set[str]:
-    """The last part of every dotted name that README.md quotes, alone
-    or called, as in ``FgAbelianGroup.smith()``."""
+def _traced() -> set[str]:
+    """``module.function`` and ``module.Class.method`` of every name
+    the benchmark tracer wraps (``bench/spans.py``'s ``FUNCTIONS`` and
+    ``METHODS`` tables), and ``matrices.SnfDecomposition.<field>`` of
+    every field its ``_snf_hook`` reads off the result of ``snf``."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    tables = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    hook = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_snf_hook")
+    return ({f"{layer}.{name}" for layer, names in tables["FUNCTIONS"].items() for name in names}
+            | {f"{layer}.{cls}.{name}" for layer, methods in tables["METHODS"].items()
+               for cls, name in methods}
+            | {f"matrices.SnfDecomposition.{node.attr}" for node in ast.walk(hook)
+               if isinstance(node, ast.Attribute)
+               and getattr(node.value, "id", None) == "result"})
+
+
+def _readme_quotes() -> set[tuple[str, ...]]:
+    """The last two parts of every dotted name that README.md quotes,
+    alone or called, as in ``FgAbelianGroup.smith()``: ``("smith",)``
+    for a bare name, ``("FgAbelianGroup", "smith")`` for a dotted one."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    return {name.split(".")[-1]
+    return {tuple(name.split(".")[-2:])
             for name in re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", text)}
 
 
 def test_every_public_name_has_a_reader():
     """A public function, method, property or dataclass field of the
     package has a reader: a package module loads it outside its own
-    definition, ``tests/test_acceptance.py`` loads it, a file under
-    ``bench/`` loads it or names it in a string (the tracer's tables),
-    it is a module-level name in ``snckit.__all__``, or README.md quotes
-    it.  So no API lives on for the unit tests alone.  Names are
-    matched, not bindings, as for private functions."""
+    definition, ``tests/test_acceptance.py`` loads it, the benchmark
+    tracer wraps or reads it, it is a module-level name in
+    ``snckit.__all__``, or README.md quotes it (a method or field only
+    as ``Class.name``, a function also bare or as ``module.name``).  So
+    no API lives on for the unit tests alone.  Package and acceptance
+    reads match names, not bindings, as for private functions."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in MODULES}
     package = _loaded(node for tree in trees.values() for node in ast.walk(tree))
-    readers = set(_loaded(ast.walk(ast.parse(
+    acceptance = set(_loaded(ast.walk(ast.parse(
         (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))))
-    for path in (ROOT / "bench").rglob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        readers |= set(_loaded(ast.walk(tree)))
-        readers |= {n.value for n in ast.walk(tree)
-                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    readers |= _readme_names()
+    traced = _traced()
+    quotes = _readme_quotes()
     exported = _exported(trees["__init__"])
-    unread = [
-        f"{stem}.{qualified} (line {node.lineno})"
-        for stem, tree in trees.items() for qualified, name, node in _public_definitions(tree)
-        if package[name] == _loaded(ast.walk(node))[name] and name not in readers
-        and not (qualified == name and name in exported)
-    ]
+    unread = []
+    for stem, tree in trees.items():
+        for qualified, name, node in _public_definitions(tree):
+            function = qualified == name
+            owner = stem if function else qualified.split(".")[0]
+            if (package[name] > _loaded(ast.walk(node))[name] or name in acceptance
+                    or f"{stem}.{qualified}" in traced or (owner, name) in quotes
+                    or function and (name in exported or (name,) in quotes)):
+                continue
+            unread.append(f"{stem}.{qualified} (line {node.lineno})")
     assert unread == [], f"public names without a reader: {unread}"
 
 

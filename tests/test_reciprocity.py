@@ -430,7 +430,7 @@ class TestAlphaMap:
 class TestRationalPointFlags:
     def test_default_degrees_always_pass(self):
         cfg = rulings_bundle().config
-        flags = rational_point_flags(cfg, 1)
+        flags = rational_point_flags(cfg, extension_complex(cfg, 1))
         assert set(flags) == {
             "L1 x O", "L1 x inf", "L2 x O", "L2 x inf",
             "M1 x O", "M1 x inf", "M2 x O", "M2 x inf",
@@ -444,11 +444,11 @@ class TestRationalPointFlags:
             (Component("C1", (2,)), Component("C2")),
             (Stratum("P", ("C1", "C2"), point_degrees=(2,)),),
         )
-        f1 = rational_point_flags(cfg, 1)
+        f1 = rational_point_flags(cfg, extension_complex(cfg, 1))
         assert f1["C1 x O"] is False and f1["C1 x inf"] is False
         assert f1["C2 x O"] is True
         assert f1["P x P1"] is False
-        f2 = rational_point_flags(cfg, 2)
+        f2 = rational_point_flags(cfg, extension_complex(cfg, 2))
         assert all(f2.values())
 
     def test_orbit_pools_degrees(self):
@@ -460,13 +460,14 @@ class TestRationalPointFlags:
             FrobeniusAction(2, {"A1": "A2", "A2": "A1", "B": "B"},
                             {"s1": "s2", "s2": "s1"}),
         )
-        flags = rational_point_flags(cfg, 1)
+        flags = rational_point_flags(cfg, extension_complex(cfg, 1))
         assert flags["A1 x O"] is True
         assert flags["s1 x P1"] is True
         assert set(flags) == {"A1 x O", "A1 x inf", "B x O", "B x inf", "s1 x P1"}
 
     def test_deep_strata_carry_no_flag(self):
-        flags = rational_point_flags(triangle_config(with_face=True), 1)
+        cfg = triangle_config(with_face=True)
+        flags = rational_point_flags(cfg, extension_complex(cfg, 1))
         assert "T x P1" not in flags
         assert "AB x P1" in flags
 
@@ -623,9 +624,10 @@ def test_sweep_reports_match_direct_evaluation(seed, e, vary_degrees):
     sweep = sweep_extensions(cfg, pi1, labels, [3], 3 * period)
     assert [rep.f for rep in sweep.reports] == list(range(1, 3 * period + 1))
     for f, rep in enumerate(sweep.reports, start=1):
-        h1 = homology_group(extension_complex(cfg, f).complex, 1)
+        ext = extension_complex(cfg, f)
+        h1 = homology_group(ext.complex, 1)
         assert rep.h1_quotient.group.iso_type() == h1.group.iso_type()
-        flags = rational_point_flags(cfg, f)
+        flags = rational_point_flags(cfg, ext)
         assert rep.rational_point_flags == flags
         exact = all(flags.values()) and torsion.power(f).acts_trivially()
         assert rep.primes[3].verdict == ("exact" if exact else "bound")

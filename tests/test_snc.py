@@ -33,7 +33,6 @@ from conftest import (
     random_admissible_config,
     reflection_action,
     rotation_action,
-    simplex,
     suspension_document,
     triangle_config,
 )
@@ -359,7 +358,8 @@ class TestBuildDualComplex:
     def test_triangle_with_face(self):
         cx = build_dual_complex(triangle_config())
         assert cx.counts() == (3, 3, 1)
-        t = simplex(cx, "T")
+        (t,) = cx.simplices(2)
+        assert t.id == "T"
         assert t.vertices == ("A", "B", "C")
         assert t.facets == ("BC", "AC", "AB")
 
@@ -370,7 +370,8 @@ class TestBuildDualComplex:
             (Stratum("s", ("A", "Z")),),
         )
         cx = build_dual_complex(cfg)
-        assert simplex(cx, "s").vertices == ("Z", "A")
+        (s,) = cx.simplices(1)
+        assert (s.id, s.vertices) == ("s", ("Z", "A"))
 
     def test_renaming_preserves_structure(self):
         cfg = cycle_config(5)
