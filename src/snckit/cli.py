@@ -44,11 +44,10 @@ from .homology import ORACLE_SIZE_BOUND, homology_group, oracle_homology, random
 from .reciprocity import (
     KernelReport,
     PrimeReport,
-    _alpha_at,
-    _kernel_reports,
-    _label_cycles,
-    _sweep,
+    alpha_map,
     compute_theta,
+    predict_kernel,
+    sweep_extensions,
 )
 from .snc import build_dual_complex
 
@@ -278,11 +277,10 @@ def _cmd_alpha(args):
     bundle, digest = _load(args)
     per_ell = {}
     lines = []
-    # parse_config checked the pi1 data and labels, and H₁'s cycles do
+    # the bundle keeps parse_config's check and H₁'s cycles, which do
     # not depend on the prime
-    cycles = _label_cycles(bundle.config, bundle.pi1, bundle.labels)
     for ell in dict.fromkeys(args.ell):
-        res = _alpha_at(bundle.pi1, *cycles, ell)
+        res = alpha_map(bundle, ell)
         surjective = res.surjective
         per_ell[str(ell)] = {
             "source_h1": _group_payload(res.h1.group),
@@ -364,12 +362,11 @@ def _kernel_report_lines(report: KernelReport) -> list[str]:
 
 def _cmd_kernel(args):
     bundle, digest = _load(args)
-    # parse_config checked the pi1 data and labels
     if args.sweep is None:
-        reports = _kernel_reports(bundle.config, bundle.pi1, bundle.labels, args.ell, (args.f,))
+        reports = (predict_kernel(bundle, args.ell, args.f),)
         trends = []
     else:
-        result = _sweep(bundle.config, bundle.pi1, bundle.labels, args.ell, args.sweep)
+        result = sweep_extensions(bundle, args.ell, args.sweep)
         reports, trends = result.reports, sorted(result.trends.items())
     # main prints the payload under --json and the lines otherwise
     if not args.json:

@@ -27,15 +27,14 @@ round-trips them exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import SnckitError, ValidationError
 from .groups import FgAbelianGroup, GaloisModule, ModuleMap
 from .matrices import IntMatrix
-from .reciprocity import ComponentPi1, Pi1Input, validate_labels, validate_pi1
-from .snc import Component, FrobeniusAction, SncConfiguration, Stratum, validate_config
+from .reciprocity import ComponentPi1, ConfigBundle, Pi1Input
+from .snc import Component, FrobeniusAction, SncConfiguration, Stratum
 
 __all__ = ["ConfigBundle", "parse_config", "serialize_bundle", "json_text"]
 
@@ -167,16 +166,6 @@ def _write_shared(value: SharedDict | SharedList, newline: str, out: list[str],
         out[start:] = [text]
     else:
         out.append(text)
-
-
-@dataclass(frozen=True)
-class ConfigBundle:
-    """Everything one document describes."""
-
-    name: str
-    config: SncConfiguration
-    pi1: Pi1Input
-    labels: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
 
 
 def _plain_ints(value: Any) -> bool:
@@ -479,18 +468,16 @@ def parse_config(text: str) -> ConfigBundle:
         if parsed is not None:
             labels[eid] = tuple(parsed)
 
-    pi1 = Pi1Input(y0, component_maps)
     if reader.problems:
         raise ValidationError(reader.problems)
 
-    semantic = validate_config(cfg)
-    if not semantic:
-        semantic += validate_pi1(cfg, pi1)
-    if not semantic:
-        semantic += validate_labels(cfg, pi1, labels)
-    if semantic:
-        raise ValidationError(semantic)
-    return ConfigBundle(name, cfg, pi1, labels)
+    # the bundle keeps its check, so the reciprocity entry points that
+    # take it do not check it again
+    bundle = ConfigBundle(name, cfg, Pi1Input(y0, component_maps), labels)
+    problems, label_problems = bundle._problems
+    if problems or label_problems:
+        raise ValidationError([*problems, *label_problems])
+    return bundle
 
 
 def _group_doc(module: GaloisModule) -> dict:

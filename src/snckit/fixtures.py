@@ -15,10 +15,9 @@ picks up the deck increment, so the fundamental cycle maps onto y0.
 
 from __future__ import annotations
 
-from .config_io import ConfigBundle
 from .groups import FgAbelianGroup, GaloisModule
 from .matrices import IntMatrix
-from .reciprocity import Pi1Input
+from .reciprocity import ConfigBundle, Pi1Input
 from .snc import Component, FrobeniusAction, SncConfiguration, Stratum
 
 __all__ = ["trivial_pi1", "rulings_bundle", "fermat_bundle", "fermat_cover_config", "generate_example"]

@@ -190,7 +190,7 @@ def norm_map(cfg: SncConfiguration, f: int, a: int,
     target = (source if coarse.complex is fine.complex
               else homology_group(coarse.complex, a, modulus))
     m = induced_map(chain, a, modulus, source=source, target=target)
-    image, _ = image_subgroup(m)
+    image = image_subgroup(m)
     return NormMapResult(f, a, modulus, m, image, source, target)
 
 

@@ -523,17 +523,12 @@ def cokernel(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
     return g, proj
 
 
-def image_subgroup(f: ModuleMap) -> tuple[FgAbelianGroup, ModuleMap]:
-    """The image of ``f`` inside its target.
-
-    Returns the image as an abstract group (generated by the images of
-    the source generators) together with its inclusion into the
-    target; the inclusion's matrix columns are the generating vectors.
-    """
-    g = FgAbelianGroup(f.source.generator_count, f._preimage())
-    # g's relations are the preimage of the target lattice under f
-    incl = ModuleMap._of(g, f.target, f.matrix)
-    return g, incl
+def image_subgroup(f: ModuleMap) -> FgAbelianGroup:
+    """The image of ``f`` inside its target, as an abstract group
+    generated by the images of the source generators: the columns of
+    ``f.matrix`` are the generating vectors, and the relations are the
+    preimage of the target lattice under ``f``."""
+    return FgAbelianGroup(f.source.generator_count, f._preimage())
 
 
 def torsion_and_primary(g: FgAbelianGroup, ell: int) -> tuple[FgAbelianGroup, FgAbelianGroup]:

@@ -35,7 +35,7 @@ relabels its reports, and reads its per-prime trend off P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -57,11 +57,13 @@ from .snc import (
     build_dual_complex,
     ensure_valid,
     has_rational_point,
+    validate_config,
 )
 
 __all__ = [
     "ComponentPi1",
     "Pi1Input",
+    "ConfigBundle",
     "validate_pi1",
     "EdgeLabelCochain",
     "validate_labels",
@@ -208,6 +210,56 @@ def validate_labels(cfg: SncConfiguration, pi1: Pi1Input,
     return problems
 
 
+@dataclass(frozen=True)
+class ConfigBundle:
+    """Everything one document describes: the input of ``alpha_map``,
+    ``predict_kernel`` and ``sweep_extensions``.
+
+    Frozen, so its check and the labels on its H₁ cycles are derived
+    once, on first use, and kept on the object, as a configuration keeps
+    its validation.  The contract is the configuration's: neither the
+    fields nor the mappings they hold are mutated after the first
+    check."""
+
+    name: str
+    config: SncConfiguration
+    pi1: Pi1Input
+    labels: EdgeLabelCochain = field(default_factory=dict)
+
+    @cached_property
+    def _problems(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The configuration's problems, or else the pi1 data's; then
+        the labels' problems, checked only when there are none of
+        those."""
+        problems = validate_config(self.config) or validate_pi1(self.config, self.pi1)
+        if problems:
+            return tuple(problems), ()
+        return (), tuple(validate_labels(self.config, self.pi1, self.labels))
+
+    @cached_property
+    def _cycles(self) -> tuple[HomologyResult, IntMatrix]:
+        """The part of alpha that no prime changes, on a checked bundle:
+        H₁ of the geometric complex, and the labels evaluated on its
+        cycles (one column per H₁ generator, in y0 coordinates)."""
+        cx = build_dual_complex(self.config)
+        h1 = homology_group(cx, 1)
+        columns = _label_columns(cx, self.pi1, self.labels)[0]
+        label = IntMatrix.from_columns(list(columns.values()),
+                                       rows=self.pi1.y0.group.generator_count)
+        return h1, label @ h1.cycle_matrix
+
+
+def _check(bundle: ConfigBundle) -> None:
+    """Raise ValidationError for the configuration's or the pi1 data's
+    problems, or LabelError for the labels', as the bundle's cached
+    check found them."""
+    problems, label_problems = bundle._problems
+    if problems:
+        raise ValidationError(problems)
+    if label_problems:
+        raise LabelError("; ".join(label_problems))
+
+
 def compute_theta(pi1: Pi1Input, ell: int) -> GaloisModule:
     """theta at ell: y0 modulo the images of the component maps, then
     prime-to-ell torsion discarded.  Presented on the generators of
@@ -242,49 +294,18 @@ class AlphaResult:
     warnings: tuple[str, ...]
 
 
-def _check_inputs(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain) -> None:
-    """Raise ValidationError or LabelError unless the pi1 data and the
-    labels pass ``validate_pi1`` and ``validate_labels``.  The public
-    entry points below call this; ``parse_config`` makes the same checks
-    on every bundle it returns, so the command line calls the unchecked
-    ``_label_cycles``, ``_kernel_reports`` and ``_sweep`` on parsed
-    bundles."""
-    pi1_problems = validate_pi1(cfg, pi1)
-    if pi1_problems:
-        raise ValidationError(pi1_problems)
-    label_problems = validate_labels(cfg, pi1, labels)
-    if label_problems:
-        raise LabelError("; ".join(label_problems))
-
-
-def alpha_map(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-              ell: int) -> AlphaResult:
-    """Evaluate the labels on homology generators.  Raises LabelError
-    when the labels are not equivariant or do not descend."""
-    _check_inputs(cfg, pi1, labels)
-    return _alpha_at(pi1, *_label_cycles(cfg, pi1, labels), ell)
-
-
-def _label_cycles(cfg: SncConfiguration, pi1: Pi1Input,
-                  labels: EdgeLabelCochain) -> tuple[HomologyResult, IntMatrix]:
-    """The part of alpha that no prime changes, from checked inputs: H₁
-    of the geometric complex, and the labels evaluated on its cycles
-    (one column per H₁ generator, in y0 coordinates)."""
-    cx = build_dual_complex(cfg)
-    h1 = homology_group(cx, 1)
-    columns = _label_columns(cx, pi1, labels)[0]
-    label = IntMatrix.from_columns(list(columns.values()), rows=pi1.y0.group.generator_count)
-    return h1, label @ h1.cycle_matrix
-
-
-def _alpha_at(pi1: Pi1Input, h1: HomologyResult, matrix: IntMatrix,
-              ell: int) -> AlphaResult:
-    """Alpha at ell from the output of ``_label_cycles``."""
-    theta = compute_theta(pi1, ell)
-    # validate_labels checked descent over every 2-simplex, which is
-    # exactly this map's well-definedness
+def alpha_map(bundle: ConfigBundle, ell: int) -> AlphaResult:
+    """Evaluate the labels on homology generators.  Raises
+    ValidationError when the configuration or the pi1 data is invalid,
+    and LabelError when the labels are not equivariant or do not
+    descend."""
+    _check(bundle)
+    h1, matrix = bundle._cycles
+    theta = compute_theta(bundle.pi1, ell)
+    # the check proved descent over every 2-simplex, which is exactly
+    # this map's well-definedness
     amap = ModuleMap._of(h1.group, theta.group, matrix)
-    image, _ = image_subgroup(amap)
+    image = image_subgroup(amap)
     surjective = amap.is_surjective()
 
     warnings: list[str] = []
@@ -388,38 +409,35 @@ def _frobenius_tests(theta: GaloisModule, torsion: GaloisModule, incl: ModuleMap
     return trivial, proj.compose(incl).is_injective()
 
 
-def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-                    ells: Sequence[int], degrees: Sequence[int]) -> tuple[KernelReport, ...]:
-    """One KernelReport per extension degree, from checked inputs.
+def _kernel_reports(bundle: ConfigBundle, ells: Sequence[int],
+                    degrees: Sequence[int]) -> tuple[KernelReport, ...]:
+    """One KernelReport per extension degree, from a checked bundle.
 
     Alpha, theta and the torsion of theta are geometric: alpha's cycles
-    are computed once, when a split class or a prime first needs them,
-    and the rest once per prime.  The extension, its rational points and
-    H₁ are computed once per degree class gcd(f, P) (see ``_period``),
-    at the first requested degree of the class, so an ExtensionError
-    names that degree.  A split class, whose quotient is the geometric
+    are the bundle's, computed once, when a split class or a prime first
+    needs them, and the rest once per prime.  The extension, its
+    rational points and H₁ are computed once per degree class gcd(f, P)
+    (see ``_period``), at the first requested degree of the class, so an
+    ExtensionError names that degree.  A split class, whose quotient is the geometric
     complex itself, takes its H₁ from alpha's cycles.  The two Frobenius
     tests at ell (Frobenius^f trivial on the torsion of theta, and that
     torsion injecting into the Frobenius^f coinvariants) read only the
     group that Frobenius^f generates, which is that of
     Frobenius^gcd(f, theta's order), so they run once per
     (ell, gcd(f, theta's order)), at that gcd, and at order 1 or on a
-    trivial torsion not at all (``_frobenius_tests``).  The cycles, the
-    geometric pieces at each prime and the tests are cached local
-    functions, each computed at its first use.  Each report keeps its
-    own f; the reports of a degree class share its one flags dict, and a
-    prime's report is one object, shared by every degree where it is the
-    same, unless its warning names f.
+    trivial torsion not at all (``_frobenius_tests``).  The geometric
+    pieces at each prime and the tests are cached local functions, each
+    computed at its first use.  Each report keeps its own f; the reports
+    of a degree class share its one flags dict, and a prime's report is
+    one object, shared by every degree where it is the same, unless its
+    warning names f.
     """
-    period = _period(cfg, pi1)
-
-    @cache
-    def label_cycles() -> tuple[HomologyResult, IntMatrix]:
-        return _label_cycles(cfg, pi1, labels)
+    cfg = bundle.config
+    period = _period(cfg, bundle.pi1)
 
     @cache
     def geometric(ell: int) -> tuple[AlphaResult, GaloisModule, ModuleMap]:
-        alpha = _alpha_at(pi1, *label_cycles(), ell)
+        alpha = alpha_map(bundle, ell)
         return (alpha, *alpha.theta.torsion_submodule())
 
     @cache
@@ -438,7 +456,7 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
             flags = rational_point_flags(cfg, ext)
             # a split class's quotient is the geometric complex, whose
             # H₁ alpha's cycles hold
-            h1_quotient = (label_cycles()[0] if ext.complex is ext.base
+            h1_quotient = (bundle._cycles[0] if ext.complex is ext.base
                            else homology_group(ext.complex, 1))
             # per prime: Frobenius^f trivial on the torsion of theta, and
             # that torsion injecting into the Frobenius^f coinvariants
@@ -475,12 +493,11 @@ def _kernel_reports(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCocha
     return tuple(reports)
 
 
-def predict_kernel(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-                   ells: Sequence[int], f: int = 1) -> KernelReport:
+def predict_kernel(bundle: ConfigBundle, ells: Sequence[int], f: int = 1) -> KernelReport:
     """The kernel prediction over the degree-f extension, at each
     requested prime."""
-    _check_inputs(cfg, pi1, labels)
-    return _kernel_reports(cfg, pi1, labels, ells, (f,))[0]
+    _check(bundle)
+    return _kernel_reports(bundle, ells, (f,))[0]
 
 
 @dataclass(frozen=True)
@@ -489,8 +506,7 @@ class SweepResult:
     trends: dict[int, str]
 
 
-def sweep_extensions(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-                     ells: Sequence[int], f_max: int) -> SweepResult:
+def sweep_extensions(bundle: ConfigBundle, ells: Sequence[int], f_max: int) -> SweepResult:
     """Kernel predictions for f = 1..f_max with a per-prime trend over
     the predicted kernels (the bound, where no exact prediction is
     available).  Every report depends on f only through gcd(f, P)
@@ -501,15 +517,9 @@ def sweep_extensions(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCoch
     than the period, claiming nothing."""
     if f_max < 1:
         raise ValueError("f_max must be positive")
-    _check_inputs(cfg, pi1, labels)
-    return _sweep(cfg, pi1, labels, ells, f_max)
-
-
-def _sweep(cfg: SncConfiguration, pi1: Pi1Input, labels: EdgeLabelCochain,
-           ells: Sequence[int], f_max: int) -> SweepResult:
-    """``sweep_extensions`` on checked inputs."""
-    reports = _kernel_reports(cfg, pi1, labels, ells, range(1, f_max + 1))
-    period = _period(cfg, pi1)
+    _check(bundle)
+    reports = _kernel_reports(bundle, ells, range(1, f_max + 1))
+    period = _period(bundle.config, bundle.pi1)
     trends: dict[int, str] = {}
     for ell in ells:
         kernels = {(pr.predicted_kernel or pr.kernel_bound).iso_type()

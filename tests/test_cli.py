@@ -17,7 +17,7 @@ from snckit.config_io import serialize_bundle
 from snckit.fixtures import fermat_bundle, rulings_bundle
 from snckit.groups import PRIME_BOUND
 
-from conftest import det, suspension_document
+from conftest import det, suspension_document, triangle_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -613,7 +613,7 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch):
             surjective = groups.ModuleMap.is_surjective
             patch.setattr(groups.ModuleMap, "is_surjective",
                           _counting(counts, "surjective", surjective))
-            for key, original in (("alpha", reciprocity._alpha_at),
+            for key, original in (("alpha", reciprocity.alpha_map),
                                   ("snf", matrices._smith_form),
                                   ("h1", homology.homology_group)):
                 _rebind(patch, original, _counting(counts, key, original))
@@ -625,12 +625,13 @@ def test_sweep_runs_each_stage_once(capsys, monkeypatch):
 
 
 def test_kernel_takes_alpha_cycles_only_when_needed(capsys, monkeypatch, tmp_path):
-    """Alpha's cycles are computed when a split class or a prime first
-    needs them: ``kernel`` at a degree that is not admissible raises
-    before any H₁, and a prediction at a degree that is not split and no
-    prime computes only the quotient's H₁."""
+    """Alpha's cycles are read off the bundle when a split class or a
+    prime first needs them: ``kernel`` at a degree that is not
+    admissible raises before any H₁, and a prediction at a degree that
+    is not split and no prime computes only the quotient's H₁."""
     from snckit import homology, reciprocity
     from snckit.config_io import parse_config
+    from snckit.reciprocity import ConfigBundle
 
     doc = {
         "components": [{"id": "A"}, {"id": "B"}],
@@ -642,15 +643,18 @@ def test_kernel_takes_alpha_cycles_only_when_needed(capsys, monkeypatch, tmp_pat
     path.write_text(json.dumps(doc))
     counts = {"cycles": 0, "h1": 0}
     with monkeypatch.context() as patch:
-        for key, original in (("cycles", reciprocity._label_cycles),
-                              ("h1", homology.homology_group)):
-            _rebind(patch, original, _counting(counts, key, original))
+        # every read of the cached property, the first one included
+        cycles = ConfigBundle._cycles
+        patch.setattr(ConfigBundle, "_cycles",
+                      property(_counting(counts, "cycles", cycles.__get__)))
+        _rebind(patch, homology.homology_group,
+                _counting(counts, "h1", homology.homology_group))
         assert main(["kernel", str(path), "--ell", "3", "--f", "3"]) == 1
         assert "not SNC after extension" in capsys.readouterr().err
         assert counts == {"cycles": 0, "h1": 0}
 
         bundle = parse_config(GOLDEN.joinpath("swap.json").read_text())
-        report = reciprocity.predict_kernel(bundle.config, bundle.pi1, bundle.labels, (), f=1)
+        report = reciprocity.predict_kernel(bundle, (), f=1)
         assert report.primes == {}
         assert counts == {"cycles": 0, "h1": 1}
 
@@ -711,10 +715,10 @@ def test_a_warning_that_names_f_is_not_shared(capsys):
     the blocks of even f are one shared object."""
     from snckit.cli import _kernel_payloads
     from snckit.config_io import parse_config
-    from snckit.reciprocity import _sweep
+    from snckit.reciprocity import sweep_extensions
 
     bundle = parse_config(GOLDEN.joinpath("swap.json").read_text())
-    result = _sweep(bundle.config, bundle.pi1, bundle.labels, (3,), 4)
+    result = sweep_extensions(bundle, (3,), 4)
     blocks = [p["primes"]["3"] for p in _kernel_payloads(result.reports)]
     for f, block in enumerate(blocks, 1):
         assert block["warnings"] == ([
@@ -737,10 +741,10 @@ def test_a_degree_class_shares_its_flags_payload(doc, ells, f_max):
 
     from snckit.cli import _kernel_payloads
     from snckit.config_io import parse_config
-    from snckit.reciprocity import _period, _sweep
+    from snckit.reciprocity import _period, sweep_extensions
 
     bundle = parse_config(GOLDEN.joinpath(doc).read_text())
-    result = _sweep(bundle.config, bundle.pi1, bundle.labels, ells, f_max)
+    result = sweep_extensions(bundle, ells, f_max)
     period = _period(bundle.config, bundle.pi1)
     payloads = _kernel_payloads(result.reports)
     classes: dict[int, list] = {}
@@ -870,6 +874,62 @@ def test_kernel_checks_pi1_and_labels_once(capsys, monkeypatch, tmp_path, flags)
         _rebind(monkeypatch, original, _counting(counts, key, original))
     assert main(["kernel", str(path), "--ell", "5", *flags, "--json"]) == 0
     capsys.readouterr()
+    assert counts == {"pi1": 1, "labels": 1}
+
+
+@pytest.mark.parametrize("doc", ["fermat5.json", "cmaps.json"])
+def test_the_cli_checks_once_through_the_public_api(capsys, monkeypatch, doc):
+    """``kernel --sweep`` and ``alpha`` call the public reciprocity
+    entry points on the bundle ``parse_config`` returned: each run
+    checks the pi1 data and the labels once, on parsing, and evaluates
+    alpha once per distinct prime.  The entry points, called again on a
+    parsed bundle, read its cached check and run neither check again."""
+    from snckit import reciprocity
+    from snckit.config_io import parse_config
+
+    counts = {"pi1": 0, "labels": 0, "alpha": 0}
+    for key, original in (("pi1", reciprocity.validate_pi1),
+                          ("labels", reciprocity.validate_labels),
+                          ("alpha", reciprocity.alpha_map)):
+        _rebind(monkeypatch, original, _counting(counts, key, original))
+    path = str(GOLDEN / doc)
+    ells = ["--ell", "2", "--ell", "3", "--ell", "2"]
+    for argv in (["kernel", path, *ells, "--sweep", "3"], ["alpha", path, *ells]):
+        counts.update(dict.fromkeys(counts, 0))
+        run_json(capsys, argv)
+        assert counts == {"pi1": 1, "labels": 1, "alpha": 2}, argv
+
+    bundle = parse_config((GOLDEN / doc).read_text())
+    counts.update(dict.fromkeys(counts, 0))
+    reciprocity.alpha_map(bundle, 5)
+    reciprocity.predict_kernel(bundle, (2, 3))
+    reciprocity.sweep_extensions(bundle, (2, 3), 3)
+    assert counts == {"pi1": 0, "labels": 0, "alpha": 5}
+
+
+def test_a_hand_built_bundle_is_checked_once(monkeypatch):
+    """A bundle that did not come from ``parse_config`` is checked by
+    the first entry point called on it, and the check is kept: a label
+    that does not descend makes each of the three raise LabelError,
+    with one label check between them."""
+    from snckit import reciprocity
+    from snckit.errors import LabelError
+    from snckit.groups import FgAbelianGroup, GaloisModule
+    from snckit.matrices import IntMatrix
+    from snckit.reciprocity import ConfigBundle, Pi1Input
+
+    counts = {"pi1": 0, "labels": 0}
+    for key, original in (("pi1", reciprocity.validate_pi1),
+                          ("labels", reciprocity.validate_labels)):
+        _rebind(monkeypatch, original, _counting(counts, key, original))
+    cfg = triangle_config(with_face=True)
+    y0 = GaloisModule(FgAbelianGroup.cyclic(4), IntMatrix.identity(1), 1)
+    bundle = ConfigBundle(cfg.name, cfg, Pi1Input(y0), {"AB": (1,)})
+    for call in (lambda: reciprocity.alpha_map(bundle, 2),
+                 lambda: reciprocity.predict_kernel(bundle, (2,)),
+                 lambda: reciprocity.sweep_extensions(bundle, (2,), 2)):
+        with pytest.raises(LabelError, match="do not descend"):
+            call()
     assert counts == {"pi1": 1, "labels": 1}
 
 

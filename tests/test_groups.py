@@ -107,9 +107,8 @@ class TestModuleMap:
         z = FgAbelianGroup(1)
         z12 = FgAbelianGroup.cyclic(12)
         f = ModuleMap(z, z12, IntMatrix.from_rows([[4]]))
-        image, incl = image_subgroup(f)
+        image = image_subgroup(f)
         assert image.iso_type().torsion == (3,)
-        assert incl.matrix.to_rows() == [[4]]
 
     def test_injective_surjective(self):
         z = FgAbelianGroup(1)
@@ -270,7 +269,7 @@ def test_derived_groups_match_full_eliminations(f):
     stacked matrices from scratch."""
     expected = _stacked_answers(f)
     coker, _ = cokernel(f)
-    image, _ = image_subgroup(f)
+    image = image_subgroup(f)
     assert f.is_injective() == expected["injective"]
     assert f.is_surjective() == expected["surjective"]
     assert image.iso_type() == expected["image"]

@@ -1,6 +1,7 @@
 """Source hygiene of the package: every import is used, every private
 function has a caller, every public name has a reader, every exported
-name exists, one routine makes every Smith form, one path reads a
+name exists, the command line imports no private name of the library,
+one routine makes every Smith form, one path reads a
 group's Smith data, every module compiles without a warning, importing
 it loads only the standard library, and every dotted name the README
 quotes still exists."""
@@ -197,6 +198,20 @@ def test_every_export_resolves():
         missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                     if not hasattr(module, export)]
     assert missing == [], f"exported names that do not exist: {missing}"
+
+
+def test_the_cli_imports_no_private_name():
+    """The command line is a client of the public library: ``cli.py``
+    imports no underscore-prefixed name from another package module, so
+    no unchecked twin of a public entry point grows back beside it."""
+    path = SRC / "snckit" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    private = [f"{node.module}.{alias.name} (line {node.lineno})"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "snckit")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"cli.py imports private names: {private}"
 
 
 def _call_sites(name: str) -> list[tuple[str, str]]:

@@ -21,6 +21,7 @@ from snckit.homology import homology_group
 from snckit.matrices import IntMatrix, _power
 from snckit.reciprocity import (
     ComponentPi1,
+    ConfigBundle,
     Pi1Input,
     alpha_map,
     compute_theta,
@@ -58,6 +59,10 @@ def _module(group: FgAbelianGroup, frob=None, order: int = 1) -> GaloisModule:
 def _map(source: GaloisModule, target: GaloisModule, rows) -> ComponentPi1:
     return ComponentPi1(source, ModuleMap(source.group, target.group,
                                           IntMatrix.from_rows(rows)))
+
+
+def _bundle(cfg: SncConfiguration, pi1: Pi1Input, labels=None) -> ConfigBundle:
+    return ConfigBundle(cfg.name, cfg, pi1, labels or {})
 
 
 class TestComputeTheta:
@@ -380,7 +385,7 @@ def _random_frobenius_config(rng: random.Random) -> SncConfiguration | None:
 class TestAlphaMap:
     def test_fermat_alpha_is_surjective(self):
         bundle = fermat_bundle(5)
-        res = alpha_map(bundle.config, bundle.pi1, bundle.labels, 5)
+        res = alpha_map(bundle, 5)
         assert res.theta.group.invariant_factors == (5,)
         assert res.surjective
         assert res.image_group.iso_type() == FgAbelianGroup.cyclic(5).iso_type()
@@ -390,7 +395,7 @@ class TestAlphaMap:
     def test_zero_labels_give_zero_map(self):
         cfg = cycle_config(4)
         pi1 = Pi1Input(_module(FgAbelianGroup.cyclic(4)))
-        res = alpha_map(cfg, pi1, {}, 2)
+        res = alpha_map(_bundle(cfg, pi1), 2)
         assert res.map.matrix.is_zero()
         assert res.image_group.is_trivial()
 
@@ -398,18 +403,18 @@ class TestAlphaMap:
         cfg = cycle_config(4)
         pi1 = Pi1Input(_module(FgAbelianGroup.cyclic(4)))
         labels = {"e0": (1,)}
-        res = alpha_map(cfg, pi1, labels, 2)
+        res = alpha_map(_bundle(cfg, pi1, labels), 2)
         assert res.image_group.iso_type() == FgAbelianGroup.cyclic(4).iso_type()
         # at 3 nothing of theta remains
-        res3 = alpha_map(cfg, pi1, labels, 3)
+        res3 = alpha_map(_bundle(cfg, pi1, labels), 3)
         assert res3.theta.group.is_trivial()
         assert res3.image_group.is_trivial()
 
     def test_linearity_in_labels(self):
         bundle = fermat_bundle(9)
-        res1 = alpha_map(bundle.config, bundle.pi1, bundle.labels, 3)
+        res1 = alpha_map(bundle, 3)
         doubled = {e: tuple(2 * x for x in v) for e, v in bundle.labels.items()}
-        res2 = alpha_map(bundle.config, bundle.pi1, doubled, 3)
+        res2 = alpha_map(replace(bundle, labels=doubled), 3)
         assert res2.map.matrix.to_rows() == [[2 * x for x in row]
                                              for row in res1.map.matrix.to_rows()]
 
@@ -417,14 +422,14 @@ class TestAlphaMap:
         cfg = triangle_config(with_face=True)
         pi1 = Pi1Input(_module(FgAbelianGroup.cyclic(4)))
         with pytest.raises(LabelError, match="do not descend"):
-            alpha_map(cfg, pi1, {"AB": (1,)}, 2)
+            alpha_map(_bundle(cfg, pi1, {"AB": (1,)}), 2)
 
     def test_rejects_bad_pi1(self):
         cfg = cycle_config(3)
         y0 = _module(FgAbelianGroup.cyclic(2))
         pi1 = Pi1Input(y0, {"nope": _map(_module(FgAbelianGroup.trivial()), y0, [[]])})
         with pytest.raises(ValidationError, match="unknown component"):
-            alpha_map(cfg, pi1, {}, 2)
+            alpha_map(_bundle(cfg, pi1), 2)
 
 
 class TestRationalPointFlags:
@@ -475,7 +480,7 @@ class TestRationalPointFlags:
 class TestPredictKernel:
     def test_rulings_trivial_and_exact(self):
         bundle = rulings_bundle()
-        report = predict_kernel(bundle.config, bundle.pi1, bundle.labels, [2, 3, 5])
+        report = predict_kernel(bundle, [2, 3, 5])
         assert report.assumption_rational_points
         assert report.h1_quotient.group.iso_type().rank == 1
         for ell in (2, 3, 5):
@@ -488,7 +493,7 @@ class TestPredictKernel:
 
     def test_fermat_exact_cyclic(self):
         bundle = fermat_bundle(5)
-        report = predict_kernel(bundle.config, bundle.pi1, bundle.labels, [5, 2])
+        report = predict_kernel(bundle, [5, 2])
         pr = report.primes[5]
         assert pr.verdict == "exact"
         assert pr.predicted_kernel.iso_type() == FgAbelianGroup.cyclic(5).iso_type()
@@ -504,22 +509,22 @@ class TestPredictKernel:
             (Component("C1", (2,)),) + cfg.components[1:],
             cfg.strata,
         )
-        r1 = predict_kernel(quadratic, bundle.pi1, bundle.labels, [5], f=1)
+        r1 = predict_kernel(replace(bundle, config=quadratic), [5], f=1)
         assert not r1.assumption_rational_points
         assert r1.primes[5].verdict == "bound"
         assert r1.primes[5].predicted_kernel is None
         assert r1.primes[5].kernel_bound.invariant_factors == (5,)
-        r2 = predict_kernel(quadratic, bundle.pi1, bundle.labels, [5], f=2)
+        r2 = predict_kernel(replace(bundle, config=quadratic), [5], f=2)
         assert r2.primes[5].verdict == "exact"
 
     def test_frobenius_on_torsion_downgrades(self):
-        cfg, pi1, labels = swap_upgrade_fixture()
-        r1 = predict_kernel(cfg, pi1, labels, [3], f=1)
+        bundle = _bundle(*swap_upgrade_fixture())
+        r1 = predict_kernel(bundle, [3], f=1)
         assert r1.assumption_rational_points
         assert not r1.primes[3].frobenius_trivial_on_torsion
         assert r1.primes[3].verdict == "bound"
         assert r1.primes[3].kernel_bound.invariant_factors == (3,)
-        r2 = predict_kernel(cfg, pi1, labels, [3], f=2)
+        r2 = predict_kernel(bundle, [3], f=2)
         assert r2.primes[3].verdict == "exact"
         assert r2.primes[3].predicted_kernel.is_trivial()
 
@@ -536,7 +541,7 @@ def _reflection_bundle():
 class TestSweep:
     def test_fermat_stable(self):
         bundle = fermat_bundle(5)
-        sweep = sweep_extensions(bundle.config, bundle.pi1, bundle.labels, [5], 4)
+        sweep = sweep_extensions(bundle, [5], 4)
         assert len(sweep.reports) == 4
         assert sweep.trends[5] == "stable"
         for rep in sweep.reports:
@@ -547,18 +552,17 @@ class TestSweep:
 
     def test_rulings_stable_trivial(self):
         bundle = rulings_bundle()
-        sweep = sweep_extensions(bundle.config, bundle.pi1, bundle.labels,
-                                 [2, 3, 5], 3)
+        sweep = sweep_extensions(bundle, [2, 3, 5], 3)
         assert sweep.trends == {2: "stable", 3: "stable", 5: "stable"}
 
     def test_swap_is_periodic(self):
         """swap has P = 2: odd f bounds the kernel by Z/3 and even f
         gives 0, so no window is "eventually trivial"; the trend names
         the period, and a window shorter than it claims nothing."""
-        cfg, pi1, labels = swap_upgrade_fixture()
-        sweep = sweep_extensions(cfg, pi1, labels, [3], 2)
+        bundle = _bundle(*swap_upgrade_fixture())
+        sweep = sweep_extensions(bundle, [3], 2)
         assert sweep.trends[3] == "periodic with period 2"
-        assert sweep_extensions(cfg, pi1, labels, [3], 1).trends[3] == (
+        assert sweep_extensions(bundle, [3], 1).trends[3] == (
             "undetermined: the window 1..1 is shorter than the period 2")
 
     def test_reflection_is_periodic(self):
@@ -567,18 +571,17 @@ class TestSweep:
         never "shrinking"."""
         cfg, pi1, labels = _reflection_bundle()
         assert validate_labels(cfg, pi1, labels) == []
-        two = sweep_extensions(cfg, pi1, labels, [2], 2)
+        two = sweep_extensions(_bundle(cfg, pi1, labels), [2], 2)
         assert [r.primes[2].verdict for r in two.reports] == ["bound", "exact"]
         kernel = two.reports[1].primes[2].predicted_kernel
         assert kernel.iso_type() == FgAbelianGroup.cyclic(2).iso_type()
         assert two.trends[2] == "periodic with period 2"
-        three = sweep_extensions(cfg, pi1, labels, [2], 3)
+        three = sweep_extensions(_bundle(cfg, pi1, labels), [2], 3)
         assert three.trends[2] == "periodic with period 2"
 
     def test_bad_f_max(self):
-        cfg, pi1, labels = swap_upgrade_fixture()
         with pytest.raises(ValueError, match="positive"):
-            sweep_extensions(cfg, pi1, labels, [3], 0)
+            sweep_extensions(_bundle(*swap_upgrade_fixture()), [3], 0)
 
     def test_each_degree_class_is_evaluated_once(self, monkeypatch):
         cfg = random_admissible_config(random.Random(4), 4, "coned")
@@ -591,7 +594,7 @@ class TestSweep:
         original = reciprocity.extension_complex
         monkeypatch.setattr(reciprocity, "extension_complex",
                             lambda c, f: calls.append(f) or original(c, f))
-        sweep = sweep_extensions(cfg, pi1, labels, [3], 48)
+        sweep = sweep_extensions(_bundle(cfg, pi1, labels), [3], 48)
         assert [rep.f for rep in sweep.reports] == list(range(1, 49))
         assert calls == [1, 2, 3, 4, 6, 12]
 
@@ -621,7 +624,7 @@ def test_sweep_reports_match_direct_evaluation(seed, e, vary_degrees):
     theta = compute_theta(pi1, 3)
     torsion, incl = theta.torsion_submodule()
 
-    sweep = sweep_extensions(cfg, pi1, labels, [3], 3 * period)
+    sweep = sweep_extensions(_bundle(cfg, pi1, labels), [3], 3 * period)
     assert [rep.f for rep in sweep.reports] == list(range(1, 3 * period + 1))
     for f, rep in enumerate(sweep.reports, start=1):
         ext = extension_complex(cfg, f)
@@ -650,8 +653,7 @@ def test_order_one_frobenius_tests_match_a_direct_computation(name):
         text = (Path(__file__).parent / "golden" / f"{name}.json").read_text()
     bundle = parse_config(text)
     assert bundle.pi1.y0.order == 1
-    reports = reciprocity._kernel_reports(bundle.config, bundle.pi1, bundle.labels,
-                                          (2, 3, 5), (1, 2, 3, 6))
+    reports = reciprocity._kernel_reports(bundle, (2, 3, 5), (1, 2, 3, 6))
     for report in reports:
         for ell, pr in report.primes.items():
             theta = compute_theta(bundle.pi1, ell)
@@ -713,9 +715,10 @@ def test_sweep_trend_is_read_off_the_period(case):
     "stable": it names the period when its own kernels differ and
     claims nothing otherwise."""
     cfg, pi1, labels, ells = _sweep_case(case)
+    bundle = _bundle(cfg, pi1, labels)
     period = reciprocity._period(cfg, pi1)
     divisors = [g for g in range(1, period + 1) if period % g == 0]
-    classes = reciprocity._kernel_reports(cfg, pi1, labels, ells, divisors)
+    classes = reciprocity._kernel_reports(bundle, ells, divisors)
 
     def kernel(pr):
         return (pr.predicted_kernel or pr.kernel_bound).iso_type()
@@ -725,9 +728,9 @@ def test_sweep_trend_is_read_off_the_period(case):
         kernels = {kernel(rep.primes[ell]) for rep in classes}
         expected[ell] = "stable" if len(kernels) == 1 else f"periodic with period {period}"
     for f_max in range(period, period + 4):
-        assert reciprocity._sweep(cfg, pi1, labels, ells, f_max).trends == expected
+        assert sweep_extensions(bundle, ells, f_max).trends == expected
     for f_max in range(1, period):
-        sweep = reciprocity._sweep(cfg, pi1, labels, ells, f_max)
+        sweep = sweep_extensions(bundle, ells, f_max)
         for ell, trend in sweep.trends.items():
             window = {kernel(rep.primes[ell]) for rep in sweep.reports}
             assert "stable" not in trend
