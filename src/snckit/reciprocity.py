@@ -4,7 +4,8 @@ normal crossing surface built from a doubled configuration.
 The inputs are combinatorial: the configuration of the divisor D with
 its Frobenius action, fundamental-group data (a module y0 for the
 ambient piece, one module-with-map per component of D), and a label in
-y0 on every edge of the dual complex.  The labels are the columns of
+y0 on every edge of the dual complex, held together by a ConfigBundle
+that keeps its own check.  The labels are the columns of
 one matrix L, checked column by column: Frobenius-equivariance on the
 columns of L·F₁ − Y·L (F₁ the Frobenius chain map on edges, Y its
 action on y0), each the signed label of an edge's image minus Y times
